@@ -1,40 +1,50 @@
-"""Bit-parallel evaluation of formulas as characteristic sequences.
+"""Bit-parallel evaluation of formulas over a whole sample at once.
 
-The characteristic sequence (CS) of a formula on a trace of length l
-holds one bit per position: bit p-1 is set iff the suffix starting at
-position p satisfies the formula. Sequences are stored in Python ints,
-which behave as little-endian arrays of machine words: position p lives
-at word (p-1)//64, bit (p-1)%64, and shifting toward position 1 is `>>`
-with word-boundary carries handled by the int itself. All sequences are
-kept canonical: bits at indices >= l are zero, so byte-level equality of
-sequences is semantic equality.
+A formula's value on a sample is one Python int, its packed value. The
+traces lie end to end, positives first and in sample order: trace i
+starts at bit offset o_i, and bit o_i + p - 1 is set iff the suffix of
+trace i from position p satisfies the formula. Bits beyond the last
+trace are always zero, so equal ints are equal valuations: the packed
+value is itself the observational-equivalence key.
 
-Temporal operators reduce to word-parallel logic:
+A `Layout` holds where the traces sit, as three masks:
 
-    X! s     = s >> 1                  (last position becomes 0)
-    X s      = !(X!(!s))               (last position becomes 1)
-    F s      = or-fold of s >> 1, >> 2, >> 4, ... while the shift < l
+    full     every position of every trace
+    first    the first position of each trace
+    notlast  every position except the last of each trace
+
+With them every operator is one big-int expression over the whole
+sample, and no shift carries a bit from one trace into the next:
+
+    !s       = s ^ full
+    X! s     = (s >> 1) & notlast          (the last position becomes 0)
+    X s      = !(X!(!s))                    (the last position becomes 1)
+    s1 U s2  = until(s1 & notlast, s2)
+    F s      = until(notlast, s)
     G s      = !(F(!s))
-    s1 U s2  = doubling recurrence: out = s2, acc = s1, then per round
-               out |= (out >> d) & acc; acc &= acc >> d for d = 1,2,4,...
     s1 R s2  = !((!s1) U (!s2))
 
-The F loop runs exactly ceil(log2 l) rounds; U runs the same schedule.
-The kernel functions at the top operate on raw ints (bits, plus the
-length/mask where needed) so hot loops can skip wrapper objects; the
-CharSequence API wraps them one-to-one.
+`until(acc, out)` is a doubling recurrence: for d = 1, 2, 4, ... while
+d is below the longest trace's length, out |= (out >> d) & acc and
+acc &= acc >> d. After the round with shift d, acc holds at p iff s1
+holds and p is not a last position on all of [p, p + 2d); so a shift by
+d only ever reads positions of p's own trace.
 
-The characteristic table of a formula is its CS on every trace of a
-sample, positives first; table equality is observational equivalence.
-The characteristic vector collects the first bit of every row; a
-formula separates the sample iff its vector is all-ones on positive
-rows and all-zeros on negative rows.
+A formula separates the sample iff `s & first` equals the first bits of
+the positive traces. The characteristic vector compresses `s & first`
+to one bit per trace, bit i = trace i.
+
+`CharTable` and `CharSequence` are views for inspection: a table splits
+a packed value into one sequence per trace, and the `cs_*` functions
+evaluate a single sequence as a one-trace sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from .formulas import (
     And,
@@ -56,52 +66,118 @@ from .traces import Sample, Trace
 WORD_BITS = 64
 
 
-# ---------------------------------------------------------------------------
-# Raw kernels. `bits` is canonical (no bits at index >= length);
-# `mask` is (1 << length) - 1. Every kernel returns canonical bits.
-# ---------------------------------------------------------------------------
+class Layout:
+    """Where each trace of a sample sits in a packed value."""
 
-def k_not(bits: int, mask: int) -> int:
-    return bits ^ mask
+    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first", "max_len")
+
+    def __init__(self, lengths: Sequence[int], n_pos: int):
+        offsets = list(accumulate(lengths, initial=0))
+        total = offsets.pop()
+        self.lengths = tuple(lengths)
+        self.offsets = tuple(offsets)
+        self.full = (1 << total) - 1
+        self.first = sum(1 << o for o in offsets)
+        self.notlast = self.full ^ sum(1 << (o + n - 1) for o, n in zip(offsets, lengths))
+        self.pos_first = sum(1 << o for o in offsets[:n_pos])
+        self.max_len = max(lengths, default=0)
+
+    @staticmethod
+    def of(sample: Sample) -> "Layout":
+        return Layout([w.length for w in sample.traces], sample.n_pos)
+
+    def vector(self, bits: int) -> int:
+        """The characteristic vector: bit i is the first bit of trace i."""
+        return sum((bits >> o & 1) << i for i, o in enumerate(self.offsets))
 
 
-def k_strong_next(bits: int) -> int:
-    return bits >> 1
-
-
-def k_weak_next(bits: int, mask: int) -> int:
-    return ((bits ^ mask) >> 1) ^ mask
-
-
-def k_finally(bits: int, length: int) -> int:
-    shift = 1
-    while shift < length:
-        bits |= bits >> shift
-        shift <<= 1
+def pack_atom(traces: Sequence[Trace], prop: int) -> int:
+    """The packed value of proposition `prop` over the traces, in order."""
+    bits = 0
+    for w in reversed(traces):
+        for letter in reversed(w.letters):
+            bits = bits << 1 | (letter >> prop & 1)
     return bits
 
 
-def k_globally(bits: int, mask: int, length: int) -> int:
-    return k_finally(bits ^ mask, length) ^ mask
+# ---------------------------------------------------------------------------
+# Kernels: packed values in, packed value out.
+# ---------------------------------------------------------------------------
 
-
-def k_until(bits1: int, bits2: int, length: int) -> int:
-    out = bits2
-    acc = bits1
+def _until(acc: int, out: int, max_len: int) -> int:
     shift = 1
-    while shift < length:
+    while shift < max_len:
         out |= (out >> shift) & acc
         acc &= acc >> shift
         shift <<= 1
     return out
 
 
-def k_release(bits1: int, bits2: int, mask: int, length: int) -> int:
-    return k_until(bits1 ^ mask, bits2 ^ mask, length) ^ mask
+def k_not(s: int, lay: Layout) -> int:
+    return s ^ lay.full
+
+
+def k_strong_next(s: int, lay: Layout) -> int:
+    return (s >> 1) & lay.notlast
+
+
+def k_weak_next(s: int, lay: Layout) -> int:
+    return (((s ^ lay.full) >> 1) & lay.notlast) ^ lay.full
+
+
+def k_finally(s: int, lay: Layout) -> int:
+    return _until(lay.notlast, s, lay.max_len)
+
+
+def k_globally(s: int, lay: Layout) -> int:
+    return _until(lay.notlast, s ^ lay.full, lay.max_len) ^ lay.full
+
+
+def k_and(s1: int, s2: int, lay: Layout) -> int:
+    return s1 & s2
+
+
+def k_or(s1: int, s2: int, lay: Layout) -> int:
+    return s1 | s2
+
+
+def k_until(s1: int, s2: int, lay: Layout) -> int:
+    return _until(s1 & lay.notlast, s2, lay.max_len)
+
+
+def k_release(s1: int, s2: int, lay: Layout) -> int:
+    full = lay.full
+    return _until((s1 ^ full) & lay.notlast, s2 ^ full, lay.max_len) ^ full
+
+
+UNARY_KERNELS = {
+    "!": k_not,
+    "X!": k_strong_next,
+    "X": k_weak_next,
+    "F": k_finally,
+    "G": k_globally,
+}
+BINARY_KERNELS = {
+    "&": k_and,
+    "|": k_or,
+    "U": k_until,
+    "R": k_release,
+}
+_NODE_KERNELS = {
+    Not: k_not,
+    StrongNext: k_strong_next,
+    WeakNext: k_weak_next,
+    Finally: k_finally,
+    Globally: k_globally,
+    And: k_and,
+    Or: k_or,
+    Until: k_until,
+    Release: k_release,
+}
 
 
 # ---------------------------------------------------------------------------
-# Typed wrappers
+# Single-trace views
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,12 +225,13 @@ class CharSequence:
         return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.length))
 
 
+@lru_cache(maxsize=256)
+def _single(length: int) -> Layout:
+    return Layout((length,), 1)
+
+
 def cs_atom(w: Trace, prop: int) -> CharSequence:
-    bits = 0
-    for i, letter in enumerate(w.letters):
-        if letter >> prop & 1:
-            bits |= 1 << i
-    return CharSequence(w.length, bits)
+    return CharSequence(w.length, pack_atom((w,), prop))
 
 
 def cs_top(length: int) -> CharSequence:
@@ -165,88 +242,34 @@ def cs_bottom(length: int) -> CharSequence:
     return CharSequence(length, 0)
 
 
-def cs_not(s: CharSequence) -> CharSequence:
-    return CharSequence(s.length, k_not(s.bits, s.mask))
+def cs_apply_unary(op: str, s: CharSequence) -> CharSequence:
+    """Apply a unary operator token to one sequence."""
+    return CharSequence(s.length, UNARY_KERNELS[op](s.bits, _single(s.length)))
 
 
-def cs_strong_next(s: CharSequence) -> CharSequence:
-    return CharSequence(s.length, k_strong_next(s.bits))
-
-
-def cs_weak_next(s: CharSequence) -> CharSequence:
-    return CharSequence(s.length, k_weak_next(s.bits, s.mask))
-
-
-def cs_finally(s: CharSequence) -> CharSequence:
-    return CharSequence(s.length, k_finally(s.bits, s.length))
+def cs_apply_binary(op: str, s1: CharSequence, s2: CharSequence) -> CharSequence:
+    """Apply a binary operator token to two sequences of one trace."""
+    if s1.length != s2.length:
+        raise ValueError(f"length mismatch: {s1.length} vs {s2.length}")
+    return CharSequence(s1.length, BINARY_KERNELS[op](s1.bits, s2.bits, _single(s1.length)))
 
 
 def finally_rounds(s: CharSequence) -> list[CharSequence]:
     """The value after each or-shift round of the F loop.
 
-    One entry per round, ceil(log2 length) rounds in total; the last
-    entry equals cs_finally(s). Exposed for inspection and tests.
+    One entry per round of `k_finally`, ceil(log2 length) rounds in
+    total; the last entry equals F applied to s. Exposed for inspection
+    and tests.
     """
-    out = s.bits
+    out, acc = s.bits, _single(s.length).notlast
     rounds = []
     shift = 1
     while shift < s.length:
-        out |= out >> shift
+        out |= (out >> shift) & acc
+        acc &= acc >> shift
         rounds.append(CharSequence(s.length, out))
         shift <<= 1
     return rounds
-
-
-def cs_globally(s: CharSequence) -> CharSequence:
-    return CharSequence(s.length, k_globally(s.bits, s.mask, s.length))
-
-
-def _check_lengths(s1: CharSequence, s2: CharSequence) -> None:
-    if s1.length != s2.length:
-        raise ValueError(f"length mismatch: {s1.length} vs {s2.length}")
-
-
-def cs_and(s1: CharSequence, s2: CharSequence) -> CharSequence:
-    _check_lengths(s1, s2)
-    return CharSequence(s1.length, s1.bits & s2.bits)
-
-
-def cs_or(s1: CharSequence, s2: CharSequence) -> CharSequence:
-    _check_lengths(s1, s2)
-    return CharSequence(s1.length, s1.bits | s2.bits)
-
-
-def cs_until(s1: CharSequence, s2: CharSequence) -> CharSequence:
-    _check_lengths(s1, s2)
-    return CharSequence(s1.length, k_until(s1.bits, s2.bits, s1.length))
-
-
-def cs_release(s1: CharSequence, s2: CharSequence) -> CharSequence:
-    _check_lengths(s1, s2)
-    return CharSequence(s1.length, k_release(s1.bits, s2.bits, s1.mask, s1.length))
-
-
-_UNARY_CS = {
-    "!": cs_not,
-    "X!": cs_strong_next,
-    "X": cs_weak_next,
-    "F": cs_finally,
-    "G": cs_globally,
-}
-_BINARY_CS = {
-    "&": cs_and,
-    "|": cs_or,
-    "U": cs_until,
-    "R": cs_release,
-}
-
-
-def cs_apply_unary(op: str, s: CharSequence) -> CharSequence:
-    return _UNARY_CS[op](s)
-
-
-def cs_apply_binary(op: str, s1: CharSequence, s2: CharSequence) -> CharSequence:
-    return _BINARY_CS[op](s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +278,19 @@ def cs_apply_binary(op: str, s1: CharSequence, s2: CharSequence) -> CharSequence
 
 @dataclass(frozen=True)
 class CharTable:
-    """One CS per trace of a sample, positives first, in sample order."""
+    """A formula's packed value on a sample, with the layout to read it."""
 
-    rows: tuple[CharSequence, ...]
+    layout: Layout
+    bits: int
+
+    @property
+    def rows(self) -> tuple[CharSequence, ...]:
+        """One sequence per trace, positives first, in sample order."""
+        lay = self.layout
+        return tuple(
+            CharSequence(n, self.bits >> o & ((1 << n) - 1))
+            for o, n in zip(lay.offsets, lay.lengths)
+        )
 
 
 @dataclass(frozen=True)
@@ -277,51 +310,43 @@ def table_of(
 ) -> CharTable:
     """The characteristic table of phi, computed bottom-up.
 
-    `cache` maps already-computed subformulas to their tables and is
-    reused across calls when shared by the caller.
+    `cache` maps already-computed subformulas to their tables, and the
+    key `Layout` to the sample's layout; it is reused across calls when
+    shared by the caller.
     """
     if cache is None:
         cache = {}
-    return _table(phi, sample, cache)
+    layout = cache.get(Layout)
+    if layout is None:
+        layout = cache[Layout] = Layout.of(sample)
+    return _table(phi, sample.traces, layout, cache)
 
 
-def _table(phi: Formula, sample: Sample, cache: dict) -> CharTable:
+def _table(phi: Formula, traces, layout: Layout, cache: dict) -> CharTable:
     hit = cache.get(phi)
     if hit is not None:
         return hit
-    if isinstance(phi, Atom):
-        rows = tuple(cs_atom(w, phi.prop) for w in sample.traces)
-    elif isinstance(phi, Top):
-        rows = tuple(cs_top(w.length) for w in sample.traces)
-    elif isinstance(phi, Bottom):
-        rows = tuple(cs_bottom(w.length) for w in sample.traces)
-    elif isinstance(phi, Not):
-        rows = tuple(cs_not(r) for r in _table(phi.arg, sample, cache).rows)
-    elif isinstance(phi, StrongNext):
-        rows = tuple(cs_strong_next(r) for r in _table(phi.arg, sample, cache).rows)
-    elif isinstance(phi, WeakNext):
-        rows = tuple(cs_weak_next(r) for r in _table(phi.arg, sample, cache).rows)
-    elif isinstance(phi, Finally):
-        rows = tuple(cs_finally(r) for r in _table(phi.arg, sample, cache).rows)
-    elif isinstance(phi, Globally):
-        rows = tuple(cs_globally(r) for r in _table(phi.arg, sample, cache).rows)
-    elif isinstance(phi, (And, Or, Until, Release)):
-        left = _table(phi.left, sample, cache).rows
-        right = _table(phi.right, sample, cache).rows
-        op = {And: cs_and, Or: cs_or, Until: cs_until, Release: cs_release}[type(phi)]
-        rows = tuple(op(a, b) for a, b in zip(left, right))
+    cls = type(phi)
+    if cls is Atom:
+        bits = pack_atom(traces, phi.prop)
+    elif cls is Top:
+        bits = layout.full
+    elif cls is Bottom:
+        bits = 0
+    elif cls in (And, Or, Until, Release):
+        left = _table(phi.left, traces, layout, cache).bits
+        right = _table(phi.right, traces, layout, cache).bits
+        bits = _NODE_KERNELS[cls](left, right, layout)
+    elif cls in _NODE_KERNELS:
+        bits = _NODE_KERNELS[cls](_table(phi.arg, traces, layout, cache).bits, layout)
     else:
         raise TypeError(f"not a formula node: {phi!r}")
-    table = CharTable(rows)
-    cache[phi] = table
+    table = cache[phi] = CharTable(layout, bits)
     return table
 
 
 def first_bits(t: CharTable) -> CharVector:
-    bits = 0
-    for i, row in enumerate(t.rows):
-        bits |= (row.bits & 1) << i
-    return CharVector(len(t.rows), bits)
+    return CharVector(len(t.layout.offsets), t.layout.vector(t.bits))
 
 
 def is_solution(v: CharVector, sample: Sample) -> bool:

@@ -191,18 +191,18 @@ def collapse(bank, sample: Sample) -> tuple[BscInstance, dict]:
     so it is also a smallest one. Returns the instance and statistics
     including the collapse ratio |bank| / |base sets|.
     """
+    layout = bank.layout
+    first = layout.first
     n_formulas = 0
-    seen_vectors: set[int] = set()
+    seen_keys: set[int] = set()
     base: list[BaseSet] = []
     for entry in bank.entries():
         n_formulas += 1
-        vec = 0
-        for i, row_bits in enumerate(entry.rows):
-            vec |= (row_bits & 1) << i
-        if vec in seen_vectors:
+        key = entry.bits & first  # the vector, still spread over the layout
+        if key in seen_keys:
             continue
-        seen_vectors.add(vec)
-        base.append(BaseSet(vec, entry.formula.size, entry.formula))
+        seen_keys.add(key)
+        base.append(BaseSet(layout.vector(key), entry.formula.size, entry.formula))
     if not base:
         raise ValueError("cannot collapse an empty bank")
     inst = BscInstance(sample.n_pos, sample.n_neg, tuple(base))

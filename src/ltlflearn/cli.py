@@ -5,13 +5,14 @@ checks a given formula against a task, `generate` writes benchmark
 tasks plus a manifest, and `bench` runs every task of a manifest and
 emits one JSON record per line. Exit codes are a stable contract:
 0 solved / verified, 1 no solution / not separating, 2 timeout,
-3 input error. In json mode stdout carries exactly one JSON object
-(or one per task for bench); diagnostics go to stderr.
+3 input error, 4 internal error. In json mode stdout carries exactly
+one JSON object (or one per task for bench); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .traces import Sample, Task, TaskFormatError, parse_task
 
 _STATUS_EXIT = {"Solved": 0, "NoSolution": 1, "Timeout": 2}
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class InputError(Exception):
@@ -252,14 +254,8 @@ def _bench_worker(task_path: str, config: LearnerConfig,
     cfg = config
     if use_task_ops and task.op_names:
         try:
-            cfg = LearnerConfig(
-                operators=OperatorSet.from_names(task.op_names),
-                ltl2bs_switch=config.ltl2bs_switch,
-                beam_width=config.beam_width,
-                dc_switch=config.dc_switch,
-                domination_k=config.domination_k,
-                timeout=config.timeout,
-                seed=config.seed,
+            cfg = dataclasses.replace(
+                config, operators=OperatorSet.from_names(task.op_names)
             )
         except ValueError as exc:
             return {"task": task_path, "status": "Error", "error": str(exc)}
@@ -392,6 +388,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug, never a verdict: keep it off codes 0-3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -2,13 +2,12 @@
 
 Formulas are generated bottom-up by size: size s+1 candidates are unary
 operators over retained size-s formulas and binary operators over
-retained pairs of sizes (i, j) with i + j = s. Each candidate's
-characteristic table is computed incrementally from its children's
-tables; a candidate whose table equals an already-retained table is
-observationally equivalent on this sample and is discarded. The first
-candidate whose characteristic vector separates the sample is returned
-immediately; because sizes are enumerated in increasing order, it is
-size-minimal for the operator set.
+retained pairs of sizes (i, j) with i + j = s. Each candidate's packed
+value (see `biteval`) is one kernel call on its children's values; a
+candidate whose value equals an already-retained one is observationally
+equivalent on this sample and is discarded. The first candidate that
+separates the sample is returned immediately; because sizes are
+enumerated in increasing order, it is size-minimal for the operator set.
 
 The order is fully deterministic: within one size, unary products come
 before binary products, operators iterate in their declaration order,
@@ -24,15 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .biteval import (
-    CharTable,
-    cs_atom,
-    k_finally,
-    k_globally,
-    k_release,
-    k_until,
-    k_weak_next,
-)
+from .biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom
 from .deadlines import check_deadline
 from .formulas import (
     Atom,
@@ -45,25 +36,30 @@ from .formulas import (
 )
 from .traces import Sample
 
+# Candidates generated between two deadline checks inside a size level.
+_DEADLINE_STRIDE = 4096
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BankEntry:
-    """A retained formula with its per-trace characteristic bits."""
+    """A retained formula with its packed value on the sample."""
 
     formula: Formula
-    rows: tuple[int, ...]
+    bits: int
 
 
 @dataclass
 class FormulaBank:
     """Retained formulas grouped by size, plus the equivalence index.
 
-    `seen` holds the row-bit tuples of every retained formula; row
-    lengths are fixed by the sample, so the bits alone identify a table.
+    `seen` holds the packed value of every retained formula; a packed
+    value identifies a characteristic table, so it is the equivalence
+    key as it stands. `layout` is the sample layout the values use.
     """
 
+    layout: Layout
     by_size: dict[int, list[BankEntry]] = field(default_factory=dict)
-    seen: set[tuple[int, ...]] = field(default_factory=set)
+    seen: set[int] = field(default_factory=set)
     n_generated: int = 0
     n_pruned: int = 0
 
@@ -74,35 +70,6 @@ class FormulaBank:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.by_size.values())
-
-
-def _apply_unary(tok: str, rows, masks, lengths) -> tuple[int, ...]:
-    if tok == "!":
-        return tuple(b ^ m for b, m in zip(rows, masks))
-    if tok == "X!":
-        return tuple(b >> 1 for b in rows)
-    if tok == "X":
-        return tuple(k_weak_next(b, m) for b, m in zip(rows, masks))
-    if tok == "F":
-        return tuple(k_finally(b, n) for b, n in zip(rows, lengths))
-    if tok == "G":
-        return tuple(k_globally(b, m, n) for b, m, n in zip(rows, masks, lengths))
-    raise ValueError(f"unknown unary operator {tok!r}")
-
-
-def _apply_binary(tok: str, rows1, rows2, masks, lengths) -> tuple[int, ...]:
-    if tok == "&":
-        return tuple(a & b for a, b in zip(rows1, rows2))
-    if tok == "|":
-        return tuple(a | b for a, b in zip(rows1, rows2))
-    if tok == "U":
-        return tuple(k_until(a, b, n) for a, b, n in zip(rows1, rows2, lengths))
-    if tok == "R":
-        return tuple(
-            k_release(a, b, m, n)
-            for a, b, m, n in zip(rows1, rows2, masks, lengths)
-        )
-    raise ValueError(f"unknown binary operator {tok!r}")
 
 
 def enumerate_bounded(
@@ -119,99 +86,73 @@ def enumerate_bounded(
     unbounded and runs until a solution or the deadline; memory is the
     operational limit in that mode. `include_consts` adds true/false to
     the size-1 seeds (off by default: with F and G primitive they never
-    shrink a minimal separator).
+    shrink a minimal separator). The deadline is checked at the start
+    of every size level and every 4096 candidates.
     """
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
-    masks = tuple((1 << w.length) - 1 for w in sample.traces)
-    lengths = tuple(w.length for w in sample.traces)
-    n_pos = sample.n_pos
-    solution_key = (1 << n_pos) - 1  # positives low bits 1, negatives 0
+    layout = Layout.of(sample)
+    first, goal = layout.first, layout.pos_first
+    bank = FormulaBank(layout)
+    seen = bank.seen
 
-    def vector_of(rows: tuple[int, ...]) -> int:
-        bits = 0
-        for i, b in enumerate(rows):
-            bits |= (b & 1) << i
-        return bits
-
-    bank = FormulaBank()
-
-    seeds: list[tuple[Formula, tuple[int, ...]]] = []
-    for prop in range(len(sample.alphabet)):
-        rows = tuple(cs_atom(w, prop).bits for w in sample.traces)
-        seeds.append((Atom(prop), rows))
+    seeds = [
+        (Atom(prop), pack_atom(sample.traces, prop)) for prop in range(len(sample.alphabet))
+    ]
     if include_consts:
-        seeds.append((Top(), masks))
-        seeds.append((Bottom(), tuple(0 for _ in masks)))
-
-    level1: list[BankEntry] = []
-    bank.by_size[1] = level1
-    for formula, rows in seeds:
+        seeds += [(Top(), layout.full), (Bottom(), 0)]
+    level = bank.by_size[1] = []
+    for formula, bits in seeds:
         bank.n_generated += 1
-        if vector_of(rows) == solution_key:
+        if bits & first == goal:
             return formula, bank
-        if rows in bank.seen:
+        if bits in seen:
             bank.n_pruned += 1
             continue
-        bank.seen.add(rows)
-        level1.append(BankEntry(formula, rows))
+        seen.add(bits)
+        level.append(BankEntry(formula, bits))
 
     size = 2
     while max_size is None or size <= max_size:
         check_deadline(deadline)
-        level: list[BankEntry] = []
-        bank.by_size[size] = level
-
-        def consider(rows: tuple[int, ...], make_formula) -> Optional[Formula]:
-            bank.n_generated += 1
-            if vector_of(rows) == solution_key:
-                return make_formula()
-            if rows in bank.seen:
-                bank.n_pruned += 1
-                return None
-            bank.seen.add(rows)
-            level.append(BankEntry(make_formula(), rows))
-            return None
-
+        level = bank.by_size[size] = []
+        # The unary and binary loops share one body, inlined: it runs
+        # once per candidate.
         for tok in ops.unary:
+            kernel = UNARY_KERNELS[tok]
             for entry in bank.by_size[size - 1]:
-                rows = _apply_unary(tok, entry.rows, masks, lengths)
-                hit = consider(rows, lambda: build_unary(tok, entry.formula))
-                if hit is not None:
-                    return hit, bank
+                bits = kernel(entry.bits, layout)
+                bank.n_generated += 1
+                if not bank.n_generated % _DEADLINE_STRIDE:
+                    check_deadline(deadline)
+                if bits & first == goal:
+                    return build_unary(tok, entry.formula), bank
+                if bits in seen:
+                    bank.n_pruned += 1
+                else:
+                    seen.add(bits)
+                    level.append(BankEntry(build_unary(tok, entry.formula), bits))
         for tok in ops.binary:
+            kernel = BINARY_KERNELS[tok]
             for i in range(1, size - 1):
+                rights = bank.by_size[size - 1 - i]
                 for left in bank.by_size[i]:
-                    for right in bank.by_size[size - 1 - i]:
-                        rows = _apply_binary(tok, left.rows, right.rows, masks, lengths)
-                        hit = consider(
-                            rows, lambda: build_binary(tok, left.formula, right.formula)
-                        )
-                        if hit is not None:
-                            return hit, bank
+                    left_bits = left.bits
+                    for right in rights:
+                        bits = kernel(left_bits, right.bits, layout)
+                        bank.n_generated += 1
+                        if not bank.n_generated % _DEADLINE_STRIDE:
+                            check_deadline(deadline)
+                        if bits & first == goal:
+                            return build_binary(tok, left.formula, right.formula), bank
+                        if bits in seen:
+                            bank.n_pruned += 1
+                        else:
+                            seen.add(bits)
+                            formula = build_binary(tok, left.formula, right.formula)
+                            level.append(BankEntry(formula, bits))
         size += 1
     return None, bank
-
-
-def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
-    """Build a bank from given formulas, in order, dedup by table.
-
-    For tests and ad-hoc instances; no solution check is performed.
-    """
-    from .biteval import table_of
-
-    bank = FormulaBank()
-    cache: dict = {}
-    for phi in formulas:
-        table = table_of(phi, sample, cache)
-        rows = tuple(r.bits for r in table.rows)
-        bank.n_generated += 1
-        if rows in bank.seen:
-            bank.n_pruned += 1
-            continue
-        bank.seen.add(rows)
-        bank.by_size.setdefault(phi.size, []).append(BankEntry(phi, rows))
-    return bank
 
 
 def fingerprint(t: CharTable) -> bytes:
@@ -219,7 +160,7 @@ def fingerprint(t: CharTable) -> bytes:
 
     Equal tables give equal digests; the digest indexes equivalence
     classes but unequal-table collisions must still be resolved by full
-    comparison (in-memory deduplication uses the row tuples directly,
+    comparison (in-memory deduplication uses the packed ints directly,
     which Python's hash-and-compare set discipline already guarantees).
     """
     h = hashlib.blake2b(digest_size=16)

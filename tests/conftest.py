@@ -1,9 +1,29 @@
-"""Shared sample builders used by pipeline, CLI, and acceptance tests."""
+"""Shared sample and bank builders used across the test modules."""
 
 import random
 
+from ltlflearn.biteval import Layout, table_of
+from ltlflearn.enumeration import BankEntry, FormulaBank
 from ltlflearn.formulas import And, Atom, Finally, Or, StrongNext, eval_reference
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+
+def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
+    """Build a bank from given formulas, in order, dedup by packed value.
+
+    For hand-made set-cover instances; no solution check is performed.
+    """
+    bank = FormulaBank(Layout.of(sample))
+    cache: dict = {Layout: bank.layout}
+    for phi in formulas:
+        bits = table_of(phi, sample, cache).bits
+        bank.n_generated += 1
+        if bits in bank.seen:
+            bank.n_pruned += 1
+            continue
+        bank.seen.add(bits)
+        bank.by_size.setdefault(phi.size, []).append(BankEntry(phi, bits))
+    return bank
 
 
 def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:

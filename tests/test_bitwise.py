@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,17 +8,11 @@ from ltlflearn.biteval import (
     WORD_BITS,
     CharSequence,
     CharVector,
-    cs_and,
+    cs_apply_binary,
+    cs_apply_unary,
     cs_atom,
     cs_bottom,
-    cs_finally,
-    cs_globally,
-    cs_not,
-    cs_release,
-    cs_strong_next,
     cs_top,
-    cs_until,
-    cs_weak_next,
     finally_rounds,
     first_bits,
     is_solution,
@@ -38,6 +34,8 @@ from ltlflearn.formulas import (
     eval_reference_all,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+from test_acceptance import _random_formula
 
 AABAA = Trace((1, 1, 0, 1, 1))
 
@@ -81,53 +79,54 @@ def test_atom_reads_the_trace():
 
 
 def test_not_respects_padding():
-    s = cs_not(cs("11011"))
+    s = cs_apply_unary("!", cs("11011"))
     assert s.to_string() == "00100"
     assert s.bits >> s.length == 0
 
 
 def test_strong_next_is_a_right_shift():
-    assert cs_strong_next(cs("11011")).to_string() == "10110"
+    assert cs_apply_unary("X!", cs("11011")).to_string() == "10110"
 
 
 def test_weak_next_holds_at_last_position():
-    assert cs_weak_next(cs("11011")).to_string() == "10111"
-    assert cs_weak_next(cs("00000")).to_string() == "00001"
+    assert cs_apply_unary("X", cs("11011")).to_string() == "10111"
+    assert cs_apply_unary("X", cs("00000")).to_string() == "00001"
 
 
 def test_finally_spreads_backwards():
-    assert cs_finally(cs("00100")).to_string() == "11100"
-    assert cs_finally(cs("00000")).to_string() == "00000"
+    assert cs_apply_unary("F", cs("00100")).to_string() == "11100"
+    assert cs_apply_unary("F", cs("00000")).to_string() == "00000"
 
 
 def test_finally_rounds_double_the_shift():
     rounds = finally_rounds(cs("0000000100000001"))
     assert len(rounds) == 4  # shifts 1, 2, 4, 8 for length 16
-    assert rounds[-1] == cs_finally(cs("0000000100000001"))
+    assert rounds[-1] == cs_apply_unary("F", cs("0000000100000001"))
 
 
 def test_globally_requires_suffix():
-    assert cs_globally(cs("11011")).to_string() == "00011"
+    assert cs_apply_unary("G", cs("11011")).to_string() == "00011"
 
 
 def test_until_on_the_worked_trace():
     # a U b on aabaa: b has CS 00100; holds at 1, 2, 3.
     a = cs_atom(AABAA, 0)
-    b = cs_not(a)
-    assert cs_until(a, b).to_string() == "11100"
+    b = cs_apply_unary("!", a)
+    assert cs_apply_binary("U", a, b).to_string() == "11100"
 
 
 def test_release_matches_its_definition():
     a = cs("11010")
     b = cs("01110")
-    direct = cs_release(a, b)
-    via_duality = cs_not(cs_until(cs_not(a), cs_not(b)))
+    direct = cs_apply_binary("R", a, b)
+    not_a, not_b = cs_apply_unary("!", a), cs_apply_unary("!", b)
+    via_duality = cs_apply_unary("!", cs_apply_binary("U", not_a, not_b))
     assert direct == via_duality
 
 
 def test_binary_kernels_reject_mixed_lengths():
     with pytest.raises(ValueError):
-        cs_and(cs("10"), cs("101"))
+        cs_apply_binary("&", cs("10"), cs("101"))
 
 
 # --- tables -------------------------------------------------------------------
@@ -196,3 +195,47 @@ def test_bitwise_matches_reference(phi, letters):
     row = table_of(phi, sample).rows[0]
     expected = eval_reference_all(phi, w)
     assert [row.bit(p) for p in range(1, w.length + 1)] == expected
+
+
+# --- packed samples: no bit crosses a trace boundary ---------------------------
+
+NINE_OPERATORS = {Not, StrongNext, WeakNext, Finally, Globally, And, Or, Until, Release}
+
+
+def _node_types(phi) -> set:
+    out = {type(phi)}
+    for child in (getattr(phi, "arg", None), getattr(phi, "left", None),
+                  getattr(phi, "right", None)):
+        if child is not None:
+            out |= _node_types(child)
+    return out
+
+
+def test_packed_value_matches_reference_across_trace_boundaries():
+    rng = random.Random(1207)
+    ops_seen: set = set()
+    samples = 0
+    while samples < 150:
+        n_props = rng.randint(1, 3)
+        lengths = [1, rng.randint(65, 100)]
+        lengths += [rng.randint(1, 100) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(lengths)
+        traces = [Trace(tuple(rng.getrandbits(n_props) for _ in range(n))) for n in lengths]
+        n_pos = rng.randint(0, len(traces))
+        try:
+            sample = Sample(Alphabet.default(n_props), tuple(traces[:n_pos]),
+                            tuple(traces[n_pos:]))
+        except ValueError:  # one trace drawn into both classes; draw again
+            continue
+        samples += 1
+        for _ in range(4):
+            phi = _random_formula(rng, n_props, rng.randint(2, 10))
+            ops_seen |= _node_types(phi)
+            packed = table_of(phi, sample).bits
+            offset = 0
+            for w in sample.traces:
+                got = [bool(packed >> (offset + p) & 1) for p in range(w.length)]
+                assert got == eval_reference_all(phi, w), (phi, lengths, offset)
+                offset += w.length
+            assert packed >> offset == 0, "bits set beyond the last trace"
+    assert ops_seen >= NINE_OPERATORS

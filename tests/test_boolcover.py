@@ -33,9 +33,10 @@ from ltlflearn.boolcover import (
     scored_base_sets,
     witness_solution,
 )
-from ltlflearn.enumeration import bank_from_formulas
 from ltlflearn.formulas import And, Atom, Finally, Or
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+from conftest import bank_from_formulas
 
 
 def mask(*rows: int) -> int:

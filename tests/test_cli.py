@@ -224,6 +224,32 @@ def test_bench_respects_task_ops_unless_overridden(tmp_path, capsys):
     assert json.loads(out)["status"] == "Solved"
 
 
+def test_bench_task_ops_keep_the_other_flags(tmp_path, capsys):
+    task = tmp_path / "stuck.trace"
+    task.write_text(STUCK)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "family,n_props,trace_len,n_pos,n_neg,seed,params,formula,path\n"
+        f"hand,1,2,1,1,0,{{}},,{task}\n"
+    )
+    code, out, _ = run(capsys, "bench", str(manifest), "--beam-width", "7", "--seed", "5")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["operators"] == ["F"]  # from the task's ops line
+    assert (config["beam_width"], config["seed"]) == (7, 5)
+
+
+def test_internal_error_has_its_own_exit_code(task_path, capsys, monkeypatch):
+    def broken_learn(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("ltlflearn.cli.learn", broken_learn)
+    code, out, err = run(capsys, "learn", task_path)
+    assert code == 4
+    assert out == ""
+    assert "internal error: RecursionError: maximum recursion depth exceeded" in err
+
+
 def test_bench_missing_file_is_an_error_record(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(

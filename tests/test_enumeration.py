@@ -1,12 +1,11 @@
+import random
+import time
+
 import pytest
 
 from ltlflearn.biteval import table_of
 from ltlflearn.deadlines import DeadlineReached
-from ltlflearn.enumeration import (
-    bank_from_formulas,
-    enumerate_bounded,
-    fingerprint,
-)
+from ltlflearn.enumeration import enumerate_bounded, fingerprint
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
     Atom,
@@ -17,6 +16,8 @@ from ltlflearn.formulas import (
     eval_reference,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+from conftest import bank_from_formulas, union_shaped_sample
 
 
 def sample2() -> Sample:
@@ -100,10 +101,43 @@ def test_include_consts_seeds_top_and_bottom():
 
 
 def test_deadline_interrupts_between_sizes():
-    import time
-
     with pytest.raises(DeadlineReached):
         enumerate_bounded(sample2(), DEFAULT_OPERATORS, 9, deadline=time.monotonic())
+
+
+def test_deadline_interrupts_inside_a_size_level():
+    # Unbounded on the union sample: size 8 alone takes longer than the
+    # budget, so only the in-level check can stop it this soon.
+    deadline = time.monotonic() + 0.3
+    with pytest.raises(DeadlineReached):
+        enumerate_bounded(union_shaped_sample(), DEFAULT_OPERATORS, None, deadline=deadline)
+    assert time.monotonic() - deadline < 0.25
+
+
+def test_deadline_is_checked_every_4096_candidates(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ltlflearn.enumeration.check_deadline", calls.append)
+    _, bank = enumerate_bounded(union_shaped_sample(), DEFAULT_OPERATORS, 8)
+    # One check per level of sizes 2..8, plus one per 4096 candidates.
+    assert len(calls) == 7 + bank.n_generated // 4096
+
+
+def test_bank_values_are_the_packed_tables_of_their_formulas():
+    # Mixed lengths, every operator: the enumerator's kernel calls must
+    # agree with table_of, which evaluates each formula from scratch.
+    rng = random.Random(2)
+
+    def trace():
+        return Trace(tuple(rng.getrandbits(2) for _ in range(rng.choice((1, 3, 5, 8, 70)))))
+
+    s = Sample(Alphabet.default(2), tuple(trace() for _ in range(5)),
+               tuple(trace() for _ in range(5)))
+    ops = OperatorSet.from_names(["!", "X!", "X", "F", "G", "&", "|", "U", "R"])
+    found, bank = enumerate_bounded(s, ops, 4)
+    assert found is None and len(bank) > 150
+    cache: dict = {}
+    for entry in bank.entries():
+        assert entry.bits == table_of(entry.formula, s, cache).bits, entry.formula
 
 
 def test_unbounded_runs_until_solution():

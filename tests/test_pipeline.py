@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from ltlflearn.formulas import Atom, Finally, OperatorSet
+from ltlflearn.enumeration import enumerate_bounded
+from ltlflearn.formulas import (
+    DEFAULT_OPERATORS,
+    Atom,
+    Finally,
+    OperatorSet,
+    render_formula,
+)
 from ltlflearn.pipeline import LearnerConfig, LearnResult, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_sample
 
@@ -112,3 +119,24 @@ def test_result_dataclass_shape():
     result = LearnResult("Timeout")
     assert result.formula is None and result.witness is None
     assert result.stats == {}
+
+
+def test_union_sample_answer_and_counts_are_pinned_bit_for_bit():
+    # Measured before the packed engine replaced the per-trace tuples;
+    # any change to enumeration order, pruning or the cover search shows.
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 8)
+    assert {size: len(level) for size, level in bank.by_size.items()} == {
+        1: 2, 2: 10, 3: 32, 4: 122, 5: 582, 6: 2485, 7: 10775, 8: 49267,
+    }
+    assert (bank.n_generated, len(bank), bank.n_pruned) == (179782, 63275, 116507)
+
+    result = learn(sample)
+    assert (result.status, result.method) == ("Solved", "BSC")
+    assert render_formula(result.formula, sample.alphabet) == (
+        "F(p0 & X!(p0 & X!(p1))) | F(p1 & X!(p1 & X!(p0)))"
+    )
+    stats = result.stats
+    assert (stats["n_enumerated"], stats["n_retained"]) == (179782, 63275)
+    assert (stats["n_base_sets"], stats["n_after_domination"]) == (6389, 5427)
+    assert stats["beam_candidates"] == 411302
