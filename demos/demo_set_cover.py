@@ -16,7 +16,7 @@ from ltlflearn import (
     div_conq,
     existence_check,
 )
-from ltlflearn.boolcover import dominates, scored_base_sets
+from ltlflearn.boolcover import reduce_instance, sat_bits
 
 
 def bits(*rows: int) -> int:
@@ -52,12 +52,18 @@ def main() -> None:
     for i, bs in enumerate(inst.base_sets):
         print(f"phi{i + 1} = {show(bs.members, 6)}, weight {bs.weight}")
 
-    # sat counts correctly classified examples: covered positives plus
-    # excluded negatives. Score orders the beam; domination prunes.
-    scored = scored_base_sets(inst)
-    for i, s in enumerate(scored):
-        print(f"sat(phi{i + 1}) = {show(s.sat_bits, 6)}, score {s.score}")
-    print("phi1 dominates phi2:", dominates(scored[0], scored[1]))
+    # sat is the set of correctly classified examples: covered positives
+    # plus excluded negatives. Its size, the score, orders the beam; a set
+    # whose sat another set of no more weight contains is dominated.
+    for i, bs in enumerate(inst.base_sets):
+        sat = sat_bits(bs.members, inst.pos_mask, inst.neg_mask)
+        print(f"sat(phi{i + 1}) = {show(sat, 6)}, score {sat.bit_count()}")
+    assert reduce_instance(inst, 10).base_sets == inst.base_sets
+    print("domination keeps all three: no sat contains another's")
+    phi4 = BaseSet(bits(0), 2)  # {p1} again, heavier
+    extended = BscInstance(3, 3, inst.base_sets + (phi4,))
+    assert reduce_instance(extended, 10).base_sets == inst.base_sets
+    print("phi4 = {p1}, weight 2: dropped, phi1 dominates it")
 
     print("\nexistence check:", existence_check(inst), "(None means separable)")
     result = beam_search(inst)

@@ -11,9 +11,9 @@ reconstructed formula (union -> or, intersection -> and).
 The solver pipeline: `collapse` builds the instance from a formula
 bank (one base set per distinct characteristic vector, carrying the
 smallest formula for it), `existence_check` decides solvability by
-pairwise separability, domination pruning (`reduce_antichain_exact`,
-`fast_non_dominated`) shrinks the family, `beam_search` explores
-combinations in weight order keeping the best-scoring few per weight,
+pairwise separability, domination pruning (`reduce_instance`) shrinks
+the family, `beam_search` explores combinations in weight order keeping
+the best-scoring few per weight,
 and `div_conq` splits the instance when beam search stalls, combining
 the halves' solutions with a union (positives split) or intersection
 (negatives split). `reconstruct` maps a combination back to a formula.
@@ -24,6 +24,9 @@ by theta1 when theta1 weighs no more and sat(theta2) is a subset of
 sat(theta1); dominated elements can be dropped without losing any
 solution, because replacing theta2 by theta1 inside a bigger
 combination never shrinks its sat set and never raises its weight.
+One mechanism, `_DominationPools`, decides domination everywhere: the
+per-weight top-k sat sets it holds are the only dominators consulted,
+in instance reduction, in the subproblems of `div_conq` and in the beam.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union as TUnion
 
-from .deadlines import check_deadline
+from .deadlines import DEADLINE_STRIDE, check_deadline
 from .formulas import And, Formula, Or
 from .traces import Sample
 
@@ -148,37 +151,6 @@ def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
     return (eval_bits & pos_mask) | (neg_mask & ~eval_bits)
 
 
-@dataclass(frozen=True)
-class Scored:
-    """A combination (or base set) with its evaluation state."""
-
-    eval_bits: int
-    sat_bits: int
-    score: int
-    weight: int
-    payload: object = None
-
-
-def make_scored(comb: BoolCombination, inst: BscInstance) -> Scored:
-    ev = eval_combination(comb, inst.base_sets) & inst.universe
-    sat = sat_bits(ev, inst.pos_mask, inst.neg_mask)
-    return Scored(ev, sat, sat.bit_count(), comb.weight, comb)
-
-
-def scored_base_sets(inst: BscInstance) -> list[Scored]:
-    """One Scored per base set, payload = the base set's index."""
-    out = []
-    for i, bs in enumerate(inst.base_sets):
-        ev = bs.members & inst.universe
-        sat = sat_bits(ev, inst.pos_mask, inst.neg_mask)
-        out.append(Scored(ev, sat, sat.bit_count(), bs.weight, i))
-    return out
-
-
-def is_solution_combination(comb: BoolCombination, inst: BscInstance) -> bool:
-    return eval_combination(comb, inst.base_sets) & inst.universe == inst.pos_mask
-
-
 # ---------------------------------------------------------------------------
 # Collapse
 # ---------------------------------------------------------------------------
@@ -254,101 +226,76 @@ def existence_check(inst: BscInstance) -> Optional[Witness]:
     return None
 
 
-def witness_solution(inst: BscInstance) -> BoolCombination:
-    """The constructive solution ∪_p ∩_{F ∋ p} F; requires existence.
-
-    A completeness backstop of weight O(|base sets| * |P|), not the
-    primary output path.
-    """
-    thetas: list[BoolCombination] = []
-    for p in range(inst.n_pos):
-        bit = 1 << p
-        part: Optional[BoolCombination] = None
-        for i, bs in enumerate(inst.base_sets):
-            if bs.members & bit:
-                leaf = Leaf(i, bs.weight)
-                part = leaf if part is None else Inter(part, leaf)
-        if part is None:
-            raise ValueError(f"positive {p} is in no base set")
-        thetas.append(part)
-    theta: BoolCombination = thetas[0]
-    for part in thetas[1:]:
-        theta = Union(theta, part)
-    if eval_combination(theta, inst.base_sets) & inst.universe != inst.pos_mask:
-        raise ValueError("existence check fails on this instance")
-    return theta
-
-
 # ---------------------------------------------------------------------------
 # Domination
 # ---------------------------------------------------------------------------
 
-def dominates(a: Scored, b: Scored) -> bool:
-    """Whether a dominates b: a weighs no more and b.sat ⊆ a.sat."""
-    return a.weight <= b.weight and b.sat_bits & ~a.sat_bits == 0
+class _DominationPools:
+    """Per-weight top-k sat sets: the one domination test of the cover phase.
 
-
-def _removed(items: Sequence[Scored], i: int, js) -> bool:
-    """Whether items[i] is removed given candidate dominator indices js.
-
-    Removed iff strictly dominated by some other element, or mutually
-    dominating with an earlier one (keep-first tie-breaking).
+    Each weight's pool keeps the k highest-scoring entries added at that
+    weight, the earliest among equal scores. Only pool entries are
+    consulted as dominators: sound (never reports an undominated
+    element) but incomplete (may miss a dominator that was evicted);
+    with k >= the largest pool it is exact.
     """
-    x = items[i]
-    for j in js:
-        if j == i:
-            continue
-        y = items[j]
-        if dominates(y, x) and (not dominates(x, y) or j < i):
-            return True
-    return False
+
+    __slots__ = ("k", "pools")
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        # Min-heaps of (score, -seq, sat): the root is the lowest score,
+        # the newest among ties, which is the entry to evict.
+        self.pools: dict[int, list[tuple[int, int, int]]] = {}
+
+    def add(self, weight: int, score: int, seq: int, sat: int) -> None:
+        pool = self.pools.setdefault(weight, [])
+        push = heapq.heappush if len(pool) < self.k else heapq.heappushpop
+        push(pool, (score, -seq, sat))
+
+    def dominated(self, weight: int, sat: int, seq: int) -> bool:
+        """Whether a pool entry weighs no more and its sat contains sat.
+
+        Mutually dominating twins (equal weight and sat) keep the one
+        with the smaller seq, so an entry never dominates itself.
+        """
+        for w, pool in self.pools.items():
+            if w > weight:
+                continue
+            for _, neg_seq, pool_sat in pool:
+                if sat & ~pool_sat == 0 and (w < weight or pool_sat != sat or -neg_seq < seq):
+                    return True
+        return False
 
 
-def reduce_antichain_exact(items: Sequence[Scored]) -> list[Scored]:
-    """Keep the elements not dominated by another; quadratic scan.
+def _undominated(
+    sets: Sequence[tuple[int, int, int]], pos_mask: int, neg_mask: int, k: int
+) -> tuple[tuple[int, int, int], ...]:
+    """The (members, weight, index) triples the top-k pools leave standing.
 
-    The output is an antichain; every removed element is dominated by
-    some survivor (domination is transitive and the tie-break acyclic).
+    Every triple enters the pools first, its position as its seq; a
+    triple is dropped when a pool entry dominates it. Every dropped
+    triple is dominated by a kept one (domination is transitive and the
+    tie rule acyclic), so no solution is lost.
     """
-    all_js = range(len(items))
-    return [x for i, x in enumerate(items) if not _removed(items, i, all_js)]
+    pools = _DominationPools(k)
+    sats = [sat_bits(members, pos_mask, neg_mask) for members, _, _ in sets]
+    for seq, ((_, weight, _), sat) in enumerate(zip(sets, sats)):
+        pools.add(weight, sat.bit_count(), seq, sat)
+    return tuple(triple for seq, (triple, sat) in enumerate(zip(sets, sats))
+                 if not pools.dominated(triple[1], sat, seq))
 
 
-def fast_non_dominated(items: Sequence[Scored], k: int) -> list[Scored]:
-    """Approximate reduction via top-k-score candidate pools per weight.
+def reduce_instance(inst: BscInstance, k: int) -> BscInstance:
+    """Instance with the base sets its top-k pools dominate dropped.
 
-    Only elements of the pools T(w, k) with w <= an element's weight are
-    consulted as dominators: sound (never removes a non-dominated
-    element) but incomplete (may keep dominated ones). With k >= the
-    pool sizes it coincides with the exact reduction.
+    Order is kept. k at least the largest number of base sets of one
+    weight makes the reduction exact: the result is an antichain.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    by_weight: dict[int, list[int]] = {}
-    for idx, item in enumerate(items):
-        by_weight.setdefault(item.weight, []).append(idx)
-    pools = {
-        w: sorted(idxs, key=lambda i: (-items[i].score, i))[:k]
-        for w, idxs in by_weight.items()
-    }
-    weights = sorted(pools)
-    kept = []
-    for i, x in enumerate(items):
-        candidate_js = (
-            j for w in weights if w <= x.weight for j in pools[w]
-        )
-        if not _removed(items, i, candidate_js):
-            kept.append(x)
-    return kept
-
-
-def reduce_instance(inst: BscInstance, k: Optional[int]) -> BscInstance:
-    """Instance with dominated base sets dropped (k=None: exact scan)."""
-    items = scored_base_sets(inst)
-    kept = reduce_antichain_exact(items) if k is None else fast_non_dominated(items, k)
-    return BscInstance(
-        inst.n_pos, inst.n_neg, tuple(inst.base_sets[s.payload] for s in kept)
-    )
+    kept = _undominated(full_subproblem(inst).sets, inst.pos_mask, inst.neg_mask, k)
+    return BscInstance(inst.n_pos, inst.n_neg, tuple(inst.base_sets[i] for _, _, i in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +373,6 @@ class _BoundedQueue:
         return len(self.heap)
 
 
-class _DominationPools:
-    """Per-weight top-k sat sets of retained members, for pruning."""
-
-    __slots__ = ("k", "pools")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.pools: dict[int, list[tuple[int, int, int]]] = {}  # (score, seq, sat)
-
-    def add(self, weight: int, score: int, seq: int, sat: int) -> None:
-        pool = self.pools.setdefault(weight, [])
-        pool.append((score, seq, sat))
-        if len(pool) > self.k:
-            # Drop the lowest score; among ties the newest, keeping
-            # the earliest top-k stable.
-            pool.remove(min(pool, key=lambda t: (t[0], -t[1])))
-
-    def dominated(self, weight: int, sat: int) -> bool:
-        for w, pool in self.pools.items():
-            if w > weight:
-                continue
-            for _, _, pool_sat in pool:
-                if sat & ~pool_sat == 0:
-                    return True
-        return False
-
-
 def _beam(
     view: SubProblem,
     beam_width: int,
@@ -476,17 +396,22 @@ def _beam(
     best_score = negm.bit_count()
     best_weight = 0
 
-    def consider(eval_full: int, weight: int, make_comb) -> Optional[BoolCombination]:
-        """Returns a solution combination, or None after bookkeeping."""
+    def consider(eval_full: int, weight: int, make, a, b) -> Optional[BoolCombination]:
+        """Returns a solution combination, or None after bookkeeping.
+
+        The candidate is make(a, b), built only once it is needed.
+        """
         nonlocal seq, best_comb, best_score, best_weight, n_candidates
         n_candidates += 1
+        if not n_candidates % DEADLINE_STRIDE:
+            check_deadline(deadline)
         masked = eval_full & universe
         sat = (masked & posm) | (negm & ~eval_full)
         if sat == universe:
-            return make_comb()
+            return make(a, b)
         score = sat.bit_count()
         if score > best_score or (score == best_score and weight < best_weight):
-            best_comb = make_comb()
+            best_comb = make(a, b)
             best_score = score
             best_weight = weight
         queue = queues.get(weight)
@@ -496,59 +421,46 @@ def _beam(
             return None
         if masked in seen:
             return None
-        if pools.dominated(weight, sat):
+        if pools.dominated(weight, sat, seq):
             return None
-        comb = make_comb()
-        if queue.add(score, seq, (comb, eval_full)):
+        if queue.add(score, seq, (make(a, b), eval_full)):
             seen.add(masked)
             pools.add(weight, score, seq, sat)
             seq += 1
         return None
 
-    for members, weight, index in view.sets:
-        found = consider(members, weight, lambda: Leaf(index, weight))
-        if found is not None:
-            if stats is not None:
-                stats["beam_candidates"] = stats.get("beam_candidates", 0) + n_candidates
-            return BeamResult(found, True, universe.bit_count(), 0)
-
     iterations = 0
-    k = 2
-    while k + 1 <= max_weight and any(len(q) for q in queues.values()):
-        check_deadline(deadline)
-        iterations += 1
-        for i in range(1, k // 2 + 1):
-            j = k - i
-            qi = queues.get(i)
-            qj = queues.get(j)
-            if qi is None or qj is None or not len(qi) or not len(qj):
-                continue
-            for comb1, eval1 in qi.ordered():
-                for comb2, eval2 in qj.ordered():
-                    for make, eval_full in (
-                        (Union, eval1 | eval2),
-                        (Inter, eval1 & eval2),
-                    ):
-                        found = consider(
-                            eval_full,
-                            k + 1,
-                            lambda: make(comb1, comb2),
-                        )
-                        if found is not None:
-                            if stats is not None:
-                                stats["beam_candidates"] = (
-                                    stats.get("beam_candidates", 0) + n_candidates
-                                )
-                                stats["beam_iterations"] = (
-                                    stats.get("beam_iterations", 0) + iterations
-                                )
-                            return BeamResult(found, True, universe.bit_count(), iterations)
-        k += 1
+    try:
+        for members, weight, index in view.sets:
+            found = consider(members, weight, Leaf, index, weight)
+            if found is not None:
+                return BeamResult(found, True, universe.bit_count(), 0)
 
-    if stats is not None:
-        stats["beam_candidates"] = stats.get("beam_candidates", 0) + n_candidates
-        stats["beam_iterations"] = stats.get("beam_iterations", 0) + iterations
-    return BeamResult(best_comb, False, best_score, iterations)
+        k = 2
+        while k + 1 <= max_weight and any(len(q) for q in queues.values()):
+            check_deadline(deadline)
+            iterations += 1
+            for i in range(1, k // 2 + 1):
+                qi = queues.get(i)
+                qj = queues.get(k - i)
+                if qi is None or qj is None or not len(qi) or not len(qj):
+                    continue
+                # Only queue k + 1 changes while weight k + 1 is filled.
+                rights = qj.ordered()
+                for comb1, eval1 in qi.ordered():
+                    for comb2, eval2 in rights:
+                        found = consider(eval1 | eval2, k + 1, Union, comb1, comb2)
+                        if found is None:
+                            found = consider(eval1 & eval2, k + 1, Inter, comb1, comb2)
+                        if found is not None:
+                            return BeamResult(found, True, universe.bit_count(), iterations)
+            k += 1
+        return BeamResult(best_comb, False, best_score, iterations)
+    finally:
+        # Also on DeadlineReached, so a timed-out run reports how far it got.
+        if stats is not None:
+            stats["beam_candidates"] = stats.get("beam_candidates", 0) + n_candidates
+            stats["beam_iterations"] = stats.get("beam_iterations", 0) + iterations
 
 
 def beam_search(
@@ -615,11 +527,7 @@ def _restricted(
             out.append((m, weight, index))
         elif weight < out[at][1]:
             out[at] = (m, weight, index)
-    items = []
-    for m, w, idx in out:
-        sat = sat_bits(m, pos_mask, neg_mask)
-        items.append(Scored(m, sat, sat.bit_count(), w, (m, w, idx)))
-    return tuple(s.payload for s in fast_non_dominated(items, k))
+    return _undominated(out, pos_mask, neg_mask, k)
 
 
 def div_conq(

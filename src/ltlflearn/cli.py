@@ -92,15 +92,10 @@ def _config_from(args, task: Optional[Task]) -> LearnerConfig:
 
 
 def _config_echo(config: LearnerConfig) -> dict:
-    return {
-        "operators": list(config.operators.names()),
-        "ltl2bs_switch": config.ltl2bs_switch,
-        "beam_width": config.beam_width,
-        "dc_switch": config.dc_switch,
-        "domination_k": config.domination_k,
-        "timeout": config.timeout,
-        "seed": config.seed,
-    }
+    """Every config field by name; operators as their list of names."""
+    record = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    record["operators"] = list(config.operators.names())
+    return record
 
 
 def _result_record(task_path: str, sample: Sample, result: LearnResult,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+# Candidates a search loop handles between two deadline checks.
+DEADLINE_STRIDE = 4096
+
 
 class DeadlineReached(Exception):
     """Raised between search steps once the configured deadline passes."""

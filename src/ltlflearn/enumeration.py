@@ -19,12 +19,11 @@ size-1 seeds are solution-checked too.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom
-from .deadlines import check_deadline
+from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
+from .deadlines import DEADLINE_STRIDE, check_deadline
 from .formulas import (
     Atom,
     Bottom,
@@ -35,10 +34,6 @@ from .formulas import (
     build_unary,
 )
 from .traces import Sample
-
-# Candidates generated between two deadline checks inside a size level.
-_DEADLINE_STRIDE = 4096
-
 
 @dataclass(frozen=True, slots=True)
 class BankEntry:
@@ -123,7 +118,7 @@ def enumerate_bounded(
             for entry in bank.by_size[size - 1]:
                 bits = kernel(entry.bits, layout)
                 bank.n_generated += 1
-                if not bank.n_generated % _DEADLINE_STRIDE:
+                if not bank.n_generated % DEADLINE_STRIDE:
                     check_deadline(deadline)
                 if bits & first == goal:
                     return build_unary(tok, entry.formula), bank
@@ -141,7 +136,7 @@ def enumerate_bounded(
                     for right in rights:
                         bits = kernel(left_bits, right.bits, layout)
                         bank.n_generated += 1
-                        if not bank.n_generated % _DEADLINE_STRIDE:
+                        if not bank.n_generated % DEADLINE_STRIDE:
                             check_deadline(deadline)
                         if bits & first == goal:
                             return build_binary(tok, left.formula, right.formula), bank
@@ -154,17 +149,3 @@ def enumerate_bounded(
         size += 1
     return None, bank
 
-
-def fingerprint(t: CharTable) -> bytes:
-    """A 16-byte digest of a canonical table.
-
-    Equal tables give equal digests; the digest indexes equivalence
-    classes but unequal-table collisions must still be resolved by full
-    comparison (in-memory deduplication uses the packed ints directly,
-    which Python's hash-and-compare set discipline already guarantees).
-    """
-    h = hashlib.blake2b(digest_size=16)
-    for row in t.rows:
-        h.update(row.length.to_bytes(4, "little"))
-        h.update(row.bits.to_bytes((row.length + 7) // 8, "little"))
-    return h.digest()

@@ -35,13 +35,8 @@ from ltlflearn.boolcover import (
     Union,
     beam_search,
     div_conq,
-    dominates,
     existence_check,
-    fast_non_dominated,
-    is_solution_combination,
-    make_scored,
-    reduce_antichain_exact,
-    scored_base_sets,
+    reduce_instance,
 )
 from ltlflearn.formulas import (
     And,
@@ -62,7 +57,14 @@ from ltlflearn.formulas import (
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace
 
-from conftest import union_shaped_sample
+from conftest import (
+    base_set_scores,
+    dominates,
+    exact_undominated,
+    is_solution_combination,
+    sat_and_weight,
+    union_shaped_sample,
+)
 from test_boolcover import plant_witness, random_instance, witness_is_correct
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -333,19 +335,19 @@ def test_a06_substituting_a_dominator_never_hurts():
         inst = random_instance(rng)
         theta = _random_combination(rng, inst, rng.randint(1, 3))
         theta2 = rng.choice(_subterms(theta))
-        scored2 = make_scored(theta2, inst)
+        scored2 = sat_and_weight(theta2, inst)
         candidates = [theta2]
         candidates += [Leaf(i, bs.weight) for i, bs in enumerate(inst.base_sets)]
         candidates += [_random_combination(rng, inst, 2) for _ in range(8)]
         valid = [c for c in candidates
-                 if dominates(make_scored(c, inst), scored2)]
+                 if dominates(sat_and_weight(c, inst), scored2)]
         theta1 = rng.choice(valid)
         nontrivial += theta1 != theta2
 
-        before = make_scored(theta, inst)
-        after = make_scored(_substitute(theta, theta2, theta1), inst)
-        assert after.weight <= before.weight
-        assert before.sat_bits & ~after.sat_bits == 0
+        sat_before, weight_before = sat_and_weight(theta, inst)
+        sat_after, weight_after = sat_and_weight(_substitute(theta, theta2, theta1), inst)
+        assert weight_after <= weight_before
+        assert sat_before & ~sat_after == 0
     assert nontrivial >= 100
     print(f"A6 pass: 1000 substitution triples keep weight and sat monotone "
           f"({nontrivial} non-trivial)")
@@ -391,22 +393,28 @@ def test_a07_worked_cover_instance_is_solved_minimally():
 def test_a08_domination_reductions_are_sound():
     rng = random.Random(808)
     for _ in range(200):
-        items = scored_base_sets(random_instance(rng))
-        exact = reduce_antichain_exact(items)
-        kept = {id(s) for s in exact}
-        for a in exact:
-            for b in exact:
-                if a is not b:
-                    assert not dominates(a, b)
-        for item in items:
-            if id(item) not in kept:
-                assert any(dominates(s, item) for s in exact)
+        base = random_instance(rng)
+        # Tag each base set with its index, so that twins stay apart.
+        inst = BscInstance(base.n_pos, base.n_neg, tuple(
+            BaseSet(bs.members, bs.weight, Atom(i)) for i, bs in enumerate(base.base_sets)
+        ))
+        items = base_set_scores(inst)
 
-        sizes = [len(fast_non_dominated(items, k))
-                 for k in range(1, len(items) + 1)]
+        def kept(k):
+            return [bs.provenance.prop for bs in reduce_instance(inst, k).base_sets]
+
+        exact = kept(len(items))
+        for i in exact:
+            for j in exact:
+                if i != j:
+                    assert not dominates(items[i], items[j])
+        for i, item in enumerate(items):
+            if i not in exact:
+                assert any(dominates(items[j], item) for j in exact)
+
+        sizes = [len(kept(k)) for k in range(1, len(items) + 1)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        full = fast_non_dominated(items, len(items))
-        assert [id(s) for s in full] == [id(s) for s in exact]
+        assert exact == exact_undominated(items)
     print("A8 pass: 200 pools reduce to antichains; "
           "approximation monotone in k, exact at full k")
 

@@ -12,31 +12,34 @@ from ltlflearn.boolcover import (
     Inter,
     Leaf,
     NoSolution,
-    Scored,
     Union,
     Witness,
     _BoundedQueue,
+    _undominated,
     beam_search,
     collapse,
     div_conq,
-    dominates,
     eval_combination,
     existence_check,
-    fast_non_dominated,
     full_subproblem,
-    is_solution_combination,
-    make_scored,
     reconstruct,
-    reduce_antichain_exact,
     reduce_instance,
     sat_bits,
-    scored_base_sets,
-    witness_solution,
 )
-from ltlflearn.formulas import And, Atom, Finally, Or
+from ltlflearn.enumeration import enumerate_bounded
+from ltlflearn.formulas import DEFAULT_OPERATORS, And, Atom, Finally, Or
 from ltlflearn.traces import Alphabet, Sample, Trace
 
-from conftest import bank_from_formulas
+from conftest import (
+    bank_from_formulas,
+    base_set_scores,
+    dominates,
+    exact_undominated,
+    is_solution_combination,
+    sat_and_weight,
+    union_shaped_sample,
+    witness_solution,
+)
 
 
 def mask(*rows: int) -> int:
@@ -148,70 +151,85 @@ def test_witness_solution_is_valid_but_heavy():
 
 # --- domination ------------------------------------------------------------------
 
-def scored(eval_bits: int, weight: int, inst: BscInstance, payload=None) -> Scored:
-    sat = sat_bits(eval_bits, inst.pos_mask, inst.neg_mask)
-    return Scored(eval_bits, sat, sat.bit_count(), weight, payload)
+def tagged_instance(pool) -> BscInstance:
+    """Base sets from (members, weight) pairs over 4 positives and 4
+    negatives, tagged with their index so that twins stay apart."""
+    return BscInstance(4, 4, tuple(BaseSet(m, w, Atom(i)) for i, (m, w) in enumerate(pool)))
+
+
+def kept_indices(inst: BscInstance, k: int) -> list[int]:
+    return [bs.provenance.prop for bs in reduce_instance(inst, k).base_sets]
 
 
 def test_dominates_needs_weight_and_sat():
-    inst = BscInstance(2, 1, ())
-    big = scored(0b011, 1, inst)  # both positives, no negative
-    small = scored(0b001, 2, inst)
+    # Set 0 has both positives and no negative; set 1 one positive.
+    lighter = BscInstance(2, 1, (BaseSet(0b011, 1), BaseSet(0b001, 2)))
+    assert reduce_instance(lighter, 10).base_sets == lighter.base_sets[:1]
+    heavier = BscInstance(2, 1, (BaseSet(0b011, 2), BaseSet(0b001, 1)))
+    assert reduce_instance(heavier, 10).base_sets == heavier.base_sets
+    big, small = base_set_scores(lighter)
     assert dominates(big, small)
     assert not dominates(small, big)
     assert dominates(big, big)
 
 
 def test_exact_reduction_keeps_first_of_ties():
-    inst = BscInstance(2, 1, ())
-    a = scored(0b001, 1, inst, "a")
-    b = scored(0b001, 1, inst, "b")  # mutually dominating twin
-    kept = reduce_antichain_exact([a, b])
-    assert [s.payload for s in kept] == ["a"]
+    inst = BscInstance(2, 1, (BaseSet(0b001, 1, Atom(0)), BaseSet(0b001, 1, Atom(1))))
+    for k in (1, 2):
+        assert kept_indices(inst, k) == [0]  # the mutually dominating twin goes
+    assert exact_undominated(base_set_scores(inst)) == [0]
 
 
 POOLS = st.lists(
     st.tuples(st.integers(0, 255), st.integers(1, 6)), min_size=1, max_size=24
 )
+# Draws with replacement from a few distinct sets: many exact twins.
+POOLS_WITH_TWINS = st.lists(
+    st.tuples(st.integers(0, 255), st.integers(1, 3)), min_size=1, max_size=6
+).flatmap(lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=24))
 
 
 @given(POOLS)
 @settings(max_examples=200)
 def test_exact_reduction_is_an_antichain_with_dominating_survivors(pool):
-    inst = BscInstance(4, 4, ())
-    items = [scored(ev, w, inst, i) for i, (ev, w) in enumerate(pool)]
-    kept = reduce_antichain_exact(items)
-    for i, x in enumerate(kept):
-        for j, y in enumerate(kept):
+    inst = tagged_instance(pool)
+    items = base_set_scores(inst)
+    kept = kept_indices(inst, len(pool))
+    for i in kept:
+        for j in kept:
             if i != j:
-                assert not (dominates(y, x) and not dominates(x, y))
-    survivors = {s.payload for s in kept}
-    for item in items:
-        if item.payload not in survivors:
-            assert any(dominates(s, item) for s in kept)
+                assert not dominates(items[j], items[i])
+    for i, item in enumerate(items):
+        if i not in kept:
+            assert any(dominates(items[j], item) for j in kept)
 
 
 @given(POOLS)
 @settings(max_examples=200)
 def test_fast_reduction_monotone_and_exact_at_full_k(pool):
-    inst = BscInstance(4, 4, ())
-    items = [scored(ev, w, inst, i) for i, (ev, w) in enumerate(pool)]
-    sizes = [len(fast_non_dominated(items, k)) for k in range(1, len(items) + 1)]
+    inst = tagged_instance(pool)
+    sizes = [len(kept_indices(inst, k)) for k in range(1, len(pool) + 1)]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    exact = reduce_antichain_exact(items)
-    full = fast_non_dominated(items, len(items))
-    assert [s.payload for s in full] == [s.payload for s in exact]
+    assert kept_indices(inst, len(pool)) == exact_undominated(base_set_scores(inst))
 
 
 @given(POOLS)
 @settings(max_examples=100)
 def test_fast_reduction_is_sound_for_every_k(pool):
-    inst = BscInstance(4, 4, ())
-    items = [scored(ev, w, inst, i) for i, (ev, w) in enumerate(pool)]
-    exact_kept = {s.payload for s in reduce_antichain_exact(items)}
+    inst = tagged_instance(pool)
+    exact_kept = set(exact_undominated(base_set_scores(inst)))
     for k in (1, 2, 5):
-        kept = {s.payload for s in fast_non_dominated(items, k)}
-        assert exact_kept <= kept  # never removes a non-dominated element
+        assert exact_kept <= set(kept_indices(inst, k))  # never drops an undominated set
+
+
+@given(POOLS_WITH_TWINS)
+@settings(max_examples=200)
+def test_pool_reduction_equals_the_oracle_at_full_k(pool):
+    pos_mask, neg_mask = 0x0F, 0xF0
+    triples = [(m, w, i) for i, (m, w) in enumerate(pool)]
+    kept = _undominated(triples, pos_mask, neg_mask, len(pool))
+    items = [(sat_bits(m, pos_mask, neg_mask), w) for m, w in pool]
+    assert [i for _, _, i in kept] == exact_undominated(items)
 
 
 def test_reduce_instance_drops_dominated_sets():
@@ -223,7 +241,11 @@ def test_reduce_instance_drops_dominated_sets():
     reduced = reduce_instance(inst, 10)
     assert len(reduced.base_sets) == 1
     assert reduced.base_sets[0].weight == 1
-    assert reduce_instance(inst, None).base_sets == reduced.base_sets
+    assert reduce_instance(inst, len(inst.base_sets)).base_sets == reduced.base_sets
+    with pytest.raises(ValueError):
+        reduce_instance(inst, 0)
+    with pytest.raises(TypeError):
+        reduce_instance(inst, None)  # no unbounded mode: exact is k >= any pool
 
 
 # --- bounded queues ----------------------------------------------------------
@@ -285,13 +307,25 @@ def test_beam_stats_are_recorded():
     assert stats["beam_candidates"] > 0
 
 
+def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    inst = reduce_instance(collapse(bank, sample)[0], 10)
+    calls = []
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
+    stats = {}
+    beam_search(inst, max_weight=12, stats=stats)
+    assert stats["beam_candidates"] > 10 * 4096
+    # One check per weight level, plus one per 4096 candidates.
+    assert len(calls) == stats["beam_iterations"] + stats["beam_candidates"] // 4096
+
+
 def test_make_scored_matches_eval():
     inst = worked_instance()
     comb = Union(Leaf(0, 1), Leaf(1, 1))
-    s = make_scored(comb, inst)
-    assert s.eval_bits == eval_combination(comb, inst.base_sets) & inst.universe
-    assert s.weight == 3
-    assert s.payload is comb
+    assert eval_combination(comb, inst.base_sets) == mask(0, 1, 2, 5)
+    # All positives right, negatives n0 and n1 excluded, n2 admitted.
+    assert sat_and_weight(comb, inst) == (mask(0, 1, 2, 3, 4), 3)
 
 
 # --- divide and conquer -------------------------------------------------------
@@ -416,6 +450,9 @@ def test_full_subproblem_masks_members():
 
 
 def test_scored_base_sets_indexes_payloads():
-    items = scored_base_sets(worked_instance())
-    assert [s.payload for s in items] == [0, 1, 2]
-    assert items[0].score == 4  # one positive right, all three negatives right
+    inst = worked_instance()
+    items = base_set_scores(inst)
+    assert items[0] == (mask(0, 3, 4, 5), 1)  # one positive right, all three negatives
+    assert items[0][0].bit_count() == 4
+    # No base set dominates another here: reduction keeps them all, in order.
+    assert reduce_instance(inst, 1).base_sets == inst.base_sets

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from ltlflearn.cli import main
+from ltlflearn.cli import _config_echo, main
 from ltlflearn.formulas import parse_formula
-from ltlflearn.pipeline import separates
+from ltlflearn.pipeline import LearnerConfig, separates
 from ltlflearn.traces import parse_task, serialize_sample
 
 from conftest import union_shaped_sample
@@ -237,6 +238,13 @@ def test_bench_task_ops_keep_the_other_flags(tmp_path, capsys):
     config = json.loads(out)["config"]
     assert config["operators"] == ["F"]  # from the task's ops line
     assert (config["beam_width"], config["seed"]) == (7, 5)
+
+
+def test_config_echo_has_every_config_field():
+    echo = _config_echo(LearnerConfig())
+    assert list(echo) == [f.name for f in dataclasses.fields(LearnerConfig)]
+    assert echo["operators"] == ["!", "X!", "X", "F", "G", "&", "|", "U"]
+    json.dumps(echo)  # every value is JSON as it stands
 
 
 def test_internal_error_has_its_own_exit_code(task_path, capsys, monkeypatch):

@@ -1,0 +1,26 @@
+"""The quick demos run to completion.
+
+demo_benchmarks.py is left out: it learns a generated benchmark suite
+and takes about 13 s, too long for the test suite.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+@pytest.mark.parametrize("demo", ["demo_set_cover.py", "demo_learning.py"])
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -5,7 +5,7 @@ import pytest
 
 from ltlflearn.biteval import table_of
 from ltlflearn.deadlines import DeadlineReached
-from ltlflearn.enumeration import enumerate_bounded, fingerprint
+from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
     Atom,
@@ -150,16 +150,6 @@ def test_bank_from_formulas_dedups_by_table():
     s = Sample(Alphabet(("a",)), (Trace((1, 0, 1)),), ())
     bank = bank_from_formulas(s, [Atom(0), Finally(Atom(0)), Finally(Finally(Atom(0)))])
     assert len(bank) == 2  # F(F a) folds onto F a
-
-
-def test_fingerprint_separates_lengths():
-    s1 = Sample(Alphabet(("a",)), (Trace((1, 0)),), ())
-    s2 = Sample(Alphabet(("a",)), (Trace((1, 0, 0)),), ())
-    t1 = table_of(Atom(0), s1)
-    t2 = table_of(Atom(0), s2)
-    assert fingerprint(t1) != fingerprint(t2)
-    assert len(fingerprint(t1)) == 16
-    assert fingerprint(t1) == fingerprint(table_of(Atom(0), s1))
 
 
 def test_enumeration_matches_known_counts_single_prop():

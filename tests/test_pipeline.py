@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
@@ -140,3 +141,42 @@ def test_union_sample_answer_and_counts_are_pinned_bit_for_bit():
     assert (stats["n_enumerated"], stats["n_retained"]) == (179782, 63275)
     assert (stats["n_base_sets"], stats["n_after_domination"]) == (6389, 5427)
     assert stats["beam_candidates"] == 411302
+
+
+def test_union_sample_divconq_answer_and_counts_are_pinned():
+    # The BSC+DivConq path: splits, and _restricted re-reduces every
+    # subproblem. Measured before the cover phase had one domination
+    # mechanism.
+    sample = union_shaped_sample()
+    result = learn(sample, LearnerConfig(ltl2bs_switch=5, dc_switch=9))
+    assert (result.status, result.method) == ("Solved", "BSC+DivConq")
+    assert render_formula(result.formula, sample.alphabet) == (
+        "(!(p0) & (p1 | X!(p0)) | p0 & !(X!(p0)) & (X!(p1) | !(X!(X!(p0))))"
+        " & F(p0 & X!(p0))) & (p0 | X!(p1) & F(G(p1)) | p1 & X!(p1 & X!(p0))"
+        " | (!(X!(p0 U p1)) | !(X!(p0)) & X!(X!(p1)))) | (p0 & (p0 U p1)"
+        " | !(p0 | p1)) & (X!(X!(p1)) | !(p1) & F(G(p1))) & (!(p0) | X!(p0))"
+    )
+    assert result.formula.size == 86
+    stats = result.stats
+    assert (stats["n_base_sets"], stats["n_after_domination"]) == (181, 170)
+    assert stats["beam_candidates"] == 34139
+    assert (stats["dc_splits"], stats["dc_depth"]) == (12, 6)
+
+
+def test_timeout_in_the_beam_keeps_its_counts(monkeypatch):
+    # The set-cover phase's first deadline check is div_conq's, the
+    # later ones are the beam's: time runs out inside the first beam,
+    # after its seeds and weight 3.
+    calls = []
+
+    def check(deadline):
+        calls.append(deadline)
+        if len(calls) == 3:
+            raise DeadlineReached()
+
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", check)
+    result = learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5, dc_switch=9))
+    assert result.status == "Timeout"
+    stats = result.stats
+    assert stats["beam_iterations"] == 1
+    assert stats["beam_candidates"] > stats["n_after_domination"]  # the seeds and more
