@@ -254,24 +254,6 @@ def cs_apply_binary(op: str, s1: CharSequence, s2: CharSequence) -> CharSequence
     return CharSequence(s1.length, BINARY_KERNELS[op](s1.bits, s2.bits, _single(s1.length)))
 
 
-def finally_rounds(s: CharSequence) -> list[CharSequence]:
-    """The value after each or-shift round of the F loop.
-
-    One entry per round of `k_finally`, ceil(log2 length) rounds in
-    total; the last entry equals F applied to s. Exposed for inspection
-    and tests.
-    """
-    out, acc = s.bits, _single(s.length).notlast
-    rounds = []
-    shift = 1
-    while shift < s.length:
-        out |= (out >> shift) & acc
-        acc &= acc >> shift
-        rounds.append(CharSequence(s.length, out))
-        shift <<= 1
-    return rounds
-
-
 # ---------------------------------------------------------------------------
 # Tables and vectors
 # ---------------------------------------------------------------------------

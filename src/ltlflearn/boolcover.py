@@ -27,12 +27,23 @@ combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
 in instance reduction, in the subproblems of `div_conq` and in the beam.
+Each pool is a short list sorted best first and the pools are walked
+heaviest first; since a superset of sat scores (counts rows) at least as
+high, a pool is read only down to its first entry scoring below the
+candidate's.
+
+The beam spends most of its time on candidates it then drops. Per
+weight it keeps a score floor, below which a candidate can neither
+improve the best nor enter its full queue; such candidates, and those
+that cannot improve the best and are already queued, are counted and
+skipped before any bookkeeping.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union as TUnion
 
@@ -155,13 +166,14 @@ def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
 # Collapse
 # ---------------------------------------------------------------------------
 
-def collapse(bank, sample: Sample) -> tuple[BscInstance, dict]:
+def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[BscInstance, dict]:
     """One base set per distinct characteristic vector of the bank.
 
     The representative (weight and provenance) is the first bank
     formula with that vector; the bank enumerates by increasing size,
     so it is also a smallest one. Returns the instance and statistics
-    including the collapse ratio |bank| / |base sets|.
+    including the collapse ratio |bank| / |base sets|. The deadline is
+    checked every DEADLINE_STRIDE bank entries.
     """
     layout = bank.layout
     first = layout.first
@@ -170,6 +182,8 @@ def collapse(bank, sample: Sample) -> tuple[BscInstance, dict]:
     base: list[BaseSet] = []
     for entry in bank.entries():
         n_formulas += 1
+        if not n_formulas % DEADLINE_STRIDE:
+            check_deadline(deadline)
         key = entry.bits & first  # the vector, still spread over the layout
         if key in seen_keys:
             continue
@@ -234,10 +248,11 @@ class _DominationPools:
     """Per-weight top-k sat sets: the one domination test of the cover phase.
 
     Each weight's pool keeps the k highest-scoring entries added at that
-    weight, the earliest among equal scores. Only pool entries are
-    consulted as dominators: sound (never reports an undominated
-    element) but incomplete (may miss a dominator that was evicted);
-    with k >= the largest pool it is exact.
+    weight, the earliest among equal scores, as a list sorted best first
+    by (-score, seq); the score of an entry is the popcount of its sat.
+    Only pool entries are consulted as dominators: sound (never reports
+    an undominated element) but incomplete (may miss a dominator that
+    was evicted); with k >= the largest pool it is exact.
     """
 
     __slots__ = ("k", "pools")
@@ -246,55 +261,87 @@ class _DominationPools:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        # Min-heaps of (score, -seq, sat): the root is the lowest score,
-        # the newest among ties, which is the entry to evict.
-        self.pools: dict[int, list[tuple[int, int, int]]] = {}
+        # (weight, pool) pairs, heaviest first; each pool holds
+        # (-score, seq, sat) triples in ascending order, best first.
+        self.pools: list[tuple[int, list[tuple[int, int, int]]]] = []
 
-    def add(self, weight: int, score: int, seq: int, sat: int) -> None:
-        pool = self.pools.setdefault(weight, [])
-        push = heapq.heappush if len(pool) < self.k else heapq.heappushpop
-        push(pool, (score, -seq, sat))
+    def add(self, weight: int, sat: int, seq: int) -> None:
+        """Offer sat at this weight; a full pool keeps its k best.
+
+        The last entry of a full pool, the lowest score and the newest
+        among ties, gives way to a better one.
+        """
+        pools = self.pools
+        at = 0
+        while at < len(pools) and pools[at][0] > weight:
+            at += 1
+        if at == len(pools) or pools[at][0] != weight:
+            pools.insert(at, (weight, []))
+        pool = pools[at][1]
+        entry = (-sat.bit_count(), seq, sat)
+        if len(pool) < self.k:
+            insort(pool, entry)
+        elif entry < pool[-1]:
+            pool.pop()
+            insort(pool, entry)
 
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
         """Whether a pool entry weighs no more and its sat contains sat.
 
         Mutually dominating twins (equal weight and sat) keep the one
-        with the smaller seq, so an entry never dominates itself.
+        with the smaller seq, so an entry never dominates itself. A
+        superset of sat scores at least as high, so each pool is read
+        only down to the first entry that scores lower than sat.
         """
-        for w, pool in self.pools.items():
+        neg_score = -sat.bit_count()
+        for w, pool in self.pools:
             if w > weight:
                 continue
-            for _, neg_seq, pool_sat in pool:
-                if sat & ~pool_sat == 0 and (w < weight or pool_sat != sat or -neg_seq < seq):
+            for pool_neg_score, pool_seq, pool_sat in pool:
+                if pool_neg_score > neg_score:
+                    break
+                if sat & ~pool_sat == 0 and (w < weight or pool_sat != sat or pool_seq < seq):
                     return True
         return False
 
 
 def _undominated(
-    sets: Sequence[tuple[int, int, int]], pos_mask: int, neg_mask: int, k: int
+    sets: Sequence[tuple[int, int, int]],
+    pos_mask: int,
+    neg_mask: int,
+    k: int,
+    deadline: Optional[float] = None,
 ) -> tuple[tuple[int, int, int], ...]:
     """The (members, weight, index) triples the top-k pools leave standing.
 
     Every triple enters the pools first, its position as its seq; a
     triple is dropped when a pool entry dominates it. Every dropped
     triple is dominated by a kept one (domination is transitive and the
-    tie rule acyclic), so no solution is lost.
+    tie rule acyclic), so no solution is lost. The deadline is checked
+    every DEADLINE_STRIDE triples of each pass.
     """
     pools = _DominationPools(k)
     sats = [sat_bits(members, pos_mask, neg_mask) for members, _, _ in sets]
-    for seq, ((_, weight, _), sat) in enumerate(zip(sets, sats)):
-        pools.add(weight, sat.bit_count(), seq, sat)
-    return tuple(triple for seq, (triple, sat) in enumerate(zip(sets, sats))
-                 if not pools.dominated(triple[1], sat, seq))
+    for seq, ((_, weight, _), sat) in enumerate(zip(sets, sats), 1):
+        if not seq % DEADLINE_STRIDE:
+            check_deadline(deadline)
+        pools.add(weight, sat, seq)
+    kept = []
+    for seq, (triple, sat) in enumerate(zip(sets, sats), 1):
+        if not seq % DEADLINE_STRIDE:
+            check_deadline(deadline)
+        if not pools.dominated(triple[1], sat, seq):
+            kept.append(triple)
+    return tuple(kept)
 
 
-def reduce_instance(inst: BscInstance, k: int) -> BscInstance:
+def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None) -> BscInstance:
     """Instance with the base sets its top-k pools dominate dropped.
 
     Order is kept. k at least the largest number of base sets of one
     weight makes the reduction exact: the result is an antichain.
     """
-    kept = _undominated(full_subproblem(inst).sets, inst.pos_mask, inst.neg_mask, k)
+    kept = _undominated(full_subproblem(inst).sets, inst.pos_mask, inst.neg_mask, k, deadline)
     return BscInstance(inst.n_pos, inst.n_neg, tuple(inst.base_sets[i] for _, _, i in kept))
 
 
@@ -395,44 +442,63 @@ def _beam(
     best_comb: BoolCombination = Empty()
     best_score = negm.bit_count()
     best_weight = 0
+    floor = best_floor = -1  # see the pair loop
 
-    def consider(eval_full: int, weight: int, make, a, b) -> Optional[BoolCombination]:
+    def floors(weight: int) -> tuple[int, int]:
+        """(floor, best_floor) for candidates of this weight.
+
+        A candidate scoring at most best_floor cannot improve the best;
+        one scoring at most floor is, besides, turned away by its full
+        queue (floor is -1 while the queue has room).
+        """
+        best_floor = best_score if weight >= best_weight else best_score - 1
+        queue = queues.get(weight)
+        if queue is None or not queue.full():
+            return -1, best_floor
+        return min(queue.min_score, best_floor), best_floor
+
+    def consider(
+        eval_full: int, sat: int, score: int, weight: int, make, a, b
+    ) -> Optional[BoolCombination]:
         """Returns a solution combination, or None after bookkeeping.
 
-        The candidate is make(a, b), built only once it is needed.
+        The candidate is make(a, b), built only once it is needed; the
+        caller has counted it and computed its sat and score. Whenever
+        the best or the queue changes, the floors of this weight follow.
         """
-        nonlocal seq, best_comb, best_score, best_weight, n_candidates
-        n_candidates += 1
-        if not n_candidates % DEADLINE_STRIDE:
-            check_deadline(deadline)
-        masked = eval_full & universe
-        sat = (masked & posm) | (negm & ~eval_full)
+        nonlocal seq, best_comb, best_score, best_weight, floor, best_floor
         if sat == universe:
             return make(a, b)
-        score = sat.bit_count()
         if score > best_score or (score == best_score and weight < best_weight):
             best_comb = make(a, b)
             best_score = score
             best_weight = weight
+            floor, best_floor = floors(weight)
         queue = queues.get(weight)
         if queue is None:
             queue = queues[weight] = _BoundedQueue(beam_width)
         elif queue.full() and score <= queue.min_score:
             return None
+        masked = eval_full & universe
         if masked in seen:
             return None
         if pools.dominated(weight, sat, seq):
             return None
         if queue.add(score, seq, (make(a, b), eval_full)):
             seen.add(masked)
-            pools.add(weight, score, seq, sat)
+            pools.add(weight, sat, seq)
             seq += 1
+            floor, best_floor = floors(weight)
         return None
 
     iterations = 0
     try:
         for members, weight, index in view.sets:
-            found = consider(members, weight, Leaf, index, weight)
+            n_candidates += 1
+            if not n_candidates % DEADLINE_STRIDE:
+                check_deadline(deadline)
+            sat = (members & posm) | (negm & ~members)
+            found = consider(members, sat, sat.bit_count(), weight, Leaf, index, weight)
             if found is not None:
                 return BeamResult(found, True, universe.bit_count(), 0)
 
@@ -440,6 +506,12 @@ def _beam(
         while k + 1 <= max_weight and any(len(q) for q in queues.values()):
             check_deadline(deadline)
             iterations += 1
+            weight = k + 1
+            # Candidates that consider would drop without a trace are
+            # counted and skipped: those at or under the floor, and those
+            # at or under best_floor whose value is already in `seen`.
+            # From here on only consider moves the floors.
+            floor, best_floor = floors(weight)
             for i in range(1, k // 2 + 1):
                 qi = queues.get(i)
                 qj = queues.get(k - i)
@@ -449,11 +521,19 @@ def _beam(
                 rights = qj.ordered()
                 for comb1, eval1 in qi.ordered():
                     for comb2, eval2 in rights:
-                        found = consider(eval1 | eval2, k + 1, Union, comb1, comb2)
-                        if found is None:
-                            found = consider(eval1 & eval2, k + 1, Inter, comb1, comb2)
-                        if found is not None:
-                            return BeamResult(found, True, universe.bit_count(), iterations)
+                        for make, value in ((Union, eval1 | eval2), (Inter, eval1 & eval2)):
+                            n_candidates += 1
+                            if not n_candidates % DEADLINE_STRIDE:
+                                check_deadline(deadline)
+                            sat = (value & posm) | (negm & ~value)
+                            score = sat.bit_count()
+                            if score <= floor or (
+                                score <= best_floor and (value & universe) in seen
+                            ):
+                                continue
+                            found = consider(value, sat, score, weight, make, comb1, comb2)
+                            if found is not None:
+                                return BeamResult(found, True, universe.bit_count(), iterations)
             k += 1
         return BeamResult(best_comb, False, best_score, iterations)
     finally:
@@ -504,7 +584,11 @@ def _split_mask(mask: int, rng: random.Random) -> tuple[int, int]:
 
 
 def _restricted(
-    sets: Sequence[tuple[int, int, int]], pos_mask: int, neg_mask: int, k: int
+    sets: Sequence[tuple[int, int, int]],
+    pos_mask: int,
+    neg_mask: int,
+    k: int,
+    deadline: Optional[float] = None,
 ) -> tuple[tuple[int, int, int], ...]:
     """Mask the family to a subproblem's rows, re-dedup, re-reduce.
 
@@ -527,7 +611,7 @@ def _restricted(
             out.append((m, weight, index))
         elif weight < out[at][1]:
             out[at] = (m, weight, index)
-    return _undominated(out, pos_mask, neg_mask, k)
+    return _undominated(out, pos_mask, neg_mask, k, deadline)
 
 
 def div_conq(
@@ -586,43 +670,31 @@ def div_conq(
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 
+        def solve_rows(pos_mask: int, neg_mask: int) -> TUnion[BoolCombination, NoSolution]:
+            sets = _restricted(view.sets, pos_mask, neg_mask, domination_k, deadline)
+            return recurse(SubProblem(pos_mask, neg_mask, sets), depth + 1)
+
         if n_p >= n_n:
             half1, half2 = _split_mask(view.pos_mask, rng)
-            first = recurse(
-                SubProblem(half1, view.neg_mask,
-                           _restricted(view.sets, half1, view.neg_mask, domination_k)),
-                depth + 1,
-            )
+            first = solve_rows(half1, view.neg_mask)
             if isinstance(first, NoSolution):
                 return first
             remaining = half2 & ~eval_combination(first, base_sets)
             if remaining == 0:
                 return first
-            second = recurse(
-                SubProblem(remaining, view.neg_mask,
-                           _restricted(view.sets, remaining, view.neg_mask, domination_k)),
-                depth + 1,
-            )
+            second = solve_rows(remaining, view.neg_mask)
             if isinstance(second, NoSolution):
                 return second
             return Union(first, second)
 
         half1, half2 = _split_mask(view.neg_mask, rng)
-        first = recurse(
-            SubProblem(view.pos_mask, half1,
-                       _restricted(view.sets, view.pos_mask, half1, domination_k)),
-            depth + 1,
-        )
+        first = solve_rows(view.pos_mask, half1)
         if isinstance(first, NoSolution):
             return first
         remaining = half2 & eval_combination(first, base_sets)
         if remaining == 0:
             return first
-        second = recurse(
-            SubProblem(view.pos_mask, remaining,
-                       _restricted(view.sets, view.pos_mask, remaining, domination_k)),
-            depth + 1,
-        )
+        second = solve_rows(view.pos_mask, remaining)
         if isinstance(second, NoSolution):
             return second
         return Inter(first, second)

@@ -23,7 +23,7 @@ are always accepted. `true` and `false` are literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from .traces import (
@@ -36,9 +36,16 @@ from .traces import (
 
 
 class Formula:
-    """Base class for formula nodes; all subclasses are frozen dataclasses."""
+    """Base class for formula nodes; all subclasses are frozen dataclasses.
+
+    A node's hash combines a fixed tag for its class with the hashes of
+    its fields, so F(x), G(x) and !x hash apart, and so do the binary
+    nodes over the same operands. It is computed on first use and cached
+    on the node, and it does not depend on PYTHONHASHSEED.
+    """
 
     size: int
+    _hash = None  # set by the first __hash__ call
 
 
 def _set_size(node: Formula, size: int) -> None:
@@ -151,6 +158,22 @@ class Release(Formula):
     def __post_init__(self):
         _set_size(self, 1 + self.left.size + self.right.size)
 
+
+def _node_hash(node: Formula) -> int:
+    h = node._hash
+    if h is None:
+        tag, names = _HASH_KEYS[type(node)]
+        h = hash((tag, *[getattr(node, name) for name in names]))
+        object.__setattr__(node, "_hash", h)
+    return h
+
+
+# Per node class: its tag and the fields its hash reads (those == compares).
+_HASH_KEYS: dict[type, tuple[int, tuple[str, ...]]] = {}
+for _tag, _cls in enumerate((Atom, Top, Bottom, Not, StrongNext, WeakNext, Finally, Globally,
+                             And, Or, Until, Release)):
+    _HASH_KEYS[_cls] = (_tag, tuple(f.name for f in fields(_cls) if f.compare))
+    _cls.__hash__ = _node_hash
 
 _UNARY_CLASSES: dict[str, type] = {
     "!": Not,
@@ -284,12 +307,6 @@ def eval_reference(phi: Formula, w: Trace, k: int) -> bool:
     if not 1 <= k <= w.length:
         raise ValueError(f"position {k} out of range 1..{w.length}")
     return _eval(phi, w, k, {})
-
-
-def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
-    """eval_reference at every position, sharing one memo across positions."""
-    memo: dict = {}
-    return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
 
 
 # ---------------------------------------------------------------------------

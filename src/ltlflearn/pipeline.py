@@ -128,14 +128,14 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
             _verify(found, sample)
             return finish(LearnResult("Solved", found, None, "EnumOnly", stats))
 
-        inst, collapse_stats = collapse(bank, sample)
+        inst, collapse_stats = collapse(bank, sample, deadline)
         stats.update(collapse_stats)
 
         witness = existence_check(inst)
         if witness is not None:
             return finish(LearnResult("NoSolution", None, witness, None, stats))
 
-        reduced = reduce_instance(inst, config.domination_k)
+        reduced = reduce_instance(inst, config.domination_k, deadline)
         stats["n_after_domination"] = len(reduced.base_sets)
 
         outcome = div_conq(

@@ -1,21 +1,49 @@
-"""Shared sample, bank and set-cover helpers used across the test modules."""
+"""Shared sample, bank, evaluation and set-cover helpers used across the test modules."""
 
+import heapq
 import random
 from typing import Optional
 
-from ltlflearn.biteval import Layout, table_of
+from ltlflearn.biteval import CharSequence, Layout, table_of
 from ltlflearn.boolcover import (
+    BeamResult,
     BoolCombination,
     BscInstance,
+    Empty,
     Inter,
     Leaf,
+    SubProblem,
     Union,
+    _BoundedQueue,
     eval_combination,
     sat_bits,
 )
 from ltlflearn.enumeration import BankEntry, FormulaBank
-from ltlflearn.formulas import And, Atom, Finally, Or, StrongNext, eval_reference
+from ltlflearn.formulas import And, Atom, Finally, Formula, Or, StrongNext, _eval, eval_reference
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+
+def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
+    """eval_reference at every position, sharing one memo across positions."""
+    memo: dict = {}
+    return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
+
+
+def finally_rounds(s: CharSequence) -> list[CharSequence]:
+    """The value after each or-shift round of the F loop.
+
+    One entry per round of `k_finally`, ceil(log2 length) rounds in
+    total; the last entry equals F applied to s.
+    """
+    out, acc = s.bits, Layout((s.length,), 1).notlast
+    rounds = []
+    shift = 1
+    while shift < s.length:
+        out |= (out >> shift) & acc
+        acc &= acc >> shift
+        rounds.append(CharSequence(s.length, out))
+        shift <<= 1
+    return rounds
 
 
 def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
@@ -123,3 +151,90 @@ def exact_undominated(items: list[tuple[int, int]]) -> list[int]:
             for j, y in enumerate(items) if j != i
         )
     ]
+
+
+class HeapPools:
+    """The oracle for `boolcover._DominationPools`: the same top-k rule
+    kept as min-heaps, and a linear scan of every pool entry.
+
+    A heap root is the lowest score, the newest among ties: the entry
+    a full pool evicts.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.pools: dict[int, list[tuple[int, int, int]]] = {}  # (score, -seq, sat)
+
+    def add(self, weight: int, sat: int, seq: int) -> None:
+        pool = self.pools.setdefault(weight, [])
+        push = heapq.heappush if len(pool) < self.k else heapq.heappushpop
+        push(pool, (sat.bit_count(), -seq, sat))
+
+    def dominated(self, weight: int, sat: int, seq: int) -> bool:
+        return any(
+            sat & ~pool_sat == 0 and (w < weight or pool_sat != sat or -neg_seq < seq)
+            for w, pool in self.pools.items() if w <= weight
+            for _, neg_seq, pool_sat in pool
+        )
+
+    def entries(self) -> set[tuple[int, int, int]]:
+        """Every (weight, seq, sat) the pools hold."""
+        return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
+
+
+def reference_beam(
+    view: SubProblem, beam_width: int, max_weight: int, domination_k: int
+) -> tuple[BeamResult, int]:
+    """The oracle for `boolcover._beam`: the same search with every
+    candidate taken through the whole bookkeeping, nothing skipped, and
+    the heap pools. Returns the result and the number of candidates."""
+    posm, negm = view.pos_mask, view.neg_mask
+    universe = posm | negm
+    queues: dict[int, _BoundedQueue] = {}
+    seen: set[int] = set()
+    pools = HeapPools(domination_k)
+    seq = n_candidates = 0
+    best = (Empty(), negm.bit_count(), 0)  # combination, score, weight
+
+    def consider(eval_full: int, weight: int, comb: BoolCombination) -> bool:
+        nonlocal seq, best, n_candidates
+        n_candidates += 1
+        masked = eval_full & universe
+        sat = sat_bits(masked, posm, negm)
+        if sat == universe:
+            return True
+        score = sat.bit_count()
+        if score > best[1] or (score == best[1] and weight < best[2]):
+            best = (comb, score, weight)
+        queue = queues.setdefault(weight, _BoundedQueue(beam_width))
+        if queue.full() and score <= queue.min_score:
+            return False
+        if masked in seen or pools.dominated(weight, sat, seq):
+            return False
+        if queue.add(score, seq, (comb, eval_full)):
+            seen.add(masked)
+            pools.add(weight, sat, seq)
+            seq += 1
+        return False
+
+    def solved(comb: BoolCombination, iterations: int) -> tuple[BeamResult, int]:
+        return BeamResult(comb, True, universe.bit_count(), iterations), n_candidates
+
+    for members, weight, index in view.sets:
+        if consider(members, weight, Leaf(index, weight)):
+            return solved(Leaf(index, weight), 0)
+    iterations = 0
+    k = 2
+    while k + 1 <= max_weight and any(len(q) for q in queues.values()):
+        iterations += 1
+        for i in range(1, k // 2 + 1):
+            if not len(queues.get(i, ())) or not len(queues.get(k - i, ())):
+                continue
+            rights = queues[k - i].ordered()
+            for comb1, eval1 in queues[i].ordered():
+                for comb2, eval2 in rights:
+                    for make, value in ((Union, eval1 | eval2), (Inter, eval1 & eval2)):
+                        if consider(value, k + 1, make(comb1, comb2)):
+                            return solved(make(comb1, comb2), iterations)
+        k += 1
+    return BeamResult(best[0], False, best[1], iterations), n_candidates

@@ -20,7 +20,6 @@ from ltlflearn.biteval import (
     cs_atom,
     cs_bottom,
     cs_top,
-    finally_rounds,
     first_bits,
     is_solution,
     table_of,
@@ -52,7 +51,6 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
-    eval_reference_all,
 )
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace
@@ -60,7 +58,9 @@ from ltlflearn.traces import Alphabet, Sample, Trace
 from conftest import (
     base_set_scores,
     dominates,
+    eval_reference_all,
     exact_undominated,
+    finally_rounds,
     is_solution_combination,
     sat_and_weight,
     union_shaped_sample,

@@ -13,7 +13,6 @@ from ltlflearn.biteval import (
     cs_atom,
     cs_bottom,
     cs_top,
-    finally_rounds,
     first_bits,
     is_solution,
     table_of,
@@ -31,10 +30,10 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
-    eval_reference_all,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
 
+from conftest import eval_reference_all, finally_rounds
 from test_acceptance import _random_formula
 
 AABAA = Trace((1, 1, 0, 1, 1))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltlflearn.boolcover import (
@@ -12,9 +12,12 @@ from ltlflearn.boolcover import (
     Inter,
     Leaf,
     NoSolution,
+    SubProblem,
     Union,
     Witness,
     _BoundedQueue,
+    _DominationPools,
+    _beam,
     _undominated,
     beam_search,
     collapse,
@@ -26,16 +29,19 @@ from ltlflearn.boolcover import (
     reduce_instance,
     sat_bits,
 )
+from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import DEFAULT_OPERATORS, And, Atom, Finally, Or
 from ltlflearn.traces import Alphabet, Sample, Trace
 
 from conftest import (
+    HeapPools,
     bank_from_formulas,
     base_set_scores,
     dominates,
     exact_undominated,
     is_solution_combination,
+    reference_beam,
     sat_and_weight,
     union_shaped_sample,
     witness_solution,
@@ -232,6 +238,88 @@ def test_pool_reduction_equals_the_oracle_at_full_k(pool):
     assert [i for _, _, i in kept] == exact_undominated(items)
 
 
+def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
+    """Every (weight, seq, sat) the pools hold, after checking their order:
+    weights heaviest first, each pool best first and at most k long."""
+    weights = [w for w, _ in pools.pools]
+    assert weights == sorted(set(weights), reverse=True)
+    for _, pool in pools.pools:
+        assert pool == sorted(pool) and len(pool) <= pools.k
+        assert all(-neg_score == sat.bit_count() for neg_score, _, sat in pool)
+    return {(w, seq, sat) for w, pool in pools.pools for _, seq, sat in pool}
+
+
+# (weight, sat, forced add) draws over a few sat sets of 6 rows: many
+# twins and many equal scores.
+CANDIDATES = st.lists(st.integers(0, 63), min_size=1, max_size=6).flatmap(
+    lambda sats: st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from(sats), st.booleans()), max_size=40
+    )
+)
+
+
+@given(st.integers(1, 4), CANDIDATES)
+@settings(max_examples=300)
+def test_pools_answer_like_the_heap_oracle_as_the_beam_uses_them(k, candidates):
+    # The beam asks first and adds what is not dominated under the next
+    # seq; a forced add also puts dominated entries and twins in.
+    pools, oracle = _DominationPools(k), HeapPools(k)
+    seq = 0
+    for weight, sat, forced in candidates:
+        answer = pools.dominated(weight, sat, seq)
+        assert answer == oracle.dominated(weight, sat, seq)
+        if forced or not answer:
+            pools.add(weight, sat, seq)
+            oracle.add(weight, sat, seq)
+            seq += 1
+        assert pool_entries(pools) == oracle.entries()
+
+
+@given(st.integers(1, 4), CANDIDATES)
+@settings(max_examples=300)
+def test_pools_answer_like_the_heap_oracle_after_all_adds(k, candidates):
+    # As in _undominated: every entry goes in, then every entry is asked.
+    pools, oracle = _DominationPools(k), HeapPools(k)
+    for seq, (weight, sat, _) in enumerate(candidates):
+        pools.add(weight, sat, seq)
+        oracle.add(weight, sat, seq)
+    assert pool_entries(pools) == oracle.entries()
+    for seq, (weight, sat, _) in enumerate(candidates):
+        assert pools.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
+    # Asking with a seq or weight outside the pools too.
+    for weight, sat, _ in candidates:
+        for w in (weight - 1, weight + 1):
+            assert pools.dominated(w, sat, -1) == oracle.dominated(w, sat, -1)
+            assert pools.dominated(w, sat, len(candidates)) == oracle.dominated(
+                w, sat, len(candidates))
+
+
+def test_undominated_checks_the_deadline_every_4096_sets(monkeypatch):
+    rng = random.Random(7)
+    sets = [(rng.getrandbits(16), rng.randint(1, 8), i) for i in range(10_000)]
+    calls = []
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
+    _undominated(sets, 0xFF, 0xFF00, 10, deadline=123.0)
+    # One check per 4096 sets in each pass: adding, then asking.
+    assert calls == [123.0] * (2 * (len(sets) // 4096))
+
+
+def test_collapse_checks_the_deadline_every_4096_entries(monkeypatch):
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 7)
+    calls = []
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
+    _, stats = collapse(bank, sample, deadline=123.0)
+    assert stats["n_formulas"] > 2 * 4096
+    assert calls == [123.0] * (stats["n_formulas"] // 4096)
+
+
+def test_reduce_instance_stops_at_a_passed_deadline():
+    inst = BscInstance(8, 8, tuple(BaseSet(m, 1) for m in range(1, 5000)))
+    with pytest.raises(DeadlineReached):
+        reduce_instance(inst, 10, deadline=0.0)
+
+
 def test_reduce_instance_drops_dominated_sets():
     inst = BscInstance(2, 1, (
         BaseSet(0b011, 1),  # dominates everything below
@@ -318,6 +406,36 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     assert stats["beam_candidates"] > 10 * 4096
     # One check per weight level, plus one per 4096 candidates.
     assert len(calls) == stats["beam_iterations"] + stats["beam_candidates"] // 4096
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 255), st.integers(1, 6)), max_size=10),
+    st.integers(1, 4),
+    st.integers(2, 9),
+    st.integers(1, 3),
+)
+@settings(max_examples=500)
+# A full queue of width 1 admits a score just above its minimum.
+@example(3, 1, [(0b0001, 4), (0b0100, 1), (0b1011, 2)], 1, 4, 1)
+# p0 | p1 ties the heavier seed {p0, p1} as best, with a value already queued.
+@example(3, 1, [(0b0001, 1), (0b0010, 1), (0b0011, 6)], 4, 3, 2)
+def test_beam_answers_and_counts_like_the_reference_beam(
+    n_pos, n_neg, sets, beam_width, max_weight, domination_k
+):
+    # Small queues fill and evict, heavy seeds leave a best that lighter
+    # combinations tie, and low max_weight ends most beams unsolved.
+    universe = (1 << (n_pos + n_neg)) - 1
+    pos_mask = (1 << n_pos) - 1
+    view = SubProblem(pos_mask, universe ^ pos_mask,
+                      tuple((m & universe, w, i) for i, (m, w) in enumerate(sets)))
+    stats = {}
+    got = _beam(view, beam_width, max_weight, domination_k, None, stats)
+    expected, n_candidates = reference_beam(view, beam_width, max_weight, domination_k)
+    assert got == expected
+    assert (stats["beam_candidates"], stats["beam_iterations"]) == (
+        n_candidates, expected.iterations)
 
 
 def test_make_scored_matches_eval():

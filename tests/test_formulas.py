@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +23,12 @@ from ltlflearn.formulas import (
     Until,
     WeakNext,
     eval_reference,
-    eval_reference_all,
     parse_formula,
     render_formula,
 )
 from ltlflearn.traces import Alphabet, Trace
+
+from conftest import eval_reference_all
 
 ALPHA2 = Alphabet(("a", "b"))
 
@@ -211,3 +216,33 @@ def test_negation_flips_every_position(phi, letters):
     base = eval_reference_all(phi, w)
     flipped = eval_reference_all(Not(phi), w)
     assert [not v for v in base] == flipped
+
+
+def test_node_kinds_over_the_same_children_hash_apart():
+    a, b = Atom(0), Atom(1)
+    nodes = [Not(a), StrongNext(a), WeakNext(a), Finally(a), Globally(a),
+             And(a, b), Or(a, b), Until(a, b), Release(a, b)]
+    assert len({hash(phi) for phi in nodes}) == len(nodes)
+    assert len({hash(phi) for phi in (a, Top(), Bottom())}) == 3
+
+
+@given(FORMULAS)
+@settings(max_examples=200)
+def test_equal_trees_hash_equal(phi):
+    twin = parse_formula(render_formula(phi, ALPHA2), ALPHA2)
+    assert twin is not phi and twin == phi
+    assert hash(twin) == hash(phi)
+    assert hash(phi) == hash(phi)  # the cached value
+
+
+def test_formula_hashes_do_not_depend_on_the_hash_seed():
+    code = "from ltlflearn.formulas import *; print(hash(Until(Finally(Atom(0)), Not(Top()))))"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -180,3 +181,16 @@ def test_timeout_in_the_beam_keeps_its_counts(monkeypatch):
     stats = result.stats
     assert stats["beam_iterations"] == 1
     assert stats["beam_candidates"] > stats["n_after_domination"]  # the seeds and more
+
+
+def test_timeout_is_honoured_within_a_quarter_second():
+    # On the union task the deadline falls in enumeration, collapse,
+    # reduction or the beam depending on the timeout and the machine;
+    # every phase checks it often enough to stop within 0.25 s.
+    sample = union_shaped_sample()
+    for timeout in (0.05, 0.2, 0.4, 0.5, 0.6, 0.8):
+        start = time.monotonic()
+        result = learn(sample, LearnerConfig(timeout=timeout))
+        elapsed = time.monotonic() - start
+        assert result.status in ("Solved", "Timeout")
+        assert elapsed <= timeout + 0.25, (timeout, result.status, elapsed)
