@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union as TUnion
 
 from .deadlines import DEADLINE_STRIDE, check_deadline
+from .enumeration import formula_of
 from .formulas import And, Formula, Or
 from .traces import Sample
 
@@ -171,7 +172,8 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
 
     The representative (weight and provenance) is the first bank
     formula with that vector; the bank enumerates by increasing size,
-    so it is also a smallest one. Returns the instance and statistics
+    so it is also a smallest one. Only representatives are built from
+    the bank's back-pointers. Returns the instance and statistics
     including the collapse ratio |bank| / |base sets|. The deadline is
     checked every DEADLINE_STRIDE bank entries.
     """
@@ -180,15 +182,17 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
     n_formulas = 0
     seen_keys: set[int] = set()
     base: list[BaseSet] = []
-    for entry in bank.entries():
-        n_formulas += 1
-        if not n_formulas % DEADLINE_STRIDE:
-            check_deadline(deadline)
-        key = entry.bits & first  # the vector, still spread over the layout
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        base.append(BaseSet(layout.vector(key), entry.formula.size, entry.formula))
+    memo: dict = {}
+    for size in sorted(bank.by_size):
+        for entry in bank.by_size[size]:
+            n_formulas += 1
+            if not n_formulas % DEADLINE_STRIDE:
+                check_deadline(deadline)
+            key = entry[0] & first  # the vector, still spread over the layout
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            base.append(BaseSet(layout.vector(key), size, formula_of(entry, memo)))
     if not base:
         raise ValueError("cannot collapse an empty bank")
     inst = BscInstance(sample.n_pos, sample.n_neg, tuple(base))

@@ -5,8 +5,11 @@ checks a given formula against a task, `generate` writes benchmark
 tasks plus a manifest, and `bench` runs every task of a manifest and
 emits one JSON record per line. Exit codes are a stable contract:
 0 solved / verified, 1 no solution / not separating, 2 timeout,
-3 input error, 4 internal error. In json mode stdout carries exactly
-one JSON object (or one per task for bench); diagnostics go to stderr.
+3 input error, 4 internal error. A bench task that fails gets an
+`Error` record and the other tasks still run; bench exits 4 if any
+task had an internal error, else 3 if any had an input error. In json
+mode stdout carries exactly one JSON object (or one per task for
+bench); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Optional
@@ -42,10 +46,16 @@ from .traces import Sample, Task, TaskFormatError, parse_task
 _STATUS_EXIT = {"Solved": 0, "NoSolution": 1, "Timeout": 2}
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
+INTERNAL_ERROR = "internal error: "  # how an internal error's message starts
 
 
 class InputError(Exception):
     """Anything wrong with user input; mapped to exit code 3."""
+
+
+def _internal_error(exc: Exception) -> str:
+    """The message of an uncaught exception, a bug: mapped to exit code 4."""
+    return f"{INTERNAL_ERROR}{type(exc).__name__}: {exc}"
 
 
 def _read_task(path: str) -> Task:
@@ -254,7 +264,11 @@ def _bench_worker(task_path: str, config: LearnerConfig,
             )
         except ValueError as exc:
             return {"task": task_path, "status": "Error", "error": str(exc)}
-    result = learn(task.sample, cfg)
+    try:
+        result = learn(task.sample, cfg)
+    except Exception as exc:  # a bug in one task must not end the run
+        traceback.print_exc(file=sys.stderr)
+        return {"task": task_path, "status": "Error", "error": _internal_error(exc)}
     return _result_record(task_path, task.sample, result, cfg)
 
 
@@ -307,6 +321,8 @@ def cmd_bench(args) -> int:
         if ratios:
             lines.append(f"mean collapse ratio {sum(ratios) / len(ratios):.2f}")
     print("; ".join(lines), file=sys.stderr)
+    if any(r["error"].startswith(INTERNAL_ERROR) for r in records if r["status"] == "Error"):
+        return EXIT_INTERNAL_ERROR
     return 0 if not errors else EXIT_INPUT_ERROR
 
 
@@ -384,7 +400,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a bug, never a verdict: keep it off codes 0-3
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_internal_error(exc), file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 

@@ -9,6 +9,15 @@ equivalent on this sample and is discarded. The first candidate that
 separates the sample is returned immediately; because sizes are
 enumerated in increasing order, it is size-minimal for the operator set.
 
+A retained candidate is a back-pointer, not a formula: the tuple
+`(bits, op, left, right)` of its packed value, its operator token and
+its children's own entries (`right` is None for a unary operator; a
+size-1 seed holds its formula in `op` and None in both children).
+Formulas are built from back-pointers only where they are read: for
+the separator `enumerate_bounded` returns, for the base sets `collapse`
+makes (one per characteristic vector), and on demand in
+`FormulaBank.entries`.
+
 The order is fully deterministic: within one size, unary products come
 before binary products, operators iterate in their declaration order,
 operand pairs iterate i = 1..s-1, and ties between observationally
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
-from .deadlines import DEADLINE_STRIDE, check_deadline
+from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline
 from .formulas import (
     Atom,
     Bottom,
@@ -35,33 +44,56 @@ from .formulas import (
 )
 from .traces import Sample
 
+
 @dataclass(frozen=True, slots=True)
 class BankEntry:
-    """A retained formula with its packed value on the sample."""
+    """A retained candidate as `FormulaBank.entries` yields it: its
+    formula, built, and its packed value on the sample."""
 
     formula: Formula
     bits: int
 
 
+def formula_of(entry: tuple, memo: dict) -> Formula:
+    """The formula a back-pointer stands for.
+
+    `memo` maps id(entry) to the formula built for it, so children
+    shared by several entries are built once per memo.
+    """
+    phi = memo.get(id(entry))
+    if phi is None:
+        _, op, left, right = entry
+        if left is None:
+            phi = op
+        elif right is None:
+            phi = build_unary(op, formula_of(left, memo))
+        else:
+            phi = build_binary(op, formula_of(left, memo), formula_of(right, memo))
+        memo[id(entry)] = phi
+    return phi
+
+
 @dataclass
 class FormulaBank:
-    """Retained formulas grouped by size, plus the equivalence index.
+    """Retained candidates grouped by size, as back-pointers.
 
-    `seen` holds the packed value of every retained formula; a packed
-    value identifies a characteristic table, so it is the equivalence
-    key as it stands. `layout` is the sample layout the values use.
+    `by_size[s]` lists the size-s entries `(bits, op, left, right)` in
+    enumeration order; their packed values are all distinct. `layout`
+    is the sample layout the packed values use.
     """
 
     layout: Layout
-    by_size: dict[int, list[BankEntry]] = field(default_factory=dict)
-    seen: set[int] = field(default_factory=set)
+    by_size: dict[int, list[tuple]] = field(default_factory=dict)
     n_generated: int = 0
     n_pruned: int = 0
 
     def entries(self):
-        """All retained entries in enumeration order."""
+        """All retained entries in enumeration order, each with its
+        `.formula` and `.bits`; formulas are built as the pass goes."""
+        memo: dict = {}
         for size in sorted(self.by_size):
-            yield from self.by_size[size]
+            for entry in self.by_size[size]:
+                yield BankEntry(formula_of(entry, memo), entry[0])
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.by_size.values())
@@ -74,6 +106,7 @@ def enumerate_bounded(
     *,
     include_consts: bool = False,
     deadline: Optional[float] = None,
+    stats: Optional[dict] = None,
 ) -> tuple[Optional[Formula], FormulaBank]:
     """Enumerate sizes 1..max_size; stop early on the first separator.
 
@@ -82,70 +115,83 @@ def enumerate_bounded(
     operational limit in that mode. `include_consts` adds true/false to
     the size-1 seeds (off by default: with F and G primitive they never
     shrink a minimal separator). The deadline is checked at the start
-    of every size level and every 4096 candidates.
+    of every size level and every 4096 candidates. When `stats` is
+    given it receives `n_enumerated` and `n_retained`, also when the
+    deadline interrupts, and then `enum_size` too, the size level that
+    was being enumerated.
     """
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
     layout = Layout.of(sample)
     first, goal = layout.first, layout.pos_first
     bank = FormulaBank(layout)
-    seen = bank.seen
+    seen: set[int] = set()  # the retained packed values, the equivalence keys
+    answer: Optional[Formula] = None
+    n = 0  # candidates generated
+    size = 1
 
     seeds = [
         (Atom(prop), pack_atom(sample.traces, prop)) for prop in range(len(sample.alphabet))
     ]
     if include_consts:
         seeds += [(Top(), layout.full), (Bottom(), 0)]
-    level = bank.by_size[1] = []
-    for formula, bits in seeds:
-        bank.n_generated += 1
-        if bits & first == goal:
-            return formula, bank
-        if bits in seen:
-            bank.n_pruned += 1
-            continue
-        seen.add(bits)
-        level.append(BankEntry(formula, bits))
+    try:
+        level = bank.by_size[1] = []
+        for formula, bits in seeds:
+            n += 1
+            if bits & first == goal:
+                answer = formula
+                return answer, bank
+            if bits not in seen:
+                seen.add(bits)
+                level.append((bits, formula, None, None))
 
-    size = 2
-    while max_size is None or size <= max_size:
-        check_deadline(deadline)
-        level = bank.by_size[size] = []
-        # The unary and binary loops share one body, inlined: it runs
-        # once per candidate.
-        for tok in ops.unary:
-            kernel = UNARY_KERNELS[tok]
-            for entry in bank.by_size[size - 1]:
-                bits = kernel(entry.bits, layout)
-                bank.n_generated += 1
-                if not bank.n_generated % DEADLINE_STRIDE:
-                    check_deadline(deadline)
-                if bits & first == goal:
-                    return build_unary(tok, entry.formula), bank
-                if bits in seen:
-                    bank.n_pruned += 1
-                else:
-                    seen.add(bits)
-                    level.append(BankEntry(build_unary(tok, entry.formula), bits))
-        for tok in ops.binary:
-            kernel = BINARY_KERNELS[tok]
-            for i in range(1, size - 1):
-                rights = bank.by_size[size - 1 - i]
-                for left in bank.by_size[i]:
-                    left_bits = left.bits
-                    for right in rights:
-                        bits = kernel(left_bits, right.bits, layout)
-                        bank.n_generated += 1
-                        if not bank.n_generated % DEADLINE_STRIDE:
-                            check_deadline(deadline)
-                        if bits & first == goal:
-                            return build_binary(tok, left.formula, right.formula), bank
-                        if bits in seen:
-                            bank.n_pruned += 1
-                        else:
-                            seen.add(bits)
-                            formula = build_binary(tok, left.formula, right.formula)
-                            level.append(BankEntry(formula, bits))
-        size += 1
-    return None, bank
-
+        size = 2
+        while max_size is None or size <= max_size:
+            check_deadline(deadline)
+            level = bank.by_size[size] = []
+            append = level.append
+            # The unary and binary loops share one body, inlined: it
+            # runs once per candidate.
+            for tok in ops.unary:
+                kernel = UNARY_KERNELS[tok]
+                for child in bank.by_size[size - 1]:
+                    bits = kernel(child[0], layout)
+                    n += 1
+                    if not n % DEADLINE_STRIDE:
+                        check_deadline(deadline)
+                    if bits & first == goal:
+                        answer = formula_of((bits, tok, child, None), {})
+                        return answer, bank
+                    if bits not in seen:
+                        seen.add(bits)
+                        append((bits, tok, child, None))
+            for tok in ops.binary:
+                kernel = BINARY_KERNELS[tok]
+                for i in range(1, size - 1):
+                    rights = bank.by_size[size - 1 - i]
+                    for left in bank.by_size[i]:
+                        left_bits = left[0]
+                        for right in rights:
+                            bits = kernel(left_bits, right[0], layout)
+                            n += 1
+                            if not n % DEADLINE_STRIDE:
+                                check_deadline(deadline)
+                            if bits & first == goal:
+                                answer = formula_of((bits, tok, left, right), {})
+                                return answer, bank
+                            if bits not in seen:
+                                seen.add(bits)
+                                append((bits, tok, left, right))
+            size += 1
+        return None, bank
+    except DeadlineReached:
+        if stats is not None:
+            stats["enum_size"] = size
+        raise
+    finally:
+        bank.n_generated = n
+        bank.n_pruned = n - len(bank) - (answer is not None)
+        if stats is not None:
+            stats["n_enumerated"] = n
+            stats["n_retained"] = len(bank)

@@ -120,10 +120,8 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
 
     try:
         found, bank = enumerate_bounded(
-            sample, config.operators, config.ltl2bs_switch, deadline=deadline
+            sample, config.operators, config.ltl2bs_switch, deadline=deadline, stats=stats
         )
-        stats["n_enumerated"] = bank.n_generated
-        stats["n_retained"] = len(bank)
         if found is not None:
             _verify(found, sample)
             return finish(LearnResult("Solved", found, None, "EnumOnly", stats))

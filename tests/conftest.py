@@ -6,6 +6,7 @@ from typing import Optional
 
 from ltlflearn.biteval import CharSequence, Layout, table_of
 from ltlflearn.boolcover import (
+    BaseSet,
     BeamResult,
     BoolCombination,
     BscInstance,
@@ -18,7 +19,7 @@ from ltlflearn.boolcover import (
     eval_combination,
     sat_bits,
 )
-from ltlflearn.enumeration import BankEntry, FormulaBank
+from ltlflearn.enumeration import FormulaBank
 from ltlflearn.formulas import And, Atom, Finally, Formula, Or, StrongNext, _eval, eval_reference
 from ltlflearn.traces import Alphabet, Sample, Trace
 
@@ -49,19 +50,42 @@ def finally_rounds(s: CharSequence) -> list[CharSequence]:
 def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
     """Build a bank from given formulas, in order, dedup by packed value.
 
-    For hand-made set-cover instances; no solution check is performed.
+    Each formula becomes a seed-shaped back-pointer `(bits, formula,
+    None, None)` at its size. For hand-made set-cover instances; no
+    solution check is performed.
     """
     bank = FormulaBank(Layout.of(sample))
     cache: dict = {Layout: bank.layout}
+    seen: set[int] = set()
     for phi in formulas:
         bits = table_of(phi, sample, cache).bits
         bank.n_generated += 1
-        if bits in bank.seen:
+        if bits in seen:
             bank.n_pruned += 1
             continue
-        bank.seen.add(bits)
-        bank.by_size.setdefault(phi.size, []).append(BankEntry(phi, bits))
+        seen.add(bits)
+        bank.by_size.setdefault(phi.size, []).append((bits, phi, None, None))
     return bank
+
+
+def reference_collapse(bank: FormulaBank, sample: Sample) -> tuple[BscInstance, dict]:
+    """`collapse` written over built formulas: the first formula of the
+    bank per characteristic vector, weighted by its size."""
+    first = bank.layout.first
+    keys: set[int] = set()
+    base = []
+    entries = list(bank.entries())
+    for entry in entries:
+        key = entry.bits & first
+        if key not in keys:
+            keys.add(key)
+            base.append(BaseSet(bank.layout.vector(key), entry.formula.size, entry.formula))
+    stats = {
+        "n_formulas": len(entries),
+        "n_base_sets": len(base),
+        "collapse_ratio": len(entries) / len(base),
+    }
+    return BscInstance(sample.n_pos, sample.n_neg, tuple(base)), stats
 
 
 def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.boolcover import (
     BaseSet,
     BeamResult,
@@ -42,6 +43,7 @@ from conftest import (
     exact_undominated,
     is_solution_combination,
     reference_beam,
+    reference_collapse,
     sat_and_weight,
     union_shaped_sample,
     witness_solution,
@@ -118,6 +120,25 @@ def test_collapse_keeps_smallest_per_vector():
     assert inst.base_sets[0].provenance == Atom(0)
     assert inst.base_sets[0].weight == 1
     assert inst.base_sets[0].members == 0b01
+
+
+@pytest.mark.parametrize("source", ["union", 0, 1, 2, 3])
+def test_collapse_matches_the_reference_collapse(source):
+    # Provenance is built from the bank's back-pointers; the reference
+    # reads built formulas through bank.entries().
+    if source == "union":
+        sample, max_size = union_shaped_sample(), 8
+    else:
+        spec = TaskSpec("random-boolcomb", 2, trace_len=16, n_pos=8, n_neg=8,
+                        seed=source, params={"n_patterns": 2})
+        sample, max_size = gen_task(spec), 6
+    found, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, max_size)
+    assert found is None
+    inst, stats = collapse(bank, sample)
+    expected, expected_stats = reference_collapse(bank, sample)
+    assert inst.base_sets == expected.base_sets
+    assert (inst.n_pos, inst.n_neg) == (expected.n_pos, expected.n_neg)
+    assert stats == expected_stats
 
 
 def test_collapse_rejects_empty_bank():

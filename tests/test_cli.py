@@ -5,7 +5,7 @@ import pytest
 
 from ltlflearn.cli import _config_echo, main
 from ltlflearn.formulas import parse_formula
-from ltlflearn.pipeline import LearnerConfig, separates
+from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import parse_task, serialize_sample
 
 from conftest import union_shaped_sample
@@ -256,6 +256,29 @@ def test_internal_error_has_its_own_exit_code(task_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal error: RecursionError: maximum recursion depth exceeded" in err
+
+
+def test_bench_survives_a_task_whose_learn_raises(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "bench"
+    main(["generate", "--family", "ordered-sequence", "--n", "2",
+          "--count", "3", "--out", str(out_dir)])
+    capsys.readouterr()
+    calls = []
+
+    def learn_failing_on_the_second_task(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr("ltlflearn.cli.learn", learn_failing_on_the_second_task)
+    code, out, err = run(capsys, "bench", str(out_dir / "manifest.csv"))
+    assert code == 4
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["status"] for r in records] == ["Solved", "Error", "Solved"]
+    assert records[1]["error"] == "internal error: RuntimeError: boom"
+    assert records[1]["task"].endswith("-s1.trace")
+    assert "solved 2/3" in err and "error 1" in err
 
 
 def test_bench_missing_file_is_an_error_record(tmp_path, capsys):

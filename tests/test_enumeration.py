@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ltlflearn import formulas
 from ltlflearn.biteval import table_of
 from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
@@ -64,14 +65,17 @@ def test_solution_reported_before_equivalence_pruning():
 def test_sizes_grow_and_respect_bound():
     _, bank = enumerate_bounded(sample2(), DEFAULT_OPERATORS, 4)
     assert max(bank.by_size) <= 4
-    assert all(e.formula.size == size for size, entries in bank.by_size.items()
-               for e in entries)
+    sizes = [e.formula.size for e in bank.entries()]
+    assert sizes == [size for size, level in sorted(bank.by_size.items()) for _ in level]
 
 
 def test_counters_add_up():
     _, bank = enumerate_bounded(sample2(), DEFAULT_OPERATORS, 4)
     assert bank.n_generated == bank.n_pruned + len(bank)
     assert bank.n_pruned > 0
+    found, bank = enumerate_bounded(sample2(), DEFAULT_OPERATORS, 6)
+    assert found is not None  # counted as generated, neither pruned nor retained
+    assert bank.n_generated == bank.n_pruned + len(bank) + 1
 
 
 def test_deterministic_across_runs():
@@ -164,5 +168,46 @@ def test_enumeration_matches_known_counts_single_prop():
     assert found is None
     assert bank.n_generated == 1 + 5
     assert len(bank) == 6
-    size2 = [e.formula for e in bank.by_size[2]]
+    size2 = [e.formula for e in bank.entries() if e.formula.size == 2]
     assert StrongNext(Atom(0)) in size2 and Globally(Atom(0)) in size2
+
+
+def built_during(monkeypatch, run):
+    """Run `run()` and count the formula nodes built meanwhile: `Atom`
+    constructions in enumeration, and every node with children (each
+    sets its size through `formulas._set_size`)."""
+    counts = {"atoms": 0, "inner": 0}
+    set_size = formulas._set_size
+
+    def counted_atom(prop):
+        counts["atoms"] += 1
+        return Atom(prop)
+
+    def counted_set_size(node, size):
+        counts["inner"] += 1
+        set_size(node, size)
+
+    monkeypatch.setattr("ltlflearn.enumeration.Atom", counted_atom)
+    monkeypatch.setattr("ltlflearn.formulas._set_size", counted_set_size)
+    out = run()
+    monkeypatch.undo()
+    return out, counts
+
+
+def test_enumeration_builds_no_formula_per_retained_candidate(monkeypatch):
+    sample = union_shaped_sample()
+    (found, bank), built = built_during(
+        monkeypatch, lambda: enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    )
+    assert found is None and len(bank) == 748
+    assert built == {"atoms": 2, "inner": 0}
+
+
+def test_enumeration_builds_only_the_answer(monkeypatch):
+    # F a & F b, of size 5, after 34 retained candidates of sizes 1-4.
+    (found, bank), built = built_during(
+        monkeypatch, lambda: enumerate_bounded(sample2(), DEFAULT_OPERATORS, 6)
+    )
+    assert found is not None and found.size == 5 and len(bank) == 34
+    assert built["atoms"] == 2
+    assert built["inner"] <= found.size

@@ -183,6 +183,24 @@ def test_timeout_in_the_beam_keeps_its_counts(monkeypatch):
     assert stats["beam_candidates"] > stats["n_after_domination"]  # the seeds and more
 
 
+def test_timeout_in_enumeration_keeps_its_counts(monkeypatch):
+    # Enumeration checks the deadline at the start of sizes 2..6 (five
+    # calls), then at the 4096th candidate, inside size 6: time runs
+    # out there, after sizes 1-5 (748 retained) and part of size 6.
+    calls = []
+
+    def check(deadline):
+        calls.append(deadline)
+        if len(calls) == 6:
+            raise DeadlineReached()
+
+    monkeypatch.setattr("ltlflearn.enumeration.check_deadline", check)
+    result = learn(union_shaped_sample())
+    assert result.status == "Timeout"
+    stats = result.stats
+    assert (stats["n_enumerated"], stats["n_retained"], stats["enum_size"]) == (4096, 2219, 6)
+
+
 def test_timeout_is_honoured_within_a_quarter_second():
     # On the union task the deadline falls in enumeration, collapse,
     # reduction or the beam depending on the timeout and the machine;
