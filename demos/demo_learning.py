@@ -31,12 +31,16 @@ def main() -> None:
     sample = parse_sample(SAMPLE)
     print("sample: 2 positive, 2 negative traces over", sample.alphabet.props)
 
-    # A formula's characteristic table holds one bit per trace position.
+    # A formula's characteristic table is one int with one bit per
+    # position of the sample; trace i's row starts at bit offsets[i].
     phi = StrongNext(Atom(0))
     table = table_of(phi, sample)
-    print(f"\ncharacteristic table of {render_formula(phi, sample.alphabet)}:")
-    for row, trace in zip(table.rows, sample.traces):
-        print(f"  {row.to_string():>6}  (length {trace.length})")
+    lay = table.layout
+    print(f"\npacked value of {render_formula(phi, sample.alphabet)}: {table.bits}; "
+          "its rows, position 1 leftmost:")
+    for i, (offset, length) in enumerate(zip(lay.offsets, lay.lengths)):
+        row = "".join(str(table.bits >> (offset + p) & 1) for p in range(length))
+        print(f"  trace {i}, bits {offset}..{offset + length - 1}: {row}")
     vector = first_bits(table)
     print("first bits per trace:", [int(vector.bits >> i & 1) for i in range(vector.n)])
     print("a solution needs (1, 1, 0, 0); X! a is not one")

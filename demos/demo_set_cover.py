@@ -15,6 +15,7 @@ from ltlflearn import (
     beam_search,
     div_conq,
     existence_check,
+    full_subproblem,
 )
 from ltlflearn.boolcover import reduce_instance, sat_bits
 
@@ -32,11 +33,19 @@ def show(members: int, n: int) -> str:
 
 
 def render(comb) -> str:
-    kind = type(comb).__name__
-    if kind == "Leaf":
-        return f"phi{comb.index + 1}"
-    op = " u " if kind == "Union" else " n "
-    return "(" + render(comb.left) + op + render(comb.right) + ")"
+    """A combination is a back-pointer (rows, op, left, right); a leaf
+    holds its base set's index in op."""
+    _, op, left, right = comb
+    if left is None:
+        return f"phi{op + 1}"
+    return "(" + render(left) + (" u " if op == "|" else " n ") + render(right) + ")"
+
+
+def weight(comb, inst) -> int:
+    _, op, left, right = comb
+    if left is None:
+        return inst.base_sets[op].weight
+    return 1 + weight(left, inst) + weight(right, inst)
 
 
 def main() -> None:
@@ -66,9 +75,10 @@ def main() -> None:
     print("phi4 = {p1}, weight 2: dropped, phi1 dominates it")
 
     print("\nexistence check:", existence_check(inst), "(None means separable)")
-    result = beam_search(inst)
-    print(f"beam search: {render(result.combination)}, "
-          f"weight {result.combination.weight}, solution={result.is_solution}")
+    result = beam_search(full_subproblem(inst))
+    comb = result.combination
+    print(f"beam search: {render(comb)} = {show(comb[0], 6)}, "
+          f"weight {weight(comb, inst)}, solution={result.is_solution}")
 
     # Planting a witness: add n1 to every set containing p1. Now any
     # combination covering p1 also admits n1, and the divide-and-conquer

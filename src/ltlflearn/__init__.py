@@ -9,27 +9,17 @@ the command-line surface.
 """
 
 from .benchgen import FAMILIES, SamplingBudgetError, TaskSpec, gen_formula, gen_task
-from .biteval import (
-    CharSequence,
-    CharTable,
-    CharVector,
-    first_bits,
-    is_solution,
-    table_of,
-)
+from .biteval import CharTable, CharVector, first_bits, table_of
 from .boolcover import (
     BaseSet,
-    BoolCombination,
     BscInstance,
-    Inter,
-    Leaf,
     NoSolution,
-    Union,
     Witness,
     beam_search,
     collapse,
     div_conq,
     existence_check,
+    full_subproblem,
     reconstruct,
 )
 from .deadlines import DeadlineReached
@@ -74,10 +64,8 @@ __all__ = [
     "And",
     "Atom",
     "BaseSet",
-    "BoolCombination",
     "Bottom",
     "BscInstance",
-    "CharSequence",
     "CharTable",
     "CharVector",
     "DEFAULT_OPERATORS",
@@ -88,8 +76,6 @@ __all__ = [
     "FormulaBank",
     "FormulaSyntaxError",
     "Globally",
-    "Inter",
-    "Leaf",
     "LearnResult",
     "LearnerConfig",
     "NoSolution",
@@ -106,7 +92,6 @@ __all__ = [
     "Top",
     "Trace",
     "Until",
-    "Union",
     "VerificationError",
     "WeakNext",
     "Witness",
@@ -117,9 +102,9 @@ __all__ = [
     "eval_reference",
     "existence_check",
     "first_bits",
+    "full_subproblem",
     "gen_formula",
     "gen_task",
-    "is_solution",
     "learn",
     "parse_formula",
     "parse_sample",

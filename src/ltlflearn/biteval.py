@@ -34,15 +34,15 @@ A formula separates the sample iff `s & first` equals the first bits of
 the positive traces. The characteristic vector compresses `s & first`
 to one bit per trace, bit i = trace i.
 
-`CharTable` and `CharSequence` are views for inspection: a table splits
-a packed value into one sequence per trace, and the `cs_*` functions
-evaluate a single sequence as a one-trace sample.
+`table_of` evaluates a formula tree bottom-up into a `CharTable`, its
+packed value with the layout to read it; `first_bits` gives the
+vector. Trace i's row is `bits >> offsets[i]`, masked to `lengths[i]`
+bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -62,8 +62,6 @@ from .formulas import (
     WeakNext,
 )
 from .traces import Sample, Trace
-
-WORD_BITS = 64
 
 
 class Layout:
@@ -177,84 +175,6 @@ _NODE_KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# Single-trace views
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharSequence:
-    """Per-position satisfaction bits of one formula on one trace."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("characteristic sequences cover non-empty traces")
-        if self.bits >> self.length:
-            raise ValueError("non-canonical sequence: padding bits set")
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.length) - 1
-
-    @property
-    def words(self) -> tuple[int, ...]:
-        """The sequence as little-endian 64-bit words, padding bits zero."""
-        n_words = (self.length + WORD_BITS - 1) // WORD_BITS
-        full = (1 << WORD_BITS) - 1
-        return tuple(self.bits >> (WORD_BITS * i) & full for i in range(n_words))
-
-    def bit(self, position: int) -> bool:
-        """The satisfaction bit at a 1-based position."""
-        if not 1 <= position <= self.length:
-            raise ValueError(f"position {position} out of range 1..{self.length}")
-        return bool(self.bits >> (position - 1) & 1)
-
-    @staticmethod
-    def from_string(text: str) -> "CharSequence":
-        """Parse "10110" style, position 1 leftmost."""
-        bits = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << i
-            elif c != "0":
-                raise ValueError(f"expected 0 or 1, got {c!r}")
-        return CharSequence(len(text), bits)
-
-    def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.length))
-
-
-@lru_cache(maxsize=256)
-def _single(length: int) -> Layout:
-    return Layout((length,), 1)
-
-
-def cs_atom(w: Trace, prop: int) -> CharSequence:
-    return CharSequence(w.length, pack_atom((w,), prop))
-
-
-def cs_top(length: int) -> CharSequence:
-    return CharSequence(length, (1 << length) - 1)
-
-
-def cs_bottom(length: int) -> CharSequence:
-    return CharSequence(length, 0)
-
-
-def cs_apply_unary(op: str, s: CharSequence) -> CharSequence:
-    """Apply a unary operator token to one sequence."""
-    return CharSequence(s.length, UNARY_KERNELS[op](s.bits, _single(s.length)))
-
-
-def cs_apply_binary(op: str, s1: CharSequence, s2: CharSequence) -> CharSequence:
-    """Apply a binary operator token to two sequences of one trace."""
-    if s1.length != s2.length:
-        raise ValueError(f"length mismatch: {s1.length} vs {s2.length}")
-    return CharSequence(s1.length, BINARY_KERNELS[op](s1.bits, s2.bits, _single(s1.length)))
-
-
-# ---------------------------------------------------------------------------
 # Tables and vectors
 # ---------------------------------------------------------------------------
 
@@ -264,15 +184,6 @@ class CharTable:
 
     layout: Layout
     bits: int
-
-    @property
-    def rows(self) -> tuple[CharSequence, ...]:
-        """One sequence per trace, positives first, in sample order."""
-        lay = self.layout
-        return tuple(
-            CharSequence(n, self.bits >> o & ((1 << n) - 1))
-            for o, n in zip(lay.offsets, lay.lengths)
-        )
 
 
 @dataclass(frozen=True)
@@ -330,10 +241,3 @@ def _table(phi: Formula, traces, layout: Layout, cache: dict) -> CharTable:
 def first_bits(t: CharTable) -> CharVector:
     return CharVector(len(t.layout.offsets), t.layout.vector(t.bits))
 
-
-def is_solution(v: CharVector, sample: Sample) -> bool:
-    """All-ones on positive rows and all-zeros on negative rows."""
-    if v.n != sample.n_pos + sample.n_neg:
-        raise ValueError("vector width does not match the sample")
-    pos_mask = (1 << sample.n_pos) - 1
-    return v.bits == pos_mask

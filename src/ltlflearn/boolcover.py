@@ -13,10 +13,17 @@ bank (one base set per distinct characteristic vector, carrying the
 smallest formula for it), `existence_check` decides solvability by
 pairwise separability, domination pruning (`reduce_instance`) shrinks
 the family, `beam_search` explores combinations in weight order keeping
-the best-scoring few per weight,
-and `div_conq` splits the instance when beam search stalls, combining
-the halves' solutions with a union (positives split) or intersection
-(negatives split). `reconstruct` maps a combination back to a formula.
+the best-scoring few per weight, and `div_conq` splits the instance
+when beam search stalls, combining the halves' solutions with a union
+(positives split) or intersection (negatives split). `reconstruct`
+maps a combination back to a formula.
+
+A combination is a back-pointer, like an enumerated formula: the tuple
+`(rows, op, left, right)` of its value over the whole universe, its
+connective "|" or "&" and its two children. A leaf is `(members,
+index, None, None)`, `index` into the instance's base sets, and None
+is the empty combination, which holds on no row. So the rows of every
+combination are at hand where it is built, and none is evaluated again.
 
 sat(theta) is the set of rows a combination classifies correctly:
 the covered positives plus the excluded negatives. theta2 is dominated
@@ -45,11 +52,11 @@ import heapq
 import random
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union as TUnion
+from typing import Callable, Optional, Sequence, Union
 
 from .deadlines import DEADLINE_STRIDE, check_deadline
 from .enumeration import formula_of
-from .formulas import And, Formula, Or
+from .formulas import Formula, build_binary
 from .traces import Sample
 
 
@@ -94,69 +101,6 @@ class BscInstance:
 # ---------------------------------------------------------------------------
 # Combinations
 # ---------------------------------------------------------------------------
-
-class BoolCombination:
-    """Base class; positive combinations of base sets (no negation)."""
-
-    weight: int
-
-
-def _set_weight(node: BoolCombination, weight: int) -> None:
-    object.__setattr__(node, "weight", weight)
-
-
-@dataclass(frozen=True)
-class Empty(BoolCombination):
-    """The empty combination; evaluates to no rows, weight 0."""
-
-    def __post_init__(self):
-        _set_weight(self, 0)
-
-
-@dataclass(frozen=True)
-class Leaf(BoolCombination):
-    index: int  # into the owning instance's base_sets
-    weight: int
-
-
-@dataclass(frozen=True)
-class Union(BoolCombination):
-    left: BoolCombination
-    right: BoolCombination
-
-    def __post_init__(self):
-        _set_weight(self, 1 + self.left.weight + self.right.weight)
-
-
-@dataclass(frozen=True)
-class Inter(BoolCombination):
-    left: BoolCombination
-    right: BoolCombination
-
-    def __post_init__(self):
-        _set_weight(self, 1 + self.left.weight + self.right.weight)
-
-
-def eval_combination(comb: BoolCombination, base_sets: Sequence[BaseSet]) -> int:
-    """The rows a combination evaluates to; iterative, safe for deep trees."""
-    stack: list[tuple[BoolCombination, bool]] = [(comb, False)]
-    values: list[int] = []
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Empty):
-            values.append(0)
-        elif isinstance(node, Leaf):
-            values.append(base_sets[node.index].members)
-        elif ready:
-            right = values.pop()
-            left = values.pop()
-            values.append(left | right if isinstance(node, Union) else left & right)
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return values[0]
-
 
 def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
     """Rows classified correctly: covered positives + excluded negatives."""
@@ -357,9 +301,10 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
 class SubProblem:
     """A restriction of an instance to a subset of its rows.
 
-    Member bits keep their original row positions; `sets` carries
-    (masked members, weight, base-set index) triples, so leaves always
-    refer to the original instance and evaluate in its universe.
+    `sets` carries (members, weight, base-set index) triples with each
+    base set's full members; every read masks them with the view's
+    rows. So leaves refer to the original instance and carry their
+    value over its whole universe.
     """
 
     pos_mask: int
@@ -381,7 +326,7 @@ def full_subproblem(inst: BscInstance) -> SubProblem:
 
 @dataclass(frozen=True)
 class BeamResult:
-    combination: BoolCombination
+    combination: Optional[tuple]
     is_solution: bool
     score: int
     iterations: int
@@ -424,14 +369,24 @@ class _BoundedQueue:
         return len(self.heap)
 
 
-def _beam(
+def beam_search(
     view: SubProblem,
-    beam_width: int,
-    max_weight: int,
-    domination_k: int,
-    deadline: Optional[float],
-    stats: Optional[dict],
+    beam_width: int = 100,
+    max_weight: int = 70,
+    domination_k: int = 10,
+    deadline: Optional[float] = None,
+    stats: Optional[dict] = None,
 ) -> BeamResult:
+    """Weight-ordered beam search for a solution combination.
+
+    Seeds per-weight bounded queues with the view's base sets, then
+    combines queue members pairwise under union and intersection,
+    weight k+1 from child weights summing to k. Returns immediately on
+    a solution; otherwise, once the next weight would exceed max_weight
+    (or nothing is left to combine), returns the best explored
+    combination: highest score, then lowest weight, then earliest
+    discovery.
+    """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
     posm, negm = view.pos_mask, view.neg_mask
@@ -443,7 +398,7 @@ def _beam(
     n_candidates = 0
 
     # The empty combination is the fallback best: right on all negatives.
-    best_comb: BoolCombination = Empty()
+    best_comb: Optional[tuple] = None
     best_score = negm.bit_count()
     best_weight = 0
     floor = best_floor = -1  # see the pair loop
@@ -462,19 +417,20 @@ def _beam(
         return min(queue.min_score, best_floor), best_floor
 
     def consider(
-        eval_full: int, sat: int, score: int, weight: int, make, a, b
-    ) -> Optional[BoolCombination]:
+        rows: int, sat: int, score: int, weight: int, op, left, right
+    ) -> Optional[tuple]:
         """Returns a solution combination, or None after bookkeeping.
 
-        The candidate is make(a, b), built only once it is needed; the
-        caller has counted it and computed its sat and score. Whenever
-        the best or the queue changes, the floors of this weight follow.
+        The candidate is (rows, op, left, right), built only once it is
+        needed; the caller has counted it and computed its sat and
+        score. Whenever the best or the queue changes, the floors of
+        this weight follow.
         """
         nonlocal seq, best_comb, best_score, best_weight, floor, best_floor
         if sat == universe:
-            return make(a, b)
+            return (rows, op, left, right)
         if score > best_score or (score == best_score and weight < best_weight):
-            best_comb = make(a, b)
+            best_comb = (rows, op, left, right)
             best_score = score
             best_weight = weight
             floor, best_floor = floors(weight)
@@ -483,12 +439,12 @@ def _beam(
             queue = queues[weight] = _BoundedQueue(beam_width)
         elif queue.full() and score <= queue.min_score:
             return None
-        masked = eval_full & universe
+        masked = rows & universe
         if masked in seen:
             return None
         if pools.dominated(weight, sat, seq):
             return None
-        if queue.add(score, seq, (make(a, b), eval_full)):
+        if queue.add(score, seq, (rows, op, left, right)):
             seen.add(masked)
             pools.add(weight, sat, seq)
             seq += 1
@@ -502,7 +458,7 @@ def _beam(
             if not n_candidates % DEADLINE_STRIDE:
                 check_deadline(deadline)
             sat = (members & posm) | (negm & ~members)
-            found = consider(members, sat, sat.bit_count(), weight, Leaf, index, weight)
+            found = consider(members, sat, sat.bit_count(), weight, index, None, None)
             if found is not None:
                 return BeamResult(found, True, universe.bit_count(), 0)
 
@@ -523,9 +479,11 @@ def _beam(
                     continue
                 # Only queue k + 1 changes while weight k + 1 is filled.
                 rights = qj.ordered()
-                for comb1, eval1 in qi.ordered():
-                    for comb2, eval2 in rights:
-                        for make, value in ((Union, eval1 | eval2), (Inter, eval1 & eval2)):
+                for comb1 in qi.ordered():
+                    rows1 = comb1[0]
+                    for comb2 in rights:
+                        rows2 = comb2[0]
+                        for op, value in (("|", rows1 | rows2), ("&", rows1 & rows2)):
                             n_candidates += 1
                             if not n_candidates % DEADLINE_STRIDE:
                                 check_deadline(deadline)
@@ -535,7 +493,7 @@ def _beam(
                                 score <= best_floor and (value & universe) in seen
                             ):
                                 continue
-                            found = consider(value, sat, score, weight, make, comb1, comb2)
+                            found = consider(value, sat, score, weight, op, comb1, comb2)
                             if found is not None:
                                 return BeamResult(found, True, universe.bit_count(), iterations)
             k += 1
@@ -545,26 +503,6 @@ def _beam(
         if stats is not None:
             stats["beam_candidates"] = stats.get("beam_candidates", 0) + n_candidates
             stats["beam_iterations"] = stats.get("beam_iterations", 0) + iterations
-
-
-def beam_search(
-    inst: BscInstance,
-    beam_width: int = 100,
-    max_weight: int = 70,
-    domination_k: int = 10,
-    deadline: Optional[float] = None,
-    stats: Optional[dict] = None,
-) -> BeamResult:
-    """Weight-ordered beam search for a solution combination.
-
-    Seeds per-weight bounded queues with the base sets, then combines
-    queue members pairwise under union and intersection, weight k+1
-    from child weights summing to k. Returns immediately on a solution;
-    otherwise, once the next weight would exceed max_weight (or nothing
-    is left to combine), returns the best explored combination: highest
-    score, then lowest weight, then earliest discovery.
-    """
-    return _beam(full_subproblem(inst), beam_width, max_weight, domination_k, deadline, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +535,10 @@ def _restricted(
     """Mask the family to a subproblem's rows, re-dedup, re-reduce.
 
     Keeps, per distinct masked vector, the minimal-weight (then first)
-    set; drops empty vectors; then applies the approximate domination
-    reduction. Any set separating a surviving (p, n) pair keeps a
-    separating representative: a dominating survivor classifies a
-    superset of rows correctly, p and n included.
+    set, with its full members; drops empty vectors; then applies the
+    approximate domination reduction. Any set separating a surviving
+    (p, n) pair keeps a separating representative: a dominating
+    survivor classifies a superset of rows correctly, p and n included.
     """
     view_mask = pos_mask | neg_mask
     out: list[tuple[int, int, int]] = []
@@ -612,9 +550,9 @@ def _restricted(
         at = by_vec.get(m)
         if at is None:
             by_vec[m] = len(out)
-            out.append((m, weight, index))
+            out.append((members, weight, index))
         elif weight < out[at][1]:
-            out[at] = (m, weight, index)
+            out[at] = (members, weight, index)
     return _undominated(out, pos_mask, neg_mask, k, deadline)
 
 
@@ -628,7 +566,7 @@ def div_conq(
     domination_k: int = 10,
     deadline: Optional[float] = None,
     stats: Optional[dict] = None,
-) -> TUnion[BoolCombination, NoSolution]:
+) -> Union[tuple, NoSolution]:
     """Solve via the inner solver, splitting the instance when it stalls.
 
     When the solver's result is not a solution, the larger of P and N
@@ -644,29 +582,28 @@ def div_conq(
     """
     if solver is None:
         def solver(view: SubProblem) -> BeamResult:
-            return _beam(view, beam_width, max_weight, domination_k, deadline, stats)
+            return beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
 
     rng = random.Random(seed)
-    base_sets = inst.base_sets
     n_pos = inst.n_pos
 
-    def recurse(view: SubProblem, depth: int) -> TUnion[BoolCombination, NoSolution]:
+    def recurse(view: SubProblem, depth: int) -> Union[tuple, NoSolution]:
         check_deadline(deadline)
         if stats is not None:
             stats["dc_depth"] = max(stats.get("dc_depth", 0), depth)
         n_p = view.pos_mask.bit_count()
         n_n = view.neg_mask.bit_count()
         if n_p == 1 and n_n == 1:
-            best: Optional[tuple[int, int]] = None
+            best: Optional[tuple[int, int, int]] = None
             for members, weight, index in view.sets:
                 if members & view.pos_mask and not members & view.neg_mask:
-                    if best is None or weight < best[0]:
-                        best = (weight, index)
+                    if best is None or weight < best[1]:
+                        best = (members, weight, index)
             if best is None:
                 p_row = view.pos_mask.bit_length() - 1
                 n_row = view.neg_mask.bit_length() - 1
                 return NoSolution(Witness(p_row, n_row - n_pos))
-            return Leaf(best[1], best[0])
+            return (best[0], best[2], None, None)
 
         result = solver(view)
         if result.is_solution:
@@ -674,7 +611,7 @@ def div_conq(
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 
-        def solve_rows(pos_mask: int, neg_mask: int) -> TUnion[BoolCombination, NoSolution]:
+        def solve_rows(pos_mask: int, neg_mask: int) -> Union[tuple, NoSolution]:
             sets = _restricted(view.sets, pos_mask, neg_mask, domination_k, deadline)
             return recurse(SubProblem(pos_mask, neg_mask, sets), depth + 1)
 
@@ -683,25 +620,25 @@ def div_conq(
             first = solve_rows(half1, view.neg_mask)
             if isinstance(first, NoSolution):
                 return first
-            remaining = half2 & ~eval_combination(first, base_sets)
+            remaining = half2 & ~first[0]
             if remaining == 0:
                 return first
             second = solve_rows(remaining, view.neg_mask)
             if isinstance(second, NoSolution):
                 return second
-            return Union(first, second)
+            return (first[0] | second[0], "|", first, second)
 
         half1, half2 = _split_mask(view.neg_mask, rng)
         first = solve_rows(view.pos_mask, half1)
         if isinstance(first, NoSolution):
             return first
-        remaining = half2 & eval_combination(first, base_sets)
+        remaining = half2 & first[0]
         if remaining == 0:
             return first
         second = solve_rows(view.pos_mask, remaining)
         if isinstance(second, NoSolution):
             return second
-        return Inter(first, second)
+        return (first[0] & second[0], "&", first, second)
 
     return recurse(full_subproblem(inst), 1)
 
@@ -710,17 +647,16 @@ def div_conq(
 # Reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct(comb: BoolCombination, inst: BscInstance) -> Formula:
+def reconstruct(comb: Optional[tuple], inst: BscInstance) -> Formula:
     """Map a combination back to a formula: leaves to their source
-    formulas, unions to |, intersections to &. The result's size equals
-    the combination's weight."""
-    if isinstance(comb, Leaf):
-        phi = inst.base_sets[comb.index].provenance
+    formulas, "|" to Or, "&" to And. The result's size equals the
+    combination's weight."""
+    if comb is None:
+        raise ValueError("cannot reconstruct the empty combination")
+    _, op, left, right = comb
+    if left is None:
+        phi = inst.base_sets[op].provenance
         if phi is None:
             raise ValueError("base set has no source formula")
         return phi
-    if isinstance(comb, Union):
-        return Or(reconstruct(comb.left, inst), reconstruct(comb.right, inst))
-    if isinstance(comb, Inter):
-        return And(reconstruct(comb.left, inst), reconstruct(comb.right, inst))
-    raise ValueError("cannot reconstruct the empty combination")
+    return build_binary(op, reconstruct(left, inst), reconstruct(right, inst))

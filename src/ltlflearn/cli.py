@@ -290,8 +290,9 @@ def cmd_bench(args) -> int:
             path = relative if os.path.exists(relative) else path
         paths.append(path)
     config = _config_from(args, None)
-    # A task file's operator line applies unless --operators overrides it.
-    use_task_ops = args.operators is None
+    # A task file's operator line applies unless a non-empty --operators
+    # overrides it, as in learn.
+    use_task_ops = not args.operators
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -1,11 +1,13 @@
 """Size-ordered formula enumeration with observational-equivalence pruning.
 
-Formulas are generated bottom-up by size: size s+1 candidates are unary
+Formulas are generated bottom-up by size, up to a given bound: the
+size-1 seeds are the atoms, and size s+1 candidates are unary
 operators over retained size-s formulas and binary operators over
-retained pairs of sizes (i, j) with i + j = s. Each candidate's packed
-value (see `biteval`) is one kernel call on its children's values; a
-candidate whose value equals an already-retained one is observationally
-equivalent on this sample and is discarded. The first candidate that
+retained pairs of sizes (i, j) with i + j = s. true and false are not
+seeded: with F and G primitive they never shrink a minimal separator.
+Each candidate's packed value (see `biteval`) is one kernel call on its
+children's values; a candidate whose value equals an already-retained
+one is observationally equivalent on this sample and is discarded. The first candidate that
 separates the sample is returned immediately; because sizes are
 enumerated in increasing order, it is size-minimal for the operator set.
 
@@ -33,15 +35,7 @@ from typing import Optional
 
 from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
 from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline
-from .formulas import (
-    Atom,
-    Bottom,
-    Formula,
-    OperatorSet,
-    Top,
-    build_binary,
-    build_unary,
-)
+from .formulas import Atom, Formula, OperatorSet, build_binary, build_unary
 from .traces import Sample
 
 
@@ -102,25 +96,20 @@ class FormulaBank:
 def enumerate_bounded(
     sample: Sample,
     ops: OperatorSet,
-    max_size: Optional[int],
+    max_size: int,
     *,
-    include_consts: bool = False,
     deadline: Optional[float] = None,
     stats: Optional[dict] = None,
 ) -> tuple[Optional[Formula], FormulaBank]:
     """Enumerate sizes 1..max_size; stop early on the first separator.
 
-    Returns (solution, bank). With max_size=None enumeration is
-    unbounded and runs until a solution or the deadline; memory is the
-    operational limit in that mode. `include_consts` adds true/false to
-    the size-1 seeds (off by default: with F and G primitive they never
-    shrink a minimal separator). The deadline is checked at the start
-    of every size level and every 4096 candidates. When `stats` is
-    given it receives `n_enumerated` and `n_retained`, also when the
-    deadline interrupts, and then `enum_size` too, the size level that
-    was being enumerated.
+    Returns (solution, bank). The deadline is checked at the start of
+    every size level and every 4096 candidates. When `stats` is given
+    it receives `n_enumerated` and `n_retained`, also when the deadline
+    interrupts, and then `enum_size` too, the size level that was being
+    enumerated.
     """
-    if max_size is not None and max_size < 1:
+    if max_size < 1:
         raise ValueError("max_size must be >= 1")
     layout = Layout.of(sample)
     first, goal = layout.first, layout.pos_first
@@ -130,14 +119,10 @@ def enumerate_bounded(
     n = 0  # candidates generated
     size = 1
 
-    seeds = [
-        (Atom(prop), pack_atom(sample.traces, prop)) for prop in range(len(sample.alphabet))
-    ]
-    if include_consts:
-        seeds += [(Top(), layout.full), (Bottom(), 0)]
     try:
         level = bank.by_size[1] = []
-        for formula, bits in seeds:
+        for prop in range(len(sample.alphabet)):
+            formula, bits = Atom(prop), pack_atom(sample.traces, prop)
             n += 1
             if bits & first == goal:
                 answer = formula
@@ -147,7 +132,7 @@ def enumerate_bounded(
                 level.append((bits, formula, None, None))
 
         size = 2
-        while max_size is None or size <= max_size:
+        while size <= max_size:
             check_deadline(deadline)
             level = bank.by_size[size] = []
             append = level.append

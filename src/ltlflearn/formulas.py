@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
-from .traces import (
-    Alphabet,
-    BINARY_TOKENS,
-    Trace,
-    UNARY_TOKENS,
-    is_valid_prop_name,
-)
+from .traces import Alphabet, Trace, is_valid_prop_name
 
 
 class Formula:
@@ -69,7 +63,9 @@ class Bottom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class _Unary(Formula):
+    """An operator node with one argument; size 1 + the argument's."""
+
     arg: Formula
     size: int = field(init=False, repr=False, compare=False)
 
@@ -78,85 +74,51 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class StrongNext(Formula):
+class _Binary(Formula):
+    """An operator node with two arguments; size 1 + both sizes."""
+
+    left: Formula
+    right: Formula
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set_size(self, 1 + self.left.size + self.right.size)
+
+
+class Not(_Unary):
+    """!phi."""
+
+
+class StrongNext(_Unary):
     """X! phi: there is a next position and phi holds there."""
 
-    arg: Formula
-    size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _set_size(self, 1 + self.arg.size)
-
-
-@dataclass(frozen=True)
-class WeakNext(Formula):
+class WeakNext(_Unary):
     """X phi: phi holds at the next position if there is one."""
 
-    arg: Formula
-    size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _set_size(self, 1 + self.arg.size)
+class Finally(_Unary):
+    """F phi: phi holds at some position from here on."""
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    arg: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.arg.size)
+class Globally(_Unary):
+    """G phi: phi holds at every position from here on."""
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    arg: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.arg.size)
+class And(_Binary):
+    """phi & psi."""
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.left.size + self.right.size)
+class Or(_Binary):
+    """phi | psi."""
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.left.size + self.right.size)
+class Until(_Binary):
+    """phi U psi: psi holds at some position, and phi at every one before."""
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.left.size + self.right.size)
-
-
-@dataclass(frozen=True)
-class Release(Formula):
+class Release(_Binary):
     """phi R psi, the standard dual of Until: !((!phi) U (!psi))."""
-
-    left: Formula
-    right: Formula
-    size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _set_size(self, 1 + self.left.size + self.right.size)
 
 
 def _node_hash(node: Formula) -> int:

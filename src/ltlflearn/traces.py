@@ -24,7 +24,7 @@ with operator tokens, which keeps that rule unambiguous.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 # Operator token vocabulary shared with the formula grammar.

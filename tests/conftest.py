@@ -4,21 +4,8 @@ import heapq
 import random
 from typing import Optional
 
-from ltlflearn.biteval import CharSequence, Layout, table_of
-from ltlflearn.boolcover import (
-    BaseSet,
-    BeamResult,
-    BoolCombination,
-    BscInstance,
-    Empty,
-    Inter,
-    Leaf,
-    SubProblem,
-    Union,
-    _BoundedQueue,
-    eval_combination,
-    sat_bits,
-)
+from ltlflearn.biteval import CharTable, Layout, table_of
+from ltlflearn.boolcover import BaseSet, BeamResult, BscInstance, SubProblem, _BoundedQueue, sat_bits
 from ltlflearn.enumeration import FormulaBank
 from ltlflearn.formulas import And, Atom, Finally, Formula, Or, StrongNext, _eval, eval_reference
 from ltlflearn.traces import Alphabet, Sample, Trace
@@ -30,19 +17,42 @@ def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
     return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
 
 
-def finally_rounds(s: CharSequence) -> list[CharSequence]:
-    """The value after each or-shift round of the F loop.
+# --- bit strings: "10110" has position 1 leftmost, at bit 0 -------------------
+
+def bits_of(text: str) -> int:
+    """The packed value a bit string spells over one trace."""
+    return int(text[::-1], 2)
+
+
+def string_of(bits: int, length: int) -> str:
+    """The first `length` positions of a packed value as a bit string."""
+    return "".join("1" if bits >> i & 1 else "0" for i in range(length))
+
+
+def table_rows(table: CharTable) -> list[str]:
+    """One bit string per trace of the table's layout, in sample order."""
+    lay = table.layout
+    return [string_of(table.bits >> o, n) for o, n in zip(lay.offsets, lay.lengths)]
+
+
+def one_trace_sample(w: Trace, n_props: int = 1) -> Sample:
+    """A sample of the single positive trace w."""
+    return Sample(Alphabet.default(n_props), (w,), ())
+
+
+def finally_rounds(bits: int, length: int) -> list[int]:
+    """The value after each or-shift round of the F loop on one trace.
 
     One entry per round of `k_finally`, ceil(log2 length) rounds in
-    total; the last entry equals F applied to s.
+    total; the last entry equals F applied to the value.
     """
-    out, acc = s.bits, Layout((s.length,), 1).notlast
+    out, acc = bits, Layout((length,), 1).notlast
     rounds = []
     shift = 1
-    while shift < s.length:
+    while shift < length:
         out |= (out >> shift) & acc
         acc &= acc >> shift
-        rounds.append(CharSequence(s.length, out))
+        rounds.append(out)
         shift <<= 1
     return rounds
 
@@ -116,29 +126,83 @@ def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
     return Sample(Alphabet.default(2), tuple(pos), tuple(neg))
 
 
-def is_solution_combination(comb: BoolCombination, inst: BscInstance) -> bool:
-    return eval_combination(comb, inst.base_sets) & inst.universe == inst.pos_mask
+# --- combinations: back-pointers (rows, op, left, right) ---------------------------
+
+def leaf(inst: BscInstance, index: int) -> tuple:
+    return (inst.base_sets[index].members & inst.universe, index, None, None)
 
 
-def witness_solution(inst: BscInstance) -> BoolCombination:
+def union(a: tuple, b: tuple) -> tuple:
+    return (a[0] | b[0], "|", a, b)
+
+
+def inter(a: tuple, b: tuple) -> tuple:
+    return (a[0] & b[0], "&", a, b)
+
+
+def weight_of(comb: Optional[tuple], inst: BscInstance) -> int:
+    """Leaf weights plus one per connective; 0 for the empty combination."""
+    if comb is None:
+        return 0
+    _, op, left, right = comb
+    if left is None:
+        return inst.base_sets[op].weight
+    return 1 + weight_of(left, inst) + weight_of(right, inst)
+
+
+def rows_of(comb: Optional[tuple], inst: BscInstance) -> int:
+    """The rows a combination evaluates to, from its leaves' base sets
+    alone, not from the rows it carries; iterative, safe for deep trees."""
+    if comb is None:
+        return 0
+    stack: list[tuple[tuple, bool]] = [(comb, False)]
+    values: list[int] = []
+    while stack:
+        node, ready = stack.pop()
+        _, op, left, right = node
+        if left is None:
+            values.append(inst.base_sets[op].members)
+        elif ready:
+            b, a = values.pop(), values.pop()
+            values.append(a | b if op == "|" else a & b)
+        else:
+            stack += [(node, True), (right, False), (left, False)]
+    return values[0]
+
+
+def nodes_of(comb: Optional[tuple]) -> list[tuple]:
+    """Every node of a combination, root first."""
+    out, stack = [], [comb] if comb is not None else []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node[2] is not None:
+            stack += [node[3], node[2]]
+    return out
+
+
+def is_solution_combination(comb: Optional[tuple], inst: BscInstance) -> bool:
+    return rows_of(comb, inst) & inst.universe == inst.pos_mask
+
+
+def witness_solution(inst: BscInstance) -> tuple:
     """The constructive solution ∪_p ∩_{F ∋ p} F; requires existence.
 
     A completeness backstop of weight O(|base sets| * |P|).
     """
-    thetas: list[BoolCombination] = []
+    thetas: list[tuple] = []
     for p in range(inst.n_pos):
         bit = 1 << p
-        part: Optional[BoolCombination] = None
+        part: Optional[tuple] = None
         for i, bs in enumerate(inst.base_sets):
             if bs.members & bit:
-                leaf = Leaf(i, bs.weight)
-                part = leaf if part is None else Inter(part, leaf)
+                part = leaf(inst, i) if part is None else inter(part, leaf(inst, i))
         if part is None:
             raise ValueError(f"positive {p} is in no base set")
         thetas.append(part)
-    theta: BoolCombination = thetas[0]
+    theta = thetas[0]
     for part in thetas[1:]:
-        theta = Union(theta, part)
+        theta = union(theta, part)
     if not is_solution_combination(theta, inst):
         raise ValueError("existence check fails on this instance")
     return theta
@@ -146,10 +210,10 @@ def witness_solution(inst: BscInstance) -> BoolCombination:
 
 # --- the domination oracle ------------------------------------------------------
 
-def sat_and_weight(comb: BoolCombination, inst: BscInstance) -> tuple[int, int]:
+def sat_and_weight(comb: Optional[tuple], inst: BscInstance) -> tuple[int, int]:
     """The rows a combination classifies correctly, and its weight."""
-    ev = eval_combination(comb, inst.base_sets) & inst.universe
-    return sat_bits(ev, inst.pos_mask, inst.neg_mask), comb.weight
+    ev = rows_of(comb, inst) & inst.universe
+    return sat_bits(ev, inst.pos_mask, inst.neg_mask), weight_of(comb, inst)
 
 
 def base_set_scores(inst: BscInstance) -> list[tuple[int, int]]:
@@ -209,7 +273,7 @@ class HeapPools:
 def reference_beam(
     view: SubProblem, beam_width: int, max_weight: int, domination_k: int
 ) -> tuple[BeamResult, int]:
-    """The oracle for `boolcover._beam`: the same search with every
+    """The oracle for `boolcover.beam_search`: the same search with every
     candidate taken through the whole bookkeeping, nothing skipped, and
     the heap pools. Returns the result and the number of candidates."""
     posm, negm = view.pos_mask, view.neg_mask
@@ -218,12 +282,12 @@ def reference_beam(
     seen: set[int] = set()
     pools = HeapPools(domination_k)
     seq = n_candidates = 0
-    best = (Empty(), negm.bit_count(), 0)  # combination, score, weight
+    best = (None, negm.bit_count(), 0)  # combination, score, weight
 
-    def consider(eval_full: int, weight: int, comb: BoolCombination) -> bool:
+    def consider(comb: tuple, weight: int) -> bool:
         nonlocal seq, best, n_candidates
         n_candidates += 1
-        masked = eval_full & universe
+        masked = comb[0] & universe
         sat = sat_bits(masked, posm, negm)
         if sat == universe:
             return True
@@ -235,18 +299,18 @@ def reference_beam(
             return False
         if masked in seen or pools.dominated(weight, sat, seq):
             return False
-        if queue.add(score, seq, (comb, eval_full)):
+        if queue.add(score, seq, comb):
             seen.add(masked)
             pools.add(weight, sat, seq)
             seq += 1
         return False
 
-    def solved(comb: BoolCombination, iterations: int) -> tuple[BeamResult, int]:
+    def solved(comb: tuple, iterations: int) -> tuple[BeamResult, int]:
         return BeamResult(comb, True, universe.bit_count(), iterations), n_candidates
 
     for members, weight, index in view.sets:
-        if consider(members, weight, Leaf(index, weight)):
-            return solved(Leaf(index, weight), 0)
+        if consider((members, index, None, None), weight):
+            return solved((members, index, None, None), 0)
     iterations = 0
     k = 2
     while k + 1 <= max_weight and any(len(q) for q in queues.values()):
@@ -255,10 +319,10 @@ def reference_beam(
             if not len(queues.get(i, ())) or not len(queues.get(k - i, ())):
                 continue
             rights = queues[k - i].ordered()
-            for comb1, eval1 in queues[i].ordered():
-                for comb2, eval2 in rights:
-                    for make, value in ((Union, eval1 | eval2), (Inter, eval1 & eval2)):
-                        if consider(value, k + 1, make(comb1, comb2)):
-                            return solved(make(comb1, comb2), iterations)
+            for comb1 in queues[i].ordered():
+                for comb2 in rights:
+                    for comb in (union(comb1, comb2), inter(comb1, comb2)):
+                        if consider(comb, k + 1):
+                            return solved(comb, iterations)
         k += 1
     return BeamResult(best[0], False, best[1], iterations), n_candidates

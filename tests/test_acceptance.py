@@ -13,28 +13,15 @@ import random
 import time
 
 from ltlflearn.benchgen import TaskSpec, gen_task
-from ltlflearn.biteval import (
-    CharSequence,
-    cs_apply_binary,
-    cs_apply_unary,
-    cs_atom,
-    cs_bottom,
-    cs_top,
-    first_bits,
-    is_solution,
-    table_of,
-)
+from ltlflearn.biteval import first_bits, table_of
 from ltlflearn.boolcover import (
     BaseSet,
-    BoolCombination,
     BscInstance,
-    Inter,
-    Leaf,
     NoSolution,
-    Union,
     beam_search,
     div_conq,
     existence_check,
+    full_subproblem,
     reduce_instance,
 )
 from ltlflearn.formulas import (
@@ -57,13 +44,21 @@ from ltlflearn.traces import Alphabet, Sample, Trace
 
 from conftest import (
     base_set_scores,
+    bits_of,
     dominates,
     eval_reference_all,
     exact_undominated,
     finally_rounds,
+    inter,
     is_solution_combination,
+    leaf,
+    one_trace_sample,
     sat_and_weight,
+    string_of,
+    table_rows,
+    union,
     union_shaped_sample,
+    weight_of,
 )
 from test_boolcover import plant_witness, random_instance, witness_is_correct
 
@@ -88,9 +83,9 @@ def test_a01_worked_table_bit_exact_under_a_millisecond():
 
     elapsed = min(_timed(build) for _ in range(10))
     table, vector = build()
-    assert tuple(r.to_string() for r in table.rows) == ("10110", "1110", "0100", "100")
+    assert table_rows(table) == ["10110", "1110", "0100", "100"]
     assert (vector.n, vector.bits) == (4, 0b1011)
-    assert not is_solution(vector, sample)
+    assert vector.bits != (1 << sample.n_pos) - 1  # not a solution
     assert elapsed < 1e-3
     print(f"A1 pass: rows 10110/1110/0100/100, vector (1,1,0,1) "
           f"not a solution, {elapsed * 1e6:.0f} us")
@@ -103,15 +98,14 @@ def _timed(fn):
 
 
 def test_a02_finally_reaches_all_ones_after_shifts_1_2_4():
-    s = CharSequence.from_string("0000000100000001")
-    rounds = finally_rounds(s)
-    assert [r.to_string() for r in rounds[:3]] == [
+    rounds = finally_rounds(bits_of("0000000100000001"), 16)
+    assert [string_of(r, 16) for r in rounds[:3]] == [
         "0000001100000011",
         "0000111100001111",
         "1111111111111111",
     ]
-    assert rounds[1].to_string() != "1" * 16
-    assert all(r.bits == s.mask for r in rounds[2:])
+    assert string_of(rounds[1], 16) != "1" * 16
+    assert all(r == (1 << 16) - 1 for r in rounds[2:])
     print("A2 pass: or-shifts 1, 2, 4 give all-ones, bit-exact")
 
 
@@ -130,25 +124,6 @@ def _random_formula(rng: random.Random, n_props: int, budget: int):
     )
 
 
-_UNARY_TOKEN = {Not: "!", StrongNext: "X!", WeakNext: "X",
-                Finally: "F", Globally: "G"}
-_BINARY_TOKEN = {And: "&", Or: "|", Until: "U", Release: "R"}
-
-
-def _cs_of(phi, w: Trace) -> CharSequence:
-    if isinstance(phi, Atom):
-        return cs_atom(w, phi.prop)
-    if isinstance(phi, Top):
-        return cs_top(w.length)
-    if isinstance(phi, Bottom):
-        return cs_bottom(w.length)
-    if type(phi) in _UNARY_TOKEN:
-        return cs_apply_unary(_UNARY_TOKEN[type(phi)], _cs_of(phi.arg, w))
-    return cs_apply_binary(
-        _BINARY_TOKEN[type(phi)], _cs_of(phi.left, w), _cs_of(phi.right, w)
-    )
-
-
 def test_a03_bitwise_matches_reference_on_1e4_pairs():
     rng = random.Random(303)
     t0 = time.perf_counter()
@@ -159,9 +134,9 @@ def test_a03_bitwise_matches_reference_on_1e4_pairs():
         length = rng.randint(65, 100) if trial % 5 == 0 else rng.randint(1, 100)
         long_traces += length > 64
         w = Trace(tuple(rng.getrandbits(n_props) for _ in range(length)))
-        cs = _cs_of(phi, w)
+        bits = table_of(phi, one_trace_sample(w, n_props)).bits
         ref = eval_reference_all(phi, w)
-        got = [cs.bit(p) for p in range(1, length + 1)]
+        got = [bool(bits >> p & 1) for p in range(length)]
         assert got == ref, (phi, w)
     elapsed = time.perf_counter() - t0
     assert long_traces >= 2000
@@ -301,10 +276,9 @@ def test_a05_div_conq_complete_and_witnesses_correct():
 
 def _random_combination(rng: random.Random, inst: BscInstance, depth: int):
     if depth == 0 or rng.random() < 0.4:
-        i = rng.randrange(len(inst.base_sets))
-        return Leaf(i, inst.base_sets[i].weight)
-    op = Union if rng.random() < 0.5 else Inter
-    return op(
+        return leaf(inst, rng.randrange(len(inst.base_sets)))
+    make = union if rng.random() < 0.5 else inter
+    return make(
         _random_combination(rng, inst, depth - 1),
         _random_combination(rng, inst, depth - 1),
     )
@@ -312,19 +286,18 @@ def _random_combination(rng: random.Random, inst: BscInstance, depth: int):
 
 def _subterms(comb) -> list:
     out = [comb]
-    if isinstance(comb, (Union, Inter)):
-        out.extend(_subterms(comb.left))
-        out.extend(_subterms(comb.right))
+    if comb[2] is not None:
+        out.extend(_subterms(comb[2]))
+        out.extend(_subterms(comb[3]))
     return out
 
 
 def _substitute(comb, old, new):
     if comb == old:
         return new
-    if isinstance(comb, (Union, Inter)):
-        return type(comb)(
-            _substitute(comb.left, old, new), _substitute(comb.right, old, new)
-        )
+    if comb[2] is not None:
+        make = union if comb[1] == "|" else inter
+        return make(_substitute(comb[2], old, new), _substitute(comb[3], old, new))
     return comb
 
 
@@ -337,7 +310,7 @@ def test_a06_substituting_a_dominator_never_hurts():
         theta2 = rng.choice(_subterms(theta))
         scored2 = sat_and_weight(theta2, inst)
         candidates = [theta2]
-        candidates += [Leaf(i, bs.weight) for i, bs in enumerate(inst.base_sets)]
+        candidates += [leaf(inst, i) for i in range(len(inst.base_sets))]
         candidates += [_random_combination(rng, inst, 2) for _ in range(8)]
         valid = [c for c in candidates
                  if dominates(sat_and_weight(c, inst), scored2)]
@@ -354,10 +327,10 @@ def test_a06_substituting_a_dominator_never_hurts():
 
 
 def _canon(comb):
-    if isinstance(comb, Leaf):
-        return ("L", comb.index)
-    tag = "U" if isinstance(comb, Union) else "I"
-    return (tag,) + tuple(sorted((_canon(comb.left), _canon(comb.right))))
+    _, op, left, right = comb
+    if left is None:
+        return ("L", op)
+    return (op,) + tuple(sorted((_canon(left), _canon(right))))
 
 
 def test_a07_worked_cover_instance_is_solved_minimally():
@@ -366,22 +339,22 @@ def test_a07_worked_cover_instance_is_solved_minimally():
     phi3 = BaseSet(0b010111, 1)  # {p1, p2, p3, n2}
     inst = BscInstance(3, 3, (phi1, phi2, phi3))
 
-    result = beam_search(inst)
+    result = beam_search(full_subproblem(inst))
     assert result.is_solution
     comb = result.combination
-    assert comb.weight == 5
-    expected = Union(Leaf(0, 1), Inter(Leaf(1, 1), Leaf(2, 1)))
+    assert weight_of(comb, inst) == 5
+    expected = union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
     assert _canon(comb) == _canon(expected)
 
     def combos(weight):
         if weight == 1:
-            yield from (Leaf(i, 1) for i in range(3))
+            yield from (leaf(inst, i) for i in range(3))
             return
         for i in range(1, weight - 1):
             for left in combos(i):
                 for right in combos(weight - 1 - i):
-                    yield Union(left, right)
-                    yield Inter(left, right)
+                    yield union(left, right)
+                    yield inter(left, right)
 
     for w in range(1, 5):
         assert not any(is_solution_combination(c, inst) for c in combos(w))

@@ -1,20 +1,13 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltlflearn.biteval import (
-    WORD_BITS,
-    CharSequence,
-    CharVector,
-    cs_apply_binary,
-    cs_apply_unary,
-    cs_atom,
-    cs_bottom,
-    cs_top,
+    BINARY_KERNELS,
+    UNARY_KERNELS,
+    Layout,
     first_bits,
-    is_solution,
     table_of,
 )
 from ltlflearn.formulas import (
@@ -30,102 +23,112 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
+    eval_reference,
 )
+from ltlflearn.pipeline import separates
 from ltlflearn.traces import Alphabet, Sample, Trace
 
-from conftest import eval_reference_all, finally_rounds
+from conftest import (
+    bits_of,
+    eval_reference_all,
+    finally_rounds,
+    one_trace_sample,
+    string_of,
+    table_rows,
+)
 from test_acceptance import _random_formula
 
 AABAA = Trace((1, 1, 0, 1, 1))
 
 
-def cs(text: str) -> CharSequence:
-    return CharSequence.from_string(text)
+def unary(op: str, text: str) -> str:
+    """A unary kernel on one trace's bit string."""
+    return string_of(UNARY_KERNELS[op](bits_of(text), Layout((len(text),), 1)), len(text))
+
+
+def binary(op: str, text1: str, text2: str) -> str:
+    """A binary kernel on two bit strings of one trace."""
+    lay = Layout((len(text1),), 1)
+    return string_of(BINARY_KERNELS[op](bits_of(text1), bits_of(text2), lay), len(text1))
 
 
 # --- representation ---------------------------------------------------------
 
 def test_string_round_trip():
-    s = cs("10110")
-    assert s.length == 5
-    assert s.bits == 0b01101  # position p is bit p-1
-    assert s.to_string() == "10110"
+    # Position p of a trace is bit p-1 of its packed value.
+    assert bits_of("10110") == 0b01101
+    assert string_of(0b01101, 5) == "10110"
+    w = Trace((1, 0, 1, 1, 0))
+    assert table_of(Atom(0), one_trace_sample(w)).bits == bits_of("10110")
 
 
 def test_bit_accessor_is_one_indexed():
-    s = cs("10110")
-    assert [s.bit(p) for p in range(1, 6)] == [True, False, True, True, False]
-
-
-def test_padding_must_be_zero():
-    with pytest.raises(ValueError):
-        CharSequence(3, 0b1000)
-    with pytest.raises(ValueError):
-        CharSequence(0, 0)
-
-
-def test_words_are_little_endian():
-    s = CharSequence(130, 1 | (1 << 64) | (1 << 129))
-    assert len(s.words) == 3
-    assert s.words[0] == 1 and s.words[1] == 1 and s.words[2] == 2
-    assert all(w < (1 << WORD_BITS) for w in s.words)
+    # The reference counts positions from 1, the packed value from bit 0.
+    w = Trace((1, 0, 1, 1, 0))
+    bits = table_of(Atom(0), one_trace_sample(w)).bits
+    got = [bool(bits >> (p - 1) & 1) for p in range(1, 6)]
+    assert got == [eval_reference(Atom(0), w, p) for p in range(1, 6)]
+    assert got == [True, False, True, True, False]
 
 
 # --- operator kernels ---------------------------------------------------------
 
 def test_atom_reads_the_trace():
-    assert cs_atom(AABAA, 0).to_string() == "11011"
+    assert string_of(table_of(Atom(0), one_trace_sample(AABAA)).bits, 5) == "11011"
 
 
 def test_not_respects_padding():
-    s = cs_apply_unary("!", cs("11011"))
-    assert s.to_string() == "00100"
-    assert s.bits >> s.length == 0
+    bits = UNARY_KERNELS["!"](bits_of("11011"), Layout((5,), 1))
+    assert string_of(bits, 5) == "00100"
+    assert bits >> 5 == 0
 
 
 def test_strong_next_is_a_right_shift():
-    assert cs_apply_unary("X!", cs("11011")).to_string() == "10110"
+    assert unary("X!", "11011") == "10110"
 
 
 def test_weak_next_holds_at_last_position():
-    assert cs_apply_unary("X", cs("11011")).to_string() == "10111"
-    assert cs_apply_unary("X", cs("00000")).to_string() == "00001"
+    assert unary("X", "11011") == "10111"
+    assert unary("X", "00000") == "00001"
 
 
 def test_finally_spreads_backwards():
-    assert cs_apply_unary("F", cs("00100")).to_string() == "11100"
-    assert cs_apply_unary("F", cs("00000")).to_string() == "00000"
+    assert unary("F", "00100") == "11100"
+    assert unary("F", "00000") == "00000"
 
 
 def test_finally_rounds_double_the_shift():
-    rounds = finally_rounds(cs("0000000100000001"))
+    bits = bits_of("0000000100000001")
+    rounds = finally_rounds(bits, 16)
     assert len(rounds) == 4  # shifts 1, 2, 4, 8 for length 16
-    assert rounds[-1] == cs_apply_unary("F", cs("0000000100000001"))
+    assert rounds[-1] == UNARY_KERNELS["F"](bits, Layout((16,), 1))
 
 
 def test_globally_requires_suffix():
-    assert cs_apply_unary("G", cs("11011")).to_string() == "00011"
+    assert unary("G", "11011") == "00011"
 
 
 def test_until_on_the_worked_trace():
     # a U b on aabaa: b has CS 00100; holds at 1, 2, 3.
-    a = cs_atom(AABAA, 0)
-    b = cs_apply_unary("!", a)
-    assert cs_apply_binary("U", a, b).to_string() == "11100"
+    a = string_of(table_of(Atom(0), one_trace_sample(AABAA)).bits, 5)
+    assert binary("U", a, unary("!", a)) == "11100"
 
 
 def test_release_matches_its_definition():
-    a = cs("11010")
-    b = cs("01110")
-    direct = cs_apply_binary("R", a, b)
-    not_a, not_b = cs_apply_unary("!", a), cs_apply_unary("!", b)
-    via_duality = cs_apply_unary("!", cs_apply_binary("U", not_a, not_b))
-    assert direct == via_duality
+    a, b = "11010", "01110"
+    via_duality = unary("!", binary("U", unary("!", a), unary("!", b)))
+    assert binary("R", a, b) == via_duality
 
 
-def test_binary_kernels_reject_mixed_lengths():
-    with pytest.raises(ValueError):
-        cs_apply_binary("&", cs("10"), cs("101"))
+def test_binary_kernels_keep_mixed_lengths_apart():
+    # Two traces of lengths 2 and 3 in one layout: each trace's slice of
+    # a kernel's value is the kernel on that trace alone.
+    lay = Layout((2, 3), 1)
+    for op, kernel in BINARY_KERNELS.items():
+        for (x1, y1), (x2, y2) in [(("10", "01"), ("011", "110")),
+                                   (("11", "00"), ("101", "010"))]:
+            got = kernel(bits_of(x1 + x2), bits_of(y1 + y2), lay)
+            assert string_of(got, 5) == binary(op, x1, y1) + binary(op, x2, y2), op
 
 
 # --- tables -------------------------------------------------------------------
@@ -140,22 +143,20 @@ def worked_sample() -> Sample:
 
 def test_table_rows_follow_sample_order():
     t = table_of(StrongNext(Atom(0)), worked_sample())
-    assert [r.to_string() for r in t.rows] == ["10110", "1110", "0100", "100"]
+    assert table_rows(t) == ["10110", "1110", "0100", "100"]
 
 
 def test_first_bits_and_solution_flag():
     s = worked_sample()
+    # A formula separates iff its vector is all ones on the positives
+    # and all zeros on the negatives: exactly the positives' bits.
+    solution = (1 << s.n_pos) - 1
     v = first_bits(table_of(StrongNext(Atom(0)), s))
     assert (v.n, v.bits) == (4, 0b1011)
-    assert not is_solution(v, s)
+    assert v.bits != solution and not separates(StrongNext(Atom(0)), s)
     w = first_bits(table_of(Finally(Globally(Atom(0))), s))
     assert (w.n, w.bits) == (4, 0b0011)
-    assert is_solution(w, s)
-
-
-def test_is_solution_checks_width():
-    with pytest.raises(ValueError):
-        is_solution(CharVector(3, 0b011), worked_sample())
+    assert w.bits == solution and separates(Finally(Globally(Atom(0))), s)
 
 
 def test_table_cache_is_shared_across_calls():
@@ -190,10 +191,9 @@ FORMULAS = st.recursive(
 @settings(max_examples=400)
 def test_bitwise_matches_reference(phi, letters):
     w = Trace(tuple(letters))
-    sample = Sample(Alphabet(("a", "b")), (w,), ())
-    row = table_of(phi, sample).rows[0]
+    bits = table_of(phi, one_trace_sample(w, 2)).bits
     expected = eval_reference_all(phi, w)
-    assert [row.bit(p) for p in range(1, w.length + 1)] == expected
+    assert [bool(bits >> (p - 1) & 1) for p in range(1, w.length + 1)] == expected
 
 
 # --- packed samples: no bit crosses a trace boundary ---------------------------

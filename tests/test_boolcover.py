@@ -9,21 +9,15 @@ from ltlflearn.boolcover import (
     BaseSet,
     BeamResult,
     BscInstance,
-    Empty,
-    Inter,
-    Leaf,
     NoSolution,
     SubProblem,
-    Union,
     Witness,
     _BoundedQueue,
     _DominationPools,
-    _beam,
     _undominated,
     beam_search,
     collapse,
     div_conq,
-    eval_combination,
     existence_check,
     full_subproblem,
     reconstruct,
@@ -41,11 +35,17 @@ from conftest import (
     base_set_scores,
     dominates,
     exact_undominated,
+    inter,
     is_solution_combination,
+    leaf,
+    nodes_of,
     reference_beam,
     reference_collapse,
+    rows_of,
     sat_and_weight,
+    union,
     union_shaped_sample,
+    weight_of,
     witness_solution,
 )
 
@@ -77,27 +77,36 @@ def test_instance_masks():
 
 
 def test_combination_weights():
-    leaf = Leaf(0, 3)
-    assert Empty().weight == 0
-    assert leaf.weight == 3
-    assert Union(leaf, Leaf(1, 1)).weight == 5
-    assert Inter(Union(leaf, leaf), leaf).weight == 11
+    # The weight is the size of the reconstructed formula.
+    inst = BscInstance(1, 1, (
+        BaseSet(0b01, 3, Finally(Finally(Atom(0)))),
+        BaseSet(0b11, 1, Atom(1)),
+    ))
+    a, b = leaf(inst, 0), leaf(inst, 1)
+    assert weight_of(None, inst) == 0
+    assert weight_of(a, inst) == 3
+    assert weight_of(union(a, b), inst) == 5
+    comb = inter(union(a, a), a)
+    assert weight_of(comb, inst) == 11
+    assert reconstruct(comb, inst).size == 11
 
 
 def test_eval_combination():
+    # A combination carries its rows: union and intersection of its
+    # children's, with no evaluation afterwards.
     inst = worked_instance()
-    comb = Union(Leaf(0, 1), Inter(Leaf(1, 1), Leaf(2, 1)))
-    assert eval_combination(comb, inst.base_sets) == 0b000111
+    comb = union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
+    assert comb[0] == rows_of(comb, inst) == 0b000111
     assert is_solution_combination(comb, inst)
-    assert eval_combination(Empty(), inst.base_sets) == 0
+    assert rows_of(None, inst) == 0
 
 
 def test_eval_combination_handles_deep_trees():
     inst = BscInstance(1, 0, (BaseSet(1, 1),))
-    comb = Leaf(0, 1)
+    comb = leaf(inst, 0)
     for _ in range(5000):
-        comb = Union(comb, Leaf(0, 1))
-    assert eval_combination(comb, inst.base_sets) == 1
+        comb = union(comb, leaf(inst, 0))
+    assert comb[0] == rows_of(comb, inst) == 1
 
 
 def test_sat_bits_counts_both_sides():
@@ -172,8 +181,8 @@ def test_separable_instance_passes():
 def test_witness_solution_is_valid_but_heavy():
     inst = worked_instance()
     theta = witness_solution(inst)
-    assert eval_combination(theta, inst.base_sets) & inst.universe == inst.pos_mask
-    assert theta.weight >= 5
+    assert rows_of(theta, inst) & inst.universe == inst.pos_mask
+    assert weight_of(theta, inst) >= 5
 
 
 # --- domination ------------------------------------------------------------------
@@ -381,38 +390,39 @@ def test_bounded_queue_evicts_oldest_among_lowest():
 
 def test_beam_finds_single_set_solution_at_seeding():
     inst = BscInstance(2, 1, (BaseSet(0b011, 4),))
-    res = beam_search(inst)
+    res = beam_search(full_subproblem(inst))
     assert res.is_solution
-    assert res.combination == Leaf(0, 4)
+    assert res.combination == leaf(inst, 0)
     assert res.iterations == 0
 
 
 def test_beam_on_the_worked_instance():
-    res = beam_search(worked_instance())
+    inst = worked_instance()
+    res = beam_search(full_subproblem(inst))
     assert res.is_solution
-    assert res.combination == Union(Leaf(0, 1), Inter(Leaf(1, 1), Leaf(2, 1)))
-    assert res.combination.weight == 5
+    assert res.combination == union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
+    assert weight_of(res.combination, inst) == 5
 
 
 def test_beam_without_budget_returns_best():
     # max_weight 2 forbids any union or intersection (weight >= 3).
     inst = worked_instance()
-    res = beam_search(inst, max_weight=2)
+    res = beam_search(full_subproblem(inst), max_weight=2)
     assert not res.is_solution
     assert res.score < inst.universe.bit_count()
 
 
 def test_beam_on_empty_family_returns_empty_best():
     inst = BscInstance(1, 1, ())
-    res = beam_search(inst)
+    res = beam_search(full_subproblem(inst))
     assert not res.is_solution
-    assert res.combination == Empty()
+    assert res.combination is None
     assert res.score == 1  # right on the one negative
 
 
 def test_beam_stats_are_recorded():
     stats = {}
-    beam_search(worked_instance(), stats=stats)
+    beam_search(full_subproblem(worked_instance()), stats=stats)
     assert stats["beam_candidates"] > 0
 
 
@@ -423,7 +433,7 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     calls = []
     monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
     stats = {}
-    beam_search(inst, max_weight=12, stats=stats)
+    beam_search(full_subproblem(inst), max_weight=12, stats=stats)
     assert stats["beam_candidates"] > 10 * 4096
     # One check per weight level, plus one per 4096 candidates.
     assert len(calls) == stats["beam_iterations"] + stats["beam_candidates"] // 4096
@@ -452,7 +462,7 @@ def test_beam_answers_and_counts_like_the_reference_beam(
     view = SubProblem(pos_mask, universe ^ pos_mask,
                       tuple((m & universe, w, i) for i, (m, w) in enumerate(sets)))
     stats = {}
-    got = _beam(view, beam_width, max_weight, domination_k, None, stats)
+    got = beam_search(view, beam_width, max_weight, domination_k, None, stats)
     expected, n_candidates = reference_beam(view, beam_width, max_weight, domination_k)
     assert got == expected
     assert (stats["beam_candidates"], stats["beam_iterations"]) == (
@@ -461,8 +471,8 @@ def test_beam_answers_and_counts_like_the_reference_beam(
 
 def test_make_scored_matches_eval():
     inst = worked_instance()
-    comb = Union(Leaf(0, 1), Leaf(1, 1))
-    assert eval_combination(comb, inst.base_sets) == mask(0, 1, 2, 5)
+    comb = union(leaf(inst, 0), leaf(inst, 1))
+    assert comb[0] == mask(0, 1, 2, 5)
     # All positives right, negatives n0 and n1 excluded, n2 admitted.
     assert sat_and_weight(comb, inst) == (mask(0, 1, 2, 3, 4), 3)
 
@@ -539,13 +549,13 @@ def test_div_conq_base_case_picks_lightest_separating_set():
         BaseSet(mask(0), 2),
     ))
     out = div_conq(inst, seed=0)
-    assert out == Leaf(2, 2)
+    assert out == leaf(inst, 2)
 
 
 def test_div_conq_splits_when_the_solver_stalls():
     # A solver that never solves forces splitting all the way down.
     def stubborn(view):
-        return BeamResult(Empty(), False, 0, 0)
+        return BeamResult(None, False, 0, 0)
 
     inst = worked_instance()
     stats = {}
@@ -554,6 +564,29 @@ def test_div_conq_splits_when_the_solver_stalls():
     assert is_solution_combination(out, inst)
     assert stats["dc_splits"] >= 1
     assert stats["dc_depth"] >= 2
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 1023), st.integers(1, 4)), min_size=1, max_size=10),
+    st.integers(2, 9),
+    st.integers(0, 3),
+)
+@settings(max_examples=300)
+def test_answers_carry_the_rows_of_their_base_sets(n_pos, n_neg, sets, max_weight, seed):
+    # Every node's rows span the whole universe, also below a split,
+    # where the subproblems see only some of the rows.
+    inst = BscInstance(n_pos, n_neg, tuple(BaseSet(m, w) for m, w in sets))
+    beam = beam_search(full_subproblem(inst), beam_width=3, max_weight=max_weight)
+    answers = [beam.combination]
+    out = div_conq(inst, seed=seed, beam_width=3, max_weight=max_weight)
+    if not isinstance(out, NoSolution):
+        assert is_solution_combination(out, inst)
+        answers.append(out)
+    for comb in answers:
+        for node in nodes_of(comb):
+            assert node[0] == rows_of(node, inst) & inst.universe
 
 
 # --- reconstruction ------------------------------------------------------------
@@ -566,11 +599,11 @@ def test_reconstruct_maps_union_and_inter():
     )
     bank = bank_from_formulas(s, [Finally(Atom(0)), Finally(Atom(1))])
     inst, _ = collapse(bank, s)
-    comb = Inter(Leaf(0, 2), Leaf(1, 2))
+    comb = inter(leaf(inst, 0), leaf(inst, 1))
     phi = reconstruct(comb, inst)
     assert phi == And(Finally(Atom(0)), Finally(Atom(1)))
-    assert phi.size == comb.weight
-    assert reconstruct(Union(Leaf(0, 2), Leaf(1, 2)), inst) == Or(
+    assert phi.size == weight_of(comb, inst)
+    assert reconstruct(union(leaf(inst, 0), leaf(inst, 1)), inst) == Or(
         Finally(Atom(0)), Finally(Atom(1))
     )
 
@@ -578,7 +611,7 @@ def test_reconstruct_maps_union_and_inter():
 def test_reconstruct_rejects_empty():
     inst = worked_instance()
     with pytest.raises(ValueError):
-        reconstruct(Empty(), inst)
+        reconstruct(None, inst)
 
 
 def test_full_subproblem_masks_members():

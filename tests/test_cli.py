@@ -240,6 +240,22 @@ def test_bench_task_ops_keep_the_other_flags(tmp_path, capsys):
     assert (config["beam_width"], config["seed"]) == (7, 5)
 
 
+def test_empty_operators_flag_keeps_task_ops_in_learn_and_bench(tmp_path, capsys):
+    task = tmp_path / "ops.trace"
+    task.write_text("1;0\n---\n0;1\n---\nX!,&\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "family,n_props,trace_len,n_pos,n_neg,seed,params,formula,path\n"
+        f"hand,1,2,1,1,0,{{}},,{task}\n"
+    )
+    code, out, _ = run(capsys, "learn", str(task), "--operators", "", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["operators"] == ["X!", "&"]
+    code, out, _ = run(capsys, "bench", str(manifest), "--operators", "")
+    assert code == 0
+    assert json.loads(out)["config"]["operators"] == ["X!", "&"]
+
+
 def test_config_echo_has_every_config_field():
     echo = _config_echo(LearnerConfig())
     assert list(echo) == [f.name for f in dataclasses.fields(LearnerConfig)]
