@@ -36,8 +36,9 @@ to one bit per trace, bit i = trace i.
 
 `table_of` evaluates a formula tree bottom-up into a `CharTable`, its
 packed value with the layout to read it; `first_bits` gives the
-vector. Trace i's row is `bits >> offsets[i]`, masked to `lengths[i]`
-bits.
+vector. An operator node picks its kernel by its class's `token` from
+`UNARY_KERNELS` or `BINARY_KERNELS`, the tables enumeration uses too.
+Trace i's row is `bits >> offsets[i]`, masked to `lengths[i]` bits.
 """
 
 from __future__ import annotations
@@ -46,21 +47,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .formulas import (
-    And,
-    Atom,
-    Bottom,
-    Finally,
-    Formula,
-    Globally,
-    Not,
-    Or,
-    Release,
-    StrongNext,
-    Top,
-    Until,
-    WeakNext,
-)
+from .formulas import Atom, Bottom, Formula, Top
 from .traces import Sample, Trace
 
 
@@ -161,18 +148,6 @@ BINARY_KERNELS = {
     "U": k_until,
     "R": k_release,
 }
-_NODE_KERNELS = {
-    Not: k_not,
-    StrongNext: k_strong_next,
-    WeakNext: k_weak_next,
-    Finally: k_finally,
-    Globally: k_globally,
-    And: k_and,
-    Or: k_or,
-    Until: k_until,
-    Release: k_release,
-}
-
 
 # ---------------------------------------------------------------------------
 # Tables and vectors
@@ -220,18 +195,19 @@ def _table(phi: Formula, traces, layout: Layout, cache: dict) -> CharTable:
     if hit is not None:
         return hit
     cls = type(phi)
+    tok = getattr(cls, "token", None)  # operator nodes only
     if cls is Atom:
         bits = pack_atom(traces, phi.prop)
     elif cls is Top:
         bits = layout.full
     elif cls is Bottom:
         bits = 0
-    elif cls in (And, Or, Until, Release):
+    elif tok in BINARY_KERNELS:
         left = _table(phi.left, traces, layout, cache).bits
         right = _table(phi.right, traces, layout, cache).bits
-        bits = _NODE_KERNELS[cls](left, right, layout)
-    elif cls in _NODE_KERNELS:
-        bits = _NODE_KERNELS[cls](_table(phi.arg, traces, layout, cache).bits, layout)
+        bits = BINARY_KERNELS[tok](left, right, layout)
+    elif tok in UNARY_KERNELS:
+        bits = UNARY_KERNELS[tok](_table(phi.arg, traces, layout, cache).bits, layout)
     else:
         raise TypeError(f"not a formula node: {phi!r}")
     table = cache[phi] = CharTable(layout, bits)

@@ -611,33 +611,26 @@ def div_conq(
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 
-        def solve_rows(pos_mask: int, neg_mask: int) -> Union[tuple, NoSolution]:
+        split_pos = n_p >= n_n
+        half1, half2 = _split_mask(view.pos_mask if split_pos else view.neg_mask, rng)
+
+        def solve(half: int) -> Union[tuple, NoSolution]:
+            pos_mask, neg_mask = (half, view.neg_mask) if split_pos else (view.pos_mask, half)
             sets = _restricted(view.sets, pos_mask, neg_mask, domination_k, deadline)
             return recurse(SubProblem(pos_mask, neg_mask, sets), depth + 1)
 
-        if n_p >= n_n:
-            half1, half2 = _split_mask(view.pos_mask, rng)
-            first = solve_rows(half1, view.neg_mask)
-            if isinstance(first, NoSolution):
-                return first
-            remaining = half2 & ~first[0]
-            if remaining == 0:
-                return first
-            second = solve_rows(remaining, view.neg_mask)
-            if isinstance(second, NoSolution):
-                return second
-            return (first[0] | second[0], "|", first, second)
-
-        half1, half2 = _split_mask(view.neg_mask, rng)
-        first = solve_rows(view.pos_mask, half1)
+        first = solve(half1)
         if isinstance(first, NoSolution):
             return first
-        remaining = half2 & first[0]
+        # Keep the second half's rows that the first solution gets wrong.
+        remaining = half2 & (~first[0] if split_pos else first[0])
         if remaining == 0:
             return first
-        second = solve_rows(view.pos_mask, remaining)
+        second = solve(remaining)
         if isinstance(second, NoSolution):
             return second
+        if split_pos:
+            return (first[0] | second[0], "|", first, second)
         return (first[0] & second[0], "&", first, second)
 
     return recurse(full_subproblem(inst), 1)

@@ -21,7 +21,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from .benchgen import (
@@ -250,26 +250,32 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_worker(task_path: str, config: LearnerConfig,
-                  use_task_ops: bool = True) -> dict:
+def _bench_worker(task_path: str, args) -> dict:
     try:
         task = _read_task(task_path)
+        config = _config_from(args, task)
     except InputError as exc:
         return {"task": task_path, "status": "Error", "error": str(exc)}
-    cfg = config
-    if use_task_ops and task.op_names:
-        try:
-            cfg = dataclasses.replace(
-                config, operators=OperatorSet.from_names(task.op_names)
-            )
-        except ValueError as exc:
-            return {"task": task_path, "status": "Error", "error": str(exc)}
     try:
-        result = learn(task.sample, cfg)
+        result = learn(task.sample, config)
     except Exception as exc:  # a bug in one task must not end the run
         traceback.print_exc(file=sys.stderr)
         return {"task": task_path, "status": "Error", "error": _internal_error(exc)}
-    return _result_record(task_path, task.sample, result, cfg)
+    return _result_record(task_path, task.sample, result, config)
+
+
+def _bench_parallel(paths: list[str], args) -> list[dict]:
+    """_bench_worker on every path in a process pool, in path order. A dying
+    worker breaks the pool: the unfinished tasks get internal-error records."""
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(_bench_worker, path, args) for path in paths]
+        records = []
+        for path, future in zip(paths, futures):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool as exc:
+                records.append({"task": path, "status": "Error", "error": _internal_error(exc)})
+    return records
 
 
 def cmd_bench(args) -> int:
@@ -289,17 +295,12 @@ def cmd_bench(args) -> int:
             relative = os.path.join(os.path.dirname(args.manifest), path)
             path = relative if os.path.exists(relative) else path
         paths.append(path)
-    config = _config_from(args, None)
-    # A task file's operator line applies unless a non-empty --operators
-    # overrides it, as in learn.
-    use_task_ops = not args.operators
+    _config_from(args, None)  # bad flags stop the run before any task
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_worker, paths, repeat(config),
-                                    repeat(use_task_ops)))
+        records = _bench_parallel(paths, args)
     else:
-        records = [_bench_worker(path, config, use_task_ops) for path in paths]
+        records = [_bench_worker(path, args) for path in paths]
 
     for record in records:
         print(json.dumps(record))
@@ -328,20 +329,22 @@ def cmd_bench(args) -> int:
 
 
 def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ltl2bs-switch", type=int, default=8, metavar="SIZE",
-                        help="max formula size for direct enumeration (default 8)")
-    parser.add_argument("--beam-width", type=int, default=100, metavar="B",
-                        help="combinations kept per weight (default 100)")
-    parser.add_argument("--dc-switch", type=int, default=70, metavar="W",
-                        help="max combination weight before splitting (default 70)")
-    parser.add_argument("--domination-k", type=int, default=10, metavar="K",
-                        help="pool size for approximate domination (default 10)")
+    defaults = LearnerConfig()
+    parser.add_argument("--ltl2bs-switch", type=int, default=defaults.ltl2bs_switch,
+                        metavar="SIZE",
+                        help="max formula size for direct enumeration (default %(default)s)")
+    parser.add_argument("--beam-width", type=int, default=defaults.beam_width, metavar="B",
+                        help="combinations kept per weight (default %(default)s)")
+    parser.add_argument("--dc-switch", type=int, default=defaults.dc_switch, metavar="W",
+                        help="max combination weight before splitting (default %(default)s)")
+    parser.add_argument("--domination-k", type=int, default=defaults.domination_k, metavar="K",
+                        help="pool size for approximate domination (default %(default)s)")
     parser.add_argument("--operators", default=None, metavar="TOKENS",
                         help="comma-separated operator tokens, e.g. 'X!,F,&,|'")
-    parser.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
-                        help="per-task budget; <= 0 disables (default 60)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the divide-and-conquer splits (default 0)")
+    parser.add_argument("--timeout", type=float, default=defaults.timeout, metavar="SECONDS",
+                        help="per-task budget; <= 0 disables (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="seed for the divide-and-conquer splits (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

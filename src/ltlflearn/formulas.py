@@ -11,9 +11,14 @@ positions. The shortcut operators expand as
 and every operator, shortcuts included, counts as one node toward a
 formula's size.
 
-`eval_reference` is the correctness oracle for the bit-parallel engine:
-it follows the defining clauses directly, with plain position scans for
-the quantifiers, and shares nothing with the word-level implementation.
+Each operator class carries its text token as the class attribute
+`token`, and every operator table is keyed by it.
+
+`eval_reference` is the correctness oracle for the bit-parallel engine
+and shares nothing with it. On one trace it gives every subformula a
+list of bools, one per position, bottom-up through the per-token
+tables `UNARY_REFERENCE` and `BINARY_REFERENCE`: X! and X shift the
+list, and F, G, U and R are one backward scan each.
 
 Text grammar: prefix unary operators X!, X, F, G, ! and infix binary
 &, |, U, R with precedence unary > & > | > U = R; the binary temporal
@@ -24,6 +29,8 @@ are always accepted. `true` and `false` are literals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from .traces import Alphabet, Trace, is_valid_prop_name
@@ -87,38 +94,47 @@ class _Binary(Formula):
 
 class Not(_Unary):
     """!phi."""
+    token = "!"
 
 
 class StrongNext(_Unary):
     """X! phi: there is a next position and phi holds there."""
+    token = "X!"
 
 
 class WeakNext(_Unary):
     """X phi: phi holds at the next position if there is one."""
+    token = "X"
 
 
 class Finally(_Unary):
     """F phi: phi holds at some position from here on."""
+    token = "F"
 
 
 class Globally(_Unary):
     """G phi: phi holds at every position from here on."""
+    token = "G"
 
 
 class And(_Binary):
     """phi & psi."""
+    token = "&"
 
 
 class Or(_Binary):
     """phi | psi."""
+    token = "|"
 
 
 class Until(_Binary):
     """phi U psi: psi holds at some position, and phi at every one before."""
+    token = "U"
 
 
 class Release(_Binary):
     """phi R psi, the standard dual of Until: !((!phi) U (!psi))."""
+    token = "R"
 
 
 def _node_hash(node: Formula) -> int:
@@ -130,28 +146,16 @@ def _node_hash(node: Formula) -> int:
     return h
 
 
+# __subclasses__() lists classes in definition order, which fixes the hash tags.
+_UNARY_CLASSES: dict[str, type] = {cls.token: cls for cls in _Unary.__subclasses__()}
+_BINARY_CLASSES: dict[str, type] = {cls.token: cls for cls in _Binary.__subclasses__()}
+
 # Per node class: its tag and the fields its hash reads (those == compares).
 _HASH_KEYS: dict[type, tuple[int, tuple[str, ...]]] = {}
-for _tag, _cls in enumerate((Atom, Top, Bottom, Not, StrongNext, WeakNext, Finally, Globally,
-                             And, Or, Until, Release)):
+for _tag, _cls in enumerate((Atom, Top, Bottom, *_UNARY_CLASSES.values(),
+                             *_BINARY_CLASSES.values())):
     _HASH_KEYS[_cls] = (_tag, tuple(f.name for f in fields(_cls) if f.compare))
     _cls.__hash__ = _node_hash
-
-_UNARY_CLASSES: dict[str, type] = {
-    "!": Not,
-    "X!": StrongNext,
-    "X": WeakNext,
-    "F": Finally,
-    "G": Globally,
-}
-_BINARY_CLASSES: dict[str, type] = {
-    "&": And,
-    "|": Or,
-    "U": Until,
-    "R": Release,
-}
-_UNARY_TOKEN = {cls: tok for tok, cls in _UNARY_CLASSES.items()}
-_BINARY_TOKEN = {cls: tok for tok, cls in _BINARY_CLASSES.items()}
 
 
 def build_unary(token: str, arg: Formula) -> Formula:
@@ -170,8 +174,8 @@ class OperatorSet:
     ops_line and everywhere else in the library.
     """
 
-    unary: tuple[str, ...] = ("!", "X!", "X", "F", "G")
-    binary: tuple[str, ...] = ("&", "|", "U")
+    unary: tuple[str, ...] = tuple(_UNARY_CLASSES)
+    binary: tuple[str, ...] = (And.token, Or.token, Until.token)
 
     def __post_init__(self):
         for tok in self.unary:
@@ -213,62 +217,63 @@ DEFAULT_OPERATORS = OperatorSet()
 # Reference evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(phi: Formula, w: Trace, k: int, memo: dict) -> bool:
-    key = (id(phi), k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    length = w.length
-    if isinstance(phi, Atom):
-        val = bool(w.letters[k - 1] >> phi.prop & 1)
-    elif isinstance(phi, Top):
-        val = True
-    elif isinstance(phi, Bottom):
-        val = False
-    elif isinstance(phi, Not):
-        val = not _eval(phi.arg, w, k, memo)
-    elif isinstance(phi, And):
-        val = _eval(phi.left, w, k, memo) and _eval(phi.right, w, k, memo)
-    elif isinstance(phi, Or):
-        val = _eval(phi.left, w, k, memo) or _eval(phi.right, w, k, memo)
-    elif isinstance(phi, StrongNext):
-        val = k < length and _eval(phi.arg, w, k + 1, memo)
-    elif isinstance(phi, WeakNext):
-        val = k == length or _eval(phi.arg, w, k + 1, memo)
-    elif isinstance(phi, Finally):
-        val = any(_eval(phi.arg, w, i, memo) for i in range(k, length + 1))
-    elif isinstance(phi, Globally):
-        val = all(_eval(phi.arg, w, i, memo) for i in range(k, length + 1))
-    elif isinstance(phi, Until):
-        # Exists i in [k, length] with right at i and left on [k, i-1].
-        val = False
-        for i in range(k, length + 1):
-            if _eval(phi.right, w, i, memo):
-                val = True
-                break
-            if not _eval(phi.left, w, i, memo):
-                break
-    elif isinstance(phi, Release):
-        # !((!left) U (!right)): right holds up to and including the first
-        # position where left holds, or throughout if left never does.
-        val = True
-        for i in range(k, length + 1):
-            if not _eval(phi.right, w, i, memo):
-                val = False
-                break
-            if _eval(phi.left, w, i, memo):
-                break
-    else:
-        raise TypeError(f"not a formula node: {phi!r}")
-    memo[key] = val
-    return val
+def _until_scan(left: list[bool], right: list[bool]) -> list[bool]:
+    # Backwards: U holds at p iff right does, or left does and U holds at p+1.
+    out, acc = [], False
+    for a, b in zip(reversed(left), reversed(right)):
+        acc = b or (a and acc)
+        out.append(acc)
+    return out[::-1]
+
+
+def _release_scan(left: list[bool], right: list[bool]) -> list[bool]:
+    # Backwards: R holds at p iff right does, and left does or R holds at p+1.
+    out, acc = [], True
+    for a, b in zip(reversed(left), reversed(right)):
+        acc = b and (a or acc)
+        out.append(acc)
+    return out[::-1]
+
+
+# Per operator token: the argument values at every position in, the
+# operator's values at every position out.
+UNARY_REFERENCE = {
+    Not.token: lambda v: [not x for x in v],
+    StrongNext.token: lambda v: v[1:] + [False],
+    WeakNext.token: lambda v: v[1:] + [True],
+    Finally.token: lambda v: list(accumulate(reversed(v), or_))[::-1],
+    Globally.token: lambda v: list(accumulate(reversed(v), and_))[::-1],
+}
+BINARY_REFERENCE = {
+    And.token: lambda v1, v2: [a and b for a, b in zip(v1, v2)],
+    Or.token: lambda v1, v2: [a or b for a, b in zip(v1, v2)],
+    Until.token: _until_scan,
+    Release.token: _release_scan,
+}
+
+
+def _values(phi: Formula, letters: tuple[int, ...]) -> list[bool]:
+    cls = type(phi)
+    if cls is Atom:
+        return [bool(letter >> phi.prop & 1) for letter in letters]
+    if cls is Top or cls is Bottom:
+        return [cls is Top] * len(letters)
+    if isinstance(phi, _Unary):
+        return UNARY_REFERENCE[phi.token](_values(phi.arg, letters))
+    if isinstance(phi, _Binary):
+        return BINARY_REFERENCE[phi.token](_values(phi.left, letters), _values(phi.right, letters))
+    raise TypeError(f"not a formula node: {phi!r}")
 
 
 def eval_reference(phi: Formula, w: Trace, k: int) -> bool:
-    """Whether the suffix w[k..] satisfies phi, by direct recursion."""
+    """Whether the suffix w[k..] satisfies phi.
+
+    Each subformula's values at every position of w are computed
+    bottom-up, through the per-token tables above.
+    """
     if not 1 <= k <= w.length:
         raise ValueError(f"position {k} out of range 1..{w.length}")
-    return _eval(phi, w, k, {})
+    return _values(phi, w.letters)[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,10 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"at offset {pos}: {message}")
 
 
+# Parentheses and the operator tokens that do not start with a letter.
+_SYMBOLS = "()" + "".join(t for t in (*_UNARY_CLASSES, *_BINARY_CLASSES) if not t[0].isalpha())
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     i = 0
@@ -289,7 +298,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c in "()&|!":
+        elif c in _SYMBOLS:
             tokens.append((c, i))
             i += 1
         elif c.isalpha() or c == "_":
@@ -297,8 +306,8 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word == "X" and j < n and text[j] == "!":
-                tokens.append(("X!", i))
+            if text[j:j + 1] and word + text[j] in _UNARY_CLASSES:  # X!
+                tokens.append((word + text[j], i))
                 i = j + 1
             else:
                 tokens.append((word, i))
@@ -334,7 +343,7 @@ class _Parser:
 
     def temporal(self) -> Formula:
         left = self.disjunction()
-        if self.peek() in ("U", "R"):
+        if self.peek() in (Until.token, Release.token):
             tok, _ = self.next()
             right = self.temporal()  # right-associative
             return build_binary(tok, left, right)
@@ -342,14 +351,14 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
-        while self.peek() == "|":
+        while self.peek() == Or.token:
             self.next()
             left = Or(left, self.conjunction())
         return left
 
     def conjunction(self) -> Formula:
         left = self.unary()
-        while self.peek() == "&":
+        while self.peek() == And.token:
             self.next()
             left = And(left, self.unary())
         return left
@@ -399,31 +408,19 @@ def _render(phi: Formula, alphabet: Alphabet) -> tuple[str, int]:
         return "true", _PREC_TIGHT
     if cls is Bottom:
         return "false", _PREC_TIGHT
-    if cls in _UNARY_TOKEN:
+    if isinstance(phi, _Unary):
         arg, _ = _render(phi.arg, alphabet)
-        return f"{_UNARY_TOKEN[cls]}({arg})", _PREC_TIGHT
-    tok = _BINARY_TOKEN[cls]
-    if cls is And:
-        prec = _PREC_AND
-    elif cls is Or:
-        prec = _PREC_OR
-    else:
-        prec = _PREC_TEMPORAL
+        return f"{phi.token}({arg})", _PREC_TIGHT
+    prec = _PREC_AND if cls is And else _PREC_OR if cls is Or else _PREC_TEMPORAL
     left, lp = _render(phi.left, alphabet)
     right, rp = _render(phi.right, alphabet)
-    if cls in (And, Or):
-        # Left-associative: parenthesize an equal-precedence right child.
-        if lp < prec:
-            left = f"({left})"
-        if rp <= prec:
-            right = f"({right})"
-    else:
-        # Right-associative: parenthesize an equal-precedence left child.
-        if lp <= prec:
-            left = f"({left})"
-        if rp < prec:
-            right = f"({right})"
-    return f"{left} {tok} {right}", prec
+    # & and | are left-associative, U and R right-associative: a child of
+    # equal precedence is parenthesized on the side it does not bind to.
+    if lp < prec or (lp == prec and cls not in (And, Or)):
+        left = f"({left})"
+    if rp < prec or (rp == prec and cls in (And, Or)):
+        right = f"({right})"
+    return f"{left} {phi.token} {right}", prec
 
 
 def render_formula(phi: Formula, alphabet: Alphabet) -> str:

@@ -6,7 +6,7 @@ the retained formulas collapse into a set-cover instance, an existence
 check either produces an unseparable witness pair or guarantees a
 solution, and the cover solver (beam search wrapped in divide and
 conquer) assembles one from unions and intersections of enumerated
-formulas. Every solution is re-verified against the recursive
+formulas. Every solution is re-verified against the reference
 semantics before it is returned.
 """
 
@@ -34,7 +34,7 @@ from .traces import Sample
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Tuning knobs; the defaults match the command-line defaults."""
+    """Tuning knobs."""
 
     operators: OperatorSet = DEFAULT_OPERATORS
     ltl2bs_switch: int = 8  # max size for the direct enumeration phase
@@ -80,7 +80,7 @@ class VerificationError(AssertionError):
 
 def separates(phi: Formula, sample: Sample) -> bool:
     """Whether phi holds on every positive trace and no negative one,
-    under the recursive reference semantics."""
+    under the reference semantics."""
     return all(
         eval_reference(phi, w, 1) for w in sample.positives
     ) and not any(eval_reference(phi, w, 1) for w in sample.negatives)

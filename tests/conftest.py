@@ -7,12 +7,80 @@ from typing import Optional
 from ltlflearn.biteval import CharTable, Layout, table_of
 from ltlflearn.boolcover import BaseSet, BeamResult, BscInstance, SubProblem, _BoundedQueue, sat_bits
 from ltlflearn.enumeration import FormulaBank
-from ltlflearn.formulas import And, Atom, Finally, Formula, Or, StrongNext, _eval, eval_reference
+from ltlflearn.formulas import (
+    And,
+    Atom,
+    Bottom,
+    Finally,
+    Formula,
+    Globally,
+    Not,
+    Or,
+    Release,
+    StrongNext,
+    Top,
+    Until,
+    WeakNext,
+    eval_reference,
+)
 from ltlflearn.traces import Alphabet, Sample, Trace
 
 
+# --- the oracle's oracle: LTLf semantics by direct recursion, position by position ---
+
+def _eval(phi: Formula, w: Trace, k: int, memo: dict) -> bool:
+    key = (id(phi), k)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    length = w.length
+    if isinstance(phi, Atom):
+        val = bool(w.letters[k - 1] >> phi.prop & 1)
+    elif isinstance(phi, Top):
+        val = True
+    elif isinstance(phi, Bottom):
+        val = False
+    elif isinstance(phi, Not):
+        val = not _eval(phi.arg, w, k, memo)
+    elif isinstance(phi, And):
+        val = _eval(phi.left, w, k, memo) and _eval(phi.right, w, k, memo)
+    elif isinstance(phi, Or):
+        val = _eval(phi.left, w, k, memo) or _eval(phi.right, w, k, memo)
+    elif isinstance(phi, StrongNext):
+        val = k < length and _eval(phi.arg, w, k + 1, memo)
+    elif isinstance(phi, WeakNext):
+        val = k == length or _eval(phi.arg, w, k + 1, memo)
+    elif isinstance(phi, Finally):
+        val = any(_eval(phi.arg, w, i, memo) for i in range(k, length + 1))
+    elif isinstance(phi, Globally):
+        val = all(_eval(phi.arg, w, i, memo) for i in range(k, length + 1))
+    elif isinstance(phi, Until):
+        # Exists i in [k, length] with right at i and left on [k, i-1].
+        val = False
+        for i in range(k, length + 1):
+            if _eval(phi.right, w, i, memo):
+                val = True
+                break
+            if not _eval(phi.left, w, i, memo):
+                break
+    elif isinstance(phi, Release):
+        # !((!left) U (!right)): right holds up to and including the first
+        # position where left holds, or throughout if left never does.
+        val = True
+        for i in range(k, length + 1):
+            if not _eval(phi.right, w, i, memo):
+                val = False
+                break
+            if _eval(phi.left, w, i, memo):
+                break
+    else:
+        raise TypeError(f"not a formula node: {phi!r}")
+    memo[key] = val
+    return val
+
+
 def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
-    """eval_reference at every position, sharing one memo across positions."""
+    """The recursive semantics at every position, sharing one memo."""
     memo: dict = {}
     return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
 

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from ltlflearn.cli import _config_echo, main
+from ltlflearn.cli import _config_echo, build_parser, main
 from ltlflearn.formulas import parse_formula
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import parse_task, serialize_sample
@@ -307,3 +310,51 @@ def test_bench_missing_file_is_an_error_record(tmp_path, capsys):
     assert code == 3
     assert json.loads(out)["status"] == "Error"
     assert "error 1" in err
+
+
+def test_learner_flag_defaults_are_the_config_defaults():
+    defaults = LearnerConfig()
+    for command in (["learn", "task.trace"], ["bench", "manifest.csv"]):
+        args = build_parser().parse_args(command)
+        assert args.ltl2bs_switch == defaults.ltl2bs_switch
+        assert args.beam_width == defaults.beam_width
+        assert args.dc_switch == defaults.dc_switch
+        assert args.domination_k == defaults.domination_k
+        assert args.timeout == defaults.timeout
+        assert args.seed == defaults.seed
+        assert args.operators is None  # the task's operator line, else the default set
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched learn")
+def test_bench_jobs_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "bench"
+    main(["generate", "--family", "ordered-sequence", "--n", "2",
+          "--count", "3", "--out", str(out_dir)])
+    paths = capsys.readouterr().out.split()
+    samples = [parse_task(open(path).read()).sample for path in paths]
+
+    def learn_dying_on_the_second_task(sample, config):
+        index = samples.index(sample)
+        if index != 1:
+            result = learn(sample, config)
+            (tmp_path / f"done{index}").touch()
+            return result
+        # Die only once both other tasks are done, so that which records
+        # survive does not depend on timing.
+        give_up = time.monotonic() + 60
+        while not all((tmp_path / f"done{i}").exists() for i in (0, 2)):
+            if time.monotonic() > give_up:
+                break
+            time.sleep(0.01)
+        time.sleep(0.5)  # let the other worker's record reach the pool
+        os._exit(1)
+
+    monkeypatch.setattr("ltlflearn.cli.learn", learn_dying_on_the_second_task)
+    code, out, err = run(capsys, "bench", str(out_dir / "manifest.csv"), "--jobs", "2")
+    assert code == 4
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["task"] for r in records] == paths
+    assert [r["status"] for r in records] == ["Solved", "Error", "Solved"]
+    assert records[1]["error"].startswith("internal error: BrokenProcessPool: ")
+    assert "solved 2/3" in err and "error 1" in err

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltlflearn import traces
+from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS
 from ltlflearn.formulas import (
+    BINARY_REFERENCE,
     DEFAULT_OPERATORS,
+    UNARY_REFERENCE,
     And,
     Atom,
     Bottom,
@@ -22,6 +26,8 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
+    build_binary,
+    build_unary,
     eval_reference,
     parse_formula,
     render_formula,
@@ -130,6 +136,33 @@ def test_default_operator_set():
     assert DEFAULT_OPERATORS.binary == ("&", "|", "U")  # R is opt-in
 
 
+UNARY_CLASSES = (Not, StrongNext, WeakNext, Finally, Globally)
+BINARY_CLASSES = (And, Or, Until, Release)
+
+
+def test_each_token_names_one_operator_everywhere():
+    unary = tuple(cls.token for cls in UNARY_CLASSES)
+    binary = tuple(cls.token for cls in BINARY_CLASSES)
+    assert unary == ("!", "X!", "X", "F", "G")
+    assert binary == ("&", "|", "U", "R")
+    for cls in UNARY_CLASSES:
+        phi = build_unary(cls.token, Atom(0))
+        assert type(phi) is cls
+        assert render_formula(phi, ALPHA2) == f"{cls.token}(a)"
+        assert parse_formula(render_formula(phi, ALPHA2), ALPHA2) == phi
+    for cls in BINARY_CLASSES:
+        phi = build_binary(cls.token, Atom(0), Atom(1))
+        assert type(phi) is cls
+        assert render_formula(phi, ALPHA2) == f"a {cls.token} b"
+        assert parse_formula(render_formula(phi, ALPHA2), ALPHA2) == phi
+    assert tuple(UNARY_KERNELS) == tuple(UNARY_REFERENCE) == unary
+    assert tuple(BINARY_KERNELS) == tuple(BINARY_REFERENCE) == binary
+    everything = OperatorSet.from_names(unary + binary)
+    assert (everything.unary, everything.binary) == (unary, binary)
+    assert traces.UNARY_TOKENS == unary and traces.BINARY_TOKENS == binary
+    assert traces.OPERATOR_TOKENS == set(unary + binary)
+
+
 def test_from_names_partitions_and_validates():
     ops = OperatorSet.from_names(["F", "&", "X!", "|"])
     assert ops.unary == ("X!", "F")
@@ -207,6 +240,14 @@ FORMULAS = st.recursive(
 @settings(max_examples=300)
 def test_render_parse_round_trip(phi):
     assert parse_formula(render_formula(phi, ALPHA2), ALPHA2) == phi
+
+
+@given(FORMULAS, st.lists(st.integers(0, 3), min_size=1, max_size=100))
+@settings(max_examples=400)
+def test_list_evaluator_matches_the_recursive_semantics(phi, letters):
+    w = Trace(tuple(letters))
+    got = [eval_reference(phi, w, k) for k in range(1, w.length + 1)]
+    assert got == eval_reference_all(phi, w)
 
 
 @given(FORMULAS, st.lists(st.integers(0, 3), min_size=1, max_size=8))
