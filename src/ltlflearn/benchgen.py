@@ -272,18 +272,6 @@ def manifest_row(spec: TaskSpec, formula: Optional[Formula], path: str) -> dict:
     }
 
 
-def spec_from_manifest_row(row: dict) -> TaskSpec:
-    return TaskSpec(
-        family=row["family"],
-        n_props=int(row["n_props"]),
-        trace_len=int(row["trace_len"]),
-        n_pos=int(row["n_pos"]),
-        n_neg=int(row["n_neg"]),
-        seed=int(row["seed"]),
-        params=json.loads(row["params"]) if row.get("params") else {},
-    )
-
-
 def write_manifest(path: str, rows: Sequence[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")

@@ -195,7 +195,7 @@ def _table(phi: Formula, traces, layout: Layout, cache: dict) -> CharTable:
     if hit is not None:
         return hit
     cls = type(phi)
-    tok = getattr(cls, "token", None)  # operator nodes only
+    tok = getattr(cls, "token", None)  # None for atoms
     if cls is Atom:
         bits = pack_atom(traces, phi.prop)
     elif cls is Top:

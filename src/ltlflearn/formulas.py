@@ -20,20 +20,24 @@ list of bools, one per position, bottom-up through the per-token
 tables `UNARY_REFERENCE` and `BINARY_REFERENCE`: X! and X shift the
 list, and F, G, U and R are one backward scan each.
 
-Text grammar: prefix unary operators X!, X, F, G, ! and infix binary
-&, |, U, R with precedence unary > & > | > U = R; the binary temporal
-operators are right-associative, & and | left-associative; parentheses
-are always accepted. `true` and `false` are literals.
+Text grammar: the prefix unary operators bind tightest, then the infix
+binary operators, and parentheses are always accepted. Each binary
+class declares its binding strength `prec` and its associativity
+`right_assoc` beside its token, and Top and Bottom declare the literal
+words as their `token`. The parser, the renderer and the rule for
+proposition names (`is_valid_prop_name`) all read these declarations.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import and_, or_
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .traces import Alphabet, Trace, is_valid_prop_name
+if TYPE_CHECKING:
+    from .traces import Alphabet, Trace
 
 
 class Formula:
@@ -62,11 +66,13 @@ class Atom(Formula):
 @dataclass(frozen=True)
 class Top(Formula):
     size: int = field(default=1, init=False, repr=False, compare=False)
+    token = "true"
 
 
 @dataclass(frozen=True)
 class Bottom(Formula):
     size: int = field(default=1, init=False, repr=False, compare=False)
+    token = "false"
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,11 @@ class _Unary(Formula):
 
 @dataclass(frozen=True)
 class _Binary(Formula):
-    """An operator node with two arguments; size 1 + both sizes."""
+    """An operator node with two arguments; size 1 + both sizes.
+
+    Each subclass declares its binding strength `prec` (higher binds
+    tighter) and whether it is right-associative.
+    """
 
     left: Formula
     right: Formula
@@ -119,22 +129,22 @@ class Globally(_Unary):
 
 class And(_Binary):
     """phi & psi."""
-    token = "&"
+    token, prec, right_assoc = "&", 3, False
 
 
 class Or(_Binary):
     """phi | psi."""
-    token = "|"
+    token, prec, right_assoc = "|", 2, False
 
 
 class Until(_Binary):
     """phi U psi: psi holds at some position, and phi at every one before."""
-    token = "U"
+    token, prec, right_assoc = "U", 1, True
 
 
 class Release(_Binary):
     """phi R psi, the standard dual of Until: !((!phi) U (!psi))."""
-    token = "R"
+    token, prec, right_assoc = "R", 1, True
 
 
 def _node_hash(node: Formula) -> int:
@@ -286,8 +296,22 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"at offset {pos}: {message}")
 
 
+_LITERAL_CLASSES: dict[str, type] = {cls.token: cls for cls in (Top, Bottom)}
+OPERATOR_TOKENS = frozenset((*_UNARY_CLASSES, *_BINARY_CLASSES))
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The grammar's words that are identifiers, and so could pass for names.
+RESERVED_NAMES = frozenset(
+    word for word in (*OPERATOR_TOKENS, *_LITERAL_CLASSES) if _NAME_RE.match(word)
+)
+
+
+def is_valid_prop_name(name: str) -> bool:
+    return bool(_NAME_RE.match(name)) and name not in RESERVED_NAMES
+
+
 # Parentheses and the operator tokens that do not start with a letter.
-_SYMBOLS = "()" + "".join(t for t in (*_UNARY_CLASSES, *_BINARY_CLASSES) if not t[0].isalpha())
+_SYMBOLS = "()" + "".join(t for t in OPERATOR_TOKENS if not t[0].isalpha())
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -319,49 +343,37 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [(None, len(text))]  # None: end of input
         self.pos = 0
         self.alphabet = alphabet
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0]
 
     def next(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        tok = self.tokens[self.pos]
+        tok, at = self.tokens[self.pos]
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", at)
         self.pos += 1
-        return tok
+        return tok, at
 
     def parse(self) -> Formula:
-        phi = self.temporal()
-        if self.pos < len(self.tokens):
-            tok, at = self.tokens[self.pos]
+        phi = self.binary(0)
+        tok, at = self.tokens[self.pos]
+        if tok is not None:
             raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
         return phi
 
-    def temporal(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() in (Until.token, Release.token):
-            tok, _ = self.next()
-            right = self.temporal()  # right-associative
-            return build_binary(tok, left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == Or.token:
-            self.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
+    def binary(self, min_prec: int) -> Formula:
+        """Operands joined by binary operators that bind at least min_prec."""
         left = self.unary()
-        while self.peek() == And.token:
+        while True:
+            cls = _BINARY_CLASSES.get(self.peek())
+            if cls is None or cls.prec < min_prec:
+                return left
             self.next()
-            left = And(left, self.unary())
-        return left
+            # Right-associative: an equally strong chain is the right operand.
+            left = cls(left, self.binary(cls.prec if cls.right_assoc else cls.prec + 1))
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -373,15 +385,13 @@ class _Parser:
     def atom(self) -> Formula:
         tok, at = self.next()
         if tok == "(":
-            phi = self.temporal()
+            phi = self.binary(0)
             closing, cat = self.next()
             if closing != ")":
                 raise FormulaSyntaxError(f"expected ')', got {closing!r}", cat)
             return phi
-        if tok == "true":
-            return Top()
-        if tok == "false":
-            return Bottom()
+        if tok in _LITERAL_CLASSES:
+            return _LITERAL_CLASSES[tok]()
         if is_valid_prop_name(tok):
             try:
                 return Atom(self.alphabet.index(tok))
@@ -394,9 +404,6 @@ def parse_formula(text: str, alphabet: Alphabet) -> Formula:
     return _Parser(text, alphabet).parse()
 
 
-_PREC_TEMPORAL = 1
-_PREC_OR = 2
-_PREC_AND = 3
 _PREC_TIGHT = 4  # atoms and prefix operators, which self-delimit
 
 
@@ -404,21 +411,19 @@ def _render(phi: Formula, alphabet: Alphabet) -> tuple[str, int]:
     cls = type(phi)
     if cls is Atom:
         return alphabet.props[phi.prop], _PREC_TIGHT
-    if cls is Top:
-        return "true", _PREC_TIGHT
-    if cls is Bottom:
-        return "false", _PREC_TIGHT
+    if cls in _LITERAL_CLASSES.values():
+        return phi.token, _PREC_TIGHT
     if isinstance(phi, _Unary):
         arg, _ = _render(phi.arg, alphabet)
         return f"{phi.token}({arg})", _PREC_TIGHT
-    prec = _PREC_AND if cls is And else _PREC_OR if cls is Or else _PREC_TEMPORAL
+    prec = cls.prec
     left, lp = _render(phi.left, alphabet)
     right, rp = _render(phi.right, alphabet)
-    # & and | are left-associative, U and R right-associative: a child of
-    # equal precedence is parenthesized on the side it does not bind to.
-    if lp < prec or (lp == prec and cls not in (And, Or)):
+    # A child of equal strength is parenthesized on the side the operator
+    # does not associate to.
+    if lp < prec or (lp == prec and cls.right_assoc):
         left = f"({left})"
-    if rp < prec or (rp == prec and cls in (And, Or)):
+    if rp < prec or (rp == prec and not cls.right_assoc):
         right = f"({right})"
     return f"{left} {phi.token} {right}", prec
 

@@ -17,25 +17,17 @@ Task file grammar (UTF-8, LF or CRLF):
 
 The first block is the positives, the second the negatives. Blank lines
 are ignored. A lone extra section is an ops_line iff every token is an
-operator token, otherwise a names_line; proposition names may not collide
-with operator tokens, which keeps that rule unambiguous.
+operator token, otherwise a names_line. Proposition names may not collide
+with the words of the formula grammar, which `formulas` declares; that
+keeps the rule unambiguous.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# Operator token vocabulary shared with the formula grammar.
-UNARY_TOKENS = ("!", "X!", "X", "F", "G")
-BINARY_TOKENS = ("&", "|", "U", "R")
-OPERATOR_TOKENS = frozenset(UNARY_TOKENS + BINARY_TOKENS)
-
-# Words that would collide with the formula grammar if used as names.
-RESERVED_NAMES = frozenset({"X", "F", "G", "U", "R", "true", "false"})
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .formulas import OPERATOR_TOKENS, is_valid_prop_name
 
 
 class TaskFormatError(ValueError):
@@ -46,10 +38,6 @@ class TaskFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def is_valid_prop_name(name: str) -> bool:
-    return bool(_NAME_RE.match(name)) and name not in RESERVED_NAMES
 
 
 @dataclass(frozen=True)
@@ -93,10 +81,6 @@ class Trace:
     @property
     def length(self) -> int:
         return len(self.letters)
-
-    def has(self, prop: int, position: int) -> bool:
-        """Whether proposition `prop` holds at 1-based `position`."""
-        return bool(self.letters[position - 1] >> prop & 1)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Shared sample, bank, evaluation and set-cover helpers used across the test modules."""
 
 import heapq
+import json
 import random
 from typing import Optional
 
+from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import CharTable, Layout, table_of
 from ltlflearn.boolcover import BaseSet, BeamResult, BscInstance, SubProblem, _BoundedQueue, sat_bits
 from ltlflearn.enumeration import FormulaBank
@@ -394,3 +396,17 @@ def reference_beam(
                             return solved(comb, iterations)
         k += 1
     return BeamResult(best[0], False, best[1], iterations), n_candidates
+
+
+# --- manifests: a manifest row read back into its task spec ---
+
+def spec_from_manifest_row(row: dict) -> TaskSpec:
+    return TaskSpec(
+        family=row["family"],
+        n_props=int(row["n_props"]),
+        trace_len=int(row["trace_len"]),
+        n_pos=int(row["n_pos"]),
+        n_neg=int(row["n_neg"]),
+        seed=int(row["seed"]),
+        params=json.loads(row["params"]) if row.get("params") else {},
+    )

@@ -10,7 +10,6 @@ from ltlflearn.benchgen import (
     gen_task,
     manifest_row,
     read_manifest,
-    spec_from_manifest_row,
     write_manifest,
     write_task,
 )
@@ -24,6 +23,8 @@ from ltlflearn.formulas import (
     render_formula,
 )
 from ltlflearn.traces import parse_sample, serialize_sample
+
+from conftest import spec_from_manifest_row
 
 
 # --- formula shapes -----------------------------------------------------------

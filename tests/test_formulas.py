@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlflearn import traces
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS
 from ltlflearn.formulas import (
     BINARY_REFERENCE,
     DEFAULT_OPERATORS,
+    OPERATOR_TOKENS,
+    RESERVED_NAMES,
     UNARY_REFERENCE,
     And,
     Atom,
@@ -159,8 +160,9 @@ def test_each_token_names_one_operator_everywhere():
     assert tuple(BINARY_KERNELS) == tuple(BINARY_REFERENCE) == binary
     everything = OperatorSet.from_names(unary + binary)
     assert (everything.unary, everything.binary) == (unary, binary)
-    assert traces.UNARY_TOKENS == unary and traces.BINARY_TOKENS == binary
-    assert traces.OPERATOR_TOKENS == set(unary + binary)
+    assert OPERATOR_TOKENS == set(unary + binary)
+    assert (Top.token, Bottom.token) == ("true", "false")
+    assert RESERVED_NAMES == {"X", "F", "G", "U", "R", "true", "false"}
 
 
 def test_from_names_partitions_and_validates():
@@ -199,12 +201,68 @@ def test_parse(text, expected):
     assert parse_formula(text, ALPHA2) == expected
 
 
-@pytest.mark.parametrize(
-    "bad", ["", "a &", "& a", "(a", "a)", "c", "a U", "X", "a b", "!", "F"]
-)
+# Each text the parser rejects, with the offset and message it reports.
+PARSE_ERRORS = {
+    "": (0, "unexpected end of input"),
+    "a &": (3, "unexpected end of input"),
+    "& a": (0, "unexpected token '&'"),
+    "(a": (2, "unexpected end of input"),
+    "a)": (1, "unexpected token ')'"),
+    "c": (0, "unknown proposition 'c'"),
+    "a U": (3, "unexpected end of input"),
+    "X": (1, "unexpected end of input"),
+    "a b": (2, "unexpected token 'b'"),
+    "!": (1, "unexpected end of input"),
+    "F": (1, "unexpected end of input"),
+    "a & | b": (4, "unexpected token '|'"),
+    "a U b R": (7, "unexpected end of input"),
+    "(a U b": (6, "unexpected end of input"),
+    "X! U a": (3, "unexpected token 'U'"),
+    "a R R b": (4, "unexpected token 'R'"),
+    "a # b": (2, "unexpected character '#'"),
+}
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
 def test_parse_errors(bad):
-    with pytest.raises(FormulaSyntaxError):
+    pos, message = PARSE_ERRORS[bad]
+    with pytest.raises(FormulaSyntaxError) as err:
         parse_formula(bad, ALPHA2)
+    assert (err.value.pos, str(err.value)) == (pos, f"at offset {pos}: {message}")
+
+
+WORDS = ["a", "b", "c", "true", "false"]  # c is not in the alphabet
+# Grammar tokens, words and parentheses, each followed by a space or by
+# nothing, so that words sometimes run together.
+TOKEN_SOUP = st.lists(
+    st.tuples(st.sampled_from(["(", ")", *WORDS, *sorted(OPERATOR_TOKENS)]),
+              st.sampled_from(["", " "])),
+    max_size=12,
+).map(lambda pieces: "".join(tok + gap for tok, gap in pieces))
+# Well formed: prefix operators, parentheses and binary operators over
+# known words, with binary chains left for precedence to group.
+NESTED_TEXT = st.recursive(
+    st.sampled_from(["a", "b", "true", "false"]),
+    lambda inner: st.one_of(
+        st.builds(lambda prefix, arg: f"{prefix} {arg}",
+                  st.sampled_from([cls.token for cls in UNARY_CLASSES]), inner),
+        inner.map(lambda arg: f"({arg})"),
+        st.builds(lambda left, op, right: f"{left} {op} {right}",
+                  inner, st.sampled_from([cls.token for cls in BINARY_CLASSES]), inner),
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.one_of(TOKEN_SOUP, NESTED_TEXT))
+@settings(max_examples=500)
+def test_any_token_string_round_trips_or_reports_an_offset(text):
+    try:
+        phi = parse_formula(text, ALPHA2)
+    except FormulaSyntaxError as err:
+        assert 0 <= err.pos <= len(text)
+    else:
+        assert parse_formula(render_formula(phi, ALPHA2), ALPHA2) == phi
 
 
 def test_render_style():

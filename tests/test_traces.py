@@ -109,8 +109,9 @@ def test_duplicates_within_class_kept():
 def test_trace_accessors():
     w = Trace((0b01, 0b10, 0b11))
     assert w.length == 3
-    assert w.has(0, 1) and not w.has(1, 1)
-    assert w.has(1, 2) and w.has(0, 3) and w.has(1, 3)
+    assert [[letter >> prop & 1 for prop in (0, 1)] for letter in w.letters] == [
+        [1, 0], [0, 1], [1, 1]
+    ]
 
 
 def test_serialize_round_trip_default_names():
