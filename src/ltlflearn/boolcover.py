@@ -34,15 +34,17 @@ combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
 in instance reduction, in the subproblems of `div_conq` and in the beam.
-Each pool is a short list sorted best first and the pools are walked
-heaviest first; since a superset of sat scores (counts rows) at least as
-high, a pool is read only down to its first entry scoring below the
-candidate's.
+A query at weight W reads two short lists sorted best first: the
+maximal sats of all lighter pools (the frontier of W, built on demand
+and dropped when a lighter pool changes), then pool W itself. Since a
+superset of sat scores (counts rows) at least as high, each is read
+only down to its first entry scoring below the candidate's.
 
 The beam spends most of its time on candidates it then drops. Per
 weight it keeps a score floor, below which a candidate can neither
-improve the best nor enter its full queue; such candidates, and those
-that cannot improve the best and are already queued, are counted and
+improve the best nor enter its full queue; such candidates, those
+that cannot improve the best and are already queued, and those found
+dominated at this weight since the pools last changed are counted and
 skipped before any bookkeeping.
 """
 
@@ -201,9 +203,17 @@ class _DominationPools:
     Only pool entries are consulted as dominators: sound (never reports
     an undominated element) but incomplete (may miss a dominator that
     was evicted); with k >= the largest pool it is exact.
+
+    A query at weight W reads the frontier of W, then pool W. The
+    frontier is the maximal sats of all entries lighter than W, best
+    first: a lighter entry needs no tie rule, and a sat under a
+    non-maximal one is also under a maximal one. Pools heavier than W
+    are never read. A frontier is built on the first query at its
+    weight and dropped when an add changes a lighter pool (or creates
+    pool W, which the frontier holds beside it).
     """
 
-    __slots__ = ("k", "pools")
+    __slots__ = ("k", "pools", "frontiers")
 
     def __init__(self, k: int):
         if k < 1:
@@ -212,6 +222,8 @@ class _DominationPools:
         # (weight, pool) pairs, heaviest first; each pool holds
         # (-score, seq, sat) triples in ascending order, best first.
         self.pools: list[tuple[int, list[tuple[int, int, int]]]] = []
+        # weight -> (frontier of (-score, sat) pairs best first, pool of that weight)
+        self.frontiers: dict[int, tuple[list[tuple[int, int]], Sequence]] = {}
 
     def add(self, weight: int, sat: int, seq: int) -> None:
         """Offer sat at this weight; a full pool keeps its k best.
@@ -223,33 +235,63 @@ class _DominationPools:
         at = 0
         while at < len(pools) and pools[at][0] > weight:
             at += 1
-        if at == len(pools) or pools[at][0] != weight:
-            pools.insert(at, (weight, []))
-        pool = pools[at][1]
         entry = (-sat.bit_count(), seq, sat)
-        if len(pool) < self.k:
-            insort(pool, entry)
-        elif entry < pool[-1]:
-            pool.pop()
-            insort(pool, entry)
+        if at == len(pools) or pools[at][0] != weight:
+            pools.insert(at, (weight, [entry]))
+            stale = weight
+        else:
+            pool = pools[at][1]
+            if len(pool) < self.k:
+                insort(pool, entry)
+            elif entry < pool[-1]:
+                pool.pop()
+                insort(pool, entry)
+            else:
+                return
+            stale = weight + 1
+        frontiers = self.frontiers
+        for w in [w for w in frontiers if w >= stale]:
+            del frontiers[w]
+
+    def _frontier(self, weight: int) -> tuple[list[tuple[int, int]], Sequence]:
+        """The frontier of this weight and the pool of this weight."""
+        frontier: list[tuple[int, int]] = []
+        lighter = sorted(
+            (neg_score, sat)
+            for w, pool in self.pools if w < weight
+            for neg_score, _, sat in pool
+        )
+        # A strict superset scores higher and so comes first; a twin
+        # comes right after its first copy.
+        for neg_score, sat in lighter:
+            if all(sat & ~kept for _, kept in frontier):
+                frontier.append((neg_score, sat))
+        return frontier, next((pool for w, pool in self.pools if w == weight), ())
 
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
         """Whether a pool entry weighs no more and its sat contains sat.
 
         Mutually dominating twins (equal weight and sat) keep the one
         with the smaller seq, so an entry never dominates itself. A
-        superset of sat scores at least as high, so each pool is read
-        only down to the first entry that scores lower than sat.
+        superset of sat scores at least as high, so the frontier and the
+        pool are each read only down to the first entry that scores
+        lower than sat.
         """
         neg_score = -sat.bit_count()
-        for w, pool in self.pools:
-            if w > weight:
-                continue
-            for pool_neg_score, pool_seq, pool_sat in pool:
-                if pool_neg_score > neg_score:
-                    break
-                if sat & ~pool_sat == 0 and (w < weight or pool_sat != sat or pool_seq < seq):
-                    return True
+        cached = self.frontiers.get(weight)
+        if cached is None:
+            cached = self.frontiers[weight] = self._frontier(weight)
+        frontier, pool = cached
+        for kept_neg_score, kept in frontier:
+            if kept_neg_score > neg_score:
+                break
+            if sat & ~kept == 0:
+                return True
+        for pool_neg_score, pool_seq, pool_sat in pool:
+            if pool_neg_score > neg_score:
+                break
+            if sat & ~pool_sat == 0 and (pool_sat != sat or pool_seq < seq):
+                return True
         return False
 
 
@@ -394,6 +436,11 @@ def beam_search(
     queues: dict[int, _BoundedQueue] = {}
     seen: set[int] = set()
     pools = _DominationPools(domination_k)
+    # Values found dominated at the weight being filled since the last
+    # pools.add. Asked again, consider would drop them again: seq and the
+    # pools have not moved, and the best cannot take an equal score at
+    # the same weight. Not `seen`: an add may evict their dominator.
+    dominated: set[int] = set()
     seq = 0
     n_candidates = 0
 
@@ -443,10 +490,12 @@ def beam_search(
         if masked in seen:
             return None
         if pools.dominated(weight, sat, seq):
+            dominated.add(masked)
             return None
         if queue.add(score, seq, (rows, op, left, right)):
             seen.add(masked)
             pools.add(weight, sat, seq)
+            dominated.clear()  # the add may have evicted a dominator
             seq += 1
             floor, best_floor = floors(weight)
         return None
@@ -468,10 +517,12 @@ def beam_search(
             iterations += 1
             weight = k + 1
             # Candidates that consider would drop without a trace are
-            # counted and skipped: those at or under the floor, and those
-            # at or under best_floor whose value is already in `seen`.
-            # From here on only consider moves the floors.
+            # counted and skipped: those at or under the floor, those
+            # found dominated at this weight since the last add, and
+            # those at or under best_floor whose value is already in
+            # `seen`. From here on only consider moves the floors.
             floor, best_floor = floors(weight)
+            dominated.clear()
             for i in range(1, k // 2 + 1):
                 qi = queues.get(i)
                 qj = queues.get(k - i)
@@ -489,9 +540,10 @@ def beam_search(
                                 check_deadline(deadline)
                             sat = (value & posm) | (negm & ~value)
                             score = sat.bit_count()
-                            if score <= floor or (
-                                score <= best_floor and (value & universe) in seen
-                            ):
+                            if score <= floor:
+                                continue
+                            masked = value & universe
+                            if masked in dominated or (score <= best_floor and masked in seen):
                                 continue
                             found = consider(value, sat, score, weight, op, comb1, comb2)
                             if found is not None:

@@ -132,23 +132,31 @@ class Task:
     op_names: Optional[tuple[str, ...]] = None
 
 
-def _parse_trace_line(text: str, lineno: int, width: Optional[int]) -> tuple[Trace, int]:
+def _parse_trace_line(
+    text: str, lineno: int, width: Optional[int], masks: dict[str, int]
+) -> tuple[Trace, int]:
+    """One trace and the letter width. `masks` maps each letter text seen
+    so far in the task to its bitmask: a text is checked on first sight
+    only, against the width, which never changes once set."""
     letters = []
     for letter_text in text.split(";"):
-        bits = letter_text.split(",")
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
-            raise TaskFormatError(
-                f"inconsistent letter width: expected {width} bits, got {len(bits)}",
-                lineno,
-            )
-        mask = 0
-        for i, b in enumerate(bits):
-            if b == "1":
-                mask |= 1 << i
-            elif b != "0":
-                raise TaskFormatError(f"expected bit 0 or 1, got {b!r}", lineno)
+        mask = masks.get(letter_text)
+        if mask is None:
+            bits = letter_text.split(",")
+            if width is None:
+                width = len(bits)
+            elif len(bits) != width:
+                raise TaskFormatError(
+                    f"inconsistent letter width: expected {width} bits, got {len(bits)}",
+                    lineno,
+                )
+            mask = 0
+            for i, b in enumerate(bits):
+                if b == "1":
+                    mask |= 1 << i
+                elif b != "0":
+                    raise TaskFormatError(f"expected bit 0 or 1, got {b!r}", lineno)
+            masks[letter_text] = mask
         letters.append(mask)
     return Trace(tuple(letters)), width
 
@@ -177,10 +185,11 @@ def parse_task(text: str) -> Task:
 
     blocks = []
     width: Optional[int] = None
+    masks: dict[str, int] = {}
     for section in sections[:2]:
         traces = []
         for lineno, line in section:
-            trace, width = _parse_trace_line(line, lineno, width)
+            trace, width = _parse_trace_line(line, lineno, width, masks)
             traces.append(trace)
         blocks.append(traces)
     for which, section, traces in zip(("positives", "negatives"), sections, blocks):

@@ -91,7 +91,7 @@ def test_combination_weights():
     assert reconstruct(comb, inst).size == 11
 
 
-def test_eval_combination():
+def test_combination_carries_its_rows():
     # A combination carries its rows: union and intersection of its
     # children's, with no evaluation afterwards.
     inst = worked_instance()
@@ -101,7 +101,7 @@ def test_eval_combination():
     assert rows_of(None, inst) == 0
 
 
-def test_eval_combination_handles_deep_trees():
+def test_deep_combination_carries_its_rows():
     inst = BscInstance(1, 0, (BaseSet(1, 1),))
     comb = leaf(inst, 0)
     for _ in range(5000):
@@ -242,7 +242,7 @@ def test_exact_reduction_is_an_antichain_with_dominating_survivors(pool):
 
 @given(POOLS)
 @settings(max_examples=200)
-def test_fast_reduction_monotone_and_exact_at_full_k(pool):
+def test_pool_reduction_monotone_in_k_and_exact_at_full_k(pool):
     inst = tagged_instance(pool)
     sizes = [len(kept_indices(inst, k)) for k in range(1, len(pool) + 1)]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -251,7 +251,7 @@ def test_fast_reduction_monotone_and_exact_at_full_k(pool):
 
 @given(POOLS)
 @settings(max_examples=100)
-def test_fast_reduction_is_sound_for_every_k(pool):
+def test_pool_reduction_is_sound_for_every_k(pool):
     inst = tagged_instance(pool)
     exact_kept = set(exact_undominated(base_set_scores(inst)))
     for k in (1, 2, 5):
@@ -452,6 +452,10 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
 @example(3, 1, [(0b0001, 4), (0b0100, 1), (0b1011, 2)], 1, 4, 1)
 # p0 | p1 ties the heavier seed {p0, p1} as best, with a value already queued.
 @example(3, 1, [(0b0001, 1), (0b0010, 1), (0b0011, 6)], 4, 3, 2)
+# At weight 3, sat 0b110000 is dominated by 0b110010; 0b11011 scores
+# higher and evicts it from the one-entry pool, so 0b110000 asked again
+# at weight 3 is undominated.
+@example(4, 2, [(0b010010, 1), (0b100011, 1), (0b101001, 1)], 4, 8, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):
@@ -469,7 +473,7 @@ def test_beam_answers_and_counts_like_the_reference_beam(
         n_candidates, expected.iterations)
 
 
-def test_make_scored_matches_eval():
+def test_union_combination_rows_sat_and_weight():
     inst = worked_instance()
     comb = union(leaf(inst, 0), leaf(inst, 1))
     assert comb[0] == mask(0, 1, 2, 5)
@@ -621,7 +625,7 @@ def test_full_subproblem_masks_members():
     assert view.sets[1] == (mask(1, 2, 5), 1, 1)
 
 
-def test_scored_base_sets_indexes_payloads():
+def test_worked_base_sets_score_and_all_survive_reduction():
     inst = worked_instance()
     items = base_set_scores(inst)
     assert items[0] == (mask(0, 3, 4, 5), 1)  # one positive right, all three negatives

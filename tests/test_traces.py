@@ -82,6 +82,17 @@ def test_bad_bit_rejected():
         parse_sample("1;0\n---\n2;0\n")
 
 
+def test_bad_letter_after_many_good_copies_names_its_own_line():
+    # Each letter text is checked once per task; a later bad one still is.
+    good = "1,0;0,1;1,1\n" * 40
+    with pytest.raises(TaskFormatError, match=r"^line 42: expected bit 0 or 1, got '2'$"):
+        parse_sample(good + "---\n0,1;1,2\n")
+    with pytest.raises(TaskFormatError, match=r"^line 41: inconsistent letter width: "
+                                              r"expected 2 bits, got 3$"):
+        parse_sample(good + "1,0;0,1,0\n---\n0,0\n")
+    assert parse_sample(good + "---\n0,0;1,0\n").positives[39].letters == (1, 2, 3)
+
+
 def test_width_must_match_names():
     with pytest.raises(TaskFormatError):
         parse_task("1,0\n---\n0,0\n---\nonly_one\n")
