@@ -32,14 +32,15 @@ def main() -> None:
     print("sample: 2 positive, 2 negative traces over", sample.alphabet.props)
 
     # A formula's characteristic table is one int with one bit per
-    # position of the sample; trace i's row starts at bit offsets[i].
+    # position of the sample. Trace i's slice starts at bit offsets[i],
+    # with position 1 at its top: position p is bit offset + length - p.
     phi = StrongNext(Atom(0))
     table = table_of(phi, sample)
     lay = table.layout
     print(f"\npacked value of {render_formula(phi, sample.alphabet)}: {table.bits}; "
           "its rows, position 1 leftmost:")
     for i, (offset, length) in enumerate(zip(lay.offsets, lay.lengths)):
-        row = "".join(str(table.bits >> (offset + p) & 1) for p in range(length))
+        row = "".join(str(table.bits >> (offset + length - p) & 1) for p in range(1, length + 1))
         print(f"  trace {i}, bits {offset}..{offset + length - 1}: {row}")
     vector = first_bits(table)
     print("first bits per trace:", [int(vector.bits >> i & 1) for i in range(vector.n)])

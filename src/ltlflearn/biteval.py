@@ -2,33 +2,44 @@
 
 A formula's value on a sample is one Python int, its packed value. The
 traces lie end to end, positives first and in sample order: trace i
-starts at bit offset o_i, and bit o_i + p - 1 is set iff the suffix of
-trace i from position p satisfies the formula. Bits beyond the last
-trace are always zero, so equal ints are equal valuations: the packed
-value is itself the observational-equivalence key.
+occupies bits [o_i, o_i + n_i), and inside its slice the positions run
+downwards. Bit o_i + n_i - p is set iff the suffix of trace i from
+position p satisfies the formula. For two traces of lengths 3 and 2:
+
+    bit              4    3    2    1    0
+    trace.position  1.1  1.2  0.1  0.2  0.3
+
+Bits beyond the last trace are always zero, so equal ints are equal
+valuations: the packed value is itself the observational-equivalence
+key.
 
 A `Layout` holds where the traces sit, as three masks:
 
     full     every position of every trace
-    first    the first position of each trace
-    notlast  every position except the last of each trace
+    first    the first position of each trace (the top bit of its slice)
+    notlast  every position except the last of each trace (the bottom bit)
 
-With them every operator is one big-int expression over the whole
-sample, and no shift carries a bit from one trace into the next:
+With them every operator is a fixed handful of big-int operations over
+the whole sample, whatever the trace lengths, and no bit moves from one
+trace into the next:
 
     !s       = s ^ full
-    X! s     = (s >> 1) & notlast          (the last position becomes 0)
+    X! s     = (s << 1) & notlast          (the last position becomes 0)
     X s      = !(X!(!s))                    (the last position becomes 1)
     s1 U s2  = until(s1 & notlast, s2)
     F s      = until(notlast, s)
     G s      = !(F(!s))
     s1 R s2  = !((!s1) U (!s2))
 
-`until(acc, out)` is a doubling recurrence: for d = 1, 2, 4, ... while
-d is below the longest trace's length, out |= (out >> d) & acc and
-acc &= acc >> d. After the round with shift d, acc holds at p iff s1
-holds and p is not a last position on all of [p, p + 2d); so a shift by
-d only ever reads positions of p's own trace.
+`until(p, g)` reads the carries of one addition. With a = p | g, the
+carry out of bit b in a + g is
+
+    c_b = (a_b & g_b) | ((a_b ^ g_b) & c_{b-1}) = g_b | (p_b & c_{b-1}),
+
+which is U's backward recurrence, since bit b - 1 is the next position.
+The sum's bit b is a_b ^ g_b ^ c_{b-1}, so ((a + g) ^ a ^ g) >> 1 is c.
+p is 0 at the bottom bit of every slice, so no carry crosses into the
+next trace, and at the last position U gives exactly g.
 
 A formula separates the sample iff `s & first` equals the first bits of
 the positive traces. The characteristic vector compresses `s & first`
@@ -38,7 +49,6 @@ to one bit per trace, bit i = trace i.
 packed value with the layout to read it; `first_bits` gives the
 vector. An operator node picks its kernel by its class's `token` from
 `UNARY_KERNELS` or `BINARY_KERNELS`, the tables enumeration uses too.
-Trace i's row is `bits >> offsets[i]`, masked to `lengths[i]` bits.
 """
 
 from __future__ import annotations
@@ -52,20 +62,27 @@ from .traces import Sample, Trace
 
 
 class Layout:
-    """Where each trace of a sample sits in a packed value."""
+    """Where each trace of a sample sits in a packed value.
 
-    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first", "max_len")
+    Trace i occupies bits [offsets[i], offsets[i] + lengths[i]), position
+    p at bit offsets[i] + lengths[i] - p: position 1 at the top of the
+    slice, the last position at its bottom. `first` and `pos_first` hold
+    the top bit of every trace's slice and of every positive trace's;
+    `notlast` is `full` minus the bottom bit of every slice.
+    """
+
+    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first")
 
     def __init__(self, lengths: Sequence[int], n_pos: int):
         offsets = list(accumulate(lengths, initial=0))
         total = offsets.pop()
+        tops = [1 << (o + n - 1) for o, n in zip(offsets, lengths)]
         self.lengths = tuple(lengths)
         self.offsets = tuple(offsets)
         self.full = (1 << total) - 1
-        self.first = sum(1 << o for o in offsets)
-        self.notlast = self.full ^ sum(1 << (o + n - 1) for o, n in zip(offsets, lengths))
-        self.pos_first = sum(1 << o for o in offsets[:n_pos])
-        self.max_len = max(lengths, default=0)
+        self.first = sum(tops)
+        self.notlast = self.full ^ sum(1 << o for o in offsets)
+        self.pos_first = sum(tops[:n_pos])
 
     @staticmethod
     def of(sample: Sample) -> "Layout":
@@ -73,14 +90,17 @@ class Layout:
 
     def vector(self, bits: int) -> int:
         """The characteristic vector: bit i is the first bit of trace i."""
-        return sum((bits >> o & 1) << i for i, o in enumerate(self.offsets))
+        return sum(
+            (bits >> (o + n - 1) & 1) << i
+            for i, (o, n) in enumerate(zip(self.offsets, self.lengths))
+        )
 
 
 def pack_atom(traces: Sequence[Trace], prop: int) -> int:
     """The packed value of proposition `prop` over the traces, in order."""
     bits = 0
     for w in reversed(traces):
-        for letter in reversed(w.letters):
+        for letter in w.letters:
             bits = bits << 1 | (letter >> prop & 1)
     return bits
 
@@ -89,13 +109,9 @@ def pack_atom(traces: Sequence[Trace], prop: int) -> int:
 # Kernels: packed values in, packed value out.
 # ---------------------------------------------------------------------------
 
-def _until(acc: int, out: int, max_len: int) -> int:
-    shift = 1
-    while shift < max_len:
-        out |= (out >> shift) & acc
-        acc &= acc >> shift
-        shift <<= 1
-    return out
+def _until(p: int, g: int) -> int:
+    a = p | g
+    return ((a + g) ^ a ^ g) >> 1
 
 
 def k_not(s: int, lay: Layout) -> int:
@@ -103,19 +119,19 @@ def k_not(s: int, lay: Layout) -> int:
 
 
 def k_strong_next(s: int, lay: Layout) -> int:
-    return (s >> 1) & lay.notlast
+    return (s << 1) & lay.notlast
 
 
 def k_weak_next(s: int, lay: Layout) -> int:
-    return (((s ^ lay.full) >> 1) & lay.notlast) ^ lay.full
+    return (((s ^ lay.full) << 1) & lay.notlast) ^ lay.full
 
 
 def k_finally(s: int, lay: Layout) -> int:
-    return _until(lay.notlast, s, lay.max_len)
+    return _until(lay.notlast, s)
 
 
 def k_globally(s: int, lay: Layout) -> int:
-    return _until(lay.notlast, s ^ lay.full, lay.max_len) ^ lay.full
+    return _until(lay.notlast, s ^ lay.full) ^ lay.full
 
 
 def k_and(s1: int, s2: int, lay: Layout) -> int:
@@ -127,12 +143,12 @@ def k_or(s1: int, s2: int, lay: Layout) -> int:
 
 
 def k_until(s1: int, s2: int, lay: Layout) -> int:
-    return _until(s1 & lay.notlast, s2, lay.max_len)
+    return _until(s1 & lay.notlast, s2)
 
 
 def k_release(s1: int, s2: int, lay: Layout) -> int:
     full = lay.full
-    return _until((s1 ^ full) & lay.notlast, s2 ^ full, lay.max_len) ^ full
+    return _until((s1 ^ full) & lay.notlast, s2 ^ full) ^ full
 
 
 UNARY_KERNELS = {

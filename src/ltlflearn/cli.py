@@ -264,10 +264,11 @@ def _bench_worker(task_path: str, args) -> dict:
     return _result_record(task_path, task.sample, result, config)
 
 
-def _bench_parallel(paths: list[str], args) -> list[dict]:
-    """_bench_worker on every path in a process pool, in path order. A dying
-    worker breaks the pool: the unfinished tasks get internal-error records."""
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+def _bench_parallel(paths: list[str], args, workers: int) -> list[dict]:
+    """_bench_worker on every path in a pool of `workers` processes, in path
+    order. A dying worker breaks the pool: the unfinished tasks get
+    internal-error records."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_bench_worker, path, args) for path in paths]
         records = []
         for path, future in zip(paths, futures):
@@ -279,6 +280,8 @@ def _bench_parallel(paths: list[str], args) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         rows = read_manifest(args.manifest)
     except OSError as exc:
@@ -297,8 +300,10 @@ def cmd_bench(args) -> int:
         paths.append(path)
     _config_from(args, None)  # bad flags stop the run before any task
 
-    if args.jobs > 1:
-        records = _bench_parallel(paths, args)
+    # The pool forks all its workers at the first submit: no more than tasks.
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
+        records = _bench_parallel(paths, args, workers)
     else:
         records = [_bench_worker(path, args) for path in paths]
 
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("manifest", help="manifest CSV from generate")
     _add_learner_flags(p_bench)
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers (default 1)")
+                         help="parallel workers, at most one per task (default 1)")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -87,22 +87,45 @@ def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
     return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
 
 
-# --- bit strings: "10110" has position 1 leftmost, at bit 0 -------------------
+# --- bit strings: "10110" has position 1 leftmost ---------------------------------
+
+def value_at(bits: int, lay: Layout, i: int, p: int) -> int:
+    """Trace i's value at position p (from 1) in a packed value over `lay`.
+
+    Position p sits at bit offsets[i] + lengths[i] - p: position 1 at the
+    top of the trace's slice, the last position at its bottom. Every
+    reading of a packed value in the tests goes through here.
+    """
+    return bits >> (lay.offsets[i] + lay.lengths[i] - p) & 1
+
+
+def trace_rows(bits: int, lay: Layout) -> list[str]:
+    """One bit string per trace of the layout, in sample order."""
+    return [
+        "".join(str(value_at(bits, lay, i, p)) for p in range(1, n + 1))
+        for i, n in enumerate(lay.lengths)
+    ]
+
+
+def pack_rows(rows: list[str]) -> int:
+    """The packed value whose rows over `Layout([len(r) for r in rows], .)`
+    are `rows`; the inverse of `trace_rows`. The last trace lies highest."""
+    return int("".join(reversed(rows)), 2)
+
 
 def bits_of(text: str) -> int:
     """The packed value a bit string spells over one trace."""
-    return int(text[::-1], 2)
+    return pack_rows([text])
 
 
 def string_of(bits: int, length: int) -> str:
-    """The first `length` positions of a packed value as a bit string."""
-    return "".join("1" if bits >> i & 1 else "0" for i in range(length))
+    """The positions of a packed value over one trace of `length`."""
+    return trace_rows(bits, Layout((length,), 1))[0]
 
 
 def table_rows(table: CharTable) -> list[str]:
     """One bit string per trace of the table's layout, in sample order."""
-    lay = table.layout
-    return [string_of(table.bits >> o, n) for o, n in zip(lay.offsets, lay.lengths)]
+    return trace_rows(table.bits, table.layout)
 
 
 def one_trace_sample(w: Trace, n_props: int = 1) -> Sample:
@@ -110,21 +133,40 @@ def one_trace_sample(w: Trace, n_props: int = 1) -> Sample:
     return Sample(Alphabet.default(n_props), (w,), ())
 
 
-def finally_rounds(bits: int, length: int) -> list[int]:
-    """The value after each or-shift round of the F loop on one trace.
+# --- the kernels' oracle: U by a doubling recurrence ---------------------------
 
-    One entry per round of `k_finally`, ceil(log2 length) rounds in
-    total; the last entry equals F applied to the value.
+def until_rounds(acc: int, out: int, max_len: int) -> list[int]:
+    """The value after each round of the doubling recurrence for U.
+
+    `acc` is s1 & notlast, `out` is s2. For shifts d = 1, 2, 4, ... below
+    `max_len`: out |= (out << d) & acc, then acc &= acc << d. After the
+    round with shift d, acc holds at p iff s1 holds and p is not a last
+    position on all of [p, p + 2d), so a shift by d only ever reads
+    positions of p's own trace. Position p + d lies d bits below p.
     """
-    out, acc = bits, Layout((length,), 1).notlast
     rounds = []
     shift = 1
-    while shift < length:
-        out |= (out >> shift) & acc
-        acc &= acc >> shift
+    while shift < max_len:
+        out |= (out << shift) & acc
+        acc &= acc << shift
         rounds.append(out)
         shift <<= 1
     return rounds
+
+
+def doubling_until(acc: int, out: int, lay: Layout) -> int:
+    """U by the doubling recurrence: s1 U s2 is doubling_until(s1 & notlast, s2)."""
+    rounds = until_rounds(acc, out, max(lay.lengths, default=0))
+    return rounds[-1] if rounds else out
+
+
+def finally_rounds(bits: int, length: int) -> list[int]:
+    """The value after each or-shift round of F by doubling, on one trace.
+
+    ceil(log2 length) rounds in total; the last entry equals F applied
+    to the value.
+    """
+    return until_rounds(Layout((length,), 1).notlast, bits, length)
 
 
 def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:

@@ -58,6 +58,7 @@ from conftest import (
     table_rows,
     union,
     union_shaped_sample,
+    value_at,
     weight_of,
 )
 from test_boolcover import plant_witness, random_instance, witness_is_correct
@@ -134,9 +135,9 @@ def test_a03_bitwise_matches_reference_on_1e4_pairs():
         length = rng.randint(65, 100) if trial % 5 == 0 else rng.randint(1, 100)
         long_traces += length > 64
         w = Trace(tuple(rng.getrandbits(n_props) for _ in range(length)))
-        bits = table_of(phi, one_trace_sample(w, n_props)).bits
+        table = table_of(phi, one_trace_sample(w, n_props))
         ref = eval_reference_all(phi, w)
-        got = [bool(bits >> p & 1) for p in range(length)]
+        got = [bool(value_at(table.bits, table.layout, 0, p)) for p in range(1, length + 1)]
         assert got == ref, (phi, w)
     elapsed = time.perf_counter() - t0
     assert long_traces >= 2000

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltlflearn.biteval import (
@@ -30,11 +30,15 @@ from ltlflearn.traces import Alphabet, Sample, Trace
 
 from conftest import (
     bits_of,
+    doubling_until,
     eval_reference_all,
     finally_rounds,
     one_trace_sample,
+    pack_rows,
     string_of,
     table_rows,
+    trace_rows,
+    value_at,
 )
 from test_acceptance import _random_formula
 
@@ -55,18 +59,18 @@ def binary(op: str, text1: str, text2: str) -> str:
 # --- representation ---------------------------------------------------------
 
 def test_string_round_trip():
-    # Position p of a trace is bit p-1 of its packed value.
-    assert bits_of("10110") == 0b01101
-    assert string_of(0b01101, 5) == "10110"
+    # Position p of a trace of length n is bit n-p of its packed value.
+    assert bits_of("10110") == 0b10110
+    assert string_of(0b10110, 5) == "10110"
     w = Trace((1, 0, 1, 1, 0))
     assert table_of(Atom(0), one_trace_sample(w)).bits == bits_of("10110")
 
 
 def test_bit_accessor_is_one_indexed():
-    # The reference counts positions from 1, the packed value from bit 0.
+    # The reference counts positions from 1, and so does `value_at`.
     w = Trace((1, 0, 1, 1, 0))
-    bits = table_of(Atom(0), one_trace_sample(w)).bits
-    got = [bool(bits >> (p - 1) & 1) for p in range(1, 6)]
+    table = table_of(Atom(0), one_trace_sample(w))
+    got = [bool(value_at(table.bits, table.layout, 0, p)) for p in range(1, 6)]
     assert got == [eval_reference(Atom(0), w, p) for p in range(1, 6)]
     assert got == [True, False, True, True, False]
 
@@ -83,7 +87,7 @@ def test_not_respects_padding():
     assert bits >> 5 == 0
 
 
-def test_strong_next_is_a_right_shift():
+def test_strong_next_reads_the_next_position():
     assert unary("X!", "11011") == "10110"
 
 
@@ -127,8 +131,52 @@ def test_binary_kernels_keep_mixed_lengths_apart():
     for op, kernel in BINARY_KERNELS.items():
         for (x1, y1), (x2, y2) in [(("10", "01"), ("011", "110")),
                                    (("11", "00"), ("101", "010"))]:
-            got = kernel(bits_of(x1 + x2), bits_of(y1 + y2), lay)
-            assert string_of(got, 5) == binary(op, x1, y1) + binary(op, x2, y2), op
+            got = kernel(pack_rows([x1, x2]), pack_rows([y1, y2]), lay)
+            assert trace_rows(got, lay) == [binary(op, x1, y1), binary(op, x2, y2)], op
+
+
+# --- the carry kernels against the doubling recurrence -------------------------
+
+@st.composite
+def packed_cases(draw):
+    """A multi-trace layout with two packed values over it.
+
+    Each value is all-ones, zero, or random, dense or sparse: all-ones
+    is where a carry leaking out of a trace would run through every
+    trace after it.
+    """
+    lengths = draw(st.lists(st.integers(1, 130), min_size=1, max_size=5))
+    lay = Layout(lengths, draw(st.integers(0, len(lengths))))
+    full = lay.full
+
+    def value():
+        kind = draw(st.sampled_from(["all-ones", "zero", "random", "dense", "sparse"]))
+        if kind == "all-ones":
+            return full
+        if kind == "zero":
+            return 0
+        a, b, c = (draw(st.integers(0, full)) for _ in range(3))
+        return {"random": a, "dense": a | b | c, "sparse": a & b & c}[kind]
+
+    return lay, value(), value()
+
+
+@given(packed_cases())
+@example((Layout((3, 1, 4), 1), 0xFF, 0b100))  # s1 all-ones, s2 at trace 0's start
+@settings(max_examples=300)
+def test_carry_kernels_match_the_doubling_recurrence(case):
+    lay, s1, s2 = case
+    full, notlast = lay.full, lay.notlast
+    for s in (s1, s2):
+        assert UNARY_KERNELS["F"](s, lay) == doubling_until(notlast, s, lay)
+        assert UNARY_KERNELS["G"](s, lay) == doubling_until(notlast, s ^ full, lay) ^ full
+        rows = trace_rows(s, lay)
+        assert trace_rows(UNARY_KERNELS["X!"](s, lay), lay) == [r[1:] + "0" for r in rows]
+        assert trace_rows(UNARY_KERNELS["X"](s, lay), lay) == [r[1:] + "1" for r in rows]
+    assert BINARY_KERNELS["U"](s1, s2, lay) == doubling_until(s1 & notlast, s2, lay)
+    assert BINARY_KERNELS["R"](s1, s2, lay) == (
+        doubling_until((s1 ^ full) & notlast, s2 ^ full, lay) ^ full
+    )
 
 
 # --- tables -------------------------------------------------------------------
@@ -191,9 +239,10 @@ FORMULAS = st.recursive(
 @settings(max_examples=400)
 def test_bitwise_matches_reference(phi, letters):
     w = Trace(tuple(letters))
-    bits = table_of(phi, one_trace_sample(w, 2)).bits
+    table = table_of(phi, one_trace_sample(w, 2))
     expected = eval_reference_all(phi, w)
-    assert [bool(bits >> (p - 1) & 1) for p in range(1, w.length + 1)] == expected
+    got = [bool(value_at(table.bits, table.layout, 0, p)) for p in range(1, w.length + 1)]
+    assert got == expected
 
 
 # --- packed samples: no bit crosses a trace boundary ---------------------------
@@ -230,11 +279,10 @@ def test_packed_value_matches_reference_across_trace_boundaries():
         for _ in range(4):
             phi = _random_formula(rng, n_props, rng.randint(2, 10))
             ops_seen |= _node_types(phi)
-            packed = table_of(phi, sample).bits
-            offset = 0
-            for w in sample.traces:
-                got = [bool(packed >> (offset + p) & 1) for p in range(w.length)]
-                assert got == eval_reference_all(phi, w), (phi, lengths, offset)
-                offset += w.length
-            assert packed >> offset == 0, "bits set beyond the last trace"
+            table = table_of(phi, sample)
+            packed, lay = table.bits, table.layout
+            for i, w in enumerate(sample.traces):
+                got = [bool(value_at(packed, lay, i, p)) for p in range(1, w.length + 1)]
+                assert got == eval_reference_all(phi, w), (phi, lengths, i)
+            assert packed >> sum(lay.lengths) == 0, "bits set beyond the last trace"
     assert ops_seen >= NINE_OPERATORS

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -201,6 +202,61 @@ def test_bench_parallel_matches_serial(small_manifest, capsys):
     first = [key(json.loads(line)) for line in out1.strip().splitlines()]
     second = [key(json.loads(line)) for line in out2.strip().splitlines()]
     assert first == second
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for `ProcessPoolExecutor`, which would fork: records the
+    `max_workers` of each pool asked for and runs each submitted call at
+    once, in this process. Returns the list of recorded sizes."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr("ltlflearn.cli.ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+def test_bench_starts_no_more_workers_than_tasks(small_manifest, capsys, recording_pool):
+    _, serial, _ = run(capsys, "bench", small_manifest)
+    code, out, _ = run(capsys, "bench", small_manifest, "--jobs", "64")
+    assert code == 0
+    assert recording_pool == [2]  # two tasks in the manifest
+    key = lambda r: (r["task"], r["status"], r["formula"], r["size"])
+    assert [key(json.loads(line)) for line in out.splitlines()] == [
+        key(json.loads(line)) for line in serial.splitlines()
+    ]
+
+
+def test_bench_one_task_runs_without_a_pool(task_path, tmp_path, capsys, recording_pool):
+    manifest = tmp_path / "one.csv"
+    manifest.write_text(f"path\n{task_path}\n")
+    code, out, _ = run(capsys, "bench", str(manifest), "--jobs", "8")
+    assert code == 0
+    assert recording_pool == []
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["Solved"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(small_manifest, capsys, recording_pool, jobs):
+    code, out, err = run(capsys, "bench", small_manifest, "--jobs", jobs)
+    assert code == 3
+    assert out == ""  # no task ran
+    assert "--jobs must be at least 1" in err
+    assert recording_pool == []
 
 
 def test_bench_resolves_paths_against_manifest_dir(tmp_path, monkeypatch, capsys):

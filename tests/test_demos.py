@@ -5,6 +5,7 @@ and takes about 13 s, too long for the test suite.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -24,3 +25,7 @@ def test_demo_exits_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if demo == "demo_learning.py":
+        # The rows of X! a on the worked sample, position 1 leftmost.
+        rows = re.findall(r"trace \d, bits \d+\.\.\d+: ([01]+)$", proc.stdout, re.M)
+        assert rows == ["10110", "1110", "0100", "100"]
