@@ -8,15 +8,7 @@ Run with: python3 demos/demo_set_cover.py
 
 import random
 
-from ltlflearn import (
-    BaseSet,
-    BscInstance,
-    NoSolution,
-    beam_search,
-    div_conq,
-    existence_check,
-    full_subproblem,
-)
+from ltlflearn import BscInstance, NoSolution, beam_search, div_conq, existence_check
 from ltlflearn.boolcover import reduce_instance, sat_bits
 
 
@@ -34,7 +26,7 @@ def show(members: int, n: int) -> str:
 
 def render(comb) -> str:
     """A combination is a back-pointer (rows, op, left, right); a leaf
-    holds its base set's index in op."""
+    holds its base set's formula index in op."""
     _, op, left, right = comb
     if left is None:
         return f"phi{op + 1}"
@@ -44,38 +36,41 @@ def render(comb) -> str:
 def weight(comb, inst) -> int:
     _, op, left, right = comb
     if left is None:
-        return inst.base_sets[op].weight
+        return inst.base_sets[op][1]  # here each set's index is its position
     return 1 + weight(left, inst) + weight(right, inst)
 
 
 def main() -> None:
+    # A base set is (members, weight, index): formulas[index] would be its
+    # source formula, phi<index + 1> here. The demo builds no formulas.
     inst = BscInstance(
-        n_pos=3,
-        n_neg=3,
+        pos_mask=bits(0, 1, 2),
+        neg_mask=bits(3, 4, 5),
         base_sets=(
-            BaseSet(bits(0), 1),           # phi1 = {p1}
-            BaseSet(bits(1, 2, 5), 1),     # phi2 = {p2, p3, n3}
-            BaseSet(bits(0, 1, 2, 4), 1),  # phi3 = {p1, p2, p3, n2}
+            (bits(0), 1, 0),           # phi1 = {p1}
+            (bits(1, 2, 5), 1, 1),     # phi2 = {p2, p3, n3}
+            (bits(0, 1, 2, 4), 1, 2),  # phi3 = {p1, p2, p3, n2}
         ),
+        formulas=(),
     )
-    for i, bs in enumerate(inst.base_sets):
-        print(f"phi{i + 1} = {show(bs.members, 6)}, weight {bs.weight}")
+    for members, w, i in inst.base_sets:
+        print(f"phi{i + 1} = {show(members, 6)}, weight {w}")
 
     # sat is the set of correctly classified examples: covered positives
     # plus excluded negatives. Its size, the score, orders the beam; a set
     # whose sat another set of no more weight contains is dominated.
-    for i, bs in enumerate(inst.base_sets):
-        sat = sat_bits(bs.members, inst.pos_mask, inst.neg_mask)
+    for members, _, i in inst.base_sets:
+        sat = sat_bits(members, inst.pos_mask, inst.neg_mask)
         print(f"sat(phi{i + 1}) = {show(sat, 6)}, score {sat.bit_count()}")
     assert reduce_instance(inst, 10).base_sets == inst.base_sets
     print("domination keeps all three: no sat contains another's")
-    phi4 = BaseSet(bits(0), 2)  # {p1} again, heavier
-    extended = BscInstance(3, 3, inst.base_sets + (phi4,))
+    phi4 = (bits(0), 2, 3)  # {p1} again, heavier
+    extended = BscInstance(inst.pos_mask, inst.neg_mask, inst.base_sets + (phi4,), ())
     assert reduce_instance(extended, 10).base_sets == inst.base_sets
     print("phi4 = {p1}, weight 2: dropped, phi1 dominates it")
 
     print("\nexistence check:", existence_check(inst), "(None means separable)")
-    result = beam_search(full_subproblem(inst))
+    result = beam_search(inst)
     comb = result.combination
     print(f"beam search: {render(comb)} = {show(comb[0], 6)}, "
           f"weight {weight(comb, inst)}, solution={result.is_solution}")
@@ -83,10 +78,10 @@ def main() -> None:
     # Planting a witness: add n1 to every set containing p1. Now any
     # combination covering p1 also admits n1, and the divide-and-conquer
     # proves it by exhausting a 1x1 subproblem.
-    planted = BscInstance(3, 3, tuple(
-        BaseSet(bs.members | bits(3), bs.weight) if bs.members & 1 else bs
-        for bs in inst.base_sets
-    ))
+    planted = BscInstance(inst.pos_mask, inst.neg_mask, tuple(
+        (members | bits(3) if members & 1 else members, w, i)
+        for members, w, i in inst.base_sets
+    ), ())
     out = div_conq(planted, seed=0)
     assert isinstance(out, NoSolution)
     w = out.witness
@@ -97,9 +92,8 @@ def main() -> None:
     rng = random.Random(7)
     solved = 0
     for _ in range(200):
-        sets = tuple(BaseSet(rng.getrandbits(12) | 1, rng.randint(1, 4))
-                     for _ in range(8))
-        inst = BscInstance(6, 6, sets)
+        sets = tuple((rng.getrandbits(12) | 1, rng.randint(1, 4), i) for i in range(8))
+        inst = BscInstance(bits(*range(6)), bits(*range(6, 12)), sets, ())
         if existence_check(inst) is None:
             out = div_conq(inst, seed=1)
             solved += not isinstance(out, NoSolution)

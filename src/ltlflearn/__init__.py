@@ -11,7 +11,6 @@ the command-line surface.
 from .benchgen import FAMILIES, SamplingBudgetError, TaskSpec, gen_formula, gen_task
 from .biteval import CharTable, CharVector, first_bits, table_of
 from .boolcover import (
-    BaseSet,
     BscInstance,
     NoSolution,
     Witness,
@@ -19,7 +18,6 @@ from .boolcover import (
     collapse,
     div_conq,
     existence_check,
-    full_subproblem,
     reconstruct,
 )
 from .deadlines import DeadlineReached
@@ -63,7 +61,6 @@ __all__ = [
     "Alphabet",
     "And",
     "Atom",
-    "BaseSet",
     "Bottom",
     "BscInstance",
     "CharTable",
@@ -102,7 +99,6 @@ __all__ = [
     "eval_reference",
     "existence_check",
     "first_bits",
-    "full_subproblem",
     "gen_formula",
     "gen_task",
     "learn",

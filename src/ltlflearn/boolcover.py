@@ -8,7 +8,7 @@ only, that evaluates to exactly the positive rows; its weight is the
 total leaf weight plus one per connective, which equals the size of the
 reconstructed formula (union -> or, intersection -> and).
 
-The solver pipeline: `collapse` builds the instance from a formula
+The cover pipeline: `collapse` builds the instance from a formula
 bank (one base set per distinct characteristic vector, carrying the
 smallest formula for it), `existence_check` decides solvability by
 pairwise separability, domination pruning (`reduce_instance`) shrinks
@@ -18,12 +18,20 @@ when beam search stalls, combining the halves' solutions with a union
 (positives split) or intersection (negatives split). `reconstruct`
 maps a combination back to a formula.
 
+An instance holds its rows as two masks over the sample and its base
+sets as `(members, weight, index)` triples; `formulas[index]` is a
+set's source formula. A restriction to fewer rows, by reduction or by a
+split, is an instance too, with some of the same triples and the same
+`formulas`: members keep their rows over the whole sample, and every
+read masks them with the instance's rows.
+
 A combination is a back-pointer, like an enumerated formula: the tuple
-`(rows, op, left, right)` of its value over the whole universe, its
+`(rows, op, left, right)` of its value over the whole sample, its
 connective "|" or "&" and its two children. A leaf is `(members,
-index, None, None)`, `index` into the instance's base sets, and None
-is the empty combination, which holds on no row. So the rows of every
-combination are at hand where it is built, and none is evaluated again.
+index, None, None)`, where `index` names the set's formula, not its
+position in any `base_sets`, and None is the empty combination, which
+holds on no row. So the rows of every combination are at hand where it
+is built, and none is evaluated again.
 
 sat(theta) is the set of rows a combination classifies correctly:
 the covered positives plus the excluded negatives. theta2 is dominated
@@ -33,7 +41,7 @@ solution, because replacing theta2 by theta1 inside a bigger
 combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
-in instance reduction, in the subproblems of `div_conq` and in the beam.
+in instance reduction, in the restrictions of `div_conq` and in the beam.
 A query at weight W reads two short lists sorted best first: the
 maximal sats of all lighter pools (the frontier of W, built on demand
 and dropped when a lighter pool changes), then pool W itself. Since a
@@ -54,7 +62,7 @@ import heapq
 import random
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .deadlines import DEADLINE_STRIDE, check_deadline
 from .enumeration import formula_of
@@ -67,37 +75,13 @@ from .traces import Sample
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BaseSet:
-    """A subset of the sample rows with a weight and its source formula."""
-
-    members: int  # bit i set iff row i belongs to the set
-    weight: int
-    provenance: Optional[Formula] = None
-
-    def __post_init__(self):
-        if self.weight < 1:
-            raise ValueError("base-set weight must be >= 1")
-
-
-@dataclass(frozen=True)
 class BscInstance:
-    """Weighted base sets over the universe P ∪ N (positives first)."""
+    """(members, weight, index) base sets over the rows pos_mask | neg_mask."""
 
-    n_pos: int
-    n_neg: int
-    base_sets: tuple[BaseSet, ...]
-
-    @property
-    def pos_mask(self) -> int:
-        return (1 << self.n_pos) - 1
-
-    @property
-    def neg_mask(self) -> int:
-        return ((1 << self.n_neg) - 1) << self.n_pos
-
-    @property
-    def universe(self) -> int:
-        return (1 << (self.n_pos + self.n_neg)) - 1
+    pos_mask: int
+    neg_mask: int
+    base_sets: tuple[tuple[int, int, int], ...]
+    formulas: tuple[Formula, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +100,7 @@ def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
 def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[BscInstance, dict]:
     """One base set per distinct characteristic vector of the bank.
 
-    The representative (weight and provenance) is the first bank
+    The representative (weight and formula) is the first bank
     formula with that vector; the bank enumerates by increasing size,
     so it is also a smallest one. Only representatives are built from
     the bank's back-pointers. Returns the instance and statistics
@@ -127,7 +111,8 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
     first = layout.first
     n_formulas = 0
     seen_keys: set[int] = set()
-    base: list[BaseSet] = []
+    base: list[tuple[int, int, int]] = []
+    formulas: list[Formula] = []
     memo: dict = {}
     for size in sorted(bank.by_size):
         for entry in bank.by_size[size]:
@@ -138,10 +123,13 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            base.append(BaseSet(layout.vector(key), size, formula_of(entry, memo)))
+            base.append((layout.vector(key), size, len(base)))
+            formulas.append(formula_of(entry, memo))
     if not base:
         raise ValueError("cannot collapse an empty bank")
-    inst = BscInstance(sample.n_pos, sample.n_neg, tuple(base))
+    pos_mask = (1 << sample.n_pos) - 1
+    neg_mask = ((1 << sample.n_neg) - 1) << sample.n_pos
+    inst = BscInstance(pos_mask, neg_mask, tuple(base), tuple(formulas))
     stats = {
         "n_formulas": n_formulas,
         "n_base_sets": len(base),
@@ -175,16 +163,17 @@ def existence_check(inst: BscInstance) -> Optional[Witness]:
     N = ∅ edge case, where it is vacuous yet an uncovered positive can
     never be reached by a positive combination.
     """
-    for p in range(inst.n_pos):
+    n_pos = inst.pos_mask.bit_length()  # the positives are the low rows
+    for p in range(n_pos):
         bit = 1 << p
         inter: Optional[int] = None
-        for bs in inst.base_sets:
-            if bs.members & bit:
-                inter = bs.members if inter is None else inter & bs.members
+        for members, _, _ in inst.base_sets:
+            if members & bit:
+                inter = members if inter is None else inter & members
         if inter is None:
-            return Witness(p, 0 if inst.n_neg else None)
+            return Witness(p, 0 if inst.neg_mask else None)
         # Negatives inside every set containing p.
-        bad = (inter & inst.neg_mask) >> inst.n_pos
+        bad = (inter & inst.neg_mask) >> n_pos
         if bad:
             return Witness(p, (bad & -bad).bit_length() - 1)
     return None
@@ -331,40 +320,14 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
     Order is kept. k at least the largest number of base sets of one
     weight makes the reduction exact: the result is an antichain.
     """
-    kept = _undominated(full_subproblem(inst).sets, inst.pos_mask, inst.neg_mask, k, deadline)
-    return BscInstance(inst.n_pos, inst.n_neg, tuple(inst.base_sets[i] for _, _, i in kept))
+    pos_mask, neg_mask = inst.pos_mask, inst.neg_mask
+    kept = _undominated(inst.base_sets, pos_mask, neg_mask, k, deadline)
+    return BscInstance(pos_mask, neg_mask, kept, inst.formulas)
 
 
 # ---------------------------------------------------------------------------
 # Beam search
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubProblem:
-    """A restriction of an instance to a subset of its rows.
-
-    `sets` carries (members, weight, base-set index) triples with each
-    base set's full members; every read masks them with the view's
-    rows. So leaves refer to the original instance and carry their
-    value over its whole universe.
-    """
-
-    pos_mask: int
-    neg_mask: int
-    sets: tuple[tuple[int, int, int], ...]
-
-
-def full_subproblem(inst: BscInstance) -> SubProblem:
-    universe = inst.universe
-    return SubProblem(
-        inst.pos_mask,
-        inst.neg_mask,
-        tuple(
-            (bs.members & universe, bs.weight, i)
-            for i, bs in enumerate(inst.base_sets)
-        ),
-    )
-
 
 @dataclass(frozen=True)
 class BeamResult:
@@ -412,7 +375,7 @@ class _BoundedQueue:
 
 
 def beam_search(
-    view: SubProblem,
+    inst: BscInstance,
     beam_width: int = 100,
     max_weight: int = 70,
     domination_k: int = 10,
@@ -421,7 +384,7 @@ def beam_search(
 ) -> BeamResult:
     """Weight-ordered beam search for a solution combination.
 
-    Seeds per-weight bounded queues with the view's base sets, then
+    Seeds per-weight bounded queues with the instance's base sets, then
     combines queue members pairwise under union and intersection,
     weight k+1 from child weights summing to k. Returns immediately on
     a solution; otherwise, once the next weight would exceed max_weight
@@ -431,7 +394,7 @@ def beam_search(
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    posm, negm = view.pos_mask, view.neg_mask
+    posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
     queues: dict[int, _BoundedQueue] = {}
     seen: set[int] = set()
@@ -502,7 +465,7 @@ def beam_search(
 
     iterations = 0
     try:
-        for members, weight, index in view.sets:
+        for members, weight, index in inst.base_sets:
             n_candidates += 1
             if not n_candidates % DEADLINE_STRIDE:
                 check_deadline(deadline)
@@ -584,7 +547,7 @@ def _restricted(
     k: int,
     deadline: Optional[float] = None,
 ) -> tuple[tuple[int, int, int], ...]:
-    """Mask the family to a subproblem's rows, re-dedup, re-reduce.
+    """Mask the family to a restriction's rows, re-dedup, re-reduce.
 
     Keeps, per distinct masked vector, the minimal-weight (then first)
     set, with its full members; drops empty vectors; then applies the
@@ -610,7 +573,6 @@ def _restricted(
 
 def div_conq(
     inst: BscInstance,
-    solver: Optional[Callable[[SubProblem], BeamResult]] = None,
     seed: int = 0,
     *,
     beam_width: int = 100,
@@ -619,11 +581,11 @@ def div_conq(
     deadline: Optional[float] = None,
     stats: Optional[dict] = None,
 ) -> Union[tuple, NoSolution]:
-    """Solve via the inner solver, splitting the instance when it stalls.
+    """Solve by beam search, splitting the instance when it stalls.
 
-    When the solver's result is not a solution, the larger of P and N
+    When the beam's result is not a solution, the larger of P and N
     (P on ties) is split by a seeded shuffle into halves; the first
-    half's subproblem is solved first, the second is simplified by it
+    half's restriction is solved first, the second is simplified by it
     (positives already covered / negatives already excluded are
     dropped, and if none remain the first solution is returned alone),
     and the two solutions combine with a union (P split) or an
@@ -632,14 +594,10 @@ def div_conq(
     the witness pair; by induction this finds a solution whenever the
     existence check passes.
     """
-    if solver is None:
-        def solver(view: SubProblem) -> BeamResult:
-            return beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
-
     rng = random.Random(seed)
-    n_pos = inst.n_pos
+    n_pos = inst.pos_mask.bit_length()  # the offset of the negatives' rows
 
-    def recurse(view: SubProblem, depth: int) -> Union[tuple, NoSolution]:
+    def recurse(view: BscInstance, depth: int) -> Union[tuple, NoSolution]:
         check_deadline(deadline)
         if stats is not None:
             stats["dc_depth"] = max(stats.get("dc_depth", 0), depth)
@@ -647,7 +605,7 @@ def div_conq(
         n_n = view.neg_mask.bit_count()
         if n_p == 1 and n_n == 1:
             best: Optional[tuple[int, int, int]] = None
-            for members, weight, index in view.sets:
+            for members, weight, index in view.base_sets:
                 if members & view.pos_mask and not members & view.neg_mask:
                     if best is None or weight < best[1]:
                         best = (members, weight, index)
@@ -657,7 +615,7 @@ def div_conq(
                 return NoSolution(Witness(p_row, n_row - n_pos))
             return (best[0], best[2], None, None)
 
-        result = solver(view)
+        result = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
         if result.is_solution:
             return result.combination
         if stats is not None:
@@ -668,8 +626,8 @@ def div_conq(
 
         def solve(half: int) -> Union[tuple, NoSolution]:
             pos_mask, neg_mask = (half, view.neg_mask) if split_pos else (view.pos_mask, half)
-            sets = _restricted(view.sets, pos_mask, neg_mask, domination_k, deadline)
-            return recurse(SubProblem(pos_mask, neg_mask, sets), depth + 1)
+            sets = _restricted(view.base_sets, pos_mask, neg_mask, domination_k, deadline)
+            return recurse(BscInstance(pos_mask, neg_mask, sets, inst.formulas), depth + 1)
 
         first = solve(half1)
         if isinstance(first, NoSolution):
@@ -685,7 +643,7 @@ def div_conq(
             return (first[0] | second[0], "|", first, second)
         return (first[0] & second[0], "&", first, second)
 
-    return recurse(full_subproblem(inst), 1)
+    return recurse(inst, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +658,5 @@ def reconstruct(comb: Optional[tuple], inst: BscInstance) -> Formula:
         raise ValueError("cannot reconstruct the empty combination")
     _, op, left, right = comb
     if left is None:
-        phi = inst.base_sets[op].provenance
-        if phi is None:
-            raise ValueError("base set has no source formula")
-        return phi
+        return inst.formulas[op]
     return build_binary(op, reconstruct(left, inst), reconstruct(right, inst))

@@ -41,7 +41,7 @@ class LearnerConfig:
     beam_width: int = 100
     dc_switch: int = 70  # max combination weight before splitting
     domination_k: int = 10
-    timeout: Optional[float] = 60.0
+    timeout: Optional[float] = 60.0  # seconds; None disables
     seed: int = 0
 
     def __post_init__(self):
@@ -53,6 +53,8 @@ class LearnerConfig:
             raise ValueError("dc_switch must be >= 1")
         if self.domination_k < 1:
             raise ValueError("domination_k must be >= 1")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be > 0 seconds, or None for no timeout")
 
 
 @dataclass(frozen=True)

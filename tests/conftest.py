@@ -7,7 +7,7 @@ from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import CharTable, Layout, table_of
-from ltlflearn.boolcover import BaseSet, BeamResult, BscInstance, SubProblem, _BoundedQueue, sat_bits
+from ltlflearn.boolcover import BeamResult, BscInstance, _BoundedQueue, sat_bits
 from ltlflearn.enumeration import FormulaBank
 from ltlflearn.formulas import (
     And,
@@ -195,19 +195,20 @@ def reference_collapse(bank: FormulaBank, sample: Sample) -> tuple[BscInstance, 
     bank per characteristic vector, weighted by its size."""
     first = bank.layout.first
     keys: set[int] = set()
-    base = []
+    pairs, formulas = [], []
     entries = list(bank.entries())
     for entry in entries:
         key = entry.bits & first
         if key not in keys:
             keys.add(key)
-            base.append(BaseSet(bank.layout.vector(key), entry.formula.size, entry.formula))
+            pairs.append((bank.layout.vector(key), entry.formula.size))
+            formulas.append(entry.formula)
     stats = {
         "n_formulas": len(entries),
-        "n_base_sets": len(base),
-        "collapse_ratio": len(entries) / len(base),
+        "n_base_sets": len(pairs),
+        "collapse_ratio": len(entries) / len(pairs),
     }
-    return BscInstance(sample.n_pos, sample.n_neg, tuple(base)), stats
+    return instance(sample.n_pos, sample.n_neg, pairs, formulas), stats
 
 
 def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
@@ -238,10 +239,24 @@ def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
     return Sample(Alphabet.default(2), tuple(pos), tuple(neg))
 
 
-# --- combinations: back-pointers (rows, op, left, right) ---------------------------
+# --- set-cover instances and combinations: back-pointers (rows, op, left, right) ---
+#
+# The helpers read a leaf's formula index as a position in inst.base_sets,
+# so they take an instance as `instance` builds it, where the two agree.
+
+def instance(n_pos: int, n_neg: int, pairs, formulas=()) -> BscInstance:
+    """The instance over n_pos positives, then n_neg negatives, of the
+    (members, weight) pairs, in order; members are masked to the rows,
+    and each set's formula index is its position."""
+    pos_mask = (1 << n_pos) - 1
+    neg_mask = ((1 << n_neg) - 1) << n_pos
+    rows = pos_mask | neg_mask
+    sets = tuple((members & rows, weight, i) for i, (members, weight) in enumerate(pairs))
+    return BscInstance(pos_mask, neg_mask, sets, tuple(formulas))
+
 
 def leaf(inst: BscInstance, index: int) -> tuple:
-    return (inst.base_sets[index].members & inst.universe, index, None, None)
+    return (inst.base_sets[index][0], index, None, None)
 
 
 def union(a: tuple, b: tuple) -> tuple:
@@ -258,7 +273,7 @@ def weight_of(comb: Optional[tuple], inst: BscInstance) -> int:
         return 0
     _, op, left, right = comb
     if left is None:
-        return inst.base_sets[op].weight
+        return inst.base_sets[op][1]
     return 1 + weight_of(left, inst) + weight_of(right, inst)
 
 
@@ -273,7 +288,7 @@ def rows_of(comb: Optional[tuple], inst: BscInstance) -> int:
         node, ready = stack.pop()
         _, op, left, right = node
         if left is None:
-            values.append(inst.base_sets[op].members)
+            values.append(inst.base_sets[op][0])
         elif ready:
             b, a = values.pop(), values.pop()
             values.append(a | b if op == "|" else a & b)
@@ -294,7 +309,7 @@ def nodes_of(comb: Optional[tuple]) -> list[tuple]:
 
 
 def is_solution_combination(comb: Optional[tuple], inst: BscInstance) -> bool:
-    return rows_of(comb, inst) & inst.universe == inst.pos_mask
+    return rows_of(comb, inst) & (inst.pos_mask | inst.neg_mask) == inst.pos_mask
 
 
 def witness_solution(inst: BscInstance) -> tuple:
@@ -303,11 +318,11 @@ def witness_solution(inst: BscInstance) -> tuple:
     A completeness backstop of weight O(|base sets| * |P|).
     """
     thetas: list[tuple] = []
-    for p in range(inst.n_pos):
+    for p in range(inst.pos_mask.bit_length()):
         bit = 1 << p
         part: Optional[tuple] = None
-        for i, bs in enumerate(inst.base_sets):
-            if bs.members & bit:
+        for i, (members, _, _) in enumerate(inst.base_sets):
+            if members & bit:
                 part = leaf(inst, i) if part is None else inter(part, leaf(inst, i))
         if part is None:
             raise ValueError(f"positive {p} is in no base set")
@@ -324,14 +339,13 @@ def witness_solution(inst: BscInstance) -> tuple:
 
 def sat_and_weight(comb: Optional[tuple], inst: BscInstance) -> tuple[int, int]:
     """The rows a combination classifies correctly, and its weight."""
-    ev = rows_of(comb, inst) & inst.universe
-    return sat_bits(ev, inst.pos_mask, inst.neg_mask), weight_of(comb, inst)
+    return sat_bits(rows_of(comb, inst), inst.pos_mask, inst.neg_mask), weight_of(comb, inst)
 
 
 def base_set_scores(inst: BscInstance) -> list[tuple[int, int]]:
     """(sat, weight) of every base set, in order."""
-    return [(sat_bits(bs.members, inst.pos_mask, inst.neg_mask), bs.weight)
-            for bs in inst.base_sets]
+    return [(sat_bits(members, inst.pos_mask, inst.neg_mask), weight)
+            for members, weight, _ in inst.base_sets]
 
 
 def dominates(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -383,12 +397,12 @@ class HeapPools:
 
 
 def reference_beam(
-    view: SubProblem, beam_width: int, max_weight: int, domination_k: int
+    inst: BscInstance, beam_width: int, max_weight: int, domination_k: int
 ) -> tuple[BeamResult, int]:
     """The oracle for `boolcover.beam_search`: the same search with every
     candidate taken through the whole bookkeeping, nothing skipped, and
     the heap pools. Returns the result and the number of candidates."""
-    posm, negm = view.pos_mask, view.neg_mask
+    posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
     queues: dict[int, _BoundedQueue] = {}
     seen: set[int] = set()
@@ -420,7 +434,7 @@ def reference_beam(
     def solved(comb: tuple, iterations: int) -> tuple[BeamResult, int]:
         return BeamResult(comb, True, universe.bit_count(), iterations), n_candidates
 
-    for members, weight, index in view.sets:
+    for members, weight, index in inst.base_sets:
         if consider((members, index, None, None), weight):
             return solved((members, index, None, None), 0)
     iterations = 0

@@ -15,13 +15,11 @@ import time
 from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.biteval import first_bits, table_of
 from ltlflearn.boolcover import (
-    BaseSet,
     BscInstance,
     NoSolution,
     beam_search,
     div_conq,
     existence_check,
-    full_subproblem,
     reduce_instance,
 )
 from ltlflearn.formulas import (
@@ -49,6 +47,7 @@ from conftest import (
     eval_reference_all,
     exact_undominated,
     finally_rounds,
+    instance,
     inter,
     is_solution_combination,
     leaf,
@@ -335,12 +334,13 @@ def _canon(comb):
 
 
 def test_a07_worked_cover_instance_is_solved_minimally():
-    phi1 = BaseSet(0b000001, 1)  # {p1}
-    phi2 = BaseSet(0b100110, 1)  # {p2, p3, n3}
-    phi3 = BaseSet(0b010111, 1)  # {p1, p2, p3, n2}
-    inst = BscInstance(3, 3, (phi1, phi2, phi3))
+    inst = instance(3, 3, [
+        (0b000001, 1),  # phi1 = {p1}
+        (0b100110, 1),  # phi2 = {p2, p3, n3}
+        (0b010111, 1),  # phi3 = {p1, p2, p3, n2}
+    ])
 
-    result = beam_search(full_subproblem(inst))
+    result = beam_search(inst)
     assert result.is_solution
     comb = result.combination
     assert weight_of(comb, inst) == 5
@@ -367,15 +367,11 @@ def test_a07_worked_cover_instance_is_solved_minimally():
 def test_a08_domination_reductions_are_sound():
     rng = random.Random(808)
     for _ in range(200):
-        base = random_instance(rng)
-        # Tag each base set with its index, so that twins stay apart.
-        inst = BscInstance(base.n_pos, base.n_neg, tuple(
-            BaseSet(bs.members, bs.weight, Atom(i)) for i, bs in enumerate(base.base_sets)
-        ))
+        inst = random_instance(rng)
         items = base_set_scores(inst)
 
-        def kept(k):
-            return [bs.provenance.prop for bs in reduce_instance(inst, k).base_sets]
+        def kept(k):  # formula indices keep twins apart
+            return [i for _, _, i in reduce_instance(inst, k).base_sets]
 
         exact = kept(len(items))
         for i in exact:

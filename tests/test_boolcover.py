@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.boolcover import (
-    BaseSet,
     BeamResult,
     BscInstance,
     NoSolution,
-    SubProblem,
     Witness,
     _BoundedQueue,
     _DominationPools,
@@ -19,7 +17,6 @@ from ltlflearn.boolcover import (
     collapse,
     div_conq,
     existence_check,
-    full_subproblem,
     reconstruct,
     reduce_instance,
     sat_bits,
@@ -35,6 +32,7 @@ from conftest import (
     base_set_scores,
     dominates,
     exact_undominated,
+    instance,
     inter,
     is_solution_combination,
     leaf,
@@ -60,11 +58,7 @@ def mask(*rows: int) -> int:
 def worked_instance() -> BscInstance:
     # P = rows 0..2, N = rows 3..5; three unit-weight sets whose only
     # minimal cover is the first set union the other two intersected.
-    return BscInstance(3, 3, (
-        BaseSet(mask(0), 1),
-        BaseSet(mask(1, 2, 5), 1),
-        BaseSet(mask(0, 1, 2, 4), 1),
-    ))
+    return instance(3, 3, [(mask(0), 1), (mask(1, 2, 5), 1), (mask(0, 1, 2, 4), 1)])
 
 
 # --- instances and combinations ----------------------------------------------
@@ -73,15 +67,13 @@ def test_instance_masks():
     inst = worked_instance()
     assert inst.pos_mask == 0b000111
     assert inst.neg_mask == 0b111000
-    assert inst.universe == 0b111111
+    assert inst.base_sets[1] == (mask(1, 2, 5), 1, 1)
+    assert instance(1, 1, [(0b111, 1)]).base_sets == ((0b11, 1, 0),)  # masked to the rows
 
 
 def test_combination_weights():
     # The weight is the size of the reconstructed formula.
-    inst = BscInstance(1, 1, (
-        BaseSet(0b01, 3, Finally(Finally(Atom(0)))),
-        BaseSet(0b11, 1, Atom(1)),
-    ))
+    inst = instance(1, 1, [(0b01, 3), (0b11, 1)], [Finally(Finally(Atom(0))), Atom(1)])
     a, b = leaf(inst, 0), leaf(inst, 1)
     assert weight_of(None, inst) == 0
     assert weight_of(a, inst) == 3
@@ -102,7 +94,7 @@ def test_combination_carries_its_rows():
 
 
 def test_deep_combination_carries_its_rows():
-    inst = BscInstance(1, 0, (BaseSet(1, 1),))
+    inst = instance(1, 0, [(1, 1)])
     comb = leaf(inst, 0)
     for _ in range(5000):
         comb = union(comb, leaf(inst, 0))
@@ -126,14 +118,14 @@ def test_collapse_keeps_smallest_per_vector():
     assert stats["n_formulas"] == 2
     assert stats["n_base_sets"] == 1
     assert stats["collapse_ratio"] == 2.0
-    assert inst.base_sets[0].provenance == Atom(0)
-    assert inst.base_sets[0].weight == 1
-    assert inst.base_sets[0].members == 0b01
+    assert inst.base_sets == ((0b01, 1, 0),)  # members, weight, formula index
+    assert inst.formulas == (Atom(0),)
+    assert (inst.pos_mask, inst.neg_mask) == (0b01, 0b10)
 
 
 @pytest.mark.parametrize("source", ["union", 0, 1, 2, 3])
 def test_collapse_matches_the_reference_collapse(source):
-    # Provenance is built from the bank's back-pointers; the reference
+    # Formulas are built from the bank's back-pointers; the reference
     # reads built formulas through bank.entries().
     if source == "union":
         sample, max_size = union_shaped_sample(), 8
@@ -145,8 +137,7 @@ def test_collapse_matches_the_reference_collapse(source):
     assert found is None
     inst, stats = collapse(bank, sample)
     expected, expected_stats = reference_collapse(bank, sample)
-    assert inst.base_sets == expected.base_sets
-    assert (inst.n_pos, inst.n_neg) == (expected.n_pos, expected.n_neg)
+    assert inst == expected
     assert stats == expected_stats
 
 
@@ -159,18 +150,18 @@ def test_collapse_rejects_empty_bank():
 # --- existence ------------------------------------------------------------------
 
 def test_empty_family_gives_the_trivial_witness():
-    inst = BscInstance(1, 1, ())
+    inst = instance(1, 1, [])
     assert existence_check(inst) == Witness(0, 0)
 
 
 def test_uncovered_positive_with_no_negatives():
-    inst = BscInstance(2, 0, (BaseSet(mask(0), 1),))
+    inst = instance(2, 0, [(mask(0), 1)])
     assert existence_check(inst) == Witness(1, None)
 
 
 def test_inseparable_pair_is_reported():
     # every set containing p0 also contains n0 (row 1)
-    inst = BscInstance(1, 2, (BaseSet(mask(0, 1), 1), BaseSet(mask(0, 1, 2), 2)))
+    inst = instance(1, 2, [(mask(0, 1), 1), (mask(0, 1, 2), 2)])
     assert existence_check(inst) == Witness(0, 0)
 
 
@@ -181,7 +172,7 @@ def test_separable_instance_passes():
 def test_witness_solution_is_valid_but_heavy():
     inst = worked_instance()
     theta = witness_solution(inst)
-    assert rows_of(theta, inst) & inst.universe == inst.pos_mask
+    assert is_solution_combination(theta, inst)
     assert weight_of(theta, inst) >= 5
 
 
@@ -189,19 +180,19 @@ def test_witness_solution_is_valid_but_heavy():
 
 def tagged_instance(pool) -> BscInstance:
     """Base sets from (members, weight) pairs over 4 positives and 4
-    negatives, tagged with their index so that twins stay apart."""
-    return BscInstance(4, 4, tuple(BaseSet(m, w, Atom(i)) for i, (m, w) in enumerate(pool)))
+    negatives; their indices keep twins apart."""
+    return instance(4, 4, pool)
 
 
 def kept_indices(inst: BscInstance, k: int) -> list[int]:
-    return [bs.provenance.prop for bs in reduce_instance(inst, k).base_sets]
+    return [i for _, _, i in reduce_instance(inst, k).base_sets]
 
 
 def test_dominates_needs_weight_and_sat():
     # Set 0 has both positives and no negative; set 1 one positive.
-    lighter = BscInstance(2, 1, (BaseSet(0b011, 1), BaseSet(0b001, 2)))
+    lighter = instance(2, 1, [(0b011, 1), (0b001, 2)])
     assert reduce_instance(lighter, 10).base_sets == lighter.base_sets[:1]
-    heavier = BscInstance(2, 1, (BaseSet(0b011, 2), BaseSet(0b001, 1)))
+    heavier = instance(2, 1, [(0b011, 2), (0b001, 1)])
     assert reduce_instance(heavier, 10).base_sets == heavier.base_sets
     big, small = base_set_scores(lighter)
     assert dominates(big, small)
@@ -210,7 +201,7 @@ def test_dominates_needs_weight_and_sat():
 
 
 def test_exact_reduction_keeps_first_of_ties():
-    inst = BscInstance(2, 1, (BaseSet(0b001, 1, Atom(0)), BaseSet(0b001, 1, Atom(1))))
+    inst = instance(2, 1, [(0b001, 1), (0b001, 1)])
     for k in (1, 2):
         assert kept_indices(inst, k) == [0]  # the mutually dominating twin goes
     assert exact_undominated(base_set_scores(inst)) == [0]
@@ -345,20 +336,19 @@ def test_collapse_checks_the_deadline_every_4096_entries(monkeypatch):
 
 
 def test_reduce_instance_stops_at_a_passed_deadline():
-    inst = BscInstance(8, 8, tuple(BaseSet(m, 1) for m in range(1, 5000)))
+    inst = instance(8, 8, [(m, 1) for m in range(1, 5000)])
     with pytest.raises(DeadlineReached):
         reduce_instance(inst, 10, deadline=0.0)
 
 
 def test_reduce_instance_drops_dominated_sets():
-    inst = BscInstance(2, 1, (
-        BaseSet(0b011, 1),  # dominates everything below
-        BaseSet(0b001, 2),
-        BaseSet(0b011, 3),
-    ))
+    inst = instance(2, 1, [
+        (0b011, 1),  # dominates everything below
+        (0b001, 2),
+        (0b011, 3),
+    ])
     reduced = reduce_instance(inst, 10)
-    assert len(reduced.base_sets) == 1
-    assert reduced.base_sets[0].weight == 1
+    assert reduced.base_sets == ((0b011, 1, 0),)
     assert reduce_instance(inst, len(inst.base_sets)).base_sets == reduced.base_sets
     with pytest.raises(ValueError):
         reduce_instance(inst, 0)
@@ -389,8 +379,8 @@ def test_bounded_queue_evicts_oldest_among_lowest():
 # --- beam search ------------------------------------------------------------
 
 def test_beam_finds_single_set_solution_at_seeding():
-    inst = BscInstance(2, 1, (BaseSet(0b011, 4),))
-    res = beam_search(full_subproblem(inst))
+    inst = instance(2, 1, [(0b011, 4)])
+    res = beam_search(inst)
     assert res.is_solution
     assert res.combination == leaf(inst, 0)
     assert res.iterations == 0
@@ -398,7 +388,7 @@ def test_beam_finds_single_set_solution_at_seeding():
 
 def test_beam_on_the_worked_instance():
     inst = worked_instance()
-    res = beam_search(full_subproblem(inst))
+    res = beam_search(inst)
     assert res.is_solution
     assert res.combination == union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
     assert weight_of(res.combination, inst) == 5
@@ -407,14 +397,14 @@ def test_beam_on_the_worked_instance():
 def test_beam_without_budget_returns_best():
     # max_weight 2 forbids any union or intersection (weight >= 3).
     inst = worked_instance()
-    res = beam_search(full_subproblem(inst), max_weight=2)
+    res = beam_search(inst, max_weight=2)
     assert not res.is_solution
-    assert res.score < inst.universe.bit_count()
+    assert res.score < (inst.pos_mask | inst.neg_mask).bit_count()
 
 
 def test_beam_on_empty_family_returns_empty_best():
-    inst = BscInstance(1, 1, ())
-    res = beam_search(full_subproblem(inst))
+    inst = instance(1, 1, [])
+    res = beam_search(inst)
     assert not res.is_solution
     assert res.combination is None
     assert res.score == 1  # right on the one negative
@@ -422,7 +412,7 @@ def test_beam_on_empty_family_returns_empty_best():
 
 def test_beam_stats_are_recorded():
     stats = {}
-    beam_search(full_subproblem(worked_instance()), stats=stats)
+    beam_search(worked_instance(), stats=stats)
     assert stats["beam_candidates"] > 0
 
 
@@ -433,7 +423,7 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     calls = []
     monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
     stats = {}
-    beam_search(full_subproblem(inst), max_weight=12, stats=stats)
+    beam_search(inst, max_weight=12, stats=stats)
     assert stats["beam_candidates"] > 10 * 4096
     # One check per weight level, plus one per 4096 candidates.
     assert len(calls) == stats["beam_iterations"] + stats["beam_candidates"] // 4096
@@ -461,13 +451,10 @@ def test_beam_answers_and_counts_like_the_reference_beam(
 ):
     # Small queues fill and evict, heavy seeds leave a best that lighter
     # combinations tie, and low max_weight ends most beams unsolved.
-    universe = (1 << (n_pos + n_neg)) - 1
-    pos_mask = (1 << n_pos) - 1
-    view = SubProblem(pos_mask, universe ^ pos_mask,
-                      tuple((m & universe, w, i) for i, (m, w) in enumerate(sets)))
+    inst = instance(n_pos, n_neg, sets)
     stats = {}
-    got = beam_search(view, beam_width, max_weight, domination_k, None, stats)
-    expected, n_candidates = reference_beam(view, beam_width, max_weight, domination_k)
+    got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)
+    expected, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
     assert got == expected
     assert (stats["beam_candidates"], stats["beam_iterations"]) == (
         n_candidates, expected.iterations)
@@ -487,32 +474,32 @@ def random_instance(rng: random.Random) -> BscInstance:
     n_pos = rng.randint(1, 6)
     n_neg = rng.randint(1, 6)
     n_bits = n_pos + n_neg
-    sets = tuple(
-        BaseSet(rng.getrandbits(n_bits) | 1 << rng.randrange(n_bits), rng.randint(1, 5))
+    pairs = [
+        (rng.getrandbits(n_bits) | 1 << rng.randrange(n_bits), rng.randint(1, 5))
         for _ in range(rng.randint(2, 12))
-    )
-    return BscInstance(n_pos, n_neg, sets)
+    ]
+    return instance(n_pos, n_neg, pairs)
 
 
 def plant_witness(inst: BscInstance, rng: random.Random) -> BscInstance:
     """Make some (p, n) unseparable by adding n to every set containing p."""
-    p = rng.randrange(inst.n_pos)
-    n_row = inst.n_pos + rng.randrange(inst.n_neg)
+    n_pos = inst.pos_mask.bit_length()
+    p = rng.randrange(n_pos)
+    n_row = n_pos + rng.randrange(inst.neg_mask.bit_count())
     sets = tuple(
-        BaseSet(bs.members | (1 << n_row), bs.weight)
-        if bs.members >> p & 1 else bs
-        for bs in inst.base_sets
+        (members | 1 << n_row if members >> p & 1 else members, weight, i)
+        for members, weight, i in inst.base_sets
     )
-    return BscInstance(inst.n_pos, inst.n_neg, sets)
+    return BscInstance(inst.pos_mask, inst.neg_mask, sets, inst.formulas)
 
 
 def witness_is_correct(w: Witness, inst: BscInstance) -> bool:
     p_bit = 1 << w.pos_index
     if w.neg_index is None:
-        return not any(bs.members & p_bit for bs in inst.base_sets)
-    n_bit = 1 << (inst.n_pos + w.neg_index)
+        return not any(members & p_bit for members, _, _ in inst.base_sets)
+    n_bit = 1 << (inst.pos_mask.bit_length() + w.neg_index)
     return not any(
-        bs.members & p_bit and not bs.members & n_bit for bs in inst.base_sets
+        members & p_bit and not members & n_bit for members, _, _ in inst.base_sets
     )
 
 
@@ -547,23 +534,24 @@ def test_div_conq_is_deterministic_per_seed():
 
 
 def test_div_conq_base_case_picks_lightest_separating_set():
-    inst = BscInstance(1, 1, (
-        BaseSet(mask(0, 1), 1),  # covers the negative too
-        BaseSet(mask(0), 3),
-        BaseSet(mask(0), 2),
-    ))
+    inst = instance(1, 1, [
+        (mask(0, 1), 1),  # covers the negative too
+        (mask(0), 3),
+        (mask(0), 2),
+    ])
     out = div_conq(inst, seed=0)
     assert out == leaf(inst, 2)
 
 
-def test_div_conq_splits_when_the_solver_stalls():
-    # A solver that never solves forces splitting all the way down.
-    def stubborn(view):
+def test_div_conq_splits_when_the_solver_stalls(monkeypatch):
+    # A beam that never solves forces splitting all the way down.
+    def stubborn(*args):
         return BeamResult(None, False, 0, 0)
 
+    monkeypatch.setattr("ltlflearn.boolcover.beam_search", stubborn)
     inst = worked_instance()
     stats = {}
-    out = div_conq(inst, solver=stubborn, seed=3, stats=stats)
+    out = div_conq(inst, seed=3, stats=stats)
     assert not isinstance(out, NoSolution)
     assert is_solution_combination(out, inst)
     assert stats["dc_splits"] >= 1
@@ -581,8 +569,8 @@ def test_div_conq_splits_when_the_solver_stalls():
 def test_answers_carry_the_rows_of_their_base_sets(n_pos, n_neg, sets, max_weight, seed):
     # Every node's rows span the whole universe, also below a split,
     # where the subproblems see only some of the rows.
-    inst = BscInstance(n_pos, n_neg, tuple(BaseSet(m, w) for m, w in sets))
-    beam = beam_search(full_subproblem(inst), beam_width=3, max_weight=max_weight)
+    inst = instance(n_pos, n_neg, sets)
+    beam = beam_search(inst, beam_width=3, max_weight=max_weight)
     answers = [beam.combination]
     out = div_conq(inst, seed=seed, beam_width=3, max_weight=max_weight)
     if not isinstance(out, NoSolution):
@@ -590,7 +578,7 @@ def test_answers_carry_the_rows_of_their_base_sets(n_pos, n_neg, sets, max_weigh
         answers.append(out)
     for comb in answers:
         for node in nodes_of(comb):
-            assert node[0] == rows_of(node, inst) & inst.universe
+            assert node[0] == rows_of(node, inst)
 
 
 # --- reconstruction ------------------------------------------------------------
@@ -618,11 +606,34 @@ def test_reconstruct_rejects_empty():
         reconstruct(None, inst)
 
 
-def test_full_subproblem_masks_members():
-    inst = worked_instance()
-    view = full_subproblem(inst)
-    assert view.pos_mask == inst.pos_mask
-    assert view.sets[1] == (mask(1, 2, 5), 1, 1)
+def test_leaves_name_formulas_not_positions():
+    # Set 0, {p1, n1} of weight 2, is dominated by set 1, {p1} of weight 1:
+    # the reduction drops it, so every survivor's position is one less
+    # than its formula index. The rest is the worked instance.
+    inst = instance(3, 3, [(mask(0, 3), 2), (mask(0), 1), (mask(1, 2, 5), 1), (mask(0, 1, 2, 4), 1)],
+                    [Atom(i) for i in range(4)])
+    reduced = reduce_instance(inst, 10)
+    assert [i for _, _, i in reduced.base_sets] == [1, 2, 3]
+    beam = beam_search(reduced)
+    assert beam.is_solution
+    assert reconstruct(beam.combination, reduced) == Or(Atom(1), And(Atom(2), Atom(3)))
+
+    def rows_named(phi):  # Atom(i) stands for base set i of inst
+        if isinstance(phi, Atom):
+            return inst.base_sets[phi.prop][0]
+        left, right = rows_named(phi.left), rows_named(phi.right)
+        return left | right if isinstance(phi, Or) else left & right
+
+    for seed in range(4):
+        # max_weight 2 admits no combination: div_conq splits down to
+        # leaves it picks in its 1x1 base case.
+        out = div_conq(reduced, seed=seed, max_weight=2)
+        for node in nodes_of(out):
+            if node[2] is None:
+                assert inst.base_sets[node[1]][0] == node[0]
+        phi = reconstruct(out, reduced)
+        assert rows_named(phi) == out[0]
+        assert out[0] & (inst.pos_mask | inst.neg_mask) == inst.pos_mask
 
 
 def test_worked_base_sets_score_and_all_survive_reduction():

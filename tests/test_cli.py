@@ -99,6 +99,12 @@ def test_learn_timeout(tmp_path, capsys):
     assert "timeout" in out
 
 
+def test_learn_zero_timeout_disables_it(task_path, capsys):
+    code, out, err = run(capsys, "learn", task_path, "--timeout", "0")
+    assert code == 0
+    assert "solved in" in err
+
+
 def test_learn_malformed_task(tmp_path, capsys):
     path = tmp_path / "bad.trace"
     path.write_text("1;2\n---\n0\n")

@@ -51,7 +51,7 @@ def test_no_solution_carries_a_witness_pair():
 
 
 def test_timeout_returns_no_formula():
-    result = learn(WORKED, LearnerConfig(timeout=0.0))
+    result = learn(WORKED, LearnerConfig(timeout=1e-9))
     assert result.status == "Timeout"
     assert result.formula is None
     assert "elapsed_s" in result.stats
@@ -115,6 +115,9 @@ def test_config_validation():
         LearnerConfig(beam_width=0)
     with pytest.raises(ValueError):
         LearnerConfig(domination_k=0)
+    for timeout in (0, -1):  # None, not a non-positive number, disables the timeout
+        with pytest.raises(ValueError):
+            LearnerConfig(timeout=timeout)
 
 
 def test_result_dataclass_shape():
