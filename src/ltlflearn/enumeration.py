@@ -23,9 +23,20 @@ makes (one per characteristic vector), and on demand in
 The order is fully deterministic: within one size, unary products come
 before binary products, operators iterate in their declaration order,
 operand pairs iterate i = 1..s-1, and ties between observationally
-equivalent formulas keep the first one generated. Candidates are
-checked for being a solution before the equivalence check, and the
-size-1 seeds are solution-checked too.
+equivalent formulas keep the first one generated. Only a candidate
+whose value is new is tested for being a solution, seeds included: a
+value already retained was tested when it was retained.
+
+`&` and `|` commute and give their operand back on equal operands, so
+for them the pairs with i > j, and on the diagonal i = j the right
+entries at or before the left one, would only repeat values already
+retained. They are skipped, not evaluated, but counted: `n_enumerated`
+and the bank's counters count candidates in the unpruned order, and
+`n_skipped` says how many of them were skipped. The counts are updated
+once per run of candidates, not once per candidate. A run is a slice of
+at most DEADLINE_STRIDE children or right entries, and the deadline is
+checked before any run that would take the kernel calls since the last
+check past DEADLINE_STRIDE.
 """
 
 from __future__ import annotations
@@ -37,6 +48,10 @@ from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
 from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline
 from .formulas import Atom, Formula, OperatorSet, build_binary, build_unary
 from .traces import Sample
+
+# Binary operators whose operands commute and whose value on equal
+# operands is that operand: a & b == b & a and a & a == a.
+_MIRRORED = ("&", "|")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +108,13 @@ class FormulaBank:
         return sum(len(v) for v in self.by_size.values())
 
 
+def _runs(entries: list, start: int = 0) -> list[tuple[list, int]]:
+    """`entries[start:]` in slices of at most DEADLINE_STRIDE, each
+    with its length."""
+    runs = [entries[k : k + DEADLINE_STRIDE] for k in range(start, len(entries), DEADLINE_STRIDE)]
+    return [(run, len(run)) for run in runs]
+
+
 def enumerate_bounded(
     sample: Sample,
     ops: OperatorSet,
@@ -104,8 +126,11 @@ def enumerate_bounded(
     """Enumerate sizes 1..max_size; stop early on the first separator.
 
     Returns (solution, bank). The deadline is checked at the start of
-    every size level and every 4096 candidates. When `stats` is given
-    it receives `n_enumerated` and `n_retained`, also when the deadline
+    every size level, and inside it before any run of candidates that
+    would take the kernel calls since the last check past
+    DEADLINE_STRIDE. When `stats` is given it receives `n_enumerated`,
+    `n_retained` and `n_skipped` (the `&`/`|` mirrors counted in
+    `n_enumerated` but never evaluated), also when the deadline
     interrupts, and then `enum_size` too, the size level that was being
     enumerated.
     """
@@ -116,7 +141,8 @@ def enumerate_bounded(
     bank = FormulaBank(layout)
     seen: set[int] = set()  # the retained packed values, the equivalence keys
     answer: Optional[Formula] = None
-    n = 0  # candidates generated
+    n = 0  # candidates evaluated
+    skipped = 0  # mirrors counted as candidates but not evaluated
     size = 1
 
     try:
@@ -124,50 +150,69 @@ def enumerate_bounded(
         for prop in range(len(sample.alphabet)):
             formula, bits = Atom(prop), pack_atom(sample.traces, prop)
             n += 1
-            if bits & first == goal:
-                answer = formula
-                return answer, bank
             if bits not in seen:
+                if bits & first == goal:
+                    answer = formula
+                    return answer, bank
                 seen.add(bits)
                 level.append((bits, formula, None, None))
 
         size = 2
         while size <= max_size:
             check_deadline(deadline)
+            limit = n + DEADLINE_STRIDE  # no run may take `n` past it unchecked
             level = bank.by_size[size] = []
             append = level.append
+            children = _runs(bank.by_size[size - 1])
             # The unary and binary loops share one body, inlined: it
-            # runs once per candidate.
+            # runs once per candidate. A value already in `seen` was
+            # solution-tested when it was retained.
             for tok in ops.unary:
                 kernel = UNARY_KERNELS[tok]
-                for child in bank.by_size[size - 1]:
-                    bits = kernel(child[0], layout)
-                    n += 1
-                    if not n % DEADLINE_STRIDE:
+                for run, k in children:
+                    if n + k > limit:
                         check_deadline(deadline)
-                    if bits & first == goal:
-                        answer = formula_of((bits, tok, child, None), {})
-                        return answer, bank
-                    if bits not in seen:
-                        seen.add(bits)
-                        append((bits, tok, child, None))
+                        limit = n + DEADLINE_STRIDE
+                    for child in run:
+                        bits = kernel(child[0], layout)
+                        if bits not in seen:
+                            if bits & first == goal:
+                                n += run.index(child) + 1
+                                answer = formula_of((bits, tok, child, None), {})
+                                return answer, bank
+                            seen.add(bits)
+                            append((bits, tok, child, None))
+                    n += k
             for tok in ops.binary:
                 kernel = BINARY_KERNELS[tok]
+                mirrored = tok in _MIRRORED
                 for i in range(1, size - 1):
-                    rights = bank.by_size[size - 1 - i]
-                    for left in bank.by_size[i]:
+                    j = size - 1 - i
+                    lefts, rights = bank.by_size[i], bank.by_size[j]
+                    if mirrored and i > j:
+                        skipped += len(lefts) * len(rights)
+                        continue
+                    diagonal = mirrored and i == j
+                    runs = _runs(rights)
+                    for a, left in enumerate(lefts):
+                        if diagonal:
+                            skipped += a + 1
+                            runs = _runs(rights, a + 1)
                         left_bits = left[0]
-                        for right in rights:
-                            bits = kernel(left_bits, right[0], layout)
-                            n += 1
-                            if not n % DEADLINE_STRIDE:
+                        for run, k in runs:
+                            if n + k > limit:
                                 check_deadline(deadline)
-                            if bits & first == goal:
-                                answer = formula_of((bits, tok, left, right), {})
-                                return answer, bank
-                            if bits not in seen:
-                                seen.add(bits)
-                                append((bits, tok, left, right))
+                                limit = n + DEADLINE_STRIDE
+                            for right in run:
+                                bits = kernel(left_bits, right[0], layout)
+                                if bits not in seen:
+                                    if bits & first == goal:
+                                        n += run.index(right) + 1
+                                        answer = formula_of((bits, tok, left, right), {})
+                                        return answer, bank
+                                    seen.add(bits)
+                                    append((bits, tok, left, right))
+                            n += k
             size += 1
         return None, bank
     except DeadlineReached:
@@ -175,8 +220,9 @@ def enumerate_bounded(
             stats["enum_size"] = size
         raise
     finally:
-        bank.n_generated = n
-        bank.n_pruned = n - len(bank) - (answer is not None)
+        bank.n_generated = n + skipped
+        bank.n_pruned = bank.n_generated - len(bank) - (answer is not None)
         if stats is not None:
-            stats["n_enumerated"] = n
+            stats["n_enumerated"] = bank.n_generated
             stats["n_retained"] = len(bank)
+            stats["n_skipped"] = skipped

@@ -6,9 +6,9 @@ import random
 from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
-from ltlflearn.biteval import CharTable, Layout, table_of
+from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom, table_of
 from ltlflearn.boolcover import BeamResult, BscInstance, _BoundedQueue, sat_bits
-from ltlflearn.enumeration import FormulaBank
+from ltlflearn.enumeration import FormulaBank, formula_of
 from ltlflearn.formulas import (
     And,
     Atom,
@@ -188,6 +188,55 @@ def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
         seen.add(bits)
         bank.by_size.setdefault(phi.size, []).append((bits, phi, None, None))
     return bank
+
+
+def reference_enumerate(sample: Sample, ops, max_size: int) -> tuple[Optional[Formula], FormulaBank]:
+    """`enumerate_bounded` as one plain loop, without a deadline: every
+    candidate of the unpruned order is evaluated and solution-tested
+    before the equivalence check, `&`/`|` mirrors included."""
+    layout = Layout.of(sample)
+    first, goal = layout.first, layout.pos_first
+    bank = FormulaBank(layout)
+    seen: set[int] = set()
+    answer = None
+    n = 0
+
+    def visit(entry) -> bool:
+        nonlocal n, answer
+        n += 1
+        bits = entry[0]
+        if bits & first == goal:
+            answer = entry[1] if entry[2] is None else formula_of(entry, {})
+            return True
+        if bits not in seen:
+            seen.add(bits)
+            bank.by_size[size].append(entry)
+        return False
+
+    def done():
+        bank.n_generated = n
+        bank.n_pruned = n - len(bank) - (answer is not None)
+        return answer, bank
+
+    size = 1
+    bank.by_size[1] = []
+    for prop in range(len(sample.alphabet)):
+        if visit((pack_atom(sample.traces, prop), Atom(prop), None, None)):
+            return done()
+    for size in range(2, max_size + 1):
+        bank.by_size[size] = []
+        for tok in ops.unary:
+            for child in bank.by_size[size - 1]:
+                if visit((UNARY_KERNELS[tok](child[0], layout), tok, child, None)):
+                    return done()
+        for tok in ops.binary:
+            for i in range(1, size - 1):
+                for left in bank.by_size[i]:
+                    for right in bank.by_size[size - 1 - i]:
+                        bits = BINARY_KERNELS[tok](left[0], right[0], layout)
+                        if visit((bits, tok, left, right)):
+                            return done()
+    return done()
 
 
 def reference_collapse(bank: FormulaBank, sample: Sample) -> tuple[BscInstance, dict]:

@@ -64,6 +64,8 @@ def test_learn_json_solved(task_path, capsys):
     assert record["elapsed_ms"] >= 0
     assert record["config"]["ltl2bs_switch"] == 8
     assert record["task"] == task_path
+    stats = record["stats"]
+    assert 0 <= stats["n_skipped"] <= stats["n_enumerated"]
 
 
 def test_learn_no_solution_text(stuck_path, capsys):

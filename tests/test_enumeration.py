@@ -2,10 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltlflearn import formulas
-from ltlflearn.biteval import table_of
-from ltlflearn.deadlines import DeadlineReached
+from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, table_of
+from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
@@ -18,7 +20,7 @@ from ltlflearn.formulas import (
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
 
-from conftest import bank_from_formulas, union_shaped_sample
+from conftest import bank_from_formulas, reference_enumerate, union_shaped_sample
 
 
 def sample2() -> Sample:
@@ -53,8 +55,9 @@ def test_equivalent_formulas_keep_first_representative():
 
 
 def test_solution_reported_before_equivalence_pruning():
-    # G(a) separates; a formula with the same table must not mask it
-    # even if an equal-table formula was already retained.
+    # G(a) separates. Only new values are solution-tested, which cannot
+    # mask it: an already-retained formula with the same table would
+    # have been the answer when it was retained.
     s = Sample(Alphabet(("a",)), (Trace((1, 1)),), (Trace((1, 0)),))
     found, _ = enumerate_bounded(s, DEFAULT_OPERATORS, 3)
     assert found is not None
@@ -115,9 +118,114 @@ def test_deadline_interrupts_inside_a_size_level():
 def test_deadline_is_checked_every_4096_candidates(monkeypatch):
     calls = []
     monkeypatch.setattr("ltlflearn.enumeration.check_deadline", calls.append)
-    _, bank = enumerate_bounded(union_shaped_sample(), DEFAULT_OPERATORS, 8)
-    # One check per level of sizes 2..8, plus one per 4096 candidates.
-    assert len(calls) == 7 + bank.n_generated // 4096
+    stats: dict = {}
+    _, bank = enumerate_bounded(union_shaped_sample(), DEFAULT_OPERATORS, 8, stats=stats)
+    # One check per level of sizes 2..8, plus one before each run of
+    # candidates (a slice of at most 4096 children or rights) that would
+    # take the kernel calls since the last check past 4096: the run
+    # boundaries put 38 such checks among the 143,158 candidates
+    # evaluated (179,782 counted less 36,624 skipped mirrors).
+    assert bank.n_generated - stats["n_skipped"] == 143158
+    assert len(calls) == 7 + 38
+
+
+def kernel_calls_between_checks(monkeypatch, run) -> list[int]:
+    """Run `run()` and return the number of kernel calls before the
+    first deadline check, between each two checks and after the last."""
+    gaps = [0]
+
+    def counted(kernel):
+        def call(*args):
+            gaps[-1] += 1
+            return kernel(*args)
+        return call
+
+    for table in (UNARY_KERNELS, BINARY_KERNELS):
+        for tok, kernel in list(table.items()):
+            monkeypatch.setitem(table, tok, counted(kernel))
+    monkeypatch.setattr("ltlflearn.enumeration.check_deadline", lambda deadline: gaps.append(0))
+    run()
+    monkeypatch.undo()
+    return gaps
+
+
+def test_kernel_calls_between_deadline_checks_stay_within_the_stride(monkeypatch):
+    # The size-8 unary loops each run over the 10,775 entries of size 7,
+    # so a check only at the end of each inner loop leaves gaps > 4096.
+    # Every candidate counted and not skipped is one kernel call, but
+    # for the two atoms.
+    ops = OperatorSet.from_names(["!", "X!", "X", "F", "G", "&", "|", "U", "R"])
+    stats: dict = {}
+    gaps = kernel_calls_between_checks(
+        monkeypatch, lambda: enumerate_bounded(union_shaped_sample(), ops, 8, stats=stats)
+    )
+    assert max(gaps) <= DEADLINE_STRIDE
+    assert sum(gaps) == stats["n_enumerated"] - stats["n_skipped"] - 2 > 40 * DEADLINE_STRIDE
+
+
+@pytest.mark.parametrize("stride", [1, 7, 64])
+def test_a_short_stride_slices_every_loop(monkeypatch, stride):
+    # The children, the rights and the diagonal rows of sizes 3 and 5
+    # are longer than so short a stride, so every kind of loop is
+    # sliced; the runs' boundaries must not move the answer or a count.
+    monkeypatch.setattr("ltlflearn.enumeration.DEADLINE_STRIDE", stride)
+    ops = OperatorSet.from_names(["!", "X!", "F", "G", "&", "|", "U", "R"])
+    out = []
+    gaps = kernel_calls_between_checks(
+        monkeypatch, lambda: out.append(enumerate_bounded(union_shaped_sample(), ops, 6))
+    )
+    assert max(gaps) <= stride
+    ((found, bank),) = out
+    ref_found, ref_bank = reference_enumerate(union_shaped_sample(), ops, 6)
+    assert found == ref_found
+    assert bank.by_size == ref_bank.by_size
+    assert bank.n_generated == ref_bank.n_generated
+
+
+def test_counts_skipped_mirrors():
+    # Size 3 holds the (1, 1) pairs of a and b. Of each operator's four
+    # only a & b (a | b) is evaluated; a & a, b & a and b & b are
+    # counted and skipped.
+    stats: dict = {}
+    enumerate_bounded(sample2(), OperatorSet.from_names(["&", "|"]), 3, stats=stats)
+    assert stats == {"n_enumerated": 2 + 8, "n_retained": 4, "n_skipped": 6}
+
+
+def traces(n_props: int, min_size: int):
+    letters = st.integers(0, (1 << n_props) - 1)
+    return st.lists(st.lists(letters, min_size=1, max_size=9), min_size=min_size, max_size=4)
+
+
+# (propositions, positive letter lists, negative letter lists)
+SAMPLES = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), traces(n, 1), traces(n, 0)))
+OPERATOR_SETS = st.one_of(
+    st.just(["!", "X!", "X", "F", "G", "&", "|", "U", "R"]),
+    st.lists(
+        st.sampled_from(["!", "X!", "X", "F", "G", "&", "|", "U", "R"]), min_size=1, unique=True
+    ),
+)
+
+
+@given(SAMPLES, OPERATOR_SETS, st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_the_plain_loop(sample, names, max_size):
+    # Same retained values in the same order, same answer or None, same
+    # counts as the loop that evaluates and solution-tests every
+    # candidate, & and | mirrors included.
+    n_props, pos, neg = sample
+    s = Sample(
+        Alphabet.default(n_props),
+        tuple(Trace(tuple(w)) for w in pos),
+        tuple(Trace(tuple(w)) for w in neg if w not in pos),
+    )
+    ops = OperatorSet.from_names(names)
+    stats: dict = {}
+    found, bank = enumerate_bounded(s, ops, max_size, stats=stats)
+    ref_found, ref_bank = reference_enumerate(s, ops, max_size)
+    assert found == ref_found
+    assert bank.by_size == ref_bank.by_size
+    assert (stats["n_enumerated"], stats["n_retained"]) == (ref_bank.n_generated, len(ref_bank))
+    assert 0 <= stats["n_skipped"] <= stats["n_enumerated"]
 
 
 def test_bank_values_are_the_packed_tables_of_their_formulas():

@@ -188,8 +188,10 @@ def test_timeout_in_the_beam_keeps_its_counts(monkeypatch):
 
 def test_timeout_in_enumeration_keeps_its_counts(monkeypatch):
     # Enumeration checks the deadline at the start of sizes 2..6 (five
-    # calls), then at the 4096th candidate, inside size 6: time runs
-    # out there, after sizes 1-5 (748 retained) and part of size 6.
+    # calls), then inside size 6 before the first run of candidates
+    # that would take its kernel calls past 4096: time runs out there,
+    # after sizes 1-5 (748 retained) and part of size 6. Of the 6,814
+    # candidates counted, 1,412 are & and | mirrors never evaluated.
     calls = []
 
     def check(deadline):
@@ -201,7 +203,8 @@ def test_timeout_in_enumeration_keeps_its_counts(monkeypatch):
     result = learn(union_shaped_sample())
     assert result.status == "Timeout"
     stats = result.stats
-    assert (stats["n_enumerated"], stats["n_retained"], stats["enum_size"]) == (4096, 2219, 6)
+    assert (stats["n_enumerated"], stats["n_retained"], stats["enum_size"]) == (6814, 2876, 6)
+    assert stats["n_skipped"] == 1412
 
 
 def test_timeout_is_honoured_within_a_quarter_second():
