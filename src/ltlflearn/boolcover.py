@@ -42,11 +42,11 @@ combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
 in instance reduction, in the restrictions of `div_conq` and in the beam.
-A query at weight W reads two short lists sorted best first: the
-maximal sats of all lighter pools (the frontier of W, built on demand
-and dropped when a lighter pool changes), then pool W itself. Since a
-superset of sat scores (counts rows) at least as high, each is read
-only down to its first entry scoring below the candidate's.
+A query at weight W makes one big-integer subset test against the
+maximal sats of all lighter pools (the frontier of W, packed into one
+int on demand and dropped when a lighter pool changes), then reads
+pool W best first, only down to its first entry scoring below the
+candidate's: a superset of sat scores (counts rows) at least as high.
 
 The beam spends most of its time on candidates it then drops. Per
 weight it keeps a score floor, below which a candidate can neither
@@ -193,9 +193,9 @@ class _DominationPools:
     an undominated element) but incomplete (may miss a dominator that
     was evicted); with k >= the largest pool it is exact.
 
-    A query at weight W reads the frontier of W, then pool W. The
-    frontier is the maximal sats of all entries lighter than W, best
-    first: a lighter entry needs no tie rule, and a sat under a
+    A query at weight W asks the frontier of W, then reads pool W. The
+    frontier is the maximal sats of all entries lighter than W, packed
+    into one int: a lighter entry needs no tie rule, and a sat under a
     non-maximal one is also under a maximal one. Pools heavier than W
     are never read. A frontier is built on the first query at its
     weight and dropped when an add changes a lighter pool (or creates
@@ -211,8 +211,8 @@ class _DominationPools:
         # (weight, pool) pairs, heaviest first; each pool holds
         # (-score, seq, sat) triples in ascending order, best first.
         self.pools: list[tuple[int, list[tuple[int, int, int]]]] = []
-        # weight -> (frontier of (-score, sat) pairs best first, pool of that weight)
-        self.frontiers: dict[int, tuple[list[tuple[int, int]], Sequence]] = {}
+        # weight -> (limit, rep, guards, notkept) of its frontier, and pool W
+        self.frontiers: dict[int, tuple[int, int, int, int, Sequence]] = {}
 
     def add(self, weight: int, sat: int, seq: int) -> None:
         """Offer sat at this weight; a full pool keeps its k best.
@@ -242,40 +242,50 @@ class _DominationPools:
         for w in [w for w in frontiers if w >= stale]:
             del frontiers[w]
 
-    def _frontier(self, weight: int) -> tuple[list[tuple[int, int]], Sequence]:
-        """The frontier of this weight and the pool of this weight."""
-        frontier: list[tuple[int, int]] = []
+    def _frontier(self, weight: int) -> tuple[int, int, int, int, Sequence]:
+        """The packed frontier of this weight, and the pool of this weight.
+
+        Slot i holds ~kept_i over the data bits, below `limit`, under a
+        zero guard bit; `rep` has a 1 at the base of each slot and
+        `guards` = rep * limit. For sat < limit, slot i of `sat * rep &
+        notkept` is zero exactly when kept_i contains sat, and only then
+        keeps its guard bit in `guards -` it: no borrow crosses a slot.
+        """
         lighter = sorted(
             (neg_score, sat)
             for w, pool in self.pools if w < weight
             for neg_score, _, sat in pool
         )
+        limit = 1 << max((sat for _, sat in lighter), default=0).bit_length()
+        width = limit.bit_length()
+        rep = guards = notkept = shift = 0
         # A strict superset scores higher and so comes first; a twin
         # comes right after its first copy.
-        for neg_score, sat in lighter:
-            if all(sat & ~kept for _, kept in frontier):
-                frontier.append((neg_score, sat))
-        return frontier, next((pool for w, pool in self.pools if w == weight), ())
+        for _, sat in lighter:
+            if not (guards - (sat * rep & notkept)) & guards:
+                rep |= 1 << shift
+                guards |= limit << shift
+                notkept |= (limit - 1 ^ sat) << shift
+                shift += width
+        pool = next((pool for w, pool in self.pools if w == weight), ())
+        return limit, rep, guards, notkept, pool
 
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
         """Whether a pool entry weighs no more and its sat contains sat.
 
         Mutually dominating twins (equal weight and sat) keep the one
-        with the smaller seq, so an entry never dominates itself. A
-        superset of sat scores at least as high, so the frontier and the
-        pool are each read only down to the first entry that scores
-        lower than sat.
+        with the smaller seq, so an entry never dominates itself. One
+        packed test asks the frontier; pool W is read only down to its
+        first entry that scores lower than sat, as a superset scores
+        at least as high.
         """
-        neg_score = -sat.bit_count()
         cached = self.frontiers.get(weight)
         if cached is None:
             cached = self.frontiers[weight] = self._frontier(weight)
-        frontier, pool = cached
-        for kept_neg_score, kept in frontier:
-            if kept_neg_score > neg_score:
-                break
-            if sat & ~kept == 0:
-                return True
+        limit, rep, guards, notkept, pool = cached
+        if sat < limit and (guards - (sat * rep & notkept)) & guards:
+            return True
+        neg_score = -sat.bit_count()
         for pool_neg_score, pool_seq, pool_sat in pool:
             if pool_neg_score > neg_score:
                 break

@@ -3,13 +3,14 @@
 Four subcommands: `learn` runs the pipeline on one task file, `verify`
 checks a given formula against a task, `generate` writes benchmark
 tasks plus a manifest, and `bench` runs every task of a manifest and
-emits one JSON record per line. Exit codes are a stable contract:
-0 solved / verified, 1 no solution / not separating, 2 timeout,
-3 input error, 4 internal error. A bench task that fails gets an
-`Error` record and the other tasks still run; bench exits 4 if any
-task had an internal error, else 3 if any had an input error. In json
-mode stdout carries exactly one JSON object (or one per task for
-bench); diagnostics go to stderr.
+emits one JSON record per line, with `target_size` where the manifest
+row has a target formula. Exit codes are a stable contract: 0 solved /
+verified, 1 no solution / not separating, 2 timeout, 3 input error,
+4 internal error. A bench task that fails gets an `Error` record and
+the other tasks still run; bench exits 4 if any task had an internal
+error, else 3 if any had an input error. In json mode stdout carries
+exactly one JSON object (or one per task for bench); diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -250,10 +251,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_worker(task_path: str, args) -> dict:
+def _bench_worker(task_path: str, target: str, args) -> dict:
+    """One task's record; with the manifest's target formula text, its
+    size (parsed over the task's alphabet) as `target_size`."""
     try:
         task = _read_task(task_path)
         config = _config_from(args, task)
+        target_size = parse_formula(target, task.sample.alphabet).size if target else None
+    except FormulaSyntaxError as exc:
+        return {"task": task_path, "status": "Error", "error": f"manifest formula: {exc}"}
     except InputError as exc:
         return {"task": task_path, "status": "Error", "error": str(exc)}
     try:
@@ -261,17 +267,20 @@ def _bench_worker(task_path: str, args) -> dict:
     except Exception as exc:  # a bug in one task must not end the run
         traceback.print_exc(file=sys.stderr)
         return {"task": task_path, "status": "Error", "error": _internal_error(exc)}
-    return _result_record(task_path, task.sample, result, config)
+    record = _result_record(task_path, task.sample, result, config)
+    if target_size is not None:
+        record["target_size"] = target_size
+    return record
 
 
-def _bench_parallel(paths: list[str], args, workers: int) -> list[dict]:
-    """_bench_worker on every path in a pool of `workers` processes, in path
-    order. A dying worker breaks the pool: the unfinished tasks get
-    internal-error records."""
+def _bench_parallel(tasks: list[tuple[str, str]], args, workers: int) -> list[dict]:
+    """_bench_worker on every (path, target) in a pool of `workers`
+    processes, in task order. A dying worker breaks the pool: the
+    unfinished tasks get internal-error records."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_bench_worker, path, args) for path in paths]
+        futures = [pool.submit(_bench_worker, path, target, args) for path, target in tasks]
         records = []
-        for path, future in zip(paths, futures):
+        for (path, _), future in zip(tasks, futures):
             try:
                 records.append(future.result())
             except BrokenProcessPool as exc:
@@ -288,7 +297,7 @@ def cmd_bench(args) -> int:
         raise InputError(f"{args.manifest}: {exc.strerror or exc}") from exc
     if not rows:
         raise InputError(f"{args.manifest}: empty manifest")
-    paths = []
+    tasks = []
     for row in rows:
         path = row.get("path")
         if not path:
@@ -297,15 +306,15 @@ def cmd_bench(args) -> int:
             # Paths are relative to the manifest's directory by default.
             relative = os.path.join(os.path.dirname(args.manifest), path)
             path = relative if os.path.exists(relative) else path
-        paths.append(path)
+        tasks.append((path, row.get("formula") or ""))
     _config_from(args, None)  # bad flags stop the run before any task
 
     # The pool forks all its workers at the first submit: no more than tasks.
-    workers = min(args.jobs, len(paths))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
-        records = _bench_parallel(paths, args, workers)
+        records = _bench_parallel(tasks, args, workers)
     else:
-        records = [_bench_worker(path, args) for path in paths]
+        records = [_bench_worker(path, target, args) for path, target in tasks]
 
     for record in records:
         print(json.dumps(record))
@@ -327,6 +336,12 @@ def cmd_bench(args) -> int:
         ]
         if ratios:
             lines.append(f"mean collapse ratio {sum(ratios) / len(ratios):.2f}")
+        targeted = [r for r in solved if "target_size" in r]
+        if targeted:
+            size = sum(r["size"] for r in targeted) / len(targeted)
+            target = sum(r["target_size"] for r in targeted) / len(targeted)
+            lines.append(f"mean size / mean target size {size:.2f} / {target:.2f} "
+                         f"= {size / target:.2f} over {len(targeted)} with a target")
     print("; ".join(lines), file=sys.stderr)
     if any(r["error"].startswith(INTERNAL_ERROR) for r in records if r["status"] == "Error"):
         return EXIT_INTERNAL_ERROR

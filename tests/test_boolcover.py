@@ -279,9 +279,28 @@ CANDIDATES = st.lists(st.integers(0, 63), min_size=1, max_size=6).flatmap(
 )
 
 
-@given(st.integers(1, 4), CANDIDATES)
-@settings(max_examples=300)
-def test_pools_answer_like_the_heap_oracle_as_the_beam_uses_them(k, candidates):
+# (weight, sat, forced add) draws over a few sat sets of 30 to 100 rows,
+# so that packed frontier slots straddle CPython's 30-bit int digits;
+# each sat is a drawn set, or a subset or superset of one, so that
+# domination happens.
+WIDE_CANDIDATES = st.integers(30, 100).flatmap(
+    lambda rows: st.lists(st.integers(0, (1 << rows) - 1), min_size=1, max_size=4).flatmap(
+        lambda sats: st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.builds(
+                    lambda sat, other, how: (sat, sat & other, sat | other)[how],
+                    st.sampled_from(sats), st.integers(0, (1 << rows) - 1), st.integers(0, 2),
+                ),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+)
+
+
+def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
     # The beam asks first and adds what is not dominated under the next
     # seq; a forced add also puts dominated entries and twins in.
     pools, oracle = _DominationPools(k), HeapPools(k)
@@ -296,9 +315,7 @@ def test_pools_answer_like_the_heap_oracle_as_the_beam_uses_them(k, candidates):
         assert pool_entries(pools) == oracle.entries()
 
 
-@given(st.integers(1, 4), CANDIDATES)
-@settings(max_examples=300)
-def test_pools_answer_like_the_heap_oracle_after_all_adds(k, candidates):
+def answer_like_the_oracle_after_all_adds(k, candidates):
     # As in _undominated: every entry goes in, then every entry is asked.
     pools, oracle = _DominationPools(k), HeapPools(k)
     for seq, (weight, sat, _) in enumerate(candidates):
@@ -313,6 +330,62 @@ def test_pools_answer_like_the_heap_oracle_after_all_adds(k, candidates):
             assert pools.dominated(w, sat, -1) == oracle.dominated(w, sat, -1)
             assert pools.dominated(w, sat, len(candidates)) == oracle.dominated(
                 w, sat, len(candidates))
+
+
+@given(st.integers(1, 4), CANDIDATES)
+@settings(max_examples=300)
+def test_pools_answer_like_the_heap_oracle_as_the_beam_uses_them(k, candidates):
+    answer_like_the_oracle_as_the_beam_uses_them(k, candidates)
+
+
+@given(st.integers(1, 4), CANDIDATES)
+@settings(max_examples=300)
+def test_pools_answer_like_the_heap_oracle_after_all_adds(k, candidates):
+    answer_like_the_oracle_after_all_adds(k, candidates)
+
+
+@given(st.integers(1, 4), WIDE_CANDIDATES)
+@settings(max_examples=300)
+def test_pools_answer_like_the_heap_oracle_on_wide_sats(k, candidates):
+    answer_like_the_oracle_as_the_beam_uses_them(k, candidates)
+    answer_like_the_oracle_after_all_adds(k, candidates)
+
+
+def test_an_empty_frontier_dominates_nothing():
+    pools = _DominationPools(2)
+    assert not pools.dominated(1, 0, 0)
+    pools.add(3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
+    _, rep, guards, notkept, pool = pools._frontier(2)
+    assert (rep, guards, notkept, pool) == (0, 0, 0, ())
+    for sat in (0, 1, 1 << 69):
+        assert not pools.dominated(2, sat, 1)
+
+
+def test_every_lighter_entry_dominates_the_empty_sat():
+    for kept in (0, 1, 1 << 64 | 1 << 31):
+        pools = _DominationPools(1)
+        pools.add(1, kept, 0)
+        assert pools.dominated(2, 0, 1)  # by the packed frontier
+        assert pools.dominated(1, 0, 1)  # by pool 1: a superset or the older twin
+    pools = _DominationPools(1)
+    pools.add(1, 0, 0)
+    assert not pools.dominated(1, 0, 0)  # an entry never dominates itself
+
+
+def test_a_row_above_every_lighter_entry_is_not_dominated():
+    # Without the limit guard the packed test would read sat = 0b10
+    # against kept = 0b01 (one data bit) as contained.
+    pools = _DominationPools(3)
+    pools.add(1, 0b01, 0)
+    assert not pools.dominated(2, 0b10, 1)
+    wide = (1 << 40) - 1
+    pools.add(1, wide, 1)
+    limit, *_ = pools._frontier(2)
+    assert limit == 1 << 40
+    assert pools.dominated(2, wide, 2)
+    assert not pools.dominated(2, 1 << 40, 2)
+    assert not pools.dominated(2, 1 << 40 | 1, 2)
+    assert not pools.dominated(2, 1 << 99, 2)
 
 
 def test_undominated_checks_the_deadline_every_4096_sets(monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -210,6 +211,42 @@ def test_bench_parallel_matches_serial(small_manifest, capsys):
     first = [key(json.loads(line)) for line in out1.strip().splitlines()]
     second = [key(json.loads(line)) for line in out2.strip().splitlines()]
     assert first == second
+
+
+def test_bench_records_the_target_size_and_the_size_ratio(small_manifest, capsys):
+    code, out, err = run(capsys, "bench", small_manifest)
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    with open(small_manifest, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for record, row in zip(records, rows):
+        alphabet = parse_task(open(record["task"]).read()).sample.alphabet
+        assert record["target_size"] == parse_formula(row["formula"], alphabet).size
+    sizes = [r["size"] for r in records]
+    targets = [r["target_size"] for r in records]
+    size, target = sum(sizes) / 2, sum(targets) / 2
+    assert (f"mean size / mean target size {size:.2f} / {target:.2f} "
+            f"= {size / target:.2f} over 2 with a target") in err
+
+
+def test_bench_rows_without_a_target_get_no_target_size(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    main(["generate", "--family", "hamming", "--pos", "1", "--out", str(out_dir)])
+    capsys.readouterr()
+    code, out, err = run(capsys, "bench", str(out_dir / "manifest.csv"))
+    assert code in (0, 1)
+    assert "target_size" not in json.loads(out)
+    assert "mean target size" not in err
+
+
+def test_bench_unparsable_target_is_an_error_record(task_path, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"formula,path\nF(,{task_path}\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert code == 3
+    record = json.loads(out)
+    assert record["status"] == "Error"
+    assert record["error"].startswith("manifest formula: ")
 
 
 @pytest.fixture
