@@ -48,12 +48,17 @@ int on demand and dropped when a lighter pool changes), then reads
 pool W best first, only down to its first entry scoring below the
 candidate's: a superset of sat scores (counts rows) at least as high.
 
-The beam spends most of its time on candidates it then drops. Per
-weight it keeps a score floor, below which a candidate can neither
-improve the best nor enter its full queue; such candidates, those
-that cannot improve the best and are already queued, and those found
-dominated at this weight since the pools last changed are counted and
-skipped before any bookkeeping.
+The beam spends most of its time on candidates it then drops, so its
+pair loop drops them itself, on their rows masked to the instance, and
+builds full rows only for a solution, a new best or an admission to a
+queue. It drops a candidate at or under the weight's floor, which
+neither improves the best nor enters the full queue; then, unless it is
+a solution, one found dominated since the pools last changed; and if it
+cannot improve the best either, one already queued or dominated by the
+pools. The solution test comes before the test for a new best: with no
+positive rows the empty combination already scores |universe|, so a
+solution need not score higher. Candidates are counted once per run of
+rights (each right twice, | then &), as in enumeration.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .deadlines import DEADLINE_STRIDE, check_deadline
+from .deadlines import DEADLINE_STRIDE, check_deadline, split_runs
 from .enumeration import formula_of
 from .formulas import Formula, build_binary
 from .traces import Sample
@@ -90,7 +95,7 @@ class BscInstance:
 
 def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
     """Rows classified correctly: covered positives + excluded negatives."""
-    return (eval_bits & pos_mask) | (neg_mask & ~eval_bits)
+    return (eval_bits ^ neg_mask) & (pos_mask | neg_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +415,7 @@ def beam_search(
     seen: set[int] = set()
     pools = _DominationPools(domination_k)
     # Values found dominated at the weight being filled since the last
-    # pools.add. Asked again, consider would drop them again: seq and the
+    # pools.add. Asked again, the beam would drop them again: seq and the
     # pools have not moved, and the best cannot take an equal score at
     # the same weight. Not `seen`: an add may evict their dominator.
     dominated: set[int] = set()
@@ -436,42 +441,34 @@ def beam_search(
             return -1, best_floor
         return min(queue.min_score, best_floor), best_floor
 
-    def consider(
-        rows: int, sat: int, score: int, weight: int, op, left, right
-    ) -> Optional[tuple]:
-        """Returns a solution combination, or None after bookkeeping.
+    def admit(rows: int, masked: int, sat: int, score: int, weight: int, op, left, right):
+        """Queue a candidate that its queue accepts and no pool entry
+        dominates, and record it; the floors of this weight follow."""
+        nonlocal seq, floor, best_floor
+        queues[weight].add(score, seq, (rows, op, left, right))
+        seen.add(masked)
+        pools.add(weight, sat, seq)
+        dominated.clear()  # the add may have evicted a dominator
+        seq += 1
+        floor, best_floor = floors(weight)
 
-        The candidate is (rows, op, left, right), built only once it is
-        needed; the caller has counted it and computed its sat and
-        score. Whenever the best or the queue changes, the floors of
-        this weight follow.
-        """
-        nonlocal seq, best_comb, best_score, best_weight, floor, best_floor
-        if sat == universe:
-            return (rows, op, left, right)
+    def consider(rows: int, masked: int, sat: int, score: int, weight: int, op, left, right):
+        """Bookkeeping for a candidate that is not a solution: it may
+        become the best, then enters its queue unless the full queue
+        turns it away, its value is queued already or it is dominated."""
+        nonlocal best_comb, best_score, best_weight, floor, best_floor
         if score > best_score or (score == best_score and weight < best_weight):
             best_comb = (rows, op, left, right)
             best_score = score
             best_weight = weight
             floor, best_floor = floors(weight)
-        queue = queues.get(weight)
-        if queue is None:
-            queue = queues[weight] = _BoundedQueue(beam_width)
-        elif queue.full() and score <= queue.min_score:
-            return None
-        masked = rows & universe
-        if masked in seen:
-            return None
+        queue = queues.setdefault(weight, _BoundedQueue(beam_width))
+        if queue.full() and score <= queue.min_score or masked in seen:
+            return
         if pools.dominated(weight, sat, seq):
             dominated.add(masked)
-            return None
-        if queue.add(score, seq, (rows, op, left, right)):
-            seen.add(masked)
-            pools.add(weight, sat, seq)
-            dominated.clear()  # the add may have evicted a dominator
-            seq += 1
-            floor, best_floor = floors(weight)
-        return None
+            return
+        admit(rows, masked, sat, score, weight, op, left, right)
 
     iterations = 0
     try:
@@ -479,21 +476,18 @@ def beam_search(
             n_candidates += 1
             if not n_candidates % DEADLINE_STRIDE:
                 check_deadline(deadline)
-            sat = (members & posm) | (negm & ~members)
-            found = consider(members, sat, sat.bit_count(), weight, index, None, None)
-            if found is not None:
-                return BeamResult(found, True, universe.bit_count(), 0)
+            sat = sat_bits(members, posm, negm)
+            if sat == universe:
+                return BeamResult((members, index, None, None), True, universe.bit_count(), 0)
+            consider(members, members & universe, sat, sat.bit_count(), weight, index, None, None)
 
         k = 2
         while k + 1 <= max_weight and any(len(q) for q in queues.values()):
             check_deadline(deadline)
+            limit = n_candidates + DEADLINE_STRIDE  # no run may take the count past it unchecked
             iterations += 1
             weight = k + 1
-            # Candidates that consider would drop without a trace are
-            # counted and skipped: those at or under the floor, those
-            # found dominated at this weight since the last add, and
-            # those at or under best_floor whose value is already in
-            # `seen`. From here on only consider moves the floors.
+            queues.setdefault(weight, _BoundedQueue(beam_width))  # admit's; empty, it is inert
             floor, best_floor = floors(weight)
             dominated.clear()
             for i in range(1, k // 2 + 1):
@@ -502,25 +496,53 @@ def beam_search(
                 if qi is None or qj is None or not len(qi) or not len(qj):
                     continue
                 # Only queue k + 1 changes while weight k + 1 is filled.
-                rights = qj.ordered()
+                # Each right comes twice, | then &: one entry a candidate.
+                rights = [
+                    (comb2, comb2[0] & universe, op) for comb2 in qj.ordered() for op in "|&"
+                ]
+                runs = split_runs(rights, DEADLINE_STRIDE)
                 for comb1 in qi.ordered():
                     rows1 = comb1[0]
-                    for comb2 in rights:
-                        rows2 = comb2[0]
-                        for op, value in (("|", rows1 | rows2), ("&", rows1 & rows2)):
-                            n_candidates += 1
-                            if not n_candidates % DEADLINE_STRIDE:
-                                check_deadline(deadline)
-                            sat = (value & posm) | (negm & ~value)
+                    m1 = rows1 & universe
+                    for run, count in runs:
+                        if n_candidates + count > limit:
+                            check_deadline(deadline)
+                            limit = n_candidates + DEADLINE_STRIDE
+                        for right in run:
+                            # Drop what changes nothing, cheapest test first:
+                            # at or under the floor. A solution returns next,
+                            # before the test against best_floor: with no
+                            # positive rows it scores no more than the empty
+                            # combination. Then drop what was found dominated
+                            # since the last add, and at or under best_floor,
+                            # what is queued already or the pools dominate.
+                            # The floor has turned away all that a full queue
+                            # would.
+                            comb2, m2, op = right
+                            masked = m1 | m2 if op == "|" else m1 & m2
+                            sat = masked ^ negm
                             score = sat.bit_count()
                             if score <= floor:
                                 continue
-                            masked = value & universe
-                            if masked in dominated or (score <= best_floor and masked in seen):
+                            if sat == universe:
+                                n_candidates += run.index(right) + 1
+                                rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
+                                comb = (rows, op, comb1, comb2)
+                                return BeamResult(comb, True, universe.bit_count(), iterations)
+                            if masked in dominated:
                                 continue
-                            found = consider(value, sat, score, weight, op, comb1, comb2)
-                            if found is not None:
-                                return BeamResult(found, True, universe.bit_count(), iterations)
+                            if score <= best_floor:
+                                if masked in seen:
+                                    continue
+                                if pools.dominated(weight, sat, seq):
+                                    dominated.add(masked)
+                                    continue
+                            rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
+                            if score > best_floor:
+                                consider(rows, masked, sat, score, weight, op, comb1, comb2)
+                            else:
+                                admit(rows, masked, sat, score, weight, op, comb1, comb2)
+                        n_candidates += count
             k += 1
         return BeamResult(best_comb, False, best_score, iterations)
     finally:

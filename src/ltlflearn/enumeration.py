@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
-from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline
+from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline, split_runs
 from .formulas import Atom, Formula, OperatorSet, build_binary, build_unary
 from .traces import Sample
 
@@ -108,13 +108,6 @@ class FormulaBank:
         return sum(len(v) for v in self.by_size.values())
 
 
-def _runs(entries: list, start: int = 0) -> list[tuple[list, int]]:
-    """`entries[start:]` in slices of at most DEADLINE_STRIDE, each
-    with its length."""
-    runs = [entries[k : k + DEADLINE_STRIDE] for k in range(start, len(entries), DEADLINE_STRIDE)]
-    return [(run, len(run)) for run in runs]
-
-
 def enumerate_bounded(
     sample: Sample,
     ops: OperatorSet,
@@ -163,7 +156,7 @@ def enumerate_bounded(
             limit = n + DEADLINE_STRIDE  # no run may take `n` past it unchecked
             level = bank.by_size[size] = []
             append = level.append
-            children = _runs(bank.by_size[size - 1])
+            children = split_runs(bank.by_size[size - 1], DEADLINE_STRIDE)
             # The unary and binary loops share one body, inlined: it
             # runs once per candidate. A value already in `seen` was
             # solution-tested when it was retained.
@@ -193,11 +186,11 @@ def enumerate_bounded(
                         skipped += len(lefts) * len(rights)
                         continue
                     diagonal = mirrored and i == j
-                    runs = _runs(rights)
+                    runs = split_runs(rights, DEADLINE_STRIDE)
                     for a, left in enumerate(lefts):
                         if diagonal:
                             skipped += a + 1
-                            runs = _runs(rights, a + 1)
+                            runs = split_runs(rights, DEADLINE_STRIDE, a + 1)
                         left_bits = left[0]
                         for run, k in runs:
                             if n + k > limit:

@@ -7,7 +7,7 @@ from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom, table_of
-from ltlflearn.boolcover import BeamResult, BscInstance, _BoundedQueue, sat_bits
+from ltlflearn.boolcover import BeamResult, BscInstance, _BoundedQueue
 from ltlflearn.enumeration import FormulaBank, formula_of
 from ltlflearn.formulas import (
     And,
@@ -26,6 +26,15 @@ from ltlflearn.formulas import (
     eval_reference,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--all-pins",
+        action="store_true",
+        help="check every pinned universe task in perfbench/pins.json, "
+        "not only the two cheapest of each workload",
+    )
 
 
 # --- the oracle's oracle: LTLf semantics by direct recursion, position by position ---
@@ -386,14 +395,20 @@ def witness_solution(inst: BscInstance) -> tuple:
 
 # --- the domination oracle ------------------------------------------------------
 
+def reference_sat(rows: int, pos_mask: int, neg_mask: int) -> int:
+    """The rows classified correctly: the covered positives, plus the
+    excluded negatives."""
+    return (rows & pos_mask) | (neg_mask & ~rows)
+
+
 def sat_and_weight(comb: Optional[tuple], inst: BscInstance) -> tuple[int, int]:
     """The rows a combination classifies correctly, and its weight."""
-    return sat_bits(rows_of(comb, inst), inst.pos_mask, inst.neg_mask), weight_of(comb, inst)
+    return reference_sat(rows_of(comb, inst), inst.pos_mask, inst.neg_mask), weight_of(comb, inst)
 
 
 def base_set_scores(inst: BscInstance) -> list[tuple[int, int]]:
     """(sat, weight) of every base set, in order."""
-    return [(sat_bits(members, inst.pos_mask, inst.neg_mask), weight)
+    return [(reference_sat(members, inst.pos_mask, inst.neg_mask), weight)
             for members, weight, _ in inst.base_sets]
 
 
@@ -463,7 +478,7 @@ def reference_beam(
         nonlocal seq, best, n_candidates
         n_candidates += 1
         masked = comb[0] & universe
-        sat = sat_bits(masked, posm, negm)
+        sat = reference_sat(masked, posm, negm)
         if sat == universe:
             return True
         score = sat.bit_count()

@@ -3,7 +3,9 @@
 perfbench/pins.json holds the answer the learner gave on every task of
 each workload's universe. Re-deriving the cheapest two per workload
 catches answer drift in a plain test run instead of only in a benchmark
-run. The files are only read; the test skips when they are absent.
+run; `pytest tests/test_benchmark_pins.py --all-pins` re-derives every
+pinned task (416, about a minute). The files are only read; the test
+skips when they are absent.
 """
 
 import json
@@ -26,7 +28,7 @@ PINNED = ("status", "method", "formula", "n_enumerated", "n_retained", "beam_can
           "dc_splits")
 
 
-def _cheapest_pins():
+def _pins(every: bool):
     try:
         workloads = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"]
         pins = json.loads((PERFBENCH / "pins.json").read_text())
@@ -35,15 +37,17 @@ def _cheapest_pins():
     return [
         pytest.param(workloads[name], pin, id=f"{name}-seed{pin['seed']}")
         for name in workloads
-        for pin in sorted(pins[name], key=lambda pin: pin["cost"])[:2]
+        for pin in sorted(pins[name], key=lambda pin: pin["cost"])[: None if every else 2]
     ]
 
 
-CASES = _cheapest_pins()
+def pytest_generate_tests(metafunc):
+    if "pin" in metafunc.fixturenames:
+        every = metafunc.config.getoption("--all-pins", default=False)
+        metafunc.parametrize("workload,pin", _pins(every))
 
 
-@pytest.mark.skipif(not CASES, reason="perfbench/workloads.json or pins.json is absent")
-@pytest.mark.parametrize("workload,pin", CASES)
+@pytest.mark.skipif(not _pins(False), reason="perfbench/workloads.json or pins.json is absent")
 def test_cheapest_pinned_answers_do_not_drift(workload, pin):
     text = serialize_sample(gen_task(TaskSpec(seed=pin["seed"], **workload["spec"])))
     sample = parse_task(text).sample

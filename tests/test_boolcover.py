@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from ltlflearn.boolcover import (
     reduce_instance,
     sat_bits,
 )
-from ltlflearn.deadlines import DeadlineReached
+from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import DEFAULT_OPERATORS, And, Atom, Finally, Or
 from ltlflearn.traces import Alphabet, Sample, Trace
@@ -39,6 +40,7 @@ from conftest import (
     nodes_of,
     reference_beam,
     reference_collapse,
+    reference_sat,
     rows_of,
     sat_and_weight,
     union,
@@ -105,6 +107,22 @@ def test_sat_bits_counts_both_sides():
     # eval covers pos row 0 and neg row 2: correct on 0, wrong on 2.
     assert sat_bits(0b101, pos_mask=0b011, neg_mask=0b100) == 0b001
     assert sat_bits(0b011, pos_mask=0b011, neg_mask=0b100) == 0b111
+
+
+@given(st.lists(st.sampled_from("pn-"), max_size=12), st.integers(0, (1 << 16) - 1))
+@settings(max_examples=300)
+def test_sat_bits_is_the_covered_positives_and_the_excluded_negatives(kinds, bits):
+    # Each of the first rows is a positive, a negative or no row of the
+    # instance (as after a split); `bits` also has bits outside the rows.
+    pos_mask = mask(*(r for r, kind in enumerate(kinds) if kind == "p"))
+    neg_mask = mask(*(r for r, kind in enumerate(kinds) if kind == "n"))
+    sat = sat_bits(bits, pos_mask, neg_mask)
+    for row in range(16):
+        kind = kinds[row] if row < len(kinds) else "-"
+        covered, excluded = kind == "p" and bits >> row & 1, kind == "n" and not bits >> row & 1
+        assert sat >> row & 1 == (covered or excluded)
+    assert sat >> 16 == 0
+    assert sat == reference_sat(bits, pos_mask, neg_mask)
 
 
 # --- collapse ------------------------------------------------------------------
@@ -255,7 +273,7 @@ def test_pool_reduction_equals_the_oracle_at_full_k(pool):
     pos_mask, neg_mask = 0x0F, 0xF0
     triples = [(m, w, i) for i, (m, w) in enumerate(pool)]
     kept = _undominated(triples, pos_mask, neg_mask, len(pool))
-    items = [(sat_bits(m, pos_mask, neg_mask), w) for m, w in pool]
+    items = [(reference_sat(m, pos_mask, neg_mask), w) for m, w in pool]
     assert [i for _, _, i in kept] == exact_undominated(items)
 
 
@@ -497,13 +515,18 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
     stats = {}
     beam_search(inst, max_weight=12, stats=stats)
-    assert stats["beam_candidates"] > 10 * 4096
-    # One check per weight level, plus one per 4096 candidates.
-    assert len(calls) == stats["beam_iterations"] + stats["beam_candidates"] // 4096
+    assert (len(inst.base_sets), stats["beam_candidates"], stats["beam_iterations"]) == (
+        170, 79442, 10)
+    # One check per weight level, plus one before each run of pair
+    # candidates (a slice of at most 4096 rights, each right once with |
+    # and once with &) that would take the count since the last check
+    # past 4096: 17 such checks among the 79,272 pair candidates. The
+    # 170 seeds are fewer than 4096, so they get no check.
+    assert len(calls) == 10 + 17
 
 
 @given(
-    st.integers(1, 4),
+    st.integers(0, 4),
     st.integers(1, 4),
     st.lists(st.tuples(st.integers(0, 255), st.integers(1, 6)), max_size=10),
     st.integers(1, 4),
@@ -519,18 +542,72 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
 # higher and evicts it from the one-entry pool, so 0b110000 asked again
 # at weight 3 is undominated.
 @example(4, 2, [(0b010010, 1), (0b100011, 1), (0b101001, 1)], 4, 8, 1)
+# No positive rows: the empty combination already scores |universe|, so
+# the solution {n0} & {n1}, which excludes every negative, scores no
+# higher than the best it replaces.
+@example(0, 2, [(0b01, 1), (0b10, 1)], 1, 3, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):
     # Small queues fill and evict, heavy seeds leave a best that lighter
-    # combinations tie, and low max_weight ends most beams unsolved.
+    # combinations tie, and low max_weight ends most beams unsolved. A
+    # stride of 6 puts the rights of most weights in several runs.
     inst = instance(n_pos, n_neg, sets)
-    stats = {}
-    got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)
+    expected, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
+    for stride in (DEADLINE_STRIDE, 6):
+        stats = {}
+        with mock.patch("ltlflearn.boolcover.DEADLINE_STRIDE", stride):
+            got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)
+        assert got == expected
+        assert (stats["beam_candidates"], stats["beam_iterations"]) == (
+            n_candidates, expected.iterations)
+
+
+def candidates_at_each_check(monkeypatch, run) -> list[int]:
+    """The beam's candidate count at each deadline check of `run(stats)`,
+    then its final count: check j raises, for j = 1, 2, ... until a run
+    ends. A seed's check counts the seed at hand."""
+    counts: list[int] = []
+    while True:
+        calls = []
+
+        def check(deadline):
+            calls.append(deadline)
+            if len(calls) > len(counts):
+                raise DeadlineReached()
+
+        stats = {}
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr("ltlflearn.boolcover.check_deadline", check)
+                run(stats)
+        except DeadlineReached:
+            counts.append(stats["beam_candidates"])
+        else:
+            return counts + [stats["beam_candidates"]]
+
+
+@pytest.mark.parametrize("n_pos,n_neg,sets,beam_width,max_weight,domination_k,op", [
+    # Fewer seeds than the stride, rights in two runs of three (six
+    # candidates), and the answer in the second run: by & ...
+    (1, 4, [(57, 2), (42, 2), (77, 2), (145, 2)], 6, 5, 1, "&"),
+    # ... and by |.
+    (2, 2, [(84, 1), (224, 1), (162, 1), (145, 1), (253, 1)], 5, 6, 3, "|"),
+])
+def test_a_short_stride_keeps_the_beam_of_the_reference(
+    monkeypatch, n_pos, n_neg, sets, beam_width, max_weight, domination_k, op
+):
+    monkeypatch.setattr("ltlflearn.boolcover.DEADLINE_STRIDE", 6)
+    inst = instance(n_pos, n_neg, sets)
+    results = []
+    counts = candidates_at_each_check(monkeypatch, lambda stats: results.append(
+        beam_search(inst, beam_width, max_weight, domination_k, 1.0, stats)))
+    got = results[-1]
     expected, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
     assert got == expected
-    assert (stats["beam_candidates"], stats["beam_iterations"]) == (
-        n_candidates, expected.iterations)
+    assert got.is_solution and got.combination[1] == op
+    assert counts[-1] == n_candidates
+    assert max(b - a for a, b in zip([0] + counts, counts)) <= 6
 
 
 def test_union_combination_rows_sat_and_weight():
