@@ -53,12 +53,17 @@ pair loop drops them itself, on their rows masked to the instance, and
 builds full rows only for a solution, a new best or an admission to a
 queue. It drops a candidate at or under the weight's floor, which
 neither improves the best nor enters the full queue; then, unless it is
-a solution, one found dominated since the pools last changed; and if it
-cannot improve the best either, one already queued or dominated by the
-pools. The solution test comes before the test for a new best: with no
-positive rows the empty combination already scores |universe|, so a
-solution need not score higher. Candidates are counted once per run of
-rights (each right twice, | then &), as in enumeration.
+a solution and if it cannot improve the best either, one it has
+answered before, or one the lighter pools or pool W dominate. The
+solution test comes before the test for a new best: with no positive
+rows the empty combination already scores |universe|, so a solution
+need not score higher. Candidates are counted once per run of rights
+(each right twice, | then &), as in enumeration. A value that the pools
+lighter than the weight being filled dominate stays dominated for the
+rest of the beam: those pools never change again, and every later
+frontier holds them. Pool W's answers last until the next admission,
+which may evict their dominator, and so do the seeding loop's: the pair
+loop may evict a seed's lighter dominator, and the seed's value return.
 """
 
 from __future__ import annotations
@@ -198,13 +203,13 @@ class _DominationPools:
     an undominated element) but incomplete (may miss a dominator that
     was evicted); with k >= the largest pool it is exact.
 
-    A query at weight W asks the frontier of W, then reads pool W. The
-    frontier is the maximal sats of all entries lighter than W, packed
-    into one int: a lighter entry needs no tie rule, and a sat under a
-    non-maximal one is also under a maximal one. Pools heavier than W
-    are never read. A frontier is built on the first query at its
-    weight and dropped when an add changes a lighter pool (or creates
-    pool W, which the frontier holds beside it).
+    A query at weight W has two halves, which the beam asks apart:
+    `lighter_dominates` tests the frontier of W, the maximal sats of all
+    entries lighter than W packed into one int (they need no tie rule,
+    and a sat under a non-maximal one is under a maximal one too), and
+    `pool_dominates` reads pool W. Heavier pools are never read. A
+    frontier is built on the first query at its weight and dropped when
+    an add changes a lighter pool (or creates pool W, held beside it).
     """
 
     __slots__ = ("k", "pools", "frontiers")
@@ -248,7 +253,7 @@ class _DominationPools:
             del frontiers[w]
 
     def _frontier(self, weight: int) -> tuple[int, int, int, int, Sequence]:
-        """The packed frontier of this weight, and the pool of this weight.
+        """The packed frontier and the pool of this weight, kept in `frontiers`.
 
         Slot i holds ~kept_i over the data bits, below `limit`, under a
         zero guard bit; `rep` has a 1 at the base of each slot and
@@ -273,23 +278,28 @@ class _DominationPools:
                 notkept |= (limit - 1 ^ sat) << shift
                 shift += width
         pool = next((pool for w, pool in self.pools if w == weight), ())
-        return limit, rep, guards, notkept, pool
+        self.frontiers[weight] = cached = (limit, rep, guards, notkept, pool)
+        return cached
 
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
-        """Whether a pool entry weighs no more and its sat contains sat.
+        """Whether a pool entry weighs no more and its sat contains sat."""
+        return self.lighter_dominates(weight, sat) or self.pool_dominates(weight, sat, seq)
+
+    def lighter_dominates(self, weight: int, sat: int) -> bool:
+        """Whether an entry lighter than weight contains sat: one packed
+        test of the frontier."""
+        limit, rep, guards, notkept, _ = self.frontiers.get(weight) or self._frontier(weight)
+        return sat < limit and (guards - (sat * rep & notkept)) & guards != 0
+
+    def pool_dominates(self, weight: int, sat: int, seq: int) -> bool:
+        """Whether an entry of pool W contains sat.
 
         Mutually dominating twins (equal weight and sat) keep the one
-        with the smaller seq, so an entry never dominates itself. One
-        packed test asks the frontier; pool W is read only down to its
-        first entry that scores lower than sat, as a superset scores
-        at least as high.
+        with the smaller seq, so an entry never dominates itself. The
+        pool is read only down to its first entry that scores lower
+        than sat, as a superset scores at least as high.
         """
-        cached = self.frontiers.get(weight)
-        if cached is None:
-            cached = self.frontiers[weight] = self._frontier(weight)
-        limit, rep, guards, notkept, pool = cached
-        if sat < limit and (guards - (sat * rep & notkept)) & guards:
-            return True
+        pool = (self.frontiers.get(weight) or self._frontier(weight))[4]
         neg_score = -sat.bit_count()
         for pool_neg_score, pool_seq, pool_sat in pool:
             if pool_neg_score > neg_score:
@@ -365,14 +375,11 @@ class _BoundedQueue:
         self.capacity = capacity
         self.heap: list[tuple[int, int, object]] = []  # (score, seq, entry)
 
-    def add(self, score: int, seq: int, entry: object) -> bool:
+    def add(self, score: int, seq: int, entry: object) -> None:
         if len(self.heap) < self.capacity:
             heapq.heappush(self.heap, (score, seq, entry))
-            return True
-        if score > self.heap[0][0]:
+        elif score > self.heap[0][0]:
             heapq.heappushpop(self.heap, (score, seq, entry))
-            return True
-        return False
 
     @property
     def min_score(self) -> int:
@@ -412,12 +419,13 @@ def beam_search(
     posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
     queues: dict[int, _BoundedQueue] = {}
-    seen: set[int] = set()
     pools = _DominationPools(domination_k)
-    # Values found dominated at the weight being filled since the last
-    # pools.add. Asked again, the beam would drop them again: seq and the
-    # pools have not moved, and the best cannot take an equal score at
-    # the same weight. Not `seen`: an add may evict their dominator.
+    # Values dropped for good: the queued ones, and those the pair loop
+    # found dominated by the pools lighter than its weight, which never
+    # change again. Not a seed's: its lighter dominator may be evicted.
+    seen: set[int] = set()
+    # Values pool W dominates, found at the weight W being filled since
+    # the last pools.add, which may evict their dominator.
     dominated: set[int] = set()
     seq = 0
     n_candidates = 0
@@ -513,11 +521,11 @@ def beam_search(
                             # at or under the floor. A solution returns next,
                             # before the test against best_floor: with no
                             # positive rows it scores no more than the empty
-                            # combination. Then drop what was found dominated
-                            # since the last add, and at or under best_floor,
-                            # what is queued already or the pools dominate.
-                            # The floor has turned away all that a full queue
-                            # would.
+                            # combination. Then, at or under best_floor, what
+                            # is in `seen` or `dominated` (best_floor only
+                            # rises, so both hold such values only), and what
+                            # the lighter pools, then pool W, dominate. The
+                            # floor has turned away all that a full queue would.
                             comb2, m2, op = right
                             masked = m1 | m2 if op == "|" else m1 & m2
                             sat = masked ^ negm
@@ -529,12 +537,13 @@ def beam_search(
                                 rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
                                 comb = (rows, op, comb1, comb2)
                                 return BeamResult(comb, True, universe.bit_count(), iterations)
-                            if masked in dominated:
-                                continue
                             if score <= best_floor:
-                                if masked in seen:
+                                if masked in seen or masked in dominated:
                                     continue
-                                if pools.dominated(weight, sat, seq):
+                                if pools.lighter_dominates(weight, sat):
+                                    seen.add(masked)
+                                    continue
+                                if pools.pool_dominates(weight, sat, seq):
                                     dominated.add(masked)
                                     continue
                             rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]

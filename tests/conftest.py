@@ -455,6 +455,21 @@ class HeapPools:
             for _, neg_seq, pool_sat in pool
         )
 
+    def lighter_dominates(self, weight: int, sat: int) -> bool:
+        """The half of `dominated` that the pools lighter than weight answer."""
+        return any(
+            sat & ~pool_sat == 0
+            for w, pool in self.pools.items() if w < weight
+            for _, _, pool_sat in pool
+        )
+
+    def pool_dominates(self, weight: int, sat: int, seq: int) -> bool:
+        """The half of `dominated` that pool W answers, with the tie rule."""
+        return any(
+            sat & ~pool_sat == 0 and (pool_sat != sat or -neg_seq < seq)
+            for _, neg_seq, pool_sat in self.pools.get(weight, ())
+        )
+
     def entries(self) -> set[tuple[int, int, int]]:
         """Every (weight, seq, sat) the pools hold."""
         return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
@@ -489,10 +504,10 @@ def reference_beam(
             return False
         if masked in seen or pools.dominated(weight, sat, seq):
             return False
-        if queue.add(score, seq, comb):
-            seen.add(masked)
-            pools.add(weight, sat, seq)
-            seq += 1
+        queue.add(score, seq, comb)
+        seen.add(masked)
+        pools.add(weight, sat, seq)
+        seq += 1
         return False
 
     def solved(comb: tuple, iterations: int) -> tuple[BeamResult, int]:

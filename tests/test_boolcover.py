@@ -318,6 +318,11 @@ WIDE_CANDIDATES = st.integers(30, 100).flatmap(
 )
 
 
+def answer_halves_like_the_oracle(pools, oracle, weight, sat, seq):
+    assert pools.lighter_dominates(weight, sat) == oracle.lighter_dominates(weight, sat)
+    assert pools.pool_dominates(weight, sat, seq) == oracle.pool_dominates(weight, sat, seq)
+
+
 def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
     # The beam asks first and adds what is not dominated under the next
     # seq; a forced add also puts dominated entries and twins in.
@@ -326,6 +331,7 @@ def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
     for weight, sat, forced in candidates:
         answer = pools.dominated(weight, sat, seq)
         assert answer == oracle.dominated(weight, sat, seq)
+        answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
         if forced or not answer:
             pools.add(weight, sat, seq)
             oracle.add(weight, sat, seq)
@@ -342,6 +348,7 @@ def answer_like_the_oracle_after_all_adds(k, candidates):
     assert pool_entries(pools) == oracle.entries()
     for seq, (weight, sat, _) in enumerate(candidates):
         assert pools.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
+        answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
     # Asking with a seq or weight outside the pools too.
     for weight, sat, _ in candidates:
         for w in (weight - 1, weight + 1):
@@ -451,10 +458,12 @@ def test_reduce_instance_drops_dominated_sets():
 
 def test_bounded_queue_admission_and_eviction():
     q = _BoundedQueue(2)
-    assert q.add(5, 0, "a") and q.add(3, 1, "b")
+    q.add(5, 0, "a")
+    q.add(3, 1, "b")
     assert q.full()
-    assert not q.add(3, 2, "c")  # ties lose against a full queue
-    assert q.add(4, 3, "d")  # strict improvement evicts the min ("b")
+    q.add(3, 2, "c")  # ties lose against a full queue
+    assert sorted(q.heap) == [(3, 1, "b"), (5, 0, "a")]
+    q.add(4, 3, "d")  # strict improvement evicts the min ("b")
     assert sorted(t[2] for t in q.heap) == ["a", "d"]
     assert q.ordered() == ["a", "d"]  # insertion order
 
@@ -463,7 +472,7 @@ def test_bounded_queue_evicts_oldest_among_lowest():
     q = _BoundedQueue(2)
     q.add(1, 0, "old")
     q.add(1, 1, "new")
-    assert q.add(2, 2, "best")
+    q.add(2, 2, "best")
     assert sorted(t[2] for t in q.heap) == ["best", "new"]
 
 
@@ -525,6 +534,37 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     assert len(calls) == 10 + 17
 
 
+def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
+    # Once the pair loop fills weight W, no lighter pool changes again
+    # and every later frontier holds them, so a value they dominate is
+    # dropped for the rest of the beam without another question.
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    inst = reduce_instance(collapse(bank, sample)[0], 10)
+    phase, asked = ["seeds"], []
+
+    class Pools(_DominationPools):
+        def lighter_dominates(self, weight, sat):
+            answer = super().lighter_dominates(weight, sat)
+            asked.append((phase[0], sat, answer))
+            return answer
+
+    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
+    # The pair loop checks the deadline as each weight starts; the 170
+    # seeds are fewer than 4096, so they get no check.
+    monkeypatch.setattr(
+        "ltlflearn.boolcover.check_deadline", lambda deadline: phase.__setitem__(0, "pairs"))
+    stats = {}
+    beam_search(inst, max_weight=12, stats=stats)
+    assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
+    pairs = [(sat, answer) for when, sat, answer in asked if when == "pairs"]
+    last = {sat: i for i, (sat, _) in enumerate(pairs)}
+    assert all(last[sat] == i for i, (sat, answer) in enumerate(pairs) if answer)
+    # 415 dominated values, each asked once; asked again at each weight and
+    # after each admission, the lighter pools would answer True 654 times.
+    assert sum(answer for _, answer in pairs) == 415
+
+
 @given(
     st.integers(0, 4),
     st.integers(1, 4),
@@ -546,6 +586,12 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
 # the solution {n0} & {n1}, which excludes every negative, scores no
 # higher than the best it replaces.
 @example(0, 2, [(0b01, 1), (0b10, 1)], 1, 3, 1)
+# The seed {p2} (weight 4) is dominated at seeding by the lighter seed
+# {p1, p2} (weight 3). At weight 3, {p0, p2, p3, n0} | {p1} scores higher
+# and evicts that seed from its one-entry pool, so {p2} comes back at
+# weight 5 as {p0, p2, p3, n0} & {p1, p2}, undominated: an answer from
+# the seeding loop does not hold for the rest of the beam.
+@example(4, 1, [(0b11101, 1), (0b00010, 1), (0b00110, 3), (0b00100, 4)], 2, 7, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):
