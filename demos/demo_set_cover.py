@@ -70,10 +70,8 @@ def main() -> None:
     print("phi4 = {p1}, weight 2: dropped, phi1 dominates it")
 
     print("\nexistence check:", existence_check(inst), "(None means separable)")
-    result = beam_search(inst)
-    comb = result.combination
-    print(f"beam search: {render(comb)} = {show(comb[0], 6)}, "
-          f"weight {weight(comb, inst)}, solution={result.is_solution}")
+    comb = beam_search(inst)
+    print(f"beam search: {render(comb)} = {show(comb[0], 6)}, weight {weight(comb, inst)}")
 
     # Planting a witness: add n1 to every set containing p1. Now any
     # combination covering p1 also admits n1, and the divide-and-conquer

@@ -50,20 +50,17 @@ candidate's: a superset of sat scores (counts rows) at least as high.
 
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
-builds full rows only for a solution, a new best or an admission to a
-queue. It drops a candidate at or under the weight's floor, which
-neither improves the best nor enters the full queue; then, unless it is
-a solution and if it cannot improve the best either, one it has
-answered before, or one the lighter pools or pool W dominate. The
-solution test comes before the test for a new best: with no positive
-rows the empty combination already scores |universe|, so a solution
-need not score higher. Candidates are counted once per run of rights
-(each right twice, | then &), as in enumeration. A value that the pools
-lighter than the weight being filled dominate stays dominated for the
-rest of the beam: those pools never change again, and every later
-frontier holds them. Pool W's answers last until the next admission,
-which may evict their dominator, and so do the seeding loop's: the pair
-loop may evict a seed's lighter dominator, and the seed's value return.
+builds full rows only for a solution or an admission to a queue. It
+drops a candidate at or under the floor of its weight's full queue;
+then, unless it is a solution, one it has answered before or one the
+lighter pools or pool W dominate. Candidates are counted once per run
+of rights (each right twice, | then &), as in enumeration. A value that
+the pools lighter than the weight being filled dominate stays dominated
+for the rest of the beam: those pools never change again, and every
+later frontier holds them. Pool W's answers last until the next
+admission, which may evict their dominator, and so do the seeding
+loop's: the pair loop may evict a seed's lighter dominator, and the
+seed's value return.
 """
 
 from __future__ import annotations
@@ -354,14 +351,6 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
 # Beam search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BeamResult:
-    combination: Optional[tuple]
-    is_solution: bool
-    score: int
-    iterations: int
-
-
 class _BoundedQueue:
     """AddBounded priority queue: keeps the `capacity` best by score.
 
@@ -403,16 +392,14 @@ def beam_search(
     domination_k: int = 10,
     deadline: Optional[float] = None,
     stats: Optional[dict] = None,
-) -> BeamResult:
+) -> Optional[tuple]:
     """Weight-ordered beam search for a solution combination.
 
     Seeds per-weight bounded queues with the instance's base sets, then
     combines queue members pairwise under union and intersection,
-    weight k+1 from child weights summing to k. Returns immediately on
-    a solution; otherwise, once the next weight would exceed max_weight
-    (or nothing is left to combine), returns the best explored
-    combination: highest score, then lowest weight, then earliest
-    discovery.
+    weight k+1 from child weights summing to k. Returns the first
+    solution found, or None once the next weight would exceed
+    max_weight or nothing is left to combine: the beam has stalled.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -429,54 +416,20 @@ def beam_search(
     dominated: set[int] = set()
     seq = 0
     n_candidates = 0
-
-    # The empty combination is the fallback best: right on all negatives.
-    best_comb: Optional[tuple] = None
-    best_score = negm.bit_count()
-    best_weight = 0
-    floor = best_floor = -1  # see the pair loop
-
-    def floors(weight: int) -> tuple[int, int]:
-        """(floor, best_floor) for candidates of this weight.
-
-        A candidate scoring at most best_floor cannot improve the best;
-        one scoring at most floor is, besides, turned away by its full
-        queue (floor is -1 while the queue has room).
-        """
-        best_floor = best_score if weight >= best_weight else best_score - 1
-        queue = queues.get(weight)
-        if queue is None or not queue.full():
-            return -1, best_floor
-        return min(queue.min_score, best_floor), best_floor
+    floor = -1  # the full queue's minimum score, or -1 while it has room
 
     def admit(rows: int, masked: int, sat: int, score: int, weight: int, op, left, right):
         """Queue a candidate that its queue accepts and no pool entry
-        dominates, and record it; the floors of this weight follow."""
-        nonlocal seq, floor, best_floor
-        queues[weight].add(score, seq, (rows, op, left, right))
+        dominates, and record it; the floor of this weight follows."""
+        nonlocal seq, floor
+        queue = queues[weight]
+        queue.add(score, seq, (rows, op, left, right))
         seen.add(masked)
         pools.add(weight, sat, seq)
         dominated.clear()  # the add may have evicted a dominator
         seq += 1
-        floor, best_floor = floors(weight)
-
-    def consider(rows: int, masked: int, sat: int, score: int, weight: int, op, left, right):
-        """Bookkeeping for a candidate that is not a solution: it may
-        become the best, then enters its queue unless the full queue
-        turns it away, its value is queued already or it is dominated."""
-        nonlocal best_comb, best_score, best_weight, floor, best_floor
-        if score > best_score or (score == best_score and weight < best_weight):
-            best_comb = (rows, op, left, right)
-            best_score = score
-            best_weight = weight
-            floor, best_floor = floors(weight)
-        queue = queues.setdefault(weight, _BoundedQueue(beam_width))
-        if queue.full() and score <= queue.min_score or masked in seen:
-            return
-        if pools.dominated(weight, sat, seq):
-            dominated.add(masked)
-            return
-        admit(rows, masked, sat, score, weight, op, left, right)
+        if queue.full():
+            floor = queue.min_score
 
     iterations = 0
     try:
@@ -486,8 +439,14 @@ def beam_search(
                 check_deadline(deadline)
             sat = sat_bits(members, posm, negm)
             if sat == universe:
-                return BeamResult((members, index, None, None), True, universe.bit_count(), 0)
-            consider(members, members & universe, sat, sat.bit_count(), weight, index, None, None)
+                return (members, index, None, None)
+            masked = members & universe
+            score = sat.bit_count()
+            queue = queues.setdefault(weight, _BoundedQueue(beam_width))
+            if queue.full() and score <= queue.min_score or masked in seen:
+                continue
+            if not pools.dominated(weight, sat, seq):
+                admit(members, masked, sat, score, weight, index, None, None)
 
         k = 2
         while k + 1 <= max_weight and any(len(q) for q in queues.values()):
@@ -495,8 +454,9 @@ def beam_search(
             limit = n_candidates + DEADLINE_STRIDE  # no run may take the count past it unchecked
             iterations += 1
             weight = k + 1
-            queues.setdefault(weight, _BoundedQueue(beam_width))  # admit's; empty, it is inert
-            floor, best_floor = floors(weight)
+            # Seeds of this weight may have filled its queue already.
+            queue = queues.setdefault(weight, _BoundedQueue(beam_width))
+            floor = queue.min_score if queue.full() else -1
             dominated.clear()
             for i in range(1, k // 2 + 1):
                 qi = queues.get(i)
@@ -518,14 +478,11 @@ def beam_search(
                             limit = n_candidates + DEADLINE_STRIDE
                         for right in run:
                             # Drop what changes nothing, cheapest test first:
-                            # at or under the floor. A solution returns next,
-                            # before the test against best_floor: with no
-                            # positive rows it scores no more than the empty
-                            # combination. Then, at or under best_floor, what
-                            # is in `seen` or `dominated` (best_floor only
-                            # rises, so both hold such values only), and what
-                            # the lighter pools, then pool W, dominate. The
-                            # floor has turned away all that a full queue would.
+                            # at or under the floor, which the full queue
+                            # turns away (a solution scores above any queued
+                            # value). A solution returns next. Then what is
+                            # in `seen` or `dominated`, and what the lighter
+                            # pools, then pool W, dominate.
                             comb2, m2, op = right
                             masked = m1 | m2 if op == "|" else m1 & m2
                             sat = masked ^ negm
@@ -535,25 +492,20 @@ def beam_search(
                             if sat == universe:
                                 n_candidates += run.index(right) + 1
                                 rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                                comb = (rows, op, comb1, comb2)
-                                return BeamResult(comb, True, universe.bit_count(), iterations)
-                            if score <= best_floor:
-                                if masked in seen or masked in dominated:
-                                    continue
-                                if pools.lighter_dominates(weight, sat):
-                                    seen.add(masked)
-                                    continue
-                                if pools.pool_dominates(weight, sat, seq):
-                                    dominated.add(masked)
-                                    continue
+                                return (rows, op, comb1, comb2)
+                            if masked in seen or masked in dominated:
+                                continue
+                            if pools.lighter_dominates(weight, sat):
+                                seen.add(masked)
+                                continue
+                            if pools.pool_dominates(weight, sat, seq):
+                                dominated.add(masked)
+                                continue
                             rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                            if score > best_floor:
-                                consider(rows, masked, sat, score, weight, op, comb1, comb2)
-                            else:
-                                admit(rows, masked, sat, score, weight, op, comb1, comb2)
+                            admit(rows, masked, sat, score, weight, op, comb1, comb2)
                         n_candidates += count
             k += 1
-        return BeamResult(best_comb, False, best_score, iterations)
+        return None
     finally:
         # Also on DeadlineReached, so a timed-out run reports how far it got.
         if stats is not None:
@@ -624,7 +576,7 @@ def div_conq(
 ) -> Union[tuple, NoSolution]:
     """Solve by beam search, splitting the instance when it stalls.
 
-    When the beam's result is not a solution, the larger of P and N
+    When the beam stalls without a solution, the larger of P and N
     (P on ties) is split by a seeded shuffle into halves; the first
     half's restriction is solved first, the second is simplified by it
     (positives already covered / negatives already excluded are
@@ -656,9 +608,9 @@ def div_conq(
                 return NoSolution(Witness(p_row, n_row - n_pos))
             return (best[0], best[2], None, None)
 
-        result = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
-        if result.is_solution:
-            return result.combination
+        found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
+        if found is not None:
+            return found
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 

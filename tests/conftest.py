@@ -7,7 +7,7 @@ from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom, table_of
-from ltlflearn.boolcover import BeamResult, BscInstance, _BoundedQueue
+from ltlflearn.boolcover import BscInstance, _BoundedQueue
 from ltlflearn.enumeration import FormulaBank, formula_of
 from ltlflearn.formulas import (
     And,
@@ -477,28 +477,26 @@ class HeapPools:
 
 def reference_beam(
     inst: BscInstance, beam_width: int, max_weight: int, domination_k: int
-) -> tuple[BeamResult, int]:
+) -> tuple[Optional[tuple], int, int]:
     """The oracle for `boolcover.beam_search`: the same search with every
     candidate taken through the whole bookkeeping, nothing skipped, and
-    the heap pools. Returns the result and the number of candidates."""
+    the heap pools. Returns the solution or None, the number of
+    iterations and the number of candidates."""
     posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
     queues: dict[int, _BoundedQueue] = {}
     seen: set[int] = set()
     pools = HeapPools(domination_k)
     seq = n_candidates = 0
-    best = (None, negm.bit_count(), 0)  # combination, score, weight
 
     def consider(comb: tuple, weight: int) -> bool:
-        nonlocal seq, best, n_candidates
+        nonlocal seq, n_candidates
         n_candidates += 1
         masked = comb[0] & universe
         sat = reference_sat(masked, posm, negm)
         if sat == universe:
             return True
         score = sat.bit_count()
-        if score > best[1] or (score == best[1] and weight < best[2]):
-            best = (comb, score, weight)
         queue = queues.setdefault(weight, _BoundedQueue(beam_width))
         if queue.full() and score <= queue.min_score:
             return False
@@ -510,12 +508,9 @@ def reference_beam(
         seq += 1
         return False
 
-    def solved(comb: tuple, iterations: int) -> tuple[BeamResult, int]:
-        return BeamResult(comb, True, universe.bit_count(), iterations), n_candidates
-
     for members, weight, index in inst.base_sets:
         if consider((members, index, None, None), weight):
-            return solved((members, index, None, None), 0)
+            return (members, index, None, None), 0, n_candidates
     iterations = 0
     k = 2
     while k + 1 <= max_weight and any(len(q) for q in queues.values()):
@@ -528,9 +523,9 @@ def reference_beam(
                 for comb2 in rights:
                     for comb in (union(comb1, comb2), inter(comb1, comb2)):
                         if consider(comb, k + 1):
-                            return solved(comb, iterations)
+                            return comb, iterations, n_candidates
         k += 1
-    return BeamResult(best[0], False, best[1], iterations), n_candidates
+    return None, iterations, n_candidates
 
 
 # --- manifests: a manifest row read back into its task spec ---

@@ -340,9 +340,8 @@ def test_a07_worked_cover_instance_is_solved_minimally():
         (0b010111, 1),  # phi3 = {p1, p2, p3, n2}
     ])
 
-    result = beam_search(inst)
-    assert result.is_solution
-    comb = result.combination
+    comb = beam_search(inst)
+    assert is_solution_combination(comb, inst)
     assert weight_of(comb, inst) == 5
     expected = union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
     assert _canon(comb) == _canon(expected)

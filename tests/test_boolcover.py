@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.boolcover import (
-    BeamResult,
     BscInstance,
     NoSolution,
     Witness,
@@ -480,34 +479,25 @@ def test_bounded_queue_evicts_oldest_among_lowest():
 
 def test_beam_finds_single_set_solution_at_seeding():
     inst = instance(2, 1, [(0b011, 4)])
-    res = beam_search(inst)
-    assert res.is_solution
-    assert res.combination == leaf(inst, 0)
-    assert res.iterations == 0
+    stats = {}
+    assert beam_search(inst, stats=stats) == leaf(inst, 0)
+    assert stats["beam_iterations"] == 0
 
 
 def test_beam_on_the_worked_instance():
     inst = worked_instance()
-    res = beam_search(inst)
-    assert res.is_solution
-    assert res.combination == union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
-    assert weight_of(res.combination, inst) == 5
+    comb = beam_search(inst)
+    assert comb == union(leaf(inst, 0), inter(leaf(inst, 1), leaf(inst, 2)))
+    assert weight_of(comb, inst) == 5
 
 
-def test_beam_without_budget_returns_best():
+def test_beam_without_budget_returns_none():
     # max_weight 2 forbids any union or intersection (weight >= 3).
-    inst = worked_instance()
-    res = beam_search(inst, max_weight=2)
-    assert not res.is_solution
-    assert res.score < (inst.pos_mask | inst.neg_mask).bit_count()
+    assert beam_search(worked_instance(), max_weight=2) is None
 
 
-def test_beam_on_empty_family_returns_empty_best():
-    inst = instance(1, 1, [])
-    res = beam_search(inst)
-    assert not res.is_solution
-    assert res.combination is None
-    assert res.score == 1  # right on the one negative
+def test_beam_on_empty_family_returns_none():
+    assert beam_search(instance(1, 1, [])) is None
 
 
 def test_beam_stats_are_recorded():
@@ -576,15 +566,14 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
 @settings(max_examples=500)
 # A full queue of width 1 admits a score just above its minimum.
 @example(3, 1, [(0b0001, 4), (0b0100, 1), (0b1011, 2)], 1, 4, 1)
-# p0 | p1 ties the heavier seed {p0, p1} as best, with a value already queued.
+# p0 | p1 reaches the value of the heavier seed {p0, p1}, already queued.
 @example(3, 1, [(0b0001, 1), (0b0010, 1), (0b0011, 6)], 4, 3, 2)
 # At weight 3, sat 0b110000 is dominated by 0b110010; 0b11011 scores
 # higher and evicts it from the one-entry pool, so 0b110000 asked again
 # at weight 3 is undominated.
 @example(4, 2, [(0b010010, 1), (0b100011, 1), (0b101001, 1)], 4, 8, 1)
-# No positive rows: the empty combination already scores |universe|, so
-# the solution {n0} & {n1}, which excludes every negative, scores no
-# higher than the best it replaces.
+# No positive rows: the solution {n0} & {n1} excludes every negative,
+# and no seed does.
 @example(0, 2, [(0b01, 1), (0b10, 1)], 1, 3, 1)
 # The seed {p2} (weight 4) is dominated at seeding by the lighter seed
 # {p1, p2} (weight 3). At weight 3, {p0, p2, p3, n0} | {p1} scores higher
@@ -592,21 +581,22 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
 # weight 5 as {p0, p2, p3, n0} & {p1, p2}, undominated: an answer from
 # the seeding loop does not hold for the rest of the beam.
 @example(4, 1, [(0b11101, 1), (0b00010, 1), (0b00110, 3), (0b00100, 4)], 2, 7, 1)
+# The weight-4 seed fills the one-slot queue 4 before the pair loop fills weight 4.
+@example(3, 4, [(25, 4), (40, 1), (72, 2)], 1, 8, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):
-    # Small queues fill and evict, heavy seeds leave a best that lighter
-    # combinations tie, and low max_weight ends most beams unsolved. A
+    # Small queues fill and evict, heavy seeds fill queues that the pair
+    # loop reaches later, and low max_weight ends most beams unsolved. A
     # stride of 6 puts the rights of most weights in several runs.
     inst = instance(n_pos, n_neg, sets)
-    expected, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
+    expected, iterations, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
     for stride in (DEADLINE_STRIDE, 6):
         stats = {}
         with mock.patch("ltlflearn.boolcover.DEADLINE_STRIDE", stride):
             got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)
         assert got == expected
-        assert (stats["beam_candidates"], stats["beam_iterations"]) == (
-            n_candidates, expected.iterations)
+        assert (stats["beam_candidates"], stats["beam_iterations"]) == (n_candidates, iterations)
 
 
 def candidates_at_each_check(monkeypatch, run) -> list[int]:
@@ -649,9 +639,9 @@ def test_a_short_stride_keeps_the_beam_of_the_reference(
     counts = candidates_at_each_check(monkeypatch, lambda stats: results.append(
         beam_search(inst, beam_width, max_weight, domination_k, 1.0, stats)))
     got = results[-1]
-    expected, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
+    expected, _, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
     assert got == expected
-    assert got.is_solution and got.combination[1] == op
+    assert got is not None and got[1] == op
     assert counts[-1] == n_candidates
     assert max(b - a for a, b in zip([0] + counts, counts)) <= 6
 
@@ -742,7 +732,7 @@ def test_div_conq_base_case_picks_lightest_separating_set():
 def test_div_conq_splits_when_the_solver_stalls(monkeypatch):
     # A beam that never solves forces splitting all the way down.
     def stubborn(*args):
-        return BeamResult(None, False, 0, 0)
+        return None
 
     monkeypatch.setattr("ltlflearn.boolcover.beam_search", stubborn)
     inst = worked_instance()
@@ -766,8 +756,7 @@ def test_answers_carry_the_rows_of_their_base_sets(n_pos, n_neg, sets, max_weigh
     # Every node's rows span the whole universe, also below a split,
     # where the subproblems see only some of the rows.
     inst = instance(n_pos, n_neg, sets)
-    beam = beam_search(inst, beam_width=3, max_weight=max_weight)
-    answers = [beam.combination]
+    answers = [beam_search(inst, beam_width=3, max_weight=max_weight)]
     out = div_conq(inst, seed=seed, beam_width=3, max_weight=max_weight)
     if not isinstance(out, NoSolution):
         assert is_solution_combination(out, inst)
@@ -810,9 +799,7 @@ def test_leaves_name_formulas_not_positions():
                     [Atom(i) for i in range(4)])
     reduced = reduce_instance(inst, 10)
     assert [i for _, _, i in reduced.base_sets] == [1, 2, 3]
-    beam = beam_search(reduced)
-    assert beam.is_solution
-    assert reconstruct(beam.combination, reduced) == Or(Atom(1), And(Atom(2), Atom(3)))
+    assert reconstruct(beam_search(reduced), reduced) == Or(Atom(1), And(Atom(2), Atom(3)))
 
     def rows_named(phi):  # Atom(i) stands for base set i of inst
         if isinstance(phi, Atom):

@@ -11,9 +11,14 @@ digests on two commits mean the same answers and counts on every task.
 
     python tools/answer_digest.py                     # every workload, about 30 s
     python tools/answer_digest.py --tasks cover-beam  # one workload, one line per task
+    python tools/answer_digest.py --check             # against tools/answer_digests.json
+    python tools/answer_digest.py --write             # re-commit that file
 
-The sources are those of the checkout the script sits in; only
-perfbench/workloads.json is read from perfbench/.
+tools/answer_digests.json holds each workload's digest and the sha256
+of each task's line. `--check` exits 1 at the first task whose line
+differs, naming its workload and task seed. The sources are those of
+the checkout the script sits in; only perfbench/workloads.json is read
+from perfbench/.
 """
 
 import argparse
@@ -23,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tools" / "answer_digests.json"
 sys.path.insert(0, str(ROOT / "src"))
 
 from ltlflearn import (  # noqa: E402
@@ -52,22 +58,40 @@ def record(spec: dict, config: dict, seed: int) -> dict:
     }
 
 
+def line_of(rec: dict) -> bytes:
+    """A record's line, as the workload digest reads it."""
+    return json.dumps(rec, sort_keys=True).encode() + b"\n"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("workloads", nargs="*", help="workload names (default: all)")
     ap.add_argument("--tasks", action="store_true",
                     help="also print each task's record, to locate a difference")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help=f"exit 1 at the first task whose line differs from {DIGESTS.name}")
+    mode.add_argument("--write", action="store_true", help=f"write the digests to {DIGESTS.name}")
     args = ap.parse_args()
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    committed = json.loads(DIGESTS.read_text()) if args.check or DIGESTS.exists() else {}
     for name in args.workloads or workloads:
         workload = workloads[name]
         digest = hashlib.sha256()
+        tasks = []
         for seed in range(workload["universe"]):
-            line = json.dumps(record(workload["spec"], workload["config"], seed), sort_keys=True)
-            digest.update(line.encode() + b"\n")
+            line = line_of(record(workload["spec"], workload["config"], seed))
+            digest.update(line)
+            tasks.append(hashlib.sha256(line).hexdigest())
             if args.tasks:
-                print(f"{name} {seed} {line}", flush=True)
+                print(f"{name} {seed} {line.decode()}", end="", flush=True)
+            if args.check and tasks[-1] != committed[name]["tasks"][seed]:
+                print(f"{name} task seed {seed} differs from {DIGESTS.name}", flush=True)
+                sys.exit(1)
+        committed[name] = {"sha256": digest.hexdigest(), "tasks": tasks}
         print(f"{name} {workload['universe']} tasks sha256 {digest.hexdigest()}", flush=True)
+    if args.write:
+        DIGESTS.write_text(json.dumps(committed, indent=1) + "\n")
 
 
 if __name__ == "__main__":
