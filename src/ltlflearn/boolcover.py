@@ -16,22 +16,21 @@ the family, `beam_search` explores combinations in weight order keeping
 the best-scoring few per weight, and `div_conq` splits the instance
 when beam search stalls, combining the halves' solutions with a union
 (positives split) or intersection (negatives split). `reconstruct`
-maps a combination back to a formula.
+builds the answer's formula.
 
 An instance holds its rows as two masks over the sample and its base
-sets as `(members, weight, index)` triples; `formulas[index]` is a
-set's source formula. A restriction to fewer rows, by reduction or by a
-split, is an instance too, with some of the same triples and the same
-`formulas`: members keep their rows over the whole sample, and every
-read masks them with the instance's rows.
+sets as `(members, weight, leaf)` triples. A restriction to fewer rows,
+by reduction or by a split, is an instance too, with some of the same
+triples: members keep their rows over the whole sample, and every read
+masks them with the instance's rows.
 
 A combination is a back-pointer, like an enumerated formula: the tuple
 `(rows, op, left, right)` of its value over the whole sample, its
-connective "|" or "&" and its two children. A leaf is `(members,
-index, None, None)`, where `index` names the set's formula, not its
-position in any `base_sets`, and None is the empty combination, which
-holds on no row. So the rows of every combination are at hand where it
-is built, and none is evaluated again.
+connective "|" or "&" and its two children; None is the empty one. A
+leaf is its set's representative bank entry with the members in front,
+so an answer and the enumerated formulas under it are one graph, and
+only the answer's formula is built. The rows of every combination are
+at hand where it is built, and none is evaluated again.
 
 sat(theta) is the set of rows a combination classifies correctly:
 the covered positives plus the excluded negatives. theta2 is dominated
@@ -73,7 +72,7 @@ from typing import Optional, Sequence, Union
 
 from .deadlines import DEADLINE_STRIDE, check_deadline, split_runs
 from .enumeration import formula_of
-from .formulas import Formula, build_binary
+from .formulas import Formula
 from .traces import Sample
 
 
@@ -83,12 +82,11 @@ from .traces import Sample
 
 @dataclass(frozen=True)
 class BscInstance:
-    """(members, weight, index) base sets over the rows pos_mask | neg_mask."""
+    """(members, weight, leaf) base sets over the rows pos_mask | neg_mask."""
 
     pos_mask: int
     neg_mask: int
-    base_sets: tuple[tuple[int, int, int], ...]
-    formulas: tuple[Formula, ...]
+    base_sets: tuple[tuple[int, int, tuple], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +105,18 @@ def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
 def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[BscInstance, dict]:
     """One base set per distinct characteristic vector of the bank.
 
-    The representative (weight and formula) is the first bank
-    formula with that vector; the bank enumerates by increasing size,
-    so it is also a smallest one. Only representatives are built from
-    the bank's back-pointers. Returns the instance and statistics
-    including the collapse ratio |bank| / |base sets|. The deadline is
-    checked every DEADLINE_STRIDE bank entries.
+    The representative is the first bank entry with that vector; the
+    bank enumerates by increasing size, so it is also a smallest one.
+    A base set is (vector, size, leaf), the leaf `(vector, *entry[1:])`;
+    no formula is built. Returns the instance and statistics including
+    the collapse ratio |bank| / |base sets|. The deadline is checked
+    every DEADLINE_STRIDE bank entries.
     """
     layout = bank.layout
     first = layout.first
     n_formulas = 0
     seen_keys: set[int] = set()
-    base: list[tuple[int, int, int]] = []
-    formulas: list[Formula] = []
-    memo: dict = {}
+    base: list[tuple[int, int, tuple]] = []
     for size in sorted(bank.by_size):
         for entry in bank.by_size[size]:
             n_formulas += 1
@@ -130,13 +126,13 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            base.append((layout.vector(key), size, len(base)))
-            formulas.append(formula_of(entry, memo))
+            members = layout.vector(key)
+            base.append((members, size, (members, *entry[1:])))
     if not base:
         raise ValueError("cannot collapse an empty bank")
     pos_mask = (1 << sample.n_pos) - 1
     neg_mask = ((1 << sample.n_neg) - 1) << sample.n_pos
-    inst = BscInstance(pos_mask, neg_mask, tuple(base), tuple(formulas))
+    inst = BscInstance(pos_mask, neg_mask, tuple(base))
     stats = {
         "n_formulas": n_formulas,
         "n_base_sets": len(base),
@@ -206,7 +202,7 @@ class _DominationPools:
     and a sat under a non-maximal one is under a maximal one too), and
     `pool_dominates` reads pool W. Heavier pools are never read. A
     frontier is built on the first query at its weight and dropped when
-    an add changes a lighter pool (or creates pool W, held beside it).
+    an add changes a lighter pool.
     """
 
     __slots__ = ("k", "pools", "frontiers")
@@ -215,11 +211,10 @@ class _DominationPools:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        # (weight, pool) pairs, heaviest first; each pool holds
-        # (-score, seq, sat) triples in ascending order, best first.
-        self.pools: list[tuple[int, list[tuple[int, int, int]]]] = []
-        # weight -> (limit, rep, guards, notkept) of its frontier, and pool W
-        self.frontiers: dict[int, tuple[int, int, int, int, Sequence]] = {}
+        # weight -> pool of (-score, seq, sat) triples in ascending order, best first
+        self.pools: dict[int, list[tuple[int, int, int]]] = {}
+        # weight -> (limit, rep, guards, notkept) of its frontier
+        self.frontiers: dict[int, tuple[int, int, int, int]] = {}
 
     def add(self, weight: int, sat: int, seq: int) -> None:
         """Offer sat at this weight; a full pool keeps its k best.
@@ -227,30 +222,21 @@ class _DominationPools:
         The last entry of a full pool, the lowest score and the newest
         among ties, gives way to a better one.
         """
-        pools = self.pools
-        at = 0
-        while at < len(pools) and pools[at][0] > weight:
-            at += 1
+        pool = self.pools.setdefault(weight, [])
         entry = (-sat.bit_count(), seq, sat)
-        if at == len(pools) or pools[at][0] != weight:
-            pools.insert(at, (weight, [entry]))
-            stale = weight
+        if len(pool) < self.k:
+            insort(pool, entry)
+        elif entry < pool[-1]:
+            pool.pop()
+            insort(pool, entry)
         else:
-            pool = pools[at][1]
-            if len(pool) < self.k:
-                insort(pool, entry)
-            elif entry < pool[-1]:
-                pool.pop()
-                insort(pool, entry)
-            else:
-                return
-            stale = weight + 1
+            return
         frontiers = self.frontiers
-        for w in [w for w in frontiers if w >= stale]:
+        for w in [w for w in frontiers if w > weight]:
             del frontiers[w]
 
-    def _frontier(self, weight: int) -> tuple[int, int, int, int, Sequence]:
-        """The packed frontier and the pool of this weight, kept in `frontiers`.
+    def _frontier(self, weight: int) -> tuple[int, int, int, int]:
+        """The packed frontier of this weight, kept in `frontiers`.
 
         Slot i holds ~kept_i over the data bits, below `limit`, under a
         zero guard bit; `rep` has a 1 at the base of each slot and
@@ -260,7 +246,7 @@ class _DominationPools:
         """
         lighter = sorted(
             (neg_score, sat)
-            for w, pool in self.pools if w < weight
+            for w, pool in self.pools.items() if w < weight
             for neg_score, _, sat in pool
         )
         limit = 1 << max((sat for _, sat in lighter), default=0).bit_length()
@@ -274,8 +260,7 @@ class _DominationPools:
                 guards |= limit << shift
                 notkept |= (limit - 1 ^ sat) << shift
                 shift += width
-        pool = next((pool for w, pool in self.pools if w == weight), ())
-        self.frontiers[weight] = cached = (limit, rep, guards, notkept, pool)
+        self.frontiers[weight] = cached = (limit, rep, guards, notkept)
         return cached
 
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
@@ -285,7 +270,7 @@ class _DominationPools:
     def lighter_dominates(self, weight: int, sat: int) -> bool:
         """Whether an entry lighter than weight contains sat: one packed
         test of the frontier."""
-        limit, rep, guards, notkept, _ = self.frontiers.get(weight) or self._frontier(weight)
+        limit, rep, guards, notkept = self.frontiers.get(weight) or self._frontier(weight)
         return sat < limit and (guards - (sat * rep & notkept)) & guards != 0
 
     def pool_dominates(self, weight: int, sat: int, seq: int) -> bool:
@@ -296,9 +281,8 @@ class _DominationPools:
         pool is read only down to its first entry that scores lower
         than sat, as a superset scores at least as high.
         """
-        pool = (self.frontiers.get(weight) or self._frontier(weight))[4]
         neg_score = -sat.bit_count()
-        for pool_neg_score, pool_seq, pool_sat in pool:
+        for pool_neg_score, pool_seq, pool_sat in self.pools.get(weight, ()):
             if pool_neg_score > neg_score:
                 break
             if sat & ~pool_sat == 0 and (pool_sat != sat or pool_seq < seq):
@@ -307,13 +291,13 @@ class _DominationPools:
 
 
 def _undominated(
-    sets: Sequence[tuple[int, int, int]],
+    sets: Sequence[tuple[int, int, tuple]],
     pos_mask: int,
     neg_mask: int,
     k: int,
     deadline: Optional[float] = None,
-) -> tuple[tuple[int, int, int], ...]:
-    """The (members, weight, index) triples the top-k pools leave standing.
+) -> tuple[tuple[int, int, tuple], ...]:
+    """The (members, weight, leaf) triples the top-k pools leave standing.
 
     Every triple enters the pools first, its position as its seq; a
     triple is dropped when a pool entry dominates it. Every dropped
@@ -344,7 +328,7 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
     """
     pos_mask, neg_mask = inst.pos_mask, inst.neg_mask
     kept = _undominated(inst.base_sets, pos_mask, neg_mask, k, deadline)
-    return BscInstance(pos_mask, neg_mask, kept, inst.formulas)
+    return BscInstance(pos_mask, neg_mask, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +402,12 @@ def beam_search(
     n_candidates = 0
     floor = -1  # the full queue's minimum score, or -1 while it has room
 
-    def admit(rows: int, masked: int, sat: int, score: int, weight: int, op, left, right):
-        """Queue a candidate that its queue accepts and no pool entry
+    def admit(comb: tuple, masked: int, sat: int, score: int, weight: int):
+        """Queue a combination that its queue accepts and no pool entry
         dominates, and record it; the floor of this weight follows."""
         nonlocal seq, floor
         queue = queues[weight]
-        queue.add(score, seq, (rows, op, left, right))
+        queue.add(score, seq, comb)
         seen.add(masked)
         pools.add(weight, sat, seq)
         dominated.clear()  # the add may have evicted a dominator
@@ -433,20 +417,20 @@ def beam_search(
 
     iterations = 0
     try:
-        for members, weight, index in inst.base_sets:
+        for members, weight, leaf in inst.base_sets:
             n_candidates += 1
             if not n_candidates % DEADLINE_STRIDE:
                 check_deadline(deadline)
             sat = sat_bits(members, posm, negm)
             if sat == universe:
-                return (members, index, None, None)
+                return leaf
             masked = members & universe
             score = sat.bit_count()
             queue = queues.setdefault(weight, _BoundedQueue(beam_width))
             if queue.full() and score <= queue.min_score or masked in seen:
                 continue
             if not pools.dominated(weight, sat, seq):
-                admit(members, masked, sat, score, weight, index, None, None)
+                admit(leaf, masked, sat, score, weight)
 
         k = 2
         while k + 1 <= max_weight and any(len(q) for q in queues.values()):
@@ -502,7 +486,7 @@ def beam_search(
                                 dominated.add(masked)
                                 continue
                             rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                            admit(rows, masked, sat, score, weight, op, comb1, comb2)
+                            admit((rows, op, comb1, comb2), masked, sat, score, weight)
                         n_candidates += count
             k += 1
         return None
@@ -534,12 +518,12 @@ def _split_mask(mask: int, rng: random.Random) -> tuple[int, int]:
 
 
 def _restricted(
-    sets: Sequence[tuple[int, int, int]],
+    sets: Sequence[tuple[int, int, tuple]],
     pos_mask: int,
     neg_mask: int,
     k: int,
     deadline: Optional[float] = None,
-) -> tuple[tuple[int, int, int], ...]:
+) -> tuple[tuple[int, int, tuple], ...]:
     """Mask the family to a restriction's rows, re-dedup, re-reduce.
 
     Keeps, per distinct masked vector, the minimal-weight (then first)
@@ -549,18 +533,18 @@ def _restricted(
     survivor classifies a superset of rows correctly, p and n included.
     """
     view_mask = pos_mask | neg_mask
-    out: list[tuple[int, int, int]] = []
+    out: list[tuple[int, int, tuple]] = []
     by_vec: dict[int, int] = {}
-    for members, weight, index in sets:
-        m = members & view_mask
+    for triple in sets:
+        m = triple[0] & view_mask
         if m == 0:
             continue
         at = by_vec.get(m)
         if at is None:
             by_vec[m] = len(out)
-            out.append((members, weight, index))
-        elif weight < out[at][1]:
-            out[at] = (members, weight, index)
+            out.append(triple)
+        elif triple[1] < out[at][1]:
+            out[at] = triple
     return _undominated(out, pos_mask, neg_mask, k, deadline)
 
 
@@ -583,7 +567,7 @@ def div_conq(
     dropped, and if none remain the first solution is returned alone),
     and the two solutions combine with a union (P split) or an
     intersection (N split). The 1-positive/1-negative base case returns
-    the minimal-weight separating base set directly, or NoSolution with
+    the leaf of the lightest separating base set, or NoSolution with
     the witness pair; by induction this finds a solution whenever the
     existence check passes.
     """
@@ -597,16 +581,14 @@ def div_conq(
         n_p = view.pos_mask.bit_count()
         n_n = view.neg_mask.bit_count()
         if n_p == 1 and n_n == 1:
-            best: Optional[tuple[int, int, int]] = None
-            for members, weight, index in view.base_sets:
-                if members & view.pos_mask and not members & view.neg_mask:
-                    if best is None or weight < best[1]:
-                        best = (members, weight, index)
-            if best is None:
+            fitting = [
+                t for t in view.base_sets if t[0] & view.pos_mask and not t[0] & view.neg_mask
+            ]
+            if not fitting:
                 p_row = view.pos_mask.bit_length() - 1
                 n_row = view.neg_mask.bit_length() - 1
                 return NoSolution(Witness(p_row, n_row - n_pos))
-            return (best[0], best[2], None, None)
+            return min(fitting, key=lambda t: t[1])[2]  # the first of the lightest
 
         found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
         if found is not None:
@@ -620,7 +602,7 @@ def div_conq(
         def solve(half: int) -> Union[tuple, NoSolution]:
             pos_mask, neg_mask = (half, view.neg_mask) if split_pos else (view.pos_mask, half)
             sets = _restricted(view.base_sets, pos_mask, neg_mask, domination_k, deadline)
-            return recurse(BscInstance(pos_mask, neg_mask, sets, inst.formulas), depth + 1)
+            return recurse(BscInstance(pos_mask, neg_mask, sets), depth + 1)
 
         first = solve(half1)
         if isinstance(first, NoSolution):
@@ -644,12 +626,10 @@ def div_conq(
 # ---------------------------------------------------------------------------
 
 def reconstruct(comb: Optional[tuple], inst: BscInstance) -> Formula:
-    """Map a combination back to a formula: leaves to their source
-    formulas, "|" to Or, "&" to And. The result's size equals the
-    combination's weight."""
+    """The formula of a combination, built by `formula_of` as a bank
+    entry's is: "|" becomes Or, "&" And, and a leaf its representative's
+    formula. Its size is the combination's weight. `inst` is not read,
+    as the leaves carry their back-pointers; it keeps callers working."""
     if comb is None:
         raise ValueError("cannot reconstruct the empty combination")
-    _, op, left, right = comb
-    if left is None:
-        return inst.formulas[op]
-    return build_binary(op, reconstruct(left, inst), reconstruct(right, inst))
+    return formula_of(comb, {})

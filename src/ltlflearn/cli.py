@@ -63,8 +63,8 @@ def _read_task(path: str) -> Task:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         return parse_task(text)
     except TaskFormatError as exc:
@@ -293,8 +293,8 @@ def cmd_bench(args) -> int:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         rows = read_manifest(args.manifest)
-    except OSError as exc:
-        raise InputError(f"{args.manifest}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{args.manifest}: {getattr(exc, 'strerror', None) or exc}") from exc
     if not rows:
         raise InputError(f"{args.manifest}: empty manifest")
     tasks = []

@@ -16,9 +16,8 @@ A retained candidate is a back-pointer, not a formula: the tuple
 its children's own entries (`right` is None for a unary operator; a
 size-1 seed holds its formula in `op` and None in both children).
 Formulas are built from back-pointers only where they are read: for
-the separator `enumerate_bounded` returns, for the base sets `collapse`
-makes (one per characteristic vector), and on demand in
-`FormulaBank.entries`.
+the separator `enumerate_bounded` returns, for the set cover answer,
+whose leaves point into the bank, and on demand in `FormulaBank.entries`.
 
 The order is fully deterministic: within one size, unary products come
 before binary products, operators iterate in their declaration order,
@@ -64,7 +63,7 @@ class BankEntry:
 
 
 def formula_of(entry: tuple, memo: dict) -> Formula:
-    """The formula a back-pointer stands for.
+    """The formula a back-pointer, a bank entry or a cover answer, stands for.
 
     `memo` maps id(entry) to the formula built for it, so children
     shared by several entries are built once per memo.

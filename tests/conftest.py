@@ -23,6 +23,7 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
+    _set_size,
     eval_reference,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
@@ -199,6 +200,27 @@ def bank_from_formulas(sample: Sample, formulas) -> FormulaBank:
     return bank
 
 
+def built_during(monkeypatch, run):
+    """Run `run()` and count the formula nodes built meanwhile: `Atom`
+    constructions in enumeration, and every node with children (each
+    sets its size through `formulas._set_size`)."""
+    counts = {"atoms": 0, "inner": 0}
+
+    def counted_atom(prop):
+        counts["atoms"] += 1
+        return Atom(prop)
+
+    def counted_set_size(node, size):
+        counts["inner"] += 1
+        _set_size(node, size)
+
+    monkeypatch.setattr("ltlflearn.enumeration.Atom", counted_atom)
+    monkeypatch.setattr("ltlflearn.formulas._set_size", counted_set_size)
+    out = run()
+    monkeypatch.undo()
+    return out, counts
+
+
 def reference_enumerate(sample: Sample, ops, max_size: int) -> tuple[Optional[Formula], FormulaBank]:
     """`enumerate_bounded` as one plain loop, without a deadline: every
     candidate of the unpruned order is evaluated and solution-tested
@@ -248,25 +270,25 @@ def reference_enumerate(sample: Sample, ops, max_size: int) -> tuple[Optional[Fo
     return done()
 
 
-def reference_collapse(bank: FormulaBank, sample: Sample) -> tuple[BscInstance, dict]:
+def reference_collapse(bank: FormulaBank) -> tuple[list[tuple[int, int, Formula]], dict]:
     """`collapse` written over built formulas: the first formula of the
-    bank per characteristic vector, weighted by its size."""
+    bank per characteristic vector, as (members, weight, formula) with
+    the formula's size as weight, and the statistics."""
     first = bank.layout.first
     keys: set[int] = set()
-    pairs, formulas = [], []
+    triples = []
     entries = list(bank.entries())
     for entry in entries:
         key = entry.bits & first
         if key not in keys:
             keys.add(key)
-            pairs.append((bank.layout.vector(key), entry.formula.size))
-            formulas.append(entry.formula)
+            triples.append((bank.layout.vector(key), entry.formula.size, entry.formula))
     stats = {
         "n_formulas": len(entries),
-        "n_base_sets": len(pairs),
-        "collapse_ratio": len(entries) / len(pairs),
+        "n_base_sets": len(triples),
+        "collapse_ratio": len(entries) / len(triples),
     }
-    return instance(sample.n_pos, sample.n_neg, pairs, formulas), stats
+    return triples, stats
 
 
 def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
@@ -299,22 +321,32 @@ def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
 
 # --- set-cover instances and combinations: back-pointers (rows, op, left, right) ---
 #
-# The helpers read a leaf's formula index as a position in inst.base_sets,
-# so they take an instance as `instance` builds it, where the two agree.
+# A leaf is the third element of its base set, found by identity: the
+# leaves `collapse` makes hold an enumerated entry's children, so a
+# non-None `left` does not tell a leaf from a connective.
 
-def instance(n_pos: int, n_neg: int, pairs, formulas=()) -> BscInstance:
+def instance(n_pos: int, n_neg: int, pairs, labels=None) -> BscInstance:
     """The instance over n_pos positives, then n_neg negatives, of the
-    (members, weight) pairs, in order; members are masked to the rows,
-    and each set's formula index is its position."""
+    (members, weight) pairs, in order; members are masked to the rows.
+    Set i's leaf is `(members, label, None, None)`, its label `labels[i]`
+    (a formula, which `reconstruct` returns for the leaf) or i."""
     pos_mask = (1 << n_pos) - 1
     neg_mask = ((1 << n_neg) - 1) << n_pos
     rows = pos_mask | neg_mask
-    sets = tuple((members & rows, weight, i) for i, (members, weight) in enumerate(pairs))
-    return BscInstance(pos_mask, neg_mask, sets, tuple(formulas))
+    sets = []
+    for i, (members, weight) in enumerate(pairs):
+        members &= rows
+        sets.append((members, weight, (members, i if labels is None else labels[i], None, None)))
+    return BscInstance(pos_mask, neg_mask, tuple(sets))
 
 
 def leaf(inst: BscInstance, index: int) -> tuple:
-    return (inst.base_sets[index][0], index, None, None)
+    return inst.base_sets[index][2]
+
+
+def base_sets_by_leaf(inst: BscInstance) -> dict[int, tuple[int, int, tuple]]:
+    """id(leaf) -> its base set: a node is a leaf of inst iff its id is here."""
+    return {id(t[2]): t for t in inst.base_sets}
 
 
 def union(a: tuple, b: tuple) -> tuple:
@@ -329,10 +361,8 @@ def weight_of(comb: Optional[tuple], inst: BscInstance) -> int:
     """Leaf weights plus one per connective; 0 for the empty combination."""
     if comb is None:
         return 0
-    _, op, left, right = comb
-    if left is None:
-        return inst.base_sets[op][1]
-    return 1 + weight_of(left, inst) + weight_of(right, inst)
+    by_leaf = base_sets_by_leaf(inst)
+    return sum(by_leaf[id(node)][1] if id(node) in by_leaf else 1 for node in nodes_of(comb, inst))
 
 
 def rows_of(comb: Optional[tuple], inst: BscInstance) -> int:
@@ -340,13 +370,14 @@ def rows_of(comb: Optional[tuple], inst: BscInstance) -> int:
     alone, not from the rows it carries; iterative, safe for deep trees."""
     if comb is None:
         return 0
+    by_leaf = base_sets_by_leaf(inst)
     stack: list[tuple[tuple, bool]] = [(comb, False)]
     values: list[int] = []
     while stack:
         node, ready = stack.pop()
         _, op, left, right = node
-        if left is None:
-            values.append(inst.base_sets[op][0])
+        if id(node) in by_leaf:
+            values.append(by_leaf[id(node)][0])
         elif ready:
             b, a = values.pop(), values.pop()
             values.append(a | b if op == "|" else a & b)
@@ -355,13 +386,15 @@ def rows_of(comb: Optional[tuple], inst: BscInstance) -> int:
     return values[0]
 
 
-def nodes_of(comb: Optional[tuple]) -> list[tuple]:
-    """Every node of a combination, root first."""
+def nodes_of(comb: Optional[tuple], inst: BscInstance) -> list[tuple]:
+    """Every node of a combination over inst, root first; the walk stops
+    at inst's leaves."""
+    by_leaf = base_sets_by_leaf(inst)
     out, stack = [], [comb] if comb is not None else []
     while stack:
         node = stack.pop()
         out.append(node)
-        if node[2] is not None:
+        if id(node) not in by_leaf:
             stack += [node[3], node[2]]
     return out
 
@@ -508,9 +541,9 @@ def reference_beam(
         seq += 1
         return False
 
-    for members, weight, index in inst.base_sets:
-        if consider((members, index, None, None), weight):
-            return (members, index, None, None), 0, n_candidates
+    for _, weight, base_leaf in inst.base_sets:
+        if consider(base_leaf, weight):
+            return base_leaf, 0, n_candidates
     iterations = 0
     k = 2
     while k + 1 <= max_weight and any(len(q) for q in queues.values()):

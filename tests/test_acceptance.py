@@ -369,8 +369,8 @@ def test_a08_domination_reductions_are_sound():
         inst = random_instance(rng)
         items = base_set_scores(inst)
 
-        def kept(k):  # formula indices keep twins apart
-            return [i for _, _, i in reduce_instance(inst, k).base_sets]
+        def kept(k):  # the leaves' labels, the indices, keep twins apart
+            return [leaf[1] for _, _, leaf in reduce_instance(inst, k).base_sets]
 
         exact = kept(len(items))
         for i in exact:

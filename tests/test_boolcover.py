@@ -22,14 +22,16 @@ from ltlflearn.boolcover import (
     sat_bits,
 )
 from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached
-from ltlflearn.enumeration import enumerate_bounded
+from ltlflearn.enumeration import enumerate_bounded, formula_of
 from ltlflearn.formulas import DEFAULT_OPERATORS, And, Atom, Finally, Or
+from ltlflearn.pipeline import separates
 from ltlflearn.traces import Alphabet, Sample, Trace
 
 from conftest import (
     HeapPools,
     bank_from_formulas,
     base_set_scores,
+    built_during,
     dominates,
     exact_undominated,
     instance,
@@ -68,12 +70,15 @@ def test_instance_masks():
     inst = worked_instance()
     assert inst.pos_mask == 0b000111
     assert inst.neg_mask == 0b111000
-    assert inst.base_sets[1] == (mask(1, 2, 5), 1, 1)
-    assert instance(1, 1, [(0b111, 1)]).base_sets == ((0b11, 1, 0),)  # masked to the rows
+    assert inst.base_sets[1] == (mask(1, 2, 5), 1, (mask(1, 2, 5), 1, None, None))
+    assert leaf(inst, 1) is inst.base_sets[1][2]
+    # Masked to the rows, in the leaf too.
+    assert instance(1, 1, [(0b111, 1)]).base_sets == ((0b11, 1, (0b11, 0, None, None)),)
 
 
 def test_combination_weights():
     # The weight is the size of the reconstructed formula.
+    # Each leaf is labelled with a formula of its weight.
     inst = instance(1, 1, [(0b01, 3), (0b11, 1)], [Finally(Finally(Atom(0))), Atom(1)])
     a, b = leaf(inst, 0), leaf(inst, 1)
     assert weight_of(None, inst) == 0
@@ -135,15 +140,15 @@ def test_collapse_keeps_smallest_per_vector():
     assert stats["n_formulas"] == 2
     assert stats["n_base_sets"] == 1
     assert stats["collapse_ratio"] == 2.0
-    assert inst.base_sets == ((0b01, 1, 0),)  # members, weight, formula index
-    assert inst.formulas == (Atom(0),)
+    # members, weight, and the leaf: the members before the entry's op and children
+    assert inst.base_sets == ((0b01, 1, (0b01, Atom(0), None, None)),)
     assert (inst.pos_mask, inst.neg_mask) == (0b01, 0b10)
 
 
 @pytest.mark.parametrize("source", ["union", 0, 1, 2, 3])
 def test_collapse_matches_the_reference_collapse(source):
-    # Formulas are built from the bank's back-pointers; the reference
-    # reads built formulas through bank.entries().
+    # The leaves are the bank's back-pointers; the reference reads built
+    # formulas through bank.entries().
     if source == "union":
         sample, max_size = union_shaped_sample(), 8
     else:
@@ -153,8 +158,11 @@ def test_collapse_matches_the_reference_collapse(source):
     found, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, max_size)
     assert found is None
     inst, stats = collapse(bank, sample)
-    expected, expected_stats = reference_collapse(bank, sample)
-    assert inst == expected
+    expected, expected_stats = reference_collapse(bank)
+    assert [(m, w, formula_of(leaf, {})) for m, w, leaf in inst.base_sets] == expected
+    assert all(leaf[0] == m for m, _, leaf in inst.base_sets)
+    assert inst.pos_mask == (1 << sample.n_pos) - 1
+    assert inst.neg_mask == ((1 << sample.n_neg) - 1) << sample.n_pos
     assert stats == expected_stats
 
 
@@ -197,12 +205,12 @@ def test_witness_solution_is_valid_but_heavy():
 
 def tagged_instance(pool) -> BscInstance:
     """Base sets from (members, weight) pairs over 4 positives and 4
-    negatives; their indices keep twins apart."""
+    negatives; their leaves' labels, the indices, keep twins apart."""
     return instance(4, 4, pool)
 
 
 def kept_indices(inst: BscInstance, k: int) -> list[int]:
-    return [i for _, _, i in reduce_instance(inst, k).base_sets]
+    return [leaf[1] for _, _, leaf in reduce_instance(inst, k).base_sets]
 
 
 def test_dominates_needs_weight_and_sat():
@@ -278,13 +286,11 @@ def test_pool_reduction_equals_the_oracle_at_full_k(pool):
 
 def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
     """Every (weight, seq, sat) the pools hold, after checking their order:
-    weights heaviest first, each pool best first and at most k long."""
-    weights = [w for w, _ in pools.pools]
-    assert weights == sorted(set(weights), reverse=True)
-    for _, pool in pools.pools:
+    each pool best first and at most k long."""
+    for pool in pools.pools.values():
         assert pool == sorted(pool) and len(pool) <= pools.k
         assert all(-neg_score == sat.bit_count() for neg_score, _, sat in pool)
-    return {(w, seq, sat) for w, pool in pools.pools for _, seq, sat in pool}
+    return {(w, seq, sat) for w, pool in pools.pools.items() for _, seq, sat in pool}
 
 
 # (weight, sat, forced add) draws over a few sat sets of 6 rows: many
@@ -379,8 +385,8 @@ def test_an_empty_frontier_dominates_nothing():
     pools = _DominationPools(2)
     assert not pools.dominated(1, 0, 0)
     pools.add(3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
-    _, rep, guards, notkept, pool = pools._frontier(2)
-    assert (rep, guards, notkept, pool) == (0, 0, 0, ())
+    _, rep, guards, notkept = pools._frontier(2)
+    assert (rep, guards, notkept) == (0, 0, 0)
     for sat in (0, 1, 1 << 69):
         assert not pools.dominated(2, sat, 1)
 
@@ -445,7 +451,7 @@ def test_reduce_instance_drops_dominated_sets():
         (0b011, 3),
     ])
     reduced = reduce_instance(inst, 10)
-    assert reduced.base_sets == ((0b011, 1, 0),)
+    assert reduced.base_sets == inst.base_sets[:1]
     assert reduce_instance(inst, len(inst.base_sets)).base_sets == reduced.base_sets
     with pytest.raises(ValueError):
         reduce_instance(inst, 0)
@@ -672,11 +678,11 @@ def plant_witness(inst: BscInstance, rng: random.Random) -> BscInstance:
     n_pos = inst.pos_mask.bit_length()
     p = rng.randrange(n_pos)
     n_row = n_pos + rng.randrange(inst.neg_mask.bit_count())
-    sets = tuple(
-        (members | 1 << n_row if members >> p & 1 else members, weight, i)
-        for members, weight, i in inst.base_sets
-    )
-    return BscInstance(inst.pos_mask, inst.neg_mask, sets, inst.formulas)
+    sets = []
+    for members, weight, (_, label, _, _) in inst.base_sets:
+        members |= 1 << n_row if members >> p & 1 else 0
+        sets.append((members, weight, (members, label, None, None)))
+    return BscInstance(inst.pos_mask, inst.neg_mask, tuple(sets))
 
 
 def witness_is_correct(w: Witness, inst: BscInstance) -> bool:
@@ -727,6 +733,9 @@ def test_div_conq_base_case_picks_lightest_separating_set():
     ])
     out = div_conq(inst, seed=0)
     assert out == leaf(inst, 2)
+    # Of equally light sets, the first.
+    twins = instance(1, 1, [(mask(0), 2), (mask(0), 1), (mask(0), 1)])
+    assert div_conq(twins, seed=0) is leaf(twins, 1)
 
 
 def test_div_conq_splits_when_the_solver_stalls(monkeypatch):
@@ -762,27 +771,34 @@ def test_answers_carry_the_rows_of_their_base_sets(n_pos, n_neg, sets, max_weigh
         assert is_solution_combination(out, inst)
         answers.append(out)
     for comb in answers:
-        for node in nodes_of(comb):
+        for node in nodes_of(comb, inst):
             assert node[0] == rows_of(node, inst)
 
 
 # --- reconstruction ------------------------------------------------------------
 
 def test_reconstruct_maps_union_and_inter():
+    # F a and F b are size-2 entries of an enumerated bank, so their
+    # leaves hold the entries' children, not a seed's formula.
     s = Sample(
         Alphabet(("a", "b")),
         (Trace((0b01, 0b10)), Trace((0b10, 0b01))),
         (Trace((0b01, 0b01)), Trace((0b10, 0b10))),
     )
-    bank = bank_from_formulas(s, [Finally(Atom(0)), Finally(Atom(1))])
+    found, bank = enumerate_bounded(s, DEFAULT_OPERATORS, 2)
+    assert found is None
     inst, _ = collapse(bank, s)
-    comb = inter(leaf(inst, 0), leaf(inst, 1))
+    leaves = {formula_of(leaf, {}): leaf for _, _, leaf in inst.base_sets}
+    fa, fb = leaves[Finally(Atom(0))], leaves[Finally(Atom(1))]
+    assert fa[1:] == ("F", bank.by_size[1][0], None) and fb[2] is bank.by_size[1][1]
+    comb = inter(fa, fb)
     phi = reconstruct(comb, inst)
     assert phi == And(Finally(Atom(0)), Finally(Atom(1)))
+    assert phi.size == weight_of(comb, inst) == 5
+    comb = union(fa, fb)
+    phi = reconstruct(comb, inst)
+    assert phi == Or(Finally(Atom(0)), Finally(Atom(1)))
     assert phi.size == weight_of(comb, inst)
-    assert reconstruct(union(leaf(inst, 0), leaf(inst, 1)), inst) == Or(
-        Finally(Atom(0)), Finally(Atom(1))
-    )
 
 
 def test_reconstruct_rejects_empty():
@@ -792,31 +808,36 @@ def test_reconstruct_rejects_empty():
 
 
 def test_leaves_name_formulas_not_positions():
-    # Set 0, {p1, n1} of weight 2, is dominated by set 1, {p1} of weight 1:
-    # the reduction drops it, so every survivor's position is one less
-    # than its formula index. The rest is the worked instance.
-    inst = instance(3, 3, [(mask(0, 3), 2), (mask(0), 1), (mask(1, 2, 5), 1), (mask(0, 1, 2, 4), 1)],
-                    [Atom(i) for i in range(4)])
+    # An answer's leaves are the collapsed instance's own leaves (`is`),
+    # also after the reduction drops base sets and after splits restrict
+    # and re-reduce them, and reconstruct builds the formula through them.
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    inst = collapse(bank, sample)[0]
     reduced = reduce_instance(inst, 10)
-    assert [i for _, _, i in reduced.base_sets] == [1, 2, 3]
-    assert reconstruct(beam_search(reduced), reduced) == Or(Atom(1), And(Atom(2), Atom(3)))
-
-    def rows_named(phi):  # Atom(i) stands for base set i of inst
-        if isinstance(phi, Atom):
-            return inst.base_sets[phi.prop][0]
-        left, right = rows_named(phi.left), rows_named(phi.right)
-        return left | right if isinstance(phi, Or) else left & right
-
-    for seed in range(4):
-        # max_weight 2 admits no combination: div_conq splits down to
-        # leaves it picks in its 1x1 base case.
-        out = div_conq(reduced, seed=seed, max_weight=2)
-        for node in nodes_of(out):
-            if node[2] is None:
-                assert inst.base_sets[node[1]][0] == node[0]
+    assert len(reduced.base_sets) < len(inst.base_sets)
+    leaves = {id(leaf) for _, _, leaf in inst.base_sets}
+    # max_weight 2 admits no combination: every leaf comes from the 1x1
+    # base case; at 9 the beams below the splits solve too.
+    for seed, max_weight in [(0, 2), (1, 2), (0, 9), (1, 9), (2, 9)]:
+        stats = {}
+        out = div_conq(reduced, seed=seed, max_weight=max_weight, stats=stats)
+        assert stats["dc_splits"] > 0
+        nodes = nodes_of(out, inst)
+        assert all(node[1] in ("|", "&") for node in nodes if id(node) not in leaves)
+        # Some leaves hold an enumerated entry's children.
+        assert any(node[2] is not None for node in nodes if id(node) in leaves)
         phi = reconstruct(out, reduced)
-        assert rows_named(phi) == out[0]
-        assert out[0] & (inst.pos_mask | inst.neg_mask) == inst.pos_mask
+        assert separates(phi, sample)
+        assert phi.size == weight_of(out, inst)
+
+
+def test_collapse_builds_no_formula(monkeypatch):
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 6)
+    (inst, _), built = built_during(monkeypatch, lambda: collapse(bank, sample))
+    assert len(inst.base_sets) == 580
+    assert built == {"atoms": 0, "inner": 0}
 
 
 def test_worked_base_sets_score_and_all_survive_reduction():

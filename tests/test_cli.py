@@ -123,6 +123,15 @@ def test_learn_missing_task(capsys):
     assert err.startswith("error:")
 
 
+def test_learn_task_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.trace"
+    path.write_bytes(b"1;0\xff\n---\n0\n")
+    code, out, err = run(capsys, "learn", str(path))
+    assert code == 3
+    assert err.startswith("error:") and "binary.trace" in err
+    assert "internal error" not in err
+
+
 def test_learn_bad_operator_token(task_path, capsys):
     code, out, err = run(capsys, "learn", task_path, "--operators", "F,W")
     assert code == 3
@@ -411,6 +420,32 @@ def test_bench_missing_file_is_an_error_record(tmp_path, capsys):
     assert code == 3
     assert json.loads(out)["status"] == "Error"
     assert "error 1" in err
+
+
+def test_bench_task_that_is_not_utf8_is_an_error_record(tmp_path, capsys):
+    (tmp_path / "binary.trace").write_bytes(b"\xff\n---\n0\n")
+    (tmp_path / "worked.trace").write_text(WORKED)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "family,n_props,trace_len,n_pos,n_neg,seed,params,formula,path\n"
+        "hand,1,1,1,1,0,{},,binary.trace\n"
+        "hand,1,5,2,2,0,{},,worked.trace\n"
+    )
+    code, out, err = run(capsys, "bench", str(manifest))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 3
+    assert [r["status"] for r in records] == ["Error", "Solved"]
+    assert records[0]["task"].endswith("binary.trace")
+    assert "internal error" not in records[0]["error"]
+    assert "solved 1/2" in err and "error 1" in err
+
+
+def test_bench_manifest_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"path\n\xff.trace\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "manifest.csv" in err
 
 
 def test_learner_flag_defaults_are_the_config_defaults():

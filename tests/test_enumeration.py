@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlflearn import formulas
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, table_of
 from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
@@ -20,7 +19,7 @@ from ltlflearn.formulas import (
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
 
-from conftest import bank_from_formulas, reference_enumerate, union_shaped_sample
+from conftest import bank_from_formulas, built_during, reference_enumerate, union_shaped_sample
 
 
 def sample2() -> Sample:
@@ -275,28 +274,6 @@ def test_enumeration_matches_known_counts_single_prop():
     assert len(bank) == 6
     size2 = [e.formula for e in bank.entries() if e.formula.size == 2]
     assert StrongNext(Atom(0)) in size2 and Globally(Atom(0)) in size2
-
-
-def built_during(monkeypatch, run):
-    """Run `run()` and count the formula nodes built meanwhile: `Atom`
-    constructions in enumeration, and every node with children (each
-    sets its size through `formulas._set_size`)."""
-    counts = {"atoms": 0, "inner": 0}
-    set_size = formulas._set_size
-
-    def counted_atom(prop):
-        counts["atoms"] += 1
-        return Atom(prop)
-
-    def counted_set_size(node, size):
-        counts["inner"] += 1
-        set_size(node, size)
-
-    monkeypatch.setattr("ltlflearn.enumeration.Atom", counted_atom)
-    monkeypatch.setattr("ltlflearn.formulas._set_size", counted_set_size)
-    out = run()
-    monkeypatch.undo()
-    return out, counts
 
 
 def test_enumeration_builds_no_formula_per_retained_candidate(monkeypatch):

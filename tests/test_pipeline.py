@@ -15,7 +15,7 @@ from ltlflearn.formulas import (
 from ltlflearn.pipeline import LearnerConfig, LearnResult, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_sample
 
-from conftest import union_shaped_sample
+from conftest import built_during, union_shaped_sample
 
 WORKED = parse_sample("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n")
 
@@ -81,6 +81,16 @@ def test_bsc_method_on_a_union_shaped_sample():
     assert result.stats["n_base_sets"] > 0
     assert result.stats["collapse_ratio"] >= 1.0
     assert result.stats["solution_size"] == result.formula.size
+
+
+def test_learn_builds_formula_nodes_only_for_its_answer(monkeypatch):
+    # Enumeration and collapse build no node; reconstruct builds the
+    # answer's, once per shared node.
+    sample = union_shaped_sample(seed=0)
+    config = LearnerConfig(operators=OperatorSet.from_names(["X!", "F", "&", "|"]))
+    result, built = built_during(monkeypatch, lambda: learn(sample, config))
+    assert result.method in ("BSC", "BSC+DivConq")
+    assert built["inner"] <= result.formula.size
 
 
 def test_solved_result_always_reverifies():
