@@ -60,6 +60,18 @@ later frontier holds them. Pool W's answers last until the next
 admission, which may evict their dominator, and so do the seeding
 loop's: the pair loop may evict a seed's lighter dominator, and the
 seed's value return.
+
+The last two weights only look for a solution. A combination of weight
+w is a child only at weight w + 2 or more, as the other child weighs at
+least 1, so nothing the beam would keep at `max_weight - 1` and
+`max_weight` is read again: there no queue, pool, floor or `seen` test
+runs. A solution's masked rows are exactly the positives, so a pair by
+| needs both children free of negatives and one by & needs both to hold
+every positive; a left passes at most one of these tests, as no queued
+value is a solution, and is tried only against the rights of its run
+that pass it too. The runs, their counts and the deadline checks are
+those of the other weights, so the first solution and every count stay
+as if each candidate had been tried.
 """
 
 from __future__ import annotations
@@ -384,6 +396,8 @@ def beam_search(
     weight k+1 from child weights summing to k. Returns the first
     solution found, or None once the next weight would exceed
     max_weight or nothing is left to combine: the beam has stalled.
+    Weights max_weight - 1 and max_weight are never children, so there
+    the pair loop only looks for a solution and queues nothing.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -438,6 +452,9 @@ def beam_search(
             limit = n_candidates + DEADLINE_STRIDE  # no run may take the count past it unchecked
             iterations += 1
             weight = k + 1
+            # A combination of this weight is a child only at weight + 2 or
+            # more, so at the last two weights only a solution matters.
+            tail = weight + 2 > max_weight
             # Seeds of this weight may have filled its queue already.
             queue = queues.setdefault(weight, _BoundedQueue(beam_width))
             floor = queue.min_score if queue.full() else -1
@@ -453,13 +470,35 @@ def beam_search(
                     (comb2, comb2[0] & universe, op) for comb2 in qj.ordered() for op in "|&"
                 ]
                 runs = split_runs(rights, DEADLINE_STRIDE)
+                if tail:
+                    # Per run, with their places in it, the rights that can
+                    # complete a solution: by | with a left free of
+                    # negatives, by & with a left holding every positive.
+                    runs = [
+                        ((
+                            [(at, r) for at, r in enumerate(run) if r[2] == "|" and not r[1] & negm],
+                            [(at, r) for at, r in enumerate(run) if r[2] == "&" and r[1] & posm == posm],
+                            (),
+                        ), count)
+                        for run, count in runs
+                    ]
                 for comb1 in qi.ordered():
                     rows1 = comb1[0]
                     m1 = rows1 & universe
+                    # A left passes at most one test: a queued value is no solution.
+                    side = 0 if not m1 & negm else 1 if m1 & posm == posm else 2
                     for run, count in runs:
                         if n_candidates + count > limit:
                             check_deadline(deadline)
                             limit = n_candidates + DEADLINE_STRIDE
+                        if tail:
+                            for at, (comb2, m2, op) in run[side]:
+                                if (m1 | m2 if op == "|" else m1 & m2) == posm:
+                                    n_candidates += at + 1
+                                    rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
+                                    return (rows, op, comb1, comb2)
+                            n_candidates += count
+                            continue
                         for right in run:
                             # Drop what changes nothing, cheapest test first:
                             # at or under the floor, which the full queue

@@ -87,7 +87,7 @@ def _operators_from(args, task: Optional[Task]) -> OperatorSet:
 
 
 def _config_from(args, task: Optional[Task]) -> LearnerConfig:
-    timeout = args.timeout if args.timeout > 0 else None
+    timeout = None if args.timeout <= 0 else args.timeout  # NaN stays, for the config to reject
     try:
         return LearnerConfig(
             operators=_operators_from(args, task),

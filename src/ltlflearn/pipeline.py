@@ -53,7 +53,7 @@ class LearnerConfig:
             raise ValueError("dc_switch must be >= 1")
         if self.domination_k < 1:
             raise ValueError("domination_k must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # NaN too: no time is >= it
             raise ValueError("timeout must be > 0 seconds, or None for no timeout")
 
 

@@ -542,7 +542,7 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     class Pools(_DominationPools):
         def lighter_dominates(self, weight, sat):
             answer = super().lighter_dominates(weight, sat)
-            asked.append((phase[0], sat, answer))
+            asked.append((phase[0], weight, sat, answer))
             return answer
 
     monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
@@ -553,12 +553,52 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     stats = {}
     beam_search(inst, max_weight=12, stats=stats)
     assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
-    pairs = [(sat, answer) for when, sat, answer in asked if when == "pairs"]
+    pairs = [(sat, answer) for when, _, sat, answer in asked if when == "pairs"]
     last = {sat: i for i, (sat, _) in enumerate(pairs)}
     assert all(last[sat] == i for i, (sat, answer) in enumerate(pairs) if answer)
-    # 415 dominated values, each asked once; asked again at each weight and
-    # after each admission, the lighter pools would answer True 654 times.
-    assert sum(answer for _, answer in pairs) == 415
+    # The last two weights, 11 and 12, only look for a solution.
+    assert max(weight for when, weight, _, _ in asked if when == "pairs") == 10
+    # 244 dominated values, each asked once; asked again at each weight and
+    # after each admission, the lighter pools would answer True 347 times.
+    assert sum(answer for _, answer in pairs) == 244
+
+
+def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
+    # A combination of weight 11 or 12 is never a child at max_weight 12,
+    # so the pair loop queues, pools and asks pool W about none of them.
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    inst = reduce_instance(collapse(bank, sample)[0], 10)
+    phase, calls = ["seeds"], []
+
+    class Queue(_BoundedQueue):
+        def add(self, score, seq, entry):
+            calls.append((phase[0], "queue", weight_of(entry, inst)))
+            super().add(score, seq, entry)
+
+    class Pools(_DominationPools):
+        def add(self, weight, sat, seq):
+            calls.append((phase[0], "pool", weight))
+            super().add(weight, sat, seq)
+
+        def pool_dominates(self, weight, sat, seq):
+            calls.append((phase[0], "pool W", weight))
+            return super().pool_dominates(weight, sat, seq)
+
+    monkeypatch.setattr("ltlflearn.boolcover._BoundedQueue", Queue)
+    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
+    # The 170 seeds get no deadline check; the pair loop checks as each
+    # weight starts.
+    monkeypatch.setattr(
+        "ltlflearn.boolcover.check_deadline", lambda deadline: phase.__setitem__(0, "pairs"))
+    stats = {}
+    assert beam_search(inst, max_weight=12, stats=stats) is None
+    assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
+    heaviest = {}
+    for when, what, weight in calls:
+        if when == "pairs":
+            heaviest[what] = max(heaviest.get(what, 0), weight)
+    assert heaviest == {"queue": 10, "pool": 10, "pool W": 10}
 
 
 @given(
@@ -589,6 +629,13 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
 @example(4, 1, [(0b11101, 1), (0b00010, 1), (0b00110, 3), (0b00100, 4)], 2, 7, 1)
 # The weight-4 seed fills the one-slot queue 4 before the pair loop fills weight 4.
 @example(3, 4, [(25, 4), (40, 1), (72, 2)], 1, 8, 1)
+# The last two weights only look for a solution. One at max_weight - 1 by & ...
+@example(1, 2, [(131, 1), (93, 3), (179, 1), (146, 5), (242, 3), (173, 6)], 1, 6, 1)
+# ... one at max_weight by |, in the second run of rights at stride 6 ...
+@example(4, 4, [(106, 2), (191, 4), (174, 4), (24, 4), (199, 2), (200, 3), (5, 1), (158, 1)],
+         4, 6, 3)
+# ... and one with no positive rows, where every left holds every positive.
+@example(0, 3, [(137, 1), (93, 5), (154, 2), (44, 2), (15, 1), (53, 6), (235, 4), (9, 6)], 1, 5, 3)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):

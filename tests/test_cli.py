@@ -108,6 +108,13 @@ def test_learn_zero_timeout_disables_it(task_path, capsys):
     assert "solved in" in err
 
 
+def test_learn_nan_timeout_is_an_input_error(task_path, capsys):
+    code, out, err = run(capsys, "learn", task_path, "--timeout", "nan")
+    assert code == 3
+    assert err.startswith("error:") and "timeout" in err
+    assert out == ""
+
+
 def test_learn_malformed_task(tmp_path, capsys):
     path = tmp_path / "bad.trace"
     path.write_text("1;2\n---\n0\n")

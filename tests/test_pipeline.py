@@ -130,6 +130,12 @@ def test_config_validation():
             LearnerConfig(timeout=timeout)
 
 
+def test_a_nan_timeout_is_rejected():
+    # No time.monotonic() is >= NaN, so it would never stop the run.
+    with pytest.raises(ValueError, match="timeout"):
+        LearnerConfig(timeout=float("nan"))
+
+
 def test_result_dataclass_shape():
     result = LearnResult("Timeout")
     assert result.formula is None and result.witness is None
