@@ -184,8 +184,6 @@ def _hamming_task(spec: TaskSpec, rng: random.Random, max_tries: int) -> Sample:
         raise ValueError("the hamming family has exactly one positive trace")
     positive = _random_trace(rng, spec.trace_len, spec.n_props)
     total_bits = spec.trace_len * spec.n_props
-    if spec.n_neg > 0 and total_bits < 1:
-        raise ValueError("trace too short to flip bits in")
     negatives: list[Trace] = []
     seen = {positive.letters}
     tries = 0

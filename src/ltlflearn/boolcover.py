@@ -47,6 +47,13 @@ int on demand and dropped when a lighter pool changes), then reads
 pool W best first, only down to its first entry scoring below the
 candidate's: a superset of sat scores (counts rows) at least as high.
 
+The beam's queues and the pools are one kind of list, `_keep_best`'s:
+per weight the best few, sorted best first; a full list takes only a
+strictly higher score and drops its last entry. A queue holds
+(-score, -seq, comb) and so drops the oldest of its lowest score, a
+pool (-score, seq, sat) and the newest. Every add comes with the
+newest seq, and the queue's combinations come out in seq order.
+
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
 builds full rows only for a solution or an admission to a queue. It
@@ -76,7 +83,6 @@ as if each candidate had been tried.
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import insort
 from dataclasses import dataclass
@@ -198,15 +204,29 @@ def existence_check(inst: BscInstance) -> Optional[Witness]:
 # Domination
 # ---------------------------------------------------------------------------
 
+def _keep_best(best: list, entry: tuple, k: int) -> bool:
+    """Add entry to `best`, a list sorted best (least) first and at most
+    k long; whether it was kept. A full list takes only an entry with a
+    strictly better first key, and drops its last entry for it."""
+    if len(best) >= k:
+        if entry[0] >= best[-1][0]:
+            return False
+        best.pop()
+    insort(best, entry)
+    return True
+
+
 class _DominationPools:
     """Per-weight top-k sat sets: the one domination test of the cover phase.
 
-    Each weight's pool keeps the k highest-scoring entries added at that
-    weight, the earliest among equal scores, as a list sorted best first
-    by (-score, seq); the score of an entry is the popcount of its sat.
-    Only pool entries are consulted as dominators: sound (never reports
-    an undominated element) but incomplete (may miss a dominator that
-    was evicted); with k >= the largest pool it is exact.
+    Each weight's pool is a `_keep_best` list of (-score, seq, sat): the
+    k highest-scoring entries added at that weight, the earliest among
+    equal scores, as every add comes with the newest seq; a full pool
+    drops the lowest score, the newest among ties. The score of an
+    entry is the popcount of its sat. Only pool entries are consulted
+    as dominators: sound (never reports an undominated element) but
+    incomplete (may miss a dominator that was evicted); with k >= the
+    largest pool it is exact.
 
     A query at weight W has two halves, which the beam asks apart:
     `lighter_dominates` tests the frontier of W, the maximal sats of all
@@ -229,23 +249,11 @@ class _DominationPools:
         self.frontiers: dict[int, tuple[int, int, int, int]] = {}
 
     def add(self, weight: int, sat: int, seq: int) -> None:
-        """Offer sat at this weight; a full pool keeps its k best.
-
-        The last entry of a full pool, the lowest score and the newest
-        among ties, gives way to a better one.
-        """
-        pool = self.pools.setdefault(weight, [])
-        entry = (-sat.bit_count(), seq, sat)
-        if len(pool) < self.k:
-            insort(pool, entry)
-        elif entry < pool[-1]:
-            pool.pop()
-            insort(pool, entry)
-        else:
-            return
-        frontiers = self.frontiers
-        for w in [w for w in frontiers if w > weight]:
-            del frontiers[w]
+        """Offer sat at this weight, with a seq newer than any before."""
+        if _keep_best(self.pools.setdefault(weight, []), (-sat.bit_count(), seq, sat), self.k):
+            frontiers = self.frontiers
+            for w in [w for w in frontiers if w > weight]:
+                del frontiers[w]
 
     def _frontier(self, weight: int) -> tuple[int, int, int, int]:
         """The packed frontier of this weight, kept in `frontiers`.
@@ -347,40 +355,6 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
 # Beam search
 # ---------------------------------------------------------------------------
 
-class _BoundedQueue:
-    """AddBounded priority queue: keeps the `capacity` best by score.
-
-    A full queue admits only a strictly higher score than its current
-    minimum and evicts the oldest entry among the lowest-scoring.
-    """
-
-    __slots__ = ("capacity", "heap")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.heap: list[tuple[int, int, object]] = []  # (score, seq, entry)
-
-    def add(self, score: int, seq: int, entry: object) -> None:
-        if len(self.heap) < self.capacity:
-            heapq.heappush(self.heap, (score, seq, entry))
-        elif score > self.heap[0][0]:
-            heapq.heappushpop(self.heap, (score, seq, entry))
-
-    @property
-    def min_score(self) -> int:
-        return self.heap[0][0]
-
-    def full(self) -> bool:
-        return len(self.heap) >= self.capacity
-
-    def ordered(self) -> list:
-        """Entries in insertion order."""
-        return [t[2] for t in sorted(self.heap, key=lambda t: t[1])]
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-
 def beam_search(
     inst: BscInstance,
     beam_width: int = 100,
@@ -403,7 +377,9 @@ def beam_search(
         raise ValueError("beam width must be >= 1")
     posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
-    queues: dict[int, _BoundedQueue] = {}
+    # weight -> `_keep_best` list of (-score, -seq, comb): a full queue
+    # drops the lowest score, the oldest among ties
+    queues: dict[int, list[tuple[int, int, tuple]]] = {}
     pools = _DominationPools(domination_k)
     # Values dropped for good: the queued ones, and those the pair loop
     # found dominated by the pools lighter than its weight, which never
@@ -414,20 +390,26 @@ def beam_search(
     dominated: set[int] = set()
     seq = 0
     n_candidates = 0
-    floor = -1  # the full queue's minimum score, or -1 while it has room
+    floor = -1  # the score to beat at the weight being filled
+
+    def floor_of(queue: list) -> int:
+        """The full queue's lowest score, or -1 while it has room."""
+        return -queue[-1][0] if len(queue) >= beam_width else -1
+
+    def in_admission_order(queue: list) -> list:
+        return [comb for _, _, comb in sorted(queue, key=lambda entry: -entry[1])]
 
     def admit(comb: tuple, masked: int, sat: int, score: int, weight: int):
         """Queue a combination that its queue accepts and no pool entry
         dominates, and record it; the floor of this weight follows."""
         nonlocal seq, floor
         queue = queues[weight]
-        queue.add(score, seq, comb)
+        _keep_best(queue, (-score, -seq, comb), beam_width)
         seen.add(masked)
         pools.add(weight, sat, seq)
         dominated.clear()  # the add may have evicted a dominator
         seq += 1
-        if queue.full():
-            floor = queue.min_score
+        floor = floor_of(queue)
 
     iterations = 0
     try:
@@ -440,14 +422,13 @@ def beam_search(
                 return leaf
             masked = members & universe
             score = sat.bit_count()
-            queue = queues.setdefault(weight, _BoundedQueue(beam_width))
-            if queue.full() and score <= queue.min_score or masked in seen:
+            if score <= floor_of(queues.setdefault(weight, [])) or masked in seen:
                 continue
             if not pools.dominated(weight, sat, seq):
                 admit(leaf, masked, sat, score, weight)
 
         k = 2
-        while k + 1 <= max_weight and any(len(q) for q in queues.values()):
+        while k + 1 <= max_weight and any(queues.values()):
             check_deadline(deadline)
             limit = n_candidates + DEADLINE_STRIDE  # no run may take the count past it unchecked
             iterations += 1
@@ -456,18 +437,18 @@ def beam_search(
             # more, so at the last two weights only a solution matters.
             tail = weight + 2 > max_weight
             # Seeds of this weight may have filled its queue already.
-            queue = queues.setdefault(weight, _BoundedQueue(beam_width))
-            floor = queue.min_score if queue.full() else -1
+            floor = floor_of(queues.setdefault(weight, []))
             dominated.clear()
             for i in range(1, k // 2 + 1):
                 qi = queues.get(i)
                 qj = queues.get(k - i)
-                if qi is None or qj is None or not len(qi) or not len(qj):
+                if not qi or not qj:
                     continue
                 # Only queue k + 1 changes while weight k + 1 is filled.
                 # Each right comes twice, | then &: one entry a candidate.
                 rights = [
-                    (comb2, comb2[0] & universe, op) for comb2 in qj.ordered() for op in "|&"
+                    (comb2, comb2[0] & universe, op)
+                    for comb2 in in_admission_order(qj) for op in "|&"
                 ]
                 runs = split_runs(rights, DEADLINE_STRIDE)
                 if tail:
@@ -482,7 +463,7 @@ def beam_search(
                         ), count)
                         for run, count in runs
                     ]
-                for comb1 in qi.ordered():
+                for comb1 in in_admission_order(qi):
                     rows1 = comb1[0]
                     m1 = rows1 & universe
                     # A left passes at most one test: a queued value is no solution.

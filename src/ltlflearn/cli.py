@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -87,7 +88,8 @@ def _operators_from(args, task: Optional[Task]) -> OperatorSet:
 
 
 def _config_from(args, task: Optional[Task]) -> LearnerConfig:
-    timeout = None if args.timeout <= 0 else args.timeout  # NaN stays, for the config to reject
+    # NaN stays, for the config to reject.
+    timeout = None if args.timeout <= 0 or args.timeout == math.inf else args.timeout
     try:
         return LearnerConfig(
             operators=_operators_from(args, task),
@@ -362,7 +364,7 @@ def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--operators", default=None, metavar="TOKENS",
                         help="comma-separated operator tokens, e.g. 'X!,F,&,|'")
     parser.add_argument("--timeout", type=float, default=defaults.timeout, metavar="SECONDS",
-                        help="per-task budget; <= 0 disables (default %(default)s)")
+                        help="per-task budget; <= 0 or inf disables (default %(default)s)")
     parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="seed for the divide-and-conquer splits (default %(default)s)")
 

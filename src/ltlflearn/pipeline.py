@@ -12,6 +12,7 @@ semantics before it is returned.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,7 +42,7 @@ class LearnerConfig:
     beam_width: int = 100
     dc_switch: int = 70  # max combination weight before splitting
     domination_k: int = 10
-    timeout: Optional[float] = 60.0  # seconds; None disables
+    timeout: Optional[float] = 60.0  # seconds; None, and only None, disables
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +54,8 @@ class LearnerConfig:
             raise ValueError("dc_switch must be >= 1")
         if self.domination_k < 1:
             raise ValueError("domination_k must be >= 1")
-        if self.timeout is not None and not self.timeout > 0:  # NaN too: no time is >= it
-            raise ValueError("timeout must be > 0 seconds, or None for no timeout")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:  # NaN too
+            raise ValueError("timeout must be finite and > 0 seconds, or None for no timeout")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class LearnResult:
 
 
 class VerificationError(AssertionError):
-    """The two evaluators disagreed, or a reported solution does not
-    separate the sample. Always a bug, never an input error."""
+    """The two evaluators disagreed, a reported solution does not
+    separate the sample, or the cover solver found none after a passing
+    existence check. Always a bug, never an input error."""
 
 
 def separates(phi: Formula, sample: Sample) -> bool:
@@ -147,10 +149,10 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
             deadline=deadline,
             stats=stats,
         )
-        if isinstance(outcome, NoSolution):
-            # Unreachable after a passing existence check; kept so a
-            # solver regression surfaces as NoSolution, not a crash.
-            return finish(LearnResult("NoSolution", None, outcome.witness, None, stats))
+        if isinstance(outcome, NoSolution):  # a solver bug, never a verdict
+            raise VerificationError(
+                f"no cover found after a passing existence check: {outcome.witness}"
+            )
 
         phi = reconstruct(outcome, reduced)
         _verify(phi, sample)

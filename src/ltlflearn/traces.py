@@ -223,8 +223,6 @@ def parse_task(text: str) -> Task:
                 )
             names = tokens
 
-    if width is None:  # unreachable: blocks are non-empty
-        raise TaskFormatError("no traces found")
     alphabet = Alphabet(names) if names is not None else Alphabet.default(width)
     if len(alphabet) != width:
         raise TaskFormatError(

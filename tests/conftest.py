@@ -7,7 +7,7 @@ from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom, table_of
-from ltlflearn.boolcover import BscInstance, _BoundedQueue
+from ltlflearn.boolcover import BscInstance
 from ltlflearn.enumeration import FormulaBank, formula_of
 from ltlflearn.formulas import (
     And,
@@ -508,16 +508,48 @@ class HeapPools:
         return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
 
 
+class HeapQueue:
+    """The oracle's beam queue: the `capacity` best by score as a min-heap.
+
+    A full queue admits only a strictly higher score than its current
+    minimum and evicts the oldest entry among the lowest-scoring.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.heap: list[tuple[int, int, tuple]] = []  # (score, seq, comb)
+
+    def add(self, score: int, seq: int, comb: tuple) -> None:
+        if len(self.heap) < self.capacity:
+            heapq.heappush(self.heap, (score, seq, comb))
+        elif score > self.heap[0][0]:
+            heapq.heappushpop(self.heap, (score, seq, comb))
+
+    @property
+    def min_score(self) -> int:
+        return self.heap[0][0]
+
+    def full(self) -> bool:
+        return len(self.heap) >= self.capacity
+
+    def ordered(self) -> list:
+        """Entries in insertion order."""
+        return [t[2] for t in sorted(self.heap, key=lambda t: t[1])]
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+
 def reference_beam(
     inst: BscInstance, beam_width: int, max_weight: int, domination_k: int
 ) -> tuple[Optional[tuple], int, int]:
     """The oracle for `boolcover.beam_search`: the same search with every
     candidate taken through the whole bookkeeping, nothing skipped, and
-    the heap pools. Returns the solution or None, the number of
+    the heap queues and pools. Returns the solution or None, the number of
     iterations and the number of candidates."""
     posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
-    queues: dict[int, _BoundedQueue] = {}
+    queues: dict[int, HeapQueue] = {}
     seen: set[int] = set()
     pools = HeapPools(domination_k)
     seq = n_candidates = 0
@@ -530,7 +562,7 @@ def reference_beam(
         if sat == universe:
             return True
         score = sat.bit_count()
-        queue = queues.setdefault(weight, _BoundedQueue(beam_width))
+        queue = queues.setdefault(weight, HeapQueue(beam_width))
         if queue.full() and score <= queue.min_score:
             return False
         if masked in seen or pools.dominated(weight, sat, seq):

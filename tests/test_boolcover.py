@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,8 +12,8 @@ from ltlflearn.boolcover import (
     BscInstance,
     NoSolution,
     Witness,
-    _BoundedQueue,
     _DominationPools,
+    _keep_best,
     _undominated,
     beam_search,
     collapse,
@@ -459,26 +461,34 @@ def test_reduce_instance_drops_dominated_sets():
         reduce_instance(inst, None)  # no unbounded mode: exact is k >= any pool
 
 
-# --- bounded queues ----------------------------------------------------------
+# --- best-first lists --------------------------------------------------------
 
-def test_bounded_queue_admission_and_eviction():
-    q = _BoundedQueue(2)
-    q.add(5, 0, "a")
-    q.add(3, 1, "b")
-    assert q.full()
-    q.add(3, 2, "c")  # ties lose against a full queue
-    assert sorted(q.heap) == [(3, 1, "b"), (5, 0, "a")]
-    q.add(4, 3, "d")  # strict improvement evicts the min ("b")
-    assert sorted(t[2] for t in q.heap) == ["a", "d"]
-    assert q.ordered() == ["a", "d"]  # insertion order
+def queue_key(score: int, seq: int) -> tuple[int, int]:
+    return -score, -seq
 
 
-def test_bounded_queue_evicts_oldest_among_lowest():
-    q = _BoundedQueue(2)
-    q.add(1, 0, "old")
-    q.add(1, 1, "new")
-    q.add(2, 2, "best")
-    assert sorted(t[2] for t in q.heap) == ["best", "new"]
+def pool_key(score: int, seq: int) -> tuple[int, int]:
+    return -score, seq
+
+
+TIES = [(5, "a"), (3, "b"), (3, "c"), (4, "d")]
+LOWEST = [(1, "old"), (1, "new"), (2, "best")]
+
+
+@pytest.mark.parametrize("key,adds,admitted,kept", [
+    # Ties lose against a full list; a strictly higher score evicts the
+    # last entry, the lowest score. The list stays best first.
+    pytest.param(queue_key, TIES, [True, True, False, True], ["a", "d"], id="queue-ties-lose"),
+    pytest.param(pool_key, TIES, [True, True, False, True], ["a", "d"], id="pool-ties-lose"),
+    # Among the lowest, a queue evicts the oldest, a pool the newest.
+    pytest.param(queue_key, LOWEST, [True] * 3, ["best", "new"], id="queue-evicts-oldest"),
+    pytest.param(pool_key, LOWEST, [True] * 3, ["best", "old"], id="pool-evicts-newest"),
+])
+def test_keep_best_admits_and_evicts_under_both_keys(key, adds, admitted, kept):
+    best = []
+    got = [_keep_best(best, (*key(score, seq), name), 2) for seq, (score, name) in enumerate(adds)]
+    assert got == admitted
+    assert [name for _, _, name in best] == kept
 
 
 # --- beam search ------------------------------------------------------------
@@ -571,10 +581,10 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
     inst = reduce_instance(collapse(bank, sample)[0], 10)
     phase, calls = ["seeds"], []
 
-    class Queue(_BoundedQueue):
-        def add(self, score, seq, entry):
-            calls.append((phase[0], "queue", weight_of(entry, inst)))
-            super().add(score, seq, entry)
+    def keep_best(best, entry, k):
+        if isinstance(entry[2], tuple):  # a queue's combination, not a pool's sat
+            calls.append((phase[0], "queue", weight_of(entry[2], inst)))
+        return _keep_best(best, entry, k)
 
     class Pools(_DominationPools):
         def add(self, weight, sat, seq):
@@ -585,7 +595,7 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
             calls.append((phase[0], "pool W", weight))
             return super().pool_dominates(weight, sat, seq)
 
-    monkeypatch.setattr("ltlflearn.boolcover._BoundedQueue", Queue)
+    monkeypatch.setattr("ltlflearn.boolcover._keep_best", keep_best)
     monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
     # The 170 seeds get no deadline check; the pair loop checks as each
     # weight starts.
@@ -650,6 +660,24 @@ def test_beam_answers_and_counts_like_the_reference_beam(
             got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)
         assert got == expected
         assert (stats["beam_candidates"], stats["beam_iterations"]) == (n_candidates, iterations)
+
+
+def private_boolcover_imports(source: str) -> list[str]:
+    """The `_`-prefixed names that source imports from ltlflearn.boolcover."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "ltlflearn.boolcover"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+def test_the_oracles_share_no_private_code_with_boolcover():
+    # reference_beam, HeapQueue and HeapPools judge the beam, its queues
+    # and the pools, so conftest takes only public names from boolcover.
+    source = "from ltlflearn.boolcover import (\n    BscInstance,\n    _keep_best,\n)"
+    assert private_boolcover_imports(source) == ["_keep_best"]
+    assert private_boolcover_imports(Path(__file__).with_name("conftest.py").read_text()) == []
 
 
 def candidates_at_each_check(monkeypatch, run) -> list[int]:

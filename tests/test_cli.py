@@ -8,6 +8,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from ltlflearn.boolcover import NoSolution, Witness
 from ltlflearn.cli import _config_echo, build_parser, main
 from ltlflearn.formulas import parse_formula
 from ltlflearn.pipeline import LearnerConfig, learn, separates
@@ -113,6 +114,30 @@ def test_learn_nan_timeout_is_an_input_error(task_path, capsys):
     assert code == 3
     assert err.startswith("error:") and "timeout" in err
     assert out == ""
+
+
+def test_learn_infinite_timeout_echoes_null(task_path, capsys):
+    code, out, err = run(capsys, "learn", task_path, "--timeout", "inf", "--format", "json")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    record = json.loads(out, parse_constant=reject)
+    assert record["config"]["timeout"] is None
+
+
+def test_learn_without_a_cover_after_a_passing_existence_check_is_internal(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "union.trace"
+    path.write_text(serialize_sample(union_shaped_sample()))
+    monkeypatch.setattr(
+        "ltlflearn.pipeline.div_conq", lambda *args, **kwargs: NoSolution(Witness(0, 0)))
+    code, out, err = run(capsys, "learn", str(path), "--ltl2bs-switch", "5")
+    assert code == 4
+    assert out == ""
+    assert "internal error: VerificationError: " in err
 
 
 def test_learn_malformed_task(tmp_path, capsys):

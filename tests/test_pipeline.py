@@ -1,8 +1,10 @@
+import math
 import random
 import time
 
 import pytest
 
+from ltlflearn.boolcover import NoSolution, Witness
 from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
@@ -12,7 +14,7 @@ from ltlflearn.formulas import (
     OperatorSet,
     render_formula,
 )
-from ltlflearn.pipeline import LearnerConfig, LearnResult, learn, separates
+from ltlflearn.pipeline import LearnerConfig, LearnResult, VerificationError, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_sample
 
 from conftest import built_during, union_shaped_sample
@@ -134,6 +136,21 @@ def test_a_nan_timeout_is_rejected():
     # No time.monotonic() is >= NaN, so it would never stop the run.
     with pytest.raises(ValueError, match="timeout"):
         LearnerConfig(timeout=float("nan"))
+
+
+def test_an_infinite_timeout_is_rejected():
+    # None is the one "no timeout"; inf would also reach a JSON echo as Infinity.
+    for timeout in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="timeout"):
+            LearnerConfig(timeout=timeout)
+
+
+def test_no_cover_after_a_passing_existence_check_is_an_error(monkeypatch):
+    # A solver bug must not read as a NoSolution verdict.
+    monkeypatch.setattr(
+        "ltlflearn.pipeline.div_conq", lambda *args, **kwargs: NoSolution(Witness(0, 0)))
+    with pytest.raises(VerificationError, match="existence check"):
+        learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5))
 
 
 def test_result_dataclass_shape():
