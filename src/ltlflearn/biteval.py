@@ -32,14 +32,17 @@ trace into the next:
     s1 R s2  = !((!s1) U (!s2))
 
 `until(p, g)` reads the carries of one addition. With a = p | g, the
-carry out of bit b in a + g is
+carry out of bit b in s = a + g is
 
     c_b = (a_b & g_b) | ((a_b ^ g_b) & c_{b-1}) = g_b | (p_b & c_{b-1}),
 
 which is U's backward recurrence, since bit b - 1 is the next position.
-The sum's bit b is a_b ^ g_b ^ c_{b-1}, so ((a + g) ^ a ^ g) >> 1 is c.
-p is 0 at the bottom bit of every slice, so no carry crosses into the
-next trace, and at the last position U gives exactly g.
+The sum's bit is s_b = a_b ^ g_b ^ c_{b-1}. Where g_b = 1, c_b = 1.
+Where g_b = 0, a_b = p_b and s_b = p_b ^ c_{b-1}, so p_b & c_{b-1} =
+p_b & ~s_b. Hence c = g | (p & ~s) = g | ((p | s) ^ s), read in place
+with no shift. p is 0 at the bottom bit of every slice, so no carry
+crosses into the next trace, and at the last position U gives exactly
+g.
 
 A formula separates the sample iff `s & first` equals the first bits of
 the positive traces. The characteristic vector compresses `s & first`
@@ -97,12 +100,13 @@ class Layout:
 
 
 def pack_atom(traces: Sequence[Trace], prop: int) -> int:
-    """The packed value of proposition `prop` over the traces, in order."""
-    bits = 0
-    for w in reversed(traces):
-        for letter in w.letters:
-            bits = bits << 1 | (letter >> prop & 1)
-    return bits
+    """The packed value of proposition `prop` over the traces, in order.
+
+    The bits are spelled out as one string, most significant first, and
+    parsed once: shifting a growing int letter by letter is quadratic.
+    """
+    digits = ["01"[letter >> prop & 1] for w in reversed(traces) for letter in w.letters]
+    return int("".join(digits) or "0", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +114,8 @@ def pack_atom(traces: Sequence[Trace], prop: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _until(p: int, g: int) -> int:
-    a = p | g
-    return ((a + g) ^ a ^ g) >> 1
+    s = (p | g) + g
+    return g | ((p | s) ^ s)
 
 
 def k_not(s: int, lay: Layout) -> int:

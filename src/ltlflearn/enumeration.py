@@ -36,6 +36,52 @@ once per run of candidates, not once per candidate. A run is a slice of
 at most DEADLINE_STRIDE children or right entries, and the deadline is
 checked before any run that would take the kernel calls since the last
 check past DEADLINE_STRIDE.
+
+A value is new iff `seen.add` grows `seen`, so each value is hashed
+once; on wide samples hashing a value costs more than computing it.
+
+Identity rules skip more candidates, by the operators of their
+children alone (`skip_rules`, built at the start of each call). Each rule
+names a candidate whose value equals that of a formula built earlier,
+either strictly smaller or of the same size in an earlier unary loop
+of the level. Every formula of a smaller size has its value in `seen`:
+its children's values are retained by formulas no larger, and the
+candidate over those was enumerated. The same holds, level by level,
+for the same-size formulas of an earlier loop, so by induction the
+skipped candidate's value is in `seen` and it would be pruned anyway;
+it cannot be a solution either, since its value was tested when it was
+retained. x is the child's child, and "before" is an earlier place in
+`ops.unary`, which an `OperatorSet` built directly keeps in any order:
+
+    !!x = x
+    X!(!x) = !(X x)        needs X, and ! before X!
+    X(!x) = !(X! x)        needs X!, and ! before X
+    F(!x) = !(G x)         needs G, and ! before F
+    G(!x) = !(F x)         needs F, and ! before G
+    F(X! x) = X!(F x)      needs X! before F
+    G(X x) = X(G x)        needs X before G
+    F(F x) = F x,  G(G x) = G x
+    G(F x) = F(G x)        needs F before G (both hold iff x holds last)
+    F(a U b) = F b
+    F(X x) = true          if the all-ones value is in `seen` when the
+                           level's F loop starts
+    G(X! x) = false        if 0 is in `seen` when the level's G loop starts
+
+    !a & !b = !(a | b)     needs |
+    !a | !b = !(a & b)     needs &
+    Ya & Zb = X!(a & b), or X(a & b) when Y and Z are both X
+    Ya | Zb = X(a | b), or X!(a | b) when Y and Z are both X!
+                           (Y, Z in {X!, X})
+    Ga & Gb = G(a & b),  Fa | Fb = F(a | b)
+    X!a U X!b = Xa U X!b = X!(a U b)
+    a U F b = F b
+
+Xa U Xb and X!a U Xb are left out: they equal no smaller formula, only
+a weak until. A loop evaluates the entries of a run that no rule skips
+and still counts, checks the deadline and places a solution by the
+whole run, so a skipped candidate is counted in `n_enumerated` as if it
+were evaluated, not in `n_skipped`, and every count is that of the
+plain loop.
 """
 
 from __future__ import annotations
@@ -51,6 +97,71 @@ from .traces import Sample
 # Binary operators whose operands commute and whose value on equal
 # operands is that operand: a & b == b & a and a & a == a.
 _MIRRORED = ("&", "|")
+_NONE: frozenset = frozenset()
+_NEXT = frozenset(("X!", "X"))
+
+
+def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
+    """The identity rules (module docstring) that hold for `ops`, with
+    its operators in their order, as two tables `(unary, binary)`.
+
+    `unary[tok]` holds the operators of the children whose candidate
+    `tok(child)` is skipped. `binary[tok][op]` holds the operators of
+    the right operands whose candidate `left tok right` is skipped when
+    the left operand's operator is `op`; the key None stands for any
+    other left operand.
+    """
+    order = {tok: i for i, tok in enumerate(ops.unary)}
+
+    def before(a: str, b: str) -> bool:
+        return a in order and b in order and order[a] < order[b]
+
+    unary: dict = {}
+    for tok, child, holds in (
+        ("!", "!", True),  # !!x = x
+        ("X!", "!", "X" in order and before("!", "X!")),  # X!(!x) = !(X x)
+        ("X", "!", "X!" in order and before("!", "X")),  # X(!x) = !(X! x)
+        ("F", "!", "G" in order and before("!", "F")),  # F(!x) = !(G x)
+        ("G", "!", "F" in order and before("!", "G")),  # G(!x) = !(F x)
+        ("F", "X!", before("X!", "F")),  # F(X! x) = X!(F x)
+        ("G", "X", before("X", "G")),  # G(X x) = X(G x)
+        ("F", "F", True),  # F(F x) = F x
+        ("G", "G", True),  # G(G x) = G x
+        ("G", "F", before("F", "G")),  # G(F x) = F(G x)
+        ("F", "U", True),  # F(a U b) = F b
+    ):
+        if holds:
+            unary[tok] = unary.get(tok, _NONE) | {child}
+
+    binary: dict = {}
+    for tok, left, rights, holds in (
+        ("&", "!", {"!"}, "|" in ops.binary),  # !a & !b = !(a | b)
+        ("|", "!", {"!"}, "&" in ops.binary),  # !a | !b = !(a & b)
+        ("&", "X!", _NEXT, True),  # X!a & Yb = X!(a & b)
+        ("&", "X", _NEXT, True),  # Xa & X!b = X!(a & b), Xa & Xb = X(a & b)
+        ("|", "X!", _NEXT, True),  # X!a | X!b = X!(a | b), X!a | Xb = X(a | b)
+        ("|", "X", _NEXT, True),  # Xa | Yb = X(a | b)
+        ("&", "G", {"G"}, True),  # Ga & Gb = G(a & b)
+        ("|", "F", {"F"}, True),  # Fa | Fb = F(a | b)
+        ("U", None, {"F"}, True),  # a U F b = F b
+        ("U", "X!", {"X!"}, True),  # X!a U X!b = X!(a U b)
+        ("U", "X", {"X!"}, True),  # Xa U X!b = X!(a U b)
+    ):
+        if holds:
+            by_left = binary.setdefault(tok, {})
+            by_left[left] = by_left.get(left, _NONE) | rights
+    for by_left in binary.values():  # a rule for any left holds for each
+        for left in by_left:
+            by_left[left] |= by_left.get(None, _NONE)
+    return unary, binary
+
+
+def _keep(runs: list[tuple], skip: frozenset) -> list[tuple]:
+    """Each `(run, k)` with the entries of the run whose operator is not
+    in `skip`, the ones a loop evaluates: `(run, k, kept)`."""
+    if not skip:
+        return [(run, k, run) for run, k in runs]
+    return [(run, k, [e for e in run if e[1] not in skip]) for run, k in runs]
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +235,11 @@ def enumerate_bounded(
     `n_retained` and `n_skipped` (the `&`/`|` mirrors counted in
     `n_enumerated` but never evaluated), also when the deadline
     interrupts, and then `enum_size` too, the size level that was being
-    enumerated.
+    enumerated. The candidates that an identity rule of `skip_rules(ops)`
+    skips are not evaluated either, but are counted in `n_enumerated`
+    alone, as evaluated candidates whose value is pruned: their values
+    are already in `seen` (module docstring), so every count and the
+    bank are those of evaluating them.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -132,8 +247,11 @@ def enumerate_bounded(
     first, goal = layout.first, layout.pos_first
     bank = FormulaBank(layout)
     seen: set[int] = set()  # the retained packed values, the equivalence keys
+    add = seen.add  # a value is new iff adding it grows `seen`
+    known = 0  # len(seen)
+    unary_rules, binary_rules = skip_rules(ops)
     answer: Optional[Formula] = None
-    n = 0  # candidates evaluated
+    n = 0  # candidates evaluated or skipped by a rule
     skipped = 0  # mirrors counted as candidates but not evaluated
     size = 1
 
@@ -142,11 +260,12 @@ def enumerate_bounded(
         for prop in range(len(sample.alphabet)):
             formula, bits = Atom(prop), pack_atom(sample.traces, prop)
             n += 1
-            if bits not in seen:
+            add(bits)
+            if len(seen) > known:
+                known += 1
                 if bits & first == goal:
                     answer = formula
                     return answer, bank
-                seen.add(bits)
                 level.append((bits, formula, None, None))
 
         size = 2
@@ -157,27 +276,37 @@ def enumerate_bounded(
             append = level.append
             children = split_runs(bank.by_size[size - 1], DEADLINE_STRIDE)
             # The unary and binary loops share one body, inlined: it
-            # runs once per candidate. A value already in `seen` was
-            # solution-tested when it was retained.
+            # runs once per candidate. It evaluates only the entries
+            # that no rule skips, `kept`, but counts, checks the
+            # deadline and places a solution by the whole run. A value
+            # already in `seen` was solution-tested when it was retained.
             for tok in ops.unary:
                 kernel = UNARY_KERNELS[tok]
-                for run, k in children:
+                skip = unary_rules.get(tok, _NONE)
+                if tok == "F" and layout.full in seen:
+                    skip = skip | {"X"}  # F(X x) is all ones
+                elif tok == "G" and 0 in seen:
+                    skip = skip | {"X!"}  # G(X! x) is 0
+                for run, k, kept in _keep(children, skip):
                     if n + k > limit:
                         check_deadline(deadline)
                         limit = n + DEADLINE_STRIDE
-                    for child in run:
+                    for child in kept:
                         bits = kernel(child[0], layout)
-                        if bits not in seen:
+                        add(bits)
+                        if len(seen) > known:
+                            known += 1
                             if bits & first == goal:
                                 n += run.index(child) + 1
                                 answer = formula_of((bits, tok, child, None), {})
                                 return answer, bank
-                            seen.add(bits)
                             append((bits, tok, child, None))
                     n += k
             for tok in ops.binary:
                 kernel = BINARY_KERNELS[tok]
                 mirrored = tok in _MIRRORED
+                by_left = binary_rules.get(tok, {})
+                default = by_left.get(None, _NONE)
                 for i in range(1, size - 1):
                     j = size - 1 - i
                     lefts, rights = bank.by_size[i], bank.by_size[j]
@@ -185,24 +314,31 @@ def enumerate_bounded(
                         skipped += len(lefts) * len(rights)
                         continue
                     diagonal = mirrored and i == j
-                    runs = split_runs(rights, DEADLINE_STRIDE)
+                    whole = split_runs(rights, DEADLINE_STRIDE)
+                    kept_runs: dict = {}  # skip set -> the rights' runs it keeps
                     for a, left in enumerate(lefts):
+                        skip = by_left.get(left[1], default)
                         if diagonal:
                             skipped += a + 1
-                            runs = split_runs(rights, DEADLINE_STRIDE, a + 1)
+                            runs = _keep(split_runs(rights, DEADLINE_STRIDE, a + 1), skip)
+                        else:
+                            runs = kept_runs.get(skip)
+                            if runs is None:
+                                runs = kept_runs[skip] = _keep(whole, skip)
                         left_bits = left[0]
-                        for run, k in runs:
+                        for run, k, kept in runs:
                             if n + k > limit:
                                 check_deadline(deadline)
                                 limit = n + DEADLINE_STRIDE
-                            for right in run:
+                            for right in kept:
                                 bits = kernel(left_bits, right[0], layout)
-                                if bits not in seen:
+                                add(bits)
+                                if len(seen) > known:
+                                    known += 1
                                     if bits & first == goal:
                                         n += run.index(right) + 1
                                         answer = formula_of((bits, tok, left, right), {})
                                         return answer, bank
-                                    seen.add(bits)
                                     append((bits, tok, left, right))
                             n += k
             size += 1

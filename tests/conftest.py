@@ -6,7 +6,7 @@ import random
 from typing import Optional
 
 from ltlflearn.benchgen import TaskSpec
-from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, pack_atom, table_of
+from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, table_of
 from ltlflearn.boolcover import BscInstance
 from ltlflearn.enumeration import FormulaBank, formula_of
 from ltlflearn.formulas import (
@@ -120,7 +120,12 @@ def trace_rows(bits: int, lay: Layout) -> list[str]:
 def pack_rows(rows: list[str]) -> int:
     """The packed value whose rows over `Layout([len(r) for r in rows], .)`
     are `rows`; the inverse of `trace_rows`. The last trace lies highest."""
-    return int("".join(reversed(rows)), 2)
+    return int("".join(reversed(rows)) or "0", 2)
+
+
+def atom_rows(traces, prop: int) -> list[str]:
+    """Proposition `prop`'s bit string on each trace, position 1 leftmost."""
+    return ["".join(str(letter >> prop & 1) for letter in w.letters) for w in traces]
 
 
 def bits_of(text: str) -> int:
@@ -252,7 +257,7 @@ def reference_enumerate(sample: Sample, ops, max_size: int) -> tuple[Optional[Fo
     size = 1
     bank.by_size[1] = []
     for prop in range(len(sample.alphabet)):
-        if visit((pack_atom(sample.traces, prop), Atom(prop), None, None)):
+        if visit((pack_rows(atom_rows(sample.traces, prop)), Atom(prop), None, None)):
             return done()
     for size in range(2, max_size + 1):
         bank.by_size[size] = []

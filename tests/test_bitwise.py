@@ -8,6 +8,7 @@ from ltlflearn.biteval import (
     UNARY_KERNELS,
     Layout,
     first_bits,
+    pack_atom,
     table_of,
 )
 from ltlflearn.formulas import (
@@ -29,6 +30,7 @@ from ltlflearn.pipeline import separates
 from ltlflearn.traces import Alphabet, Sample, Trace
 
 from conftest import (
+    atom_rows,
     bits_of,
     doubling_until,
     eval_reference_all,
@@ -73,6 +75,30 @@ def test_bit_accessor_is_one_indexed():
     got = [bool(value_at(table.bits, table.layout, 0, p)) for p in range(1, 6)]
     assert got == [eval_reference(Atom(0), w, p) for p in range(1, 6)]
     assert got == [True, False, True, True, False]
+
+
+WIDE_LETTERS = st.integers(9, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3), max_size=6),
+    )
+)
+
+
+@given(WIDE_LETTERS)
+@example((9, [[256], [511], [0], [257]]))
+@example((10, [[1 << 9]]))
+@example((9, []))
+@settings(max_examples=100, deadline=None)
+def test_pack_atom_spells_each_trace_row(case):
+    # Letters of 9 or more propositions (256 and up) and traces of
+    # length 1: each proposition's value must be the rows of its bits,
+    # the last trace highest, whatever the other propositions hold.
+    n_props, letters = case
+    traces = [Trace(tuple(w)) for w in letters]
+    for prop in range(n_props):
+        rows = atom_rows(traces, prop)
+        assert pack_atom(traces, prop) == pack_rows(rows)
 
 
 # --- operator kernels ---------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, table_of
@@ -151,15 +151,17 @@ def kernel_calls_between_checks(monkeypatch, run) -> list[int]:
 def test_kernel_calls_between_deadline_checks_stay_within_the_stride(monkeypatch):
     # The size-8 unary loops each run over the 10,775 entries of size 7,
     # so a check only at the end of each inner loop leaves gaps > 4096.
-    # Every candidate counted and not skipped is one kernel call, but
-    # for the two atoms.
+    # 247,443 candidates besides the two atoms are counted and not
+    # skipped as mirrors; those an identity rule skips make no kernel
+    # call, so fewer calls are made.
     ops = OperatorSet.from_names(["!", "X!", "X", "F", "G", "&", "|", "U", "R"])
     stats: dict = {}
     gaps = kernel_calls_between_checks(
         monkeypatch, lambda: enumerate_bounded(union_shaped_sample(), ops, 8, stats=stats)
     )
     assert max(gaps) <= DEADLINE_STRIDE
-    assert sum(gaps) == stats["n_enumerated"] - stats["n_skipped"] - 2 > 40 * DEADLINE_STRIDE
+    assert stats["n_enumerated"] - stats["n_skipped"] - 2 == 247443
+    assert sum(gaps) == 204126 > 40 * DEADLINE_STRIDE
 
 
 @pytest.mark.parametrize("stride", [1, 7, 64])
@@ -225,6 +227,56 @@ def test_enumeration_matches_the_plain_loop(sample, names, max_size):
     assert bank.by_size == ref_bank.by_size
     assert (stats["n_enumerated"], stats["n_retained"]) == (ref_bank.n_generated, len(ref_bank))
     assert 0 <= stats["n_skipped"] <= stats["n_enumerated"]
+
+
+UNARY_TOKENS = ("!", "X!", "X", "F", "G")
+BINARY_TOKENS = ("&", "|", "U", "R")
+
+
+def operator_orders(tokens):
+    # Each token kept or not, as a fair coin decides, in any order.
+    coins = st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens))
+    return st.tuples(st.permutations(tokens), coins).map(
+        lambda order_keep: [tok for tok, keep in zip(*order_keep) if keep]
+    )
+
+
+def random_sample(seed: int) -> Sample:
+    # Two to four traces per class of length 1 to 8 over one or two
+    # propositions, drawn at random: hard enough to separate that the
+    # enumeration often reaches size 6.
+    rng = random.Random(seed)
+    n_props = rng.randint(1, 2)
+
+    def draw():
+        return [tuple(rng.getrandbits(n_props) for _ in range(rng.randint(1, 8)))
+                for _ in range(rng.randint(2, 4))]
+
+    pos = draw()
+    neg = [w for w in draw() if w not in pos]
+    return Sample(Alphabet.default(n_props), tuple(map(Trace, pos)), tuple(map(Trace, neg)))
+
+
+@given(
+    st.integers(0, 2**32),
+    operator_orders(UNARY_TOKENS),
+    operator_orders(BINARY_TOKENS),
+    st.integers(1, 6),
+)
+@settings(max_examples=1000, deadline=None)
+def test_identity_rules_hold_in_every_operator_order(seed, unary, binary, max_size):
+    # An OperatorSet built directly keeps the order it is given, so the
+    # rules that need one unary operator before another are exercised
+    # both ways: skipping a candidate must change no retained value, no
+    # answer and no count.
+    assume(unary or binary)
+    s = random_sample(seed)
+    ops = OperatorSet(tuple(unary), tuple(binary))
+    found, bank = enumerate_bounded(s, ops, max_size)
+    ref_found, ref_bank = reference_enumerate(s, ops, max_size)
+    assert found == ref_found
+    assert bank.by_size == ref_bank.by_size
+    assert (bank.n_generated, bank.n_pruned) == (ref_bank.n_generated, ref_bank.n_pruned)
 
 
 def test_bank_values_are_the_packed_tables_of_their_formulas():
