@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .formulas import Atom, Bottom, Formula, Top
@@ -74,7 +75,7 @@ class Layout:
     `notlast` is `full` minus the bottom bit of every slice.
     """
 
-    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first")
+    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first", "_spec", "_pick")
 
     def __init__(self, lengths: Sequence[int], n_pos: int):
         offsets = list(accumulate(lengths, initial=0))
@@ -86,17 +87,24 @@ class Layout:
         self.first = sum(tops)
         self.notlast = self.full ^ sum(1 << o for o in offsets)
         self.pos_first = sum(tops[:n_pos])
+        # `vector` spells a value as total + 1 digits, bit b at digit
+        # total - b, and picks digit 0 (always 0, so there is an index even
+        # with no traces), then the first bits, last trace first.
+        self._spec = f"0{total + 1}b"
+        self._pick = itemgetter(0, *reversed([total - o - n + 1 for o, n in zip(offsets, lengths)]))
 
     @staticmethod
     def of(sample: Sample) -> "Layout":
         return Layout([w.length for w in sample.traces], sample.n_pos)
 
     def vector(self, bits: int) -> int:
-        """The characteristic vector: bit i is the first bit of trace i."""
-        return sum(
-            (bits >> (o + n - 1) & 1) << i
-            for i, (o, n) in enumerate(zip(self.offsets, self.lengths))
-        )
+        """The characteristic vector of a packed value over the layout:
+        bit i is the first bit of trace i.
+
+        The bits are spelled out once and their first bits picked and
+        parsed as one string, as in `pack_atom`.
+        """
+        return int("".join(self._pick(format(bits, self._spec))), 2)
 
 
 def pack_atom(traces: Sequence[Trace], prop: int) -> int:

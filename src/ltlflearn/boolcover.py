@@ -57,9 +57,14 @@ newest seq, and the queue's combinations come out in seq order.
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
 builds full rows only for a solution or an admission to a queue. It
-drops a candidate at or under the floor of its weight's full queue;
-then, unless it is a solution, one it has answered before or one the
-lighter pools or pool W dominate. Candidates are counted once per run
+drops a value it has answered before, in `seen` or `dominated`, before
+scoring it: neither set holds a solution, as `seen` holds the queued
+values and those the lighter pools dominate, `dominated` those pool W
+dominates, and each was tested for a solution before it went in. Then
+it drops a candidate at or under the floor of its weight's full queue
+and, unless it is a solution, one the lighter pools or pool W dominate.
+Each of these tests only drops, and none drops a solution, so their
+order moves no answer and no count. Candidates are counted once per run
 of rights (each right twice, | then &), as in enumeration. A value that
 the pools lighter than the weight being filled dominate stays dominated
 for the rest of the beam: those pools never change again, and every
@@ -422,7 +427,7 @@ def beam_search(
                 return leaf
             masked = members & universe
             score = sat.bit_count()
-            if score <= floor_of(queues.setdefault(weight, [])) or masked in seen:
+            if masked in seen or score <= floor_of(queues.setdefault(weight, [])):
                 continue
             if not pools.dominated(weight, sat, seq):
                 admit(leaf, masked, sat, score, weight)
@@ -481,14 +486,17 @@ def beam_search(
                             n_candidates += count
                             continue
                         for right in run:
-                            # Drop what changes nothing, cheapest test first:
-                            # at or under the floor, which the full queue
-                            # turns away (a solution scores above any queued
-                            # value). A solution returns next. Then what is
-                            # in `seen` or `dominated`, and what the lighter
-                            # pools, then pool W, dominate.
+                            # Drop what changes nothing: a value in `seen` or
+                            # `dominated`, which hold no solution, before it
+                            # is scored; then one at or under the floor, which
+                            # the full queue turns away (a solution scores
+                            # above any queued value). A solution returns
+                            # next. Then what the lighter pools, then pool W,
+                            # dominate.
                             comb2, m2, op = right
                             masked = m1 | m2 if op == "|" else m1 & m2
+                            if masked in seen or masked in dominated:
+                                continue
                             sat = masked ^ negm
                             score = sat.bit_count()
                             if score <= floor:
@@ -497,8 +505,6 @@ def beam_search(
                                 n_candidates += run.index(right) + 1
                                 rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
                                 return (rows, op, comb1, comb2)
-                            if masked in seen or masked in dominated:
-                                continue
                             if pools.lighter_dominates(weight, sat):
                                 seen.add(masked)
                                 continue

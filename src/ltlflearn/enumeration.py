@@ -60,8 +60,6 @@ retained. x is the child's child, and "before" is an earlier place in
     G(!x) = !(F x)         needs F, and ! before G
     F(X! x) = X!(F x)      needs X! before F
     G(X x) = X(G x)        needs X before G
-    F(F x) = F x,  G(G x) = G x
-    G(F x) = F(G x)        needs F before G (both hold iff x holds last)
     F(a U b) = F b
     F(X x) = true          if the all-ones value is in `seen` when the
                            level's F loop starts
@@ -72,7 +70,6 @@ retained. x is the child's child, and "before" is an earlier place in
     Ya & Zb = X!(a & b), or X(a & b) when Y and Z are both X
     Ya | Zb = X(a | b), or X!(a | b) when Y and Z are both X!
                            (Y, Z in {X!, X})
-    Ga & Gb = G(a & b),  Fa | Fb = F(a | b)
     X!a U X!b = Xa U X!b = X!(a U b)
     a U F b = F b
 
@@ -125,9 +122,6 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
         ("G", "!", "F" in order and before("!", "G")),  # G(!x) = !(F x)
         ("F", "X!", before("X!", "F")),  # F(X! x) = X!(F x)
         ("G", "X", before("X", "G")),  # G(X x) = X(G x)
-        ("F", "F", True),  # F(F x) = F x
-        ("G", "G", True),  # G(G x) = G x
-        ("G", "F", before("F", "G")),  # G(F x) = F(G x)
         ("F", "U", True),  # F(a U b) = F b
     ):
         if holds:
@@ -141,8 +135,6 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
         ("&", "X", _NEXT, True),  # Xa & X!b = X!(a & b), Xa & Xb = X(a & b)
         ("|", "X!", _NEXT, True),  # X!a | X!b = X!(a | b), X!a | Xb = X(a | b)
         ("|", "X", _NEXT, True),  # Xa | Yb = X(a | b)
-        ("&", "G", {"G"}, True),  # Ga & Gb = G(a & b)
-        ("|", "F", {"F"}, True),  # Fa | Fb = F(a | b)
         ("U", None, {"F"}, True),  # a U F b = F b
         ("U", "X!", {"X!"}, True),  # X!a U X!b = X!(a U b)
         ("U", "X", {"X!"}, True),  # Xa U X!b = X!(a U b)

@@ -220,6 +220,26 @@ def test_table_rows_follow_sample_order():
     assert table_rows(t) == ["10110", "1110", "0100", "100"]
 
 
+LAID_OUT_BITS = st.lists(st.integers(1, 9), max_size=8).flatmap(
+    lambda lengths: st.tuples(st.just(lengths), st.integers(0, (1 << sum(lengths)) - 1))
+)
+
+
+@given(LAID_OUT_BITS)
+@example(([1], 1))
+@example(([7], 0b1000000))
+@example(([7], 0b0111111))
+@example(([], 0))
+@example(([1, 9, 2], 0b1_100000000_10))
+@settings(max_examples=300)
+def test_vector_is_the_first_bit_of_each_trace(case):
+    # Mixed lengths, one trace and none: bit i of the vector is trace i's
+    # value at position 1, whatever the other positions hold.
+    lengths, bits = case
+    lay = Layout(lengths, 0)
+    assert lay.vector(bits) == sum(value_at(bits, lay, i, 1) << i for i in range(len(lengths)))
+
+
 def test_first_bits_and_solution_flag():
     s = worked_sample()
     # A formula separates iff its vector is all ones on the positives

@@ -646,6 +646,14 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
          4, 6, 3)
 # ... and one with no positive rows, where every left holds every positive.
 @example(0, 3, [(137, 1), (93, 5), (154, 2), (44, 2), (15, 1), (53, 6), (235, 4), (9, 6)], 1, 5, 3)
+# The seeds a and b are complements, so a | b holds on every row and
+# a & b on none. Once those two are queued at weight 3, every pair gives
+# one of the four queued values: no queue of width 4 fills, the floor
+# stays -1 and every other candidate is dropped as already in `seen`.
+@example(4, 4, [(0b11001110, 1), (0b00110101, 1)], 4, 8, 1)
+# At width 2, a | b and a & b fill queue 3, and then b | a, in `seen` as
+# a | b, scores at the floor of the full queue.
+@example(4, 3, [(0b0011010, 1), (0b0101101, 1)], 2, 6, 2)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):
