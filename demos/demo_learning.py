@@ -11,7 +11,7 @@ from ltlflearn import (
     enumerate_bounded,
     first_bits,
     learn,
-    parse_sample,
+    parse_task,
     render_formula,
     table_of,
 )
@@ -28,7 +28,7 @@ a
 
 
 def main() -> None:
-    sample = parse_sample(SAMPLE)
+    sample = parse_task(SAMPLE).sample
     print("sample: 2 positive, 2 negative traces over", sample.alphabet.props)
 
     # A formula's characteristic table is one int with one bit per

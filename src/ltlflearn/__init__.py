@@ -50,7 +50,6 @@ from .traces import (
     Task,
     TaskFormatError,
     Trace,
-    parse_sample,
     parse_task,
     serialize_sample,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "gen_task",
     "learn",
     "parse_formula",
-    "parse_sample",
     "parse_task",
     "reconstruct",
     "render_formula",

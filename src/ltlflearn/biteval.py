@@ -48,10 +48,13 @@ A formula separates the sample iff `s & first` equals the first bits of
 the positive traces. The characteristic vector compresses `s & first`
 to one bit per trace, bit i = trace i.
 
-`table_of` evaluates a formula tree bottom-up into a `CharTable`, its
-packed value with the layout to read it; `first_bits` gives the
-vector. An operator node picks its kernel by its class's `token` from
-`UNARY_KERNELS` or `BINARY_KERNELS`, the tables enumeration uses too.
+`table_of` is the library's tree evaluator: it evaluates a formula
+bottom-up into a `CharTable`, its packed value with the layout to read
+it, and `first_bits` gives the vector. An operator node picks its
+kernel by its class's `token` from `UNARY_KERNELS` or `BINARY_KERNELS`,
+the tables enumeration uses too. The benchmark, the demos and the tests
+call it; `learn` does not, as every answer's value is at hand where it
+is built.
 """
 
 from __future__ import annotations

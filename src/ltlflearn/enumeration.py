@@ -50,16 +50,16 @@ candidate over those was enumerated. The same holds, level by level,
 for the same-size formulas of an earlier loop, so by induction the
 skipped candidate's value is in `seen` and it would be pruned anyway;
 it cannot be a solution either, since its value was tested when it was
-retained. x is the child's child, and "before" is an earlier place in
-`ops.unary`, which an `OperatorSet` built directly keeps in any order:
+retained. x is the child's child; the unary loops run in the order
+!, X!, X, F, G of every `OperatorSet`:
 
     !!x = x
-    X!(!x) = !(X x)        needs X, and ! before X!
-    X(!x) = !(X! x)        needs X!, and ! before X
-    F(!x) = !(G x)         needs G, and ! before F
-    G(!x) = !(F x)         needs F, and ! before G
-    F(X! x) = X!(F x)      needs X! before F
-    G(X x) = X(G x)        needs X before G
+    X!(!x) = !(X x)        needs X
+    X(!x) = !(X! x)        needs X!
+    F(!x) = !(G x)         needs G
+    G(!x) = !(F x)         needs F
+    F(X! x) = X!(F x)
+    G(X x) = X(G x)
     F(a U b) = F b
     F(X x) = true          if the all-ones value is in `seen` when the
                            level's F loop starts
@@ -99,8 +99,8 @@ _NEXT = frozenset(("X!", "X"))
 
 
 def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
-    """The identity rules (module docstring) that hold for `ops`, with
-    its operators in their order, as two tables `(unary, binary)`.
+    """The identity rules (module docstring) that hold for `ops`, as
+    two tables `(unary, binary)`.
 
     `unary[tok]` holds the operators of the children whose candidate
     `tok(child)` is skipped. `binary[tok][op]` holds the operators of
@@ -108,20 +108,15 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
     the left operand's operator is `op`; the key None stands for any
     other left operand.
     """
-    order = {tok: i for i, tok in enumerate(ops.unary)}
-
-    def before(a: str, b: str) -> bool:
-        return a in order and b in order and order[a] < order[b]
-
     unary: dict = {}
     for tok, child, holds in (
         ("!", "!", True),  # !!x = x
-        ("X!", "!", "X" in order and before("!", "X!")),  # X!(!x) = !(X x)
-        ("X", "!", "X!" in order and before("!", "X")),  # X(!x) = !(X! x)
-        ("F", "!", "G" in order and before("!", "F")),  # F(!x) = !(G x)
-        ("G", "!", "F" in order and before("!", "G")),  # G(!x) = !(F x)
-        ("F", "X!", before("X!", "F")),  # F(X! x) = X!(F x)
-        ("G", "X", before("X", "G")),  # G(X x) = X(G x)
+        ("X!", "!", "X" in ops.unary),  # X!(!x) = !(X x)
+        ("X", "!", "X!" in ops.unary),  # X(!x) = !(X! x)
+        ("F", "!", "G" in ops.unary),  # F(!x) = !(G x)
+        ("G", "!", "F" in ops.unary),  # G(!x) = !(F x)
+        ("F", "X!", True),  # F(X! x) = X!(F x)
+        ("G", "X", True),  # G(X x) = X(G x)
         ("F", "U", True),  # F(a U b) = F b
     ):
         if holds:

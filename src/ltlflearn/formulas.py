@@ -178,7 +178,8 @@ def build_binary(token: str, left: Formula, right: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """The operators the enumerator may use, in declaration order.
+    """The operators the enumerator may use, in declaration order
+    whatever the order given, so reorderings enumerate identically.
 
     R is not in the default set; it stays available through task files'
     ops_line and everywhere else in the library.
@@ -200,21 +201,18 @@ class OperatorSet:
             raise ValueError("duplicate operator")
         if not self.unary and not self.binary:
             raise ValueError("operator set must be non-empty")
+        object.__setattr__(self, "unary", tuple(t for t in _UNARY_CLASSES if t in self.unary))
+        object.__setattr__(self, "binary", tuple(t for t in _BINARY_CLASSES if t in self.binary))
 
     @staticmethod
     def from_names(names: Iterable[str]) -> "OperatorSet":
-        """Partition a mixed token list (e.g. a task's ops_line) by arity.
-
-        Tokens are normalized to declaration order, so reorderings of
-        the same set enumerate identically.
-        """
+        """Partition a mixed token list (e.g. a task's ops_line) by arity."""
         given = set(names)
         unknown = given - _UNARY_CLASSES.keys() - _BINARY_CLASSES.keys()
         if unknown:
             raise ValueError(f"unknown operator {sorted(unknown)[0]!r}")
-        unary = tuple(t for t in _UNARY_CLASSES if t in given)
-        binary = tuple(t for t in _BINARY_CLASSES if t in given)
-        return OperatorSet(unary, binary)
+        unary, binary = given & _UNARY_CLASSES.keys(), given & _BINARY_CLASSES.keys()
+        return OperatorSet(tuple(unary), tuple(binary))
 
     def names(self) -> tuple[str, ...]:
         return self.unary + self.binary

@@ -6,8 +6,8 @@ the retained formulas collapse into a set-cover instance, an existence
 check either produces an unseparable witness pair or guarantees a
 solution, and the cover solver (beam search wrapped in divide and
 conquer) assembles one from unions and intersections of enumerated
-formulas. Every solution is re-verified against the reference
-semantics before it is returned.
+formulas. An answer's value is tested for separation where it is
+built, and its formula re-verified against the reference semantics.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .boolcover import (
 from .deadlines import DeadlineReached
 from .enumeration import enumerate_bounded
 from .formulas import DEFAULT_OPERATORS, Formula, OperatorSet, eval_reference
-from .biteval import first_bits, table_of
 from .traces import Sample
 
 
@@ -77,9 +76,10 @@ class LearnResult:
 
 
 class VerificationError(AssertionError):
-    """The two evaluators disagreed, a reported solution does not
-    separate the sample, or the cover solver found none after a passing
-    existence check. Always a bug, never an input error."""
+    """A cover's rows are not exactly the positives, the reference
+    evaluator rejects a formula whose value separates the sample, or
+    the cover solver found none after a passing existence check. Always
+    a bug, never an input error."""
 
 
 def separates(phi: Formula, sample: Sample) -> bool:
@@ -91,15 +91,12 @@ def separates(phi: Formula, sample: Sample) -> bool:
 
 
 def _verify(phi: Formula, sample: Sample) -> None:
-    vector = first_bits(table_of(phi, sample))
-    bitwise_ok = vector.bits == (1 << sample.n_pos) - 1
-    reference_ok = separates(phi, sample)
-    if bitwise_ok != reference_ok:
+    """The reference check of an answer whose value already passed the
+    bitwise one: a failure means the evaluators disagree."""
+    if not separates(phi, sample):
         raise VerificationError(
-            f"evaluators disagree on {phi!r}: bitwise={bitwise_ok} reference={reference_ok}"
+            f"evaluators disagree on {phi!r}: its value separates, the reference rejects it"
         )
-    if not bitwise_ok:
-        raise VerificationError(f"reported solution does not separate: {phi!r}")
 
 
 def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult:
@@ -153,6 +150,8 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
             raise VerificationError(
                 f"no cover found after a passing existence check: {outcome.witness}"
             )
+        if outcome[0] != reduced.pos_mask:  # the root's rows are the whole sample
+            raise VerificationError(f"the cover's rows are not the positives: {outcome[0]:b}")
 
         phi = reconstruct(outcome, reduced)
         _verify(phi, sample)

@@ -232,10 +232,6 @@ def parse_task(text: str) -> Task:
     return Task(sample, op_names)
 
 
-def parse_sample(text: str) -> Sample:
-    return parse_task(text).sample
-
-
 def _serialize_trace(trace: Trace, width: int) -> str:
     return ";".join(
         ",".join("1" if letter >> i & 1 else "0" for i in range(width))

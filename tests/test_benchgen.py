@@ -22,7 +22,7 @@ from ltlflearn.formulas import (
     eval_reference,
     render_formula,
 )
-from ltlflearn.traces import parse_sample, serialize_sample
+from ltlflearn.traces import parse_task, serialize_sample
 
 from conftest import spec_from_manifest_row
 
@@ -167,7 +167,7 @@ def test_write_task_emits_a_parsable_file(tmp_path):
     spec = TaskSpec("subset", 2, seed=5)
     path = tmp_path / "t.trace"
     row = write_task(spec, str(path))
-    sample = parse_sample(path.read_text())
+    sample = parse_task(path.read_text()).sample
     assert sample.n_pos == 5 and sample.n_neg == 5
     assert row["path"] == str(path)
     # rerun is byte-identical

@@ -233,7 +233,7 @@ UNARY_TOKENS = ("!", "X!", "X", "F", "G")
 BINARY_TOKENS = ("&", "|", "U", "R")
 
 
-def operator_orders(tokens):
+def operator_subsets(tokens):
     # Each token kept or not, as a fair coin decides, in any order.
     coins = st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens))
     return st.tuples(st.permutations(tokens), coins).map(
@@ -259,16 +259,15 @@ def random_sample(seed: int) -> Sample:
 
 @given(
     st.integers(0, 2**32),
-    operator_orders(UNARY_TOKENS),
-    operator_orders(BINARY_TOKENS),
+    operator_subsets(UNARY_TOKENS),
+    operator_subsets(BINARY_TOKENS),
     st.integers(1, 6),
 )
 @settings(max_examples=1000, deadline=None)
-def test_identity_rules_hold_in_every_operator_order(seed, unary, binary, max_size):
-    # An OperatorSet built directly keeps the order it is given, so the
-    # rules that need one unary operator before another are exercised
-    # both ways: skipping a candidate must change no retained value, no
-    # answer and no count.
+def test_identity_rules_hold_for_every_operator_subset(seed, unary, binary, max_size):
+    # The rules that need another operator present are exercised with it
+    # and without it, from tokens given in any order: skipping a
+    # candidate must change no retained value, no answer and no count.
     assume(unary or binary)
     s = random_sample(seed)
     ops = OperatorSet(tuple(unary), tuple(binary))
@@ -277,6 +276,13 @@ def test_identity_rules_hold_in_every_operator_order(seed, unary, binary, max_si
     assert found == ref_found
     assert bank.by_size == ref_bank.by_size
     assert (bank.n_generated, bank.n_pruned) == (ref_bank.n_generated, ref_bank.n_pruned)
+
+
+def test_an_operator_set_takes_declaration_order_whatever_it_is_given():
+    given = OperatorSet(("G", "F"), ("|", "&"))
+    named = OperatorSet.from_names(["F", "G", "&", "|"])
+    assert given == named
+    assert given.names() == named.names() == ("F", "G", "&", "|")
 
 
 def test_bank_values_are_the_packed_tables_of_their_formulas():

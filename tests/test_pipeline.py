@@ -1,9 +1,12 @@
+import ast
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+from ltlflearn import biteval, enumeration, pipeline
 from ltlflearn.boolcover import NoSolution, Witness
 from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
@@ -11,15 +14,16 @@ from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
     Atom,
     Finally,
+    Not,
     OperatorSet,
     render_formula,
 )
 from ltlflearn.pipeline import LearnerConfig, LearnResult, VerificationError, learn, separates
-from ltlflearn.traces import Alphabet, Sample, Trace, parse_sample
+from ltlflearn.traces import Alphabet, Sample, Trace, parse_task
 
 from conftest import built_during, union_shaped_sample
 
-WORKED = parse_sample("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n")
+WORKED = parse_task("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n").sample
 
 
 def test_worked_sample_is_solved_by_enumeration_at_minimal_size():
@@ -44,7 +48,7 @@ def test_learn_uses_the_configured_operator_set():
 
 def test_no_solution_carries_a_witness_pair():
     # Same first letters and ops too weak to look past them.
-    s = parse_sample("1;0\n---\n1;1\n")
+    s = parse_task("1;0\n---\n1;1\n").sample
     result = learn(s, LearnerConfig(operators=OperatorSet.from_names(["F"])))
     assert result.status == "NoSolution"
     assert result.formula is None
@@ -151,6 +155,68 @@ def test_no_cover_after_a_passing_existence_check_is_an_error(monkeypatch):
         "ltlflearn.pipeline.div_conq", lambda *args, **kwargs: NoSolution(Witness(0, 0)))
     with pytest.raises(VerificationError, match="existence check"):
         learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5))
+
+
+def test_a_wrong_tree_for_a_separating_value_is_caught_by_the_reference(monkeypatch):
+    # The EnumOnly separator's value passed the bitwise test in
+    # enumeration; a tree built wrong for it fails the reference check.
+    real = enumeration.formula_of
+
+    def negated(entry, memo):
+        with monkeypatch.context() as inner:
+            inner.setattr(enumeration, "formula_of", real)
+            return Not(real(entry, memo))
+
+    monkeypatch.setattr(enumeration, "formula_of", negated)
+    with pytest.raises(VerificationError, match="disagree"):
+        learn(WORKED)
+
+
+def test_a_cover_whose_rows_are_not_the_positives_is_caught_before_reconstruct(monkeypatch):
+    # No base set separates (enumeration tested each value), so a lone
+    # leaf is a wrong cover; its rows are checked, not its formula.
+    built = []
+    monkeypatch.setattr(
+        "ltlflearn.pipeline.div_conq", lambda inst, **kwargs: inst.base_sets[0][2])
+    monkeypatch.setattr("ltlflearn.pipeline.reconstruct", lambda *args: built.append(args))
+    with pytest.raises(VerificationError, match="rows"):
+        learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5))
+    assert built == []
+
+
+def biteval_imports(source: str) -> list[str]:
+    """The names that source imports from ltlflearn.biteval."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("biteval", "ltlflearn.biteval")
+        for alias in node.names
+    ]
+
+
+def test_learn_imports_nothing_from_the_bitwise_tree_evaluator():
+    # Every answer's value is at hand where it is built, so the formula
+    # is evaluated once, by the reference.
+    assert biteval_imports("from .biteval import first_bits, table_of") == ["first_bits", "table_of"]
+    assert biteval_imports(Path(pipeline.__file__).read_text()) == []
+
+
+ONE_TASK_PER_METHOD = {
+    "EnumOnly": (WORKED, LearnerConfig()),
+    "BSC": (union_shaped_sample(),
+            LearnerConfig(operators=OperatorSet.from_names(["X!", "F", "&", "|"]))),
+    "BSC+DivConq": (union_shaped_sample(), LearnerConfig(ltl2bs_switch=5, dc_switch=9)),
+}
+
+
+@pytest.mark.parametrize("method", ONE_TASK_PER_METHOD)
+def test_learn_solves_without_the_tree_evaluator(monkeypatch, method):
+    def no_tree_evaluation(*args):
+        raise AssertionError("learn evaluated a formula tree bitwise")
+
+    monkeypatch.setattr(biteval, "_table", no_tree_evaluation)
+    result = learn(*ONE_TASK_PER_METHOD[method])
+    assert (result.status, result.method) == ("Solved", method)
 
 
 def test_result_dataclass_shape():

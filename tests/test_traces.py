@@ -5,7 +5,6 @@ from ltlflearn.traces import (
     Sample,
     TaskFormatError,
     Trace,
-    parse_sample,
     parse_task,
     serialize_sample,
 )
@@ -19,7 +18,7 @@ WORKED = """1;1;0;1;1
 
 
 def test_parse_two_sections():
-    sample = parse_sample(WORKED)
+    sample = parse_task(WORKED).sample
     assert sample.n_pos == 2
     assert sample.n_neg == 2
     assert len(sample.alphabet) == 1
@@ -28,7 +27,7 @@ def test_parse_two_sections():
 
 
 def test_parse_multi_prop_letters():
-    sample = parse_sample("1,0;0,1\n---\n0,0\n")
+    sample = parse_task("1,0;0,1\n---\n0,0\n").sample
     assert len(sample.alphabet) == 2
     assert sample.positives[0].letters == (0b01, 0b10)
 
@@ -57,40 +56,40 @@ def test_names_then_ops_rejected():
 
 
 def test_blank_lines_and_crlf():
-    sample = parse_sample("1;1\r\n\r\n---\r\n0;0\r\n")
+    sample = parse_task("1;1\r\n\r\n---\r\n0;0\r\n").sample
     assert sample.n_pos == 1
     assert sample.positives[0].letters == (1, 1)
 
 
 def test_empty_positive_block_rejected():
     with pytest.raises(TaskFormatError):
-        parse_sample("---\n0;1\n")
+        parse_task("---\n0;1\n")
 
 
 def test_empty_trace_line_detail():
     with pytest.raises(TaskFormatError, match="line 1"):
-        parse_sample(";\n---\n0\n")
+        parse_task(";\n---\n0\n")
 
 
 def test_ragged_letter_width_rejected():
     with pytest.raises(TaskFormatError):
-        parse_sample("1,0;1\n---\n0,0\n")
+        parse_task("1,0;1\n---\n0,0\n")
 
 
 def test_bad_bit_rejected():
     with pytest.raises(TaskFormatError, match="line 3"):
-        parse_sample("1;0\n---\n2;0\n")
+        parse_task("1;0\n---\n2;0\n")
 
 
 def test_bad_letter_after_many_good_copies_names_its_own_line():
     # Each letter text is checked once per task; a later bad one still is.
     good = "1,0;0,1;1,1\n" * 40
     with pytest.raises(TaskFormatError, match=r"^line 42: expected bit 0 or 1, got '2'$"):
-        parse_sample(good + "---\n0,1;1,2\n")
+        parse_task(good + "---\n0,1;1,2\n")
     with pytest.raises(TaskFormatError, match=r"^line 41: inconsistent letter width: "
                                               r"expected 2 bits, got 3$"):
-        parse_sample(good + "1,0;0,1,0\n---\n0,0\n")
-    assert parse_sample(good + "---\n0,0;1,0\n").positives[39].letters == (1, 2, 3)
+        parse_task(good + "1,0;0,1,0\n---\n0,0\n")
+    assert parse_task(good + "---\n0,0;1,0\n").sample.positives[39].letters == (1, 2, 3)
 
 
 def test_width_must_match_names():
@@ -113,7 +112,7 @@ def test_overlapping_classes_rejected():
 
 
 def test_duplicates_within_class_kept():
-    sample = parse_sample("1;0\n1;0\n---\n0;0\n")
+    sample = parse_task("1;0\n1;0\n---\n0;0\n").sample
     assert sample.n_pos == 2
 
 
@@ -126,10 +125,10 @@ def test_trace_accessors():
 
 
 def test_serialize_round_trip_default_names():
-    sample = parse_sample(WORKED)
+    sample = parse_task(WORKED).sample
     text = serialize_sample(sample)
     assert "---" in text and "a" not in text  # default names omitted
-    again = parse_sample(text)
+    again = parse_task(text).sample
     assert again.positives == sample.positives
     assert again.negatives == sample.negatives
 
