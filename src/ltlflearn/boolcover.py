@@ -57,21 +57,16 @@ newest seq, and the queue's combinations come out in seq order.
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
 builds full rows only for a solution or an admission to a queue. It
-drops a value it has answered before, in `seen` or `dominated`, before
-scoring it: neither set holds a solution, as `seen` holds the queued
-values and those the lighter pools dominate, `dominated` those pool W
-dominates, and each was tested for a solution before it went in. Then
-it drops a candidate at or under the floor of its weight's full queue
-and, unless it is a solution, one the lighter pools or pool W dominate.
-Each of these tests only drops, and none drops a solution, so their
-order moves no answer and no count. Candidates are counted once per run
-of rights (each right twice, | then &), as in enumeration. A value that
-the pools lighter than the weight being filled dominate stays dominated
-for the rest of the beam: those pools never change again, and every
-later frontier holds them. Pool W's answers last until the next
-admission, which may evict their dominator, and so do the seeding
-loop's: the pair loop may evict a seed's lighter dominator, and the
-seed's value return.
+drops a value in `seen`, its one memo, before scoring it. `seen` holds
+the queued values and those the pools lighter than the weight being
+filled dominate: those pools never change again, so the values stay
+dominated for the rest of the beam. Each was tested for a solution
+before it went in. Then it drops a candidate at or under the floor of
+its weight's full queue and, unless it is a solution, one the lighter
+pools or pool W dominate. Each of these tests only drops, and none
+drops a solution, so their order moves no answer and no count.
+Candidates are counted once per run of rights (each right twice, | then
+&), as in enumeration.
 
 The last two weights only look for a solution. A combination of weight
 w is a child only at weight w + 2 or more, as the other child weighs at
@@ -390,9 +385,6 @@ def beam_search(
     # found dominated by the pools lighter than its weight, which never
     # change again. Not a seed's: its lighter dominator may be evicted.
     seen: set[int] = set()
-    # Values pool W dominates, found at the weight W being filled since
-    # the last pools.add, which may evict their dominator.
-    dominated: set[int] = set()
     seq = 0
     n_candidates = 0
     floor = -1  # the score to beat at the weight being filled
@@ -412,7 +404,6 @@ def beam_search(
         _keep_best(queue, (-score, -seq, comb), beam_width)
         seen.add(masked)
         pools.add(weight, sat, seq)
-        dominated.clear()  # the add may have evicted a dominator
         seq += 1
         floor = floor_of(queue)
 
@@ -443,7 +434,6 @@ def beam_search(
             tail = weight + 2 > max_weight
             # Seeds of this weight may have filled its queue already.
             floor = floor_of(queues.setdefault(weight, []))
-            dominated.clear()
             for i in range(1, k // 2 + 1):
                 qi = queues.get(i)
                 qj = queues.get(k - i)
@@ -486,16 +476,15 @@ def beam_search(
                             n_candidates += count
                             continue
                         for right in run:
-                            # Drop what changes nothing: a value in `seen` or
-                            # `dominated`, which hold no solution, before it
-                            # is scored; then one at or under the floor, which
-                            # the full queue turns away (a solution scores
-                            # above any queued value). A solution returns
-                            # next. Then what the lighter pools, then pool W,
-                            # dominate.
+                            # Drop what changes nothing: a value in `seen`,
+                            # which holds no solution, before it is scored;
+                            # then one at or under the floor, which the full
+                            # queue turns away (a solution scores above any
+                            # queued value). A solution returns next. Then
+                            # what the lighter pools, then pool W, dominate.
                             comb2, m2, op = right
                             masked = m1 | m2 if op == "|" else m1 & m2
-                            if masked in seen or masked in dominated:
+                            if masked in seen:
                                 continue
                             sat = masked ^ negm
                             score = sat.bit_count()
@@ -509,7 +498,6 @@ def beam_search(
                                 seen.add(masked)
                                 continue
                             if pools.pool_dominates(weight, sat, seq):
-                                dominated.add(masked)
                                 continue
                             rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
                             admit((rows, op, comb1, comb2), masked, sat, score, weight)
@@ -595,7 +583,9 @@ def div_conq(
     intersection (N split). The 1-positive/1-negative base case returns
     the leaf of the lightest separating base set, or NoSolution with
     the witness pair; by induction this finds a solution whenever the
-    existence check passes.
+    existence check passes. The beam solves a view of one row at
+    seeding if any set gets the row right; if it stalls, a positive is
+    a witness alone and a negative raises ValueError.
     """
     rng = random.Random(seed)
     n_pos = inst.pos_mask.bit_length()  # the offset of the negatives' rows
@@ -619,6 +609,10 @@ def div_conq(
         found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
         if found is not None:
             return found
+        if n_p + n_n <= 1:  # no split is left
+            if not n_p:
+                raise ValueError("a witness needs a positive row, and the instance has none")
+            return NoSolution(Witness(view.pos_mask.bit_length() - 1, None))
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 

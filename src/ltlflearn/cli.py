@@ -202,20 +202,20 @@ def _generate_specs(args) -> list[TaskSpec]:
     """
     n = args.n
     params: dict = {}
-    n_props = args.props or 3
     if args.family == "ordered-sequence":
         params = {"n": n}
-        n_props = args.props or n
     elif args.family == "subword":
         params = {"word": list(range(n))}
-        n_props = args.props or n
     elif args.family == "subset":
         params = {"subset": list(range(n))}
-        n_props = args.props or n
     elif args.family == "random-conjuncts":
         params = {"m": n}
     elif args.family == "random-boolcomb":
         params = {"n_patterns": n}
+    if args.props is not None:  # 0 too, for TaskSpec to reject
+        n_props = args.props
+    else:
+        n_props = n if args.family in ("ordered-sequence", "subword", "subset") else 3
     if args.family == "hamming" and args.pos != 1:
         raise InputError("the hamming family has exactly one positive; use --pos 1")
     specs = []

@@ -53,7 +53,8 @@ class Alphabet:
             raise ValueError("proposition names must be unique")
         for name in self.props:
             if not is_valid_prop_name(name):
-                raise ValueError(f"invalid proposition name: {name!r}")
+                raise ValueError(f"invalid proposition name {name!r} "
+                                 "(names are identifiers and may not be operator tokens)")
 
     @staticmethod
     def default(n: int) -> "Alphabet":
@@ -198,7 +199,7 @@ def parse_task(text: str) -> Task:
             raise TaskFormatError(f"empty trace block ({which})", start)
 
     op_names: Optional[tuple[str, ...]] = None
-    names: Optional[tuple[str, ...]] = None
+    alphabet: Optional[Alphabet] = None
     for section in sections[2:]:
         if len(section) != 1:
             lineno = section[0][0] if section else 1
@@ -208,27 +209,28 @@ def parse_task(text: str) -> Task:
         if all(tok in OPERATOR_TOKENS for tok in tokens):
             if op_names is not None:
                 raise TaskFormatError("duplicate ops section", lineno)
-            if names is not None:
+            if alphabet is not None:
                 raise TaskFormatError("ops section must precede the names section", lineno)
             op_names = tokens
         else:
-            if names is not None:
+            if alphabet is not None:
                 raise TaskFormatError("duplicate names section", lineno)
-            bad = [tok for tok in tokens if not is_valid_prop_name(tok)]
-            if bad:
-                raise TaskFormatError(
-                    f"invalid proposition name {bad[0]!r} "
-                    "(names are identifiers and may not be operator tokens)",
-                    lineno,
-                )
-            names = tokens
+            try:
+                alphabet = Alphabet(tokens)
+            except ValueError as exc:  # an invalid name, or one given twice
+                raise TaskFormatError(str(exc), lineno) from exc
 
-    alphabet = Alphabet(names) if names is not None else Alphabet.default(width)
+    alphabet = alphabet or Alphabet.default(width)
     if len(alphabet) != width:
         raise TaskFormatError(
             f"names section has {len(alphabet)} names but letters have {width} bits"
         )
-    sample = Sample(alphabet, tuple(blocks[0]), tuple(blocks[1]))
+    try:
+        sample = Sample(alphabet, tuple(blocks[0]), tuple(blocks[1]))
+    except ValueError as exc:  # a trace in both classes, named at its negative
+        positives = {trace.letters for trace in blocks[0]}
+        at = [n for (n, _), trace in zip(sections[1], blocks[1]) if trace.letters in positives]
+        raise TaskFormatError(str(exc), at[0] if at else None) from exc
     return Task(sample, op_names)
 
 

@@ -800,6 +800,37 @@ def test_div_conq_reports_correct_witnesses():
         assert witness_is_correct(out.witness, inst)
 
 
+def test_div_conq_reports_a_positive_no_set_holds():
+    # No negatives: the split leaves row 1 alone, and its beam stalls.
+    inst = BscInstance(0b11, 0, ((0b01, 1, (0b01, "a", None, None)),))
+    assert div_conq(inst) == NoSolution(Witness(1, None))
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(1, 4)), max_size=6),
+    st.integers(0, 3),
+)
+@settings(max_examples=200)
+def test_div_conq_without_negatives_agrees_with_the_existence_check(n_pos, sets, seed):
+    inst = instance(n_pos, 0, sets)
+    out = div_conq(inst, seed=seed, beam_width=3, max_weight=4)
+    if existence_check(inst) is None:
+        assert is_solution_combination(out, inst)
+    else:
+        assert isinstance(out, NoSolution)
+        assert witness_is_correct(out.witness, inst)
+
+
+def test_div_conq_rejects_what_a_witness_cannot_name():
+    # Without positives, no set excludes negative row 0, and a witness
+    # needs a positive.
+    with pytest.raises(ValueError, match="positive"):
+        div_conq(instance(0, 2, [(mask(0), 1)]))
+    # What the beam solves is still answered.
+    assert div_conq(instance(0, 2, [(mask(0), 1), (mask(1), 1)])) is not None
+
+
 def test_div_conq_is_deterministic_per_seed():
     rng = random.Random(13)
     inst = random_instance(rng)

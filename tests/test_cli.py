@@ -149,6 +149,19 @@ def test_learn_malformed_task(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text", [
+    "1;0\n---\n1;0\n",  # a trace in both classes
+    "1,0\n---\n0,0\n---\nreq,req\n",  # a name given twice
+])
+def test_learn_task_the_sample_rejects_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    code, out, err = run(capsys, "learn", str(path))
+    assert code == 3
+    assert err.startswith("error:") and "bad.trace: line " in err
+    assert "internal error" not in err
+
+
 def test_learn_missing_task(capsys):
     code, out, err = run(capsys, "learn", "does-not-exist.trace")
     assert code == 3
@@ -211,6 +224,16 @@ def test_generate_writes_tasks_and_manifest(tmp_path, capsys):
     assert code == 0
     again = [open(p, "rb").read() for p in out.strip().splitlines()]
     assert first == again
+
+
+@pytest.mark.parametrize("family", ["subset", "random-conjuncts"])
+def test_generate_zero_props_is_an_input_error(tmp_path, capsys, family):
+    code, out, err = run(
+        capsys, "generate", "--family", family, "--props", "0", "--out", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert "n_props" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_hamming_needs_single_positive(tmp_path, capsys):
@@ -470,6 +493,26 @@ def test_bench_task_that_is_not_utf8_is_an_error_record(tmp_path, capsys):
     assert records[0]["task"].endswith("binary.trace")
     assert "internal error" not in records[0]["error"]
     assert "solved 1/2" in err and "error 1" in err
+
+
+def test_bench_task_the_sample_rejects_is_an_input_error_record(tmp_path, capsys):
+    (tmp_path / "both.trace").write_text("1\n---\n1\n")
+    (tmp_path / "twice.trace").write_text("1,0\n---\n0,0\n---\na,a\n")
+    (tmp_path / "worked.trace").write_text(WORKED)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "family,n_props,trace_len,n_pos,n_neg,seed,params,formula,path\n"
+        "hand,1,1,1,1,0,{},,both.trace\n"
+        "hand,2,1,1,1,0,{},,twice.trace\n"
+        "hand,1,5,2,2,0,{},,worked.trace\n"
+    )
+    code, out, err = run(capsys, "bench", str(manifest))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 3
+    assert [r["status"] for r in records] == ["Error", "Error", "Solved"]
+    assert "both.trace: line 3: " in records[0]["error"]
+    assert "twice.trace: line 5: " in records[1]["error"]
+    assert "solved 1/3" in err and "error 2" in err
 
 
 def test_bench_manifest_that_is_not_utf8_is_an_input_error(tmp_path, capsys):

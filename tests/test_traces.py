@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ltlflearn.traces import (
     Alphabet,
@@ -109,6 +111,50 @@ def test_reserved_prop_names_rejected():
 def test_overlapping_classes_rejected():
     with pytest.raises(ValueError, match="both"):
         Sample(Alphabet.default(1), (Trace((1, 0)),), (Trace((1, 0)),))
+
+
+def test_a_trace_in_both_classes_is_a_format_error_at_its_negative():
+    with pytest.raises(TaskFormatError, match=r"^line 4: .*both"):
+        parse_task("1;0\n---\n0\n1;0\n")
+
+
+def test_a_name_given_twice_is_a_format_error_at_its_line():
+    with pytest.raises(TaskFormatError, match=r"^line 5: .*unique"):
+        parse_task("1,0\n---\n0,0\n---\nreq,req\n")
+
+
+def _trace_lines(width):
+    letter = st.lists(st.sampled_from("01"), min_size=width, max_size=width).map(",".join)
+    trace = st.lists(letter, min_size=1, max_size=2).map(";".join)
+    return st.lists(trace, max_size=3)
+
+
+@st.composite
+def task_texts(draw):
+    """Well-formed trace lines, two blocks of them over one or two
+    widths, then an optional ops and an optional names section. Short
+    traces over small alphabets, so that the classes often share one."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    blocks = [draw(_trace_lines(width)) for width in widths]
+    lines = blocks[0] + ["---"] + blocks[1]
+    if draw(st.booleans()):
+        lines += ["---", ",".join(draw(st.lists(st.sampled_from(["F", "G", "X!", "&", "|", "U"]),
+                                                min_size=1, max_size=3)))]
+    if draw(st.booleans()):
+        lines += ["---", ",".join(draw(st.lists(st.sampled_from(["a", "b", "p0", "F", "true"]),
+                                                min_size=1, max_size=3)))]
+    return "\n".join(lines) + "\n"
+
+
+@given(task_texts())
+@example("0\n---\n0\n")
+@example("0,1\n---\n1,1\n---\na,a\n")
+def test_a_task_text_parses_or_raises_a_format_error(text):
+    try:
+        task = parse_task(text)
+    except TaskFormatError:
+        return
+    assert task.sample.n_pos and task.sample.n_neg
 
 
 def test_duplicates_within_class_kept():
