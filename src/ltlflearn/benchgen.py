@@ -27,6 +27,7 @@ import csv
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .formulas import (
@@ -37,7 +38,7 @@ from .formulas import (
     Or,
     StrongNext,
     Until,
-    eval_reference,
+    compile_reference,
     render_formula,
 )
 from .traces import Alphabet, Sample, Trace, serialize_sample
@@ -175,14 +176,14 @@ def gen_formula(spec: TaskSpec) -> Formula:
     return out
 
 
-def _random_trace(rng: random.Random, trace_len: int, n_props: int) -> Trace:
-    return Trace(tuple(rng.getrandbits(n_props) for _ in range(trace_len)))
+def _random_letters(rng: random.Random, trace_len: int, n_props: int) -> tuple[int, ...]:
+    return tuple(map(rng.getrandbits, repeat(n_props, trace_len)))
 
 
 def _hamming_task(spec: TaskSpec, rng: random.Random, max_tries: int) -> Sample:
     if spec.n_pos != 1:
         raise ValueError("the hamming family has exactly one positive trace")
-    positive = _random_trace(rng, spec.trace_len, spec.n_props)
+    positive = Trace(_random_letters(rng, spec.trace_len, spec.n_props))
     total_bits = spec.trace_len * spec.n_props
     negatives: list[Trace] = []
     seen = {positive.letters}
@@ -210,16 +211,16 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
     """Generate the sample for a spec; deterministic given the spec.
 
     Formula families use rejection sampling classified by the reference
-    evaluator, so label soundness holds by construction. Raises
-    SamplingBudgetError after max_tries draws; at the default trace
-    lengths that signals a formula too skewed for this family, not bad
-    luck.
+    evaluator, compiled once per task, so label soundness holds by
+    construction. Raises SamplingBudgetError after max_tries draws; at
+    the default trace lengths that signals a formula too skewed for
+    this family, not bad luck.
     """
     rng = random.Random(f"{spec.seed}:traces")
     if spec.family == "hamming":
         return _hamming_task(spec, rng, max_tries)
 
-    phi = gen_formula(spec)
+    values = compile_reference(gen_formula(spec))
     positives: list[Trace] = []
     negatives: list[Trace] = []
     tries = 0
@@ -230,12 +231,12 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
                 f"{len(negatives)}/{spec.n_neg} negatives after {max_tries} draws"
             )
         tries += 1
-        w = _random_trace(rng, spec.trace_len, spec.n_props)
-        if eval_reference(phi, w, 1):
+        letters = _random_letters(rng, spec.trace_len, spec.n_props)
+        if values(letters)[0]:
             if len(positives) < spec.n_pos:
-                positives.append(w)
+                positives.append(Trace(letters))
         elif len(negatives) < spec.n_neg:
-            negatives.append(w)
+            negatives.append(Trace(letters))
     return Sample(spec.alphabet, tuple(positives), tuple(negatives))
 
 

@@ -168,10 +168,12 @@ class Witness:
     """An unseparable pair: indices into positives / negatives.
 
     neg_index is None in the degenerate case of a positive no base set
-    covers while there are no negatives at all.
+    covers while there are no negatives at all; pos_index is None in
+    that of a negative no base set excludes while there are no
+    positives at all.
     """
 
-    pos_index: int
+    pos_index: Optional[int]
     neg_index: Optional[int]
 
 
@@ -182,9 +184,17 @@ def existence_check(inst: BscInstance) -> Optional[Witness]:
     every (p, n) some base set contains p and excludes n. The second
     condition alone is the textbook criterion; the first closes its
     N = ∅ edge case, where it is vacuous yet an uncovered positive can
-    never be reached by a positive combination.
+    never be reached by a positive combination. Without positives, the
+    answer must exclude every negative, and the intersection of all the
+    base sets is the least a combination can hold: a negative in it is
+    a witness alone.
     """
     n_pos = inst.pos_mask.bit_length()  # the positives are the low rows
+    if not n_pos:
+        inter = inst.neg_mask
+        for members, _, _ in inst.base_sets:
+            inter &= members
+        return Witness(None, (inter & -inter).bit_length() - 1) if inter else None
     for p in range(n_pos):
         bit = 1 << p
         inter: Optional[int] = None
@@ -541,7 +551,8 @@ def _restricted(
     """Mask the family to a restriction's rows, re-dedup, re-reduce.
 
     Keeps, per distinct masked vector, the minimal-weight (then first)
-    set, with its full members; drops empty vectors; then applies the
+    set, with its full members; drops empty vectors, unless there are
+    no positives and an empty vector is an answer; then applies the
     approximate domination reduction. Any set separating a surviving
     (p, n) pair keeps a separating representative: a dominating
     survivor classifies a superset of rows correctly, p and n included.
@@ -551,7 +562,7 @@ def _restricted(
     by_vec: dict[int, int] = {}
     for triple in sets:
         m = triple[0] & view_mask
-        if m == 0:
+        if m == 0 and pos_mask:
             continue
         at = by_vec.get(m)
         if at is None:

@@ -142,6 +142,8 @@ def _no_solution_message(record: dict) -> str:
     ltl2bs = record["config"]["ltl2bs_switch"]
     if witness["neg_index"] is None:
         pair = f"positives[{witness['pos_index']}] is covered by no enumerated formula"
+    elif witness["pos_index"] is None:
+        pair = f"negatives[{witness['neg_index']}] is excluded by no enumerated formula"
     else:
         pair = (
             f"positives[{witness['pos_index']}] and negatives[{witness['neg_index']}] "

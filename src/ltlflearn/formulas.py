@@ -15,10 +15,15 @@ Each operator class carries its text token as the class attribute
 `token`, and every operator table is keyed by it.
 
 `eval_reference` is the correctness oracle for the bit-parallel engine
-and shares nothing with it. On one trace it gives every subformula a
-list of bools, one per position, bottom-up through the per-token
-tables `UNARY_REFERENCE` and `BINARY_REFERENCE`: X! and X shift the
-list, and F, G, U and R are one backward scan each.
+and shares nothing with it. `compile_reference` turns a formula into a
+program once: its distinct subformulas in post-order, equal subtrees
+sharing one step. A run of the program gives each step a list of
+bools, one per position of the trace, through the per-token tables
+`UNARY_REFERENCE` and `BINARY_REFERENCE`: an atom reads its bit of
+every letter, !, & and | map over the lists, X! and X shift the list,
+F and G accumulate it backwards, and U and R are one backward scan
+each. Callers that test many traces against one formula compile it
+once and run it on each.
 
 Text grammar: the prefix unary operators bind tightest, then the infix
 binary operators, and parentheses are always accepted. Each binary
@@ -33,8 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from operator import and_, or_
-from typing import TYPE_CHECKING, Iterable, Optional
+from operator import and_, not_, or_
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
     from .traces import Alphabet, Trace
@@ -244,44 +249,78 @@ def _release_scan(left: list[bool], right: list[bool]) -> list[bool]:
 
 
 # Per operator token: the argument values at every position in, the
-# operator's values at every position out.
+# operator's values at every position out. Each is one pass at C level,
+# except the backward scans of U and R.
 UNARY_REFERENCE = {
-    Not.token: lambda v: [not x for x in v],
+    Not.token: lambda v: list(map(not_, v)),
     StrongNext.token: lambda v: v[1:] + [False],
     WeakNext.token: lambda v: v[1:] + [True],
     Finally.token: lambda v: list(accumulate(reversed(v), or_))[::-1],
     Globally.token: lambda v: list(accumulate(reversed(v), and_))[::-1],
 }
 BINARY_REFERENCE = {
-    And.token: lambda v1, v2: [a and b for a, b in zip(v1, v2)],
-    Or.token: lambda v1, v2: [a or b for a, b in zip(v1, v2)],
+    And.token: lambda v1, v2: list(map(and_, v1, v2)),
+    Or.token: lambda v1, v2: list(map(or_, v1, v2)),
     Until.token: _until_scan,
     Release.token: _release_scan,
 }
 
 
-def _values(phi: Formula, letters: tuple[int, ...]) -> list[bool]:
-    cls = type(phi)
-    if cls is Atom:
-        return [bool(letter >> phi.prop & 1) for letter in letters]
-    if cls is Top or cls is Bottom:
-        return [cls is Top] * len(letters)
-    if isinstance(phi, _Unary):
-        return UNARY_REFERENCE[phi.token](_values(phi.arg, letters))
-    if isinstance(phi, _Binary):
-        return BINARY_REFERENCE[phi.token](_values(phi.left, letters), _values(phi.right, letters))
-    raise TypeError(f"not a formula node: {phi!r}")
+def _atom_values(prop: int):
+    return lambda letters: [letter >> prop & 1 == 1 for letter in letters]
+
+
+def _constant_values(value: bool):
+    return lambda letters: [value] * len(letters)
+
+
+def _compile(phi: Formula, slots: dict, steps: list) -> int:
+    """Append phi's step, after those of its arguments, unless an equal
+    subformula has one; its slot, where a run keeps its values."""
+    slot = slots.get(phi)
+    if slot is None:
+        cls = type(phi)
+        if cls is Atom:
+            step = (_atom_values(phi.prop), 0, None)
+        elif cls is Top or cls is Bottom:
+            step = (_constant_values(cls is Top), 0, None)
+        elif isinstance(phi, _Unary):
+            step = (UNARY_REFERENCE[phi.token], _compile(phi.arg, slots, steps), None)
+        elif isinstance(phi, _Binary):
+            left = _compile(phi.left, slots, steps)
+            step = (BINARY_REFERENCE[phi.token], left, _compile(phi.right, slots, steps))
+        else:
+            raise TypeError(f"not a formula node: {phi!r}")
+        steps.append(step)
+        slot = slots[phi] = len(steps)
+    return slot
+
+
+def compile_reference(phi: Formula) -> Callable[[tuple[int, ...]], list[bool]]:
+    """phi's values at every position of a trace, given its letters.
+
+    phi's distinct subformulas become a program of steps in post-order,
+    once. A step is a function and the slots of its one or two
+    arguments; a run keeps the letters in slot 0 and each step's values
+    in the next slot.
+    """
+    steps: list = []
+    _compile(phi, {}, steps)
+
+    def values(letters: tuple[int, ...]) -> list[bool]:
+        slots = [letters]
+        for step, a, b in steps:
+            slots.append(step(slots[a]) if b is None else step(slots[a], slots[b]))
+        return slots[-1]
+
+    return values
 
 
 def eval_reference(phi: Formula, w: Trace, k: int) -> bool:
-    """Whether the suffix w[k..] satisfies phi.
-
-    Each subformula's values at every position of w are computed
-    bottom-up, through the per-token tables above.
-    """
+    """Whether the suffix w[k..] satisfies phi, by `compile_reference`."""
     if not 1 <= k <= w.length:
         raise ValueError(f"position {k} out of range 1..{w.length}")
-    return _values(phi, w.letters)[k - 1]
+    return compile_reference(phi)(w.letters)[k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .boolcover import (
 )
 from .deadlines import DeadlineReached
 from .enumeration import enumerate_bounded
-from .formulas import DEFAULT_OPERATORS, Formula, OperatorSet, eval_reference
+from .formulas import DEFAULT_OPERATORS, Formula, OperatorSet, compile_reference
 from .traces import Sample
 
 
@@ -84,10 +84,11 @@ class VerificationError(AssertionError):
 
 def separates(phi: Formula, sample: Sample) -> bool:
     """Whether phi holds on every positive trace and no negative one,
-    under the reference semantics."""
-    return all(
-        eval_reference(phi, w, 1) for w in sample.positives
-    ) and not any(eval_reference(phi, w, 1) for w in sample.negatives)
+    under the reference semantics, compiled once for the sample."""
+    values = compile_reference(phi)
+    return all(values(w.letters)[0] for w in sample.positives) and not any(
+        values(w.letters)[0] for w in sample.negatives
+    )
 
 
 def _verify(phi: Formula, sample: Sample) -> None:

@@ -76,7 +76,7 @@ class Trace:
     def __post_init__(self):
         if not self.letters:
             raise ValueError("traces must be non-empty")
-        if any(m < 0 for m in self.letters):
+        if min(self.letters) < 0:
             raise ValueError("letter bitmasks must be non-negative")
 
     @property
@@ -99,12 +99,11 @@ class Sample:
     def __post_init__(self):
         width = len(self.alphabet)
         for trace in self.positives + self.negatives:
-            for letter in trace.letters:
-                if letter >> width:
-                    raise ValueError(
-                        f"letter {letter:#x} uses bits beyond the "
-                        f"{width}-proposition alphabet"
-                    )
+            if max(trace.letters) >> width:
+                letter = next(letter for letter in trace.letters if letter >> width)
+                raise ValueError(
+                    f"letter {letter:#x} uses bits beyond the {width}-proposition alphabet"
+                )
         overlap = set(t.letters for t in self.positives) & set(
             t.letters for t in self.negatives
         )
@@ -138,9 +137,15 @@ def _parse_trace_line(
 ) -> tuple[Trace, int]:
     """One trace and the letter width. `masks` maps each letter text seen
     so far in the task to its bitmask: a text is checked on first sight
-    only, against the width, which never changes once set."""
+    only, against the width, which never changes once set. A line of
+    texts all seen before is looked up in one pass."""
+    letter_texts = text.split(";")
+    try:
+        return Trace(tuple(map(masks.__getitem__, letter_texts))), width
+    except KeyError:
+        pass
     letters = []
-    for letter_text in text.split(";"):
+    for letter_text in letter_texts:
         mask = masks.get(letter_text)
         if mask is None:
             bits = letter_text.split(",")
@@ -234,13 +239,6 @@ def parse_task(text: str) -> Task:
     return Task(sample, op_names)
 
 
-def _serialize_trace(trace: Trace, width: int) -> str:
-    return ";".join(
-        ",".join("1" if letter >> i & 1 else "0" for i in range(width))
-        for letter in trace.letters
-    )
-
-
 def serialize_sample(sample: Sample, op_names: Optional[Iterable[str]] = None) -> str:
     """Render a sample (and optional ops restriction) in the task file grammar.
 
@@ -248,9 +246,15 @@ def serialize_sample(sample: Sample, op_names: Optional[Iterable[str]] = None) -
     so that parse(serialize(s)) == s and re-serialization is byte-identical.
     """
     width = len(sample.alphabet)
-    lines = [_serialize_trace(t, width) for t in sample.positives]
+    # Each distinct letter of the sample is spelled once.
+    texts = {
+        letter: ",".join("1" if letter >> i & 1 else "0" for i in range(width))
+        for letter in set().union(*[t.letters for t in sample.traces])
+    }
+    spell = texts.__getitem__
+    lines = [";".join(map(spell, t.letters)) for t in sample.positives]
     lines.append("---")
-    lines.extend(_serialize_trace(t, width) for t in sample.negatives)
+    lines.extend(";".join(map(spell, t.letters)) for t in sample.negatives)
     if op_names is not None:
         lines.append("---")
         lines.append(",".join(op_names))

@@ -1,5 +1,6 @@
 """Shared sample, bank, evaluation and set-cover helpers used across the test modules."""
 
+import ast
 import heapq
 import json
 import random
@@ -95,6 +96,16 @@ def eval_reference_all(phi: Formula, w: Trace) -> list[bool]:
     """The recursive semantics at every position, sharing one memo."""
     memo: dict = {}
     return [_eval(phi, w, k, memo) for k in range(1, w.length + 1)]
+
+
+def biteval_imports(source: str) -> list[str]:
+    """The names that source imports from ltlflearn.biteval."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("biteval", "ltlflearn.biteval")
+        for alias in node.names
+    ]
 
 
 # --- bit strings: "10110" has position 1 leftmost ---------------------------------

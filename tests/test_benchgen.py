@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ltlflearn.benchgen import (
@@ -178,3 +180,32 @@ def test_write_task_emits_a_parsable_file(tmp_path):
 
 def test_default_max_tries_is_large():
     assert DEFAULT_MAX_TRIES == 10**6
+
+
+# One small spec per family and the sha256 of its task text: any change
+# to the RNG stream, the drawing of traces, their labels or their text
+# shows.
+GOLDEN_TASKS = [
+    (TaskSpec("ordered-sequence", 3, trace_len=8, n_pos=4, n_neg=4, seed=7),
+     "a2e675790b26c17f1cc0b875621ac910376345ea175b377d9481dfcf8a940afe"),
+    (TaskSpec("subword", 2, trace_len=10, n_pos=4, n_neg=4, seed=7),
+     "2bd6ad6d707191bd9bc63fb52f09f5e47704f2b7221b91be26ac5148b34fcc02"),
+    (TaskSpec("subset", 3, trace_len=6, n_pos=4, n_neg=4, seed=7),
+     "b5cffeed24d363cb15389a19bf5be9fb5f925ca377d68a04e4ca2c21a4e8e967"),
+    (TaskSpec("hamming", 2, trace_len=12, n_pos=1, n_neg=5, seed=7),
+     "c89183b9056e971b50c417cdc35f7744c56296ea3bb47d93a90a4da247c5f063"),
+    (TaskSpec("random-conjuncts", 3, trace_len=8, n_pos=4, n_neg=4, seed=11),
+     "3ebf3ddb140f622e6151ba931eb2a577160129ea7723258a23abd48db360862c"),
+    (TaskSpec("random-boolcomb", 2, trace_len=12, n_pos=4, n_neg=4, seed=7),
+     "0db7bbf73dd3c76aace50d42229683068c6fee4e10004d2f209ed96ff93bb828"),
+]
+
+
+def test_golden_tasks_cover_every_family():
+    assert sorted(spec.family for spec, _ in GOLDEN_TASKS) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_TASKS, ids=[s.family for s, _ in GOLDEN_TASKS])
+def test_generated_task_text_is_pinned(spec, digest):
+    text = serialize_sample(gen_task(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

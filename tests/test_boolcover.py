@@ -186,6 +186,13 @@ def test_uncovered_positive_with_no_negatives():
     assert existence_check(inst) == Witness(1, None)
 
 
+def test_without_positives_every_negative_must_be_excluded():
+    # Rows 0..2 are all negatives; each is outside some set, or a witness.
+    assert existence_check(instance(0, 3, [(mask(0, 1), 1), (mask(2), 1)])) is None
+    assert existence_check(instance(0, 3, [(mask(0, 1), 1), (mask(1, 2), 1)])) == Witness(None, 1)
+    assert existence_check(instance(0, 2, [])) == Witness(None, 0)
+
+
 def test_inseparable_pair_is_reported():
     # every set containing p0 also contains n0 (row 1)
     inst = instance(1, 2, [(mask(0, 1), 1), (mask(0, 1, 2), 2)])
@@ -769,6 +776,9 @@ def plant_witness(inst: BscInstance, rng: random.Random) -> BscInstance:
 
 
 def witness_is_correct(w: Witness, inst: BscInstance) -> bool:
+    if w.pos_index is None:
+        n_bit = 1 << w.neg_index
+        return not inst.pos_mask and all(members & n_bit for members, _, _ in inst.base_sets)
     p_bit = 1 << w.pos_index
     if w.neg_index is None:
         return not any(members & p_bit for members, _, _ in inst.base_sets)
@@ -820,6 +830,24 @@ def test_div_conq_without_negatives_agrees_with_the_existence_check(n_pos, sets,
     else:
         assert isinstance(out, NoSolution)
         assert witness_is_correct(out.witness, inst)
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(1, 4)), max_size=6),
+    st.integers(0, 3),
+)
+@settings(max_examples=200)
+def test_div_conq_without_positives_solves_what_the_existence_check_passes(n_neg, sets, seed):
+    # A split leaves each negative alone; the sets that exclude it are
+    # then empty on its rows, and such a set is the answer there.
+    inst = instance(0, n_neg, sets)
+    witness = existence_check(inst)
+    if witness is None:
+        out = div_conq(inst, seed=seed, beam_width=3, max_weight=2)
+        assert is_solution_combination(out, inst)
+    else:
+        assert witness_is_correct(witness, inst)
 
 
 def test_div_conq_rejects_what_a_witness_cannot_name():

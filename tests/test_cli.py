@@ -86,6 +86,19 @@ def test_learn_no_solution_json(stuck_path, capsys):
     assert record["witness"] == {"pos_index": 0, "neg_index": 0}
 
 
+def test_learn_names_a_negative_no_formula_excludes(stuck_path, capsys, monkeypatch):
+    # A task file has positives; learn the stuck sample without them.
+    monkeypatch.setattr(
+        "ltlflearn.cli.learn",
+        lambda sample, config: learn(dataclasses.replace(sample, positives=()), config))
+    code, out, err = run(capsys, "learn", stuck_path)
+    assert code == 1
+    assert out.startswith("no solution: negatives[0] is excluded by no enumerated formula;")
+    code, out, err = run(capsys, "learn", stuck_path, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"pos_index": None, "neg_index": 0}
+
+
 def test_learn_operators_flag_beats_task_ops(stuck_path, capsys):
     code, out, err = run(capsys, "learn", stuck_path, "--operators", "!,F")
     assert code == 0

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltlflearn import formulas
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS
 from ltlflearn.formulas import (
     BINARY_REFERENCE,
@@ -27,15 +29,17 @@ from ltlflearn.formulas import (
     Top,
     Until,
     WeakNext,
+    _compile,
     build_binary,
     build_unary,
+    compile_reference,
     eval_reference,
     parse_formula,
     render_formula,
 )
 from ltlflearn.traces import Alphabet, Trace
 
-from conftest import eval_reference_all
+from conftest import biteval_imports, eval_reference_all
 
 ALPHA2 = Alphabet(("a", "b"))
 
@@ -306,6 +310,63 @@ def test_list_evaluator_matches_the_recursive_semantics(phi, letters):
     w = Trace(tuple(letters))
     got = [eval_reference(phi, w, k) for k in range(1, w.length + 1)]
     assert got == eval_reference_all(phi, w)
+
+
+def _twin(phi):
+    """An equal tree of new nodes."""
+    return parse_formula(render_formula(phi, ALPHA2), ALPHA2)
+
+
+def _subformulas(phi) -> set:
+    out = {phi}
+    for name in ("arg", "left", "right"):
+        if hasattr(phi, name):
+            out |= _subformulas(getattr(phi, name))
+    return out
+
+
+UNARY_TOKENS = st.sampled_from([cls.token for cls in UNARY_CLASSES])
+BINARY_TOKENS = st.sampled_from([cls.token for cls in BINARY_CLASSES])
+# Every operator over true, false and atoms, with subtrees met twice: as
+# one node under both arguments, or as two equal trees of distinct nodes.
+SHARING_FORMULAS = st.recursive(
+    st.sampled_from([Atom(0), Atom(1), Top(), Bottom()]),
+    lambda children: st.one_of(
+        st.builds(build_unary, UNARY_TOKENS, children),
+        st.builds(build_binary, BINARY_TOKENS, children, children),
+        st.builds(lambda tok, phi: build_binary(tok, phi, phi), BINARY_TOKENS, children),
+        st.builds(lambda tok, phi: build_binary(tok, phi, _twin(phi)), BINARY_TOKENS, children),
+    ),
+    max_leaves=10,
+)
+
+
+@given(SHARING_FORMULAS, st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@settings(max_examples=400)
+def test_compiled_program_matches_the_recursive_semantics(phi, letters):
+    w = Trace(tuple(letters))
+    assert compile_reference(phi)(w.letters) == eval_reference_all(phi, w)
+
+
+def test_compiled_program_has_one_step_per_distinct_subformula():
+    a, b = Atom(0), Atom(1)
+    left = Until(Finally(a), And(Not(b), WeakNext(Top())))
+    phi = Or(
+        Release(left, _twin(left)),
+        And(Globally(StrongNext(Finally(a))), Or(Bottom(), _twin(left))),
+    )
+    steps: list = []
+    _compile(phi, {}, steps)
+    assert len(steps) == len(_subformulas(phi)) == 15
+    assert {type(node) for node in _subformulas(phi)} == {
+        Atom, Top, Bottom, *UNARY_CLASSES, *BINARY_CLASSES}
+    values = compile_reference(phi)
+    for letters in [(0,), (1, 2), (3, 0, 1, 2), (2, 2, 1, 0, 3, 1)]:
+        assert values(letters) == eval_reference_all(phi, Trace(letters))
+
+
+def test_the_reference_imports_nothing_from_the_bitwise_engine():
+    assert biteval_imports(Path(formulas.__file__).read_text()) == []
 
 
 @given(FORMULAS, st.lists(st.integers(0, 3), min_size=1, max_size=8))

@@ -1,4 +1,3 @@
-import ast
 import math
 import random
 import time
@@ -21,7 +20,7 @@ from ltlflearn.formulas import (
 from ltlflearn.pipeline import LearnerConfig, LearnResult, VerificationError, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_task
 
-from conftest import built_during, union_shaped_sample
+from conftest import biteval_imports, built_during, union_shaped_sample
 
 WORKED = parse_task("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n").sample
 
@@ -54,6 +53,23 @@ def test_no_solution_carries_a_witness_pair():
     assert result.formula is None
     assert result.witness.pos_index == 0
     assert result.witness.neg_index == 0
+
+
+def test_learn_without_positives_answers():
+    # F over one proposition: p0 and F(p0) both hold on the negative.
+    lone = Sample(Alphabet.default(1), (), (Trace((1,)),))
+    result = learn(lone, LearnerConfig(operators=OperatorSet.from_names(["F"])))
+    assert (result.status, result.witness) == ("NoSolution", Witness(None, 0))
+    # No formula up to size 2 excludes both letters, so the answer is an
+    # intersection; with dc_switch 1 it is built through splits.
+    negatives = tuple(Trace(letters) for letters in [(1,), (0,), (1, 1), (0, 1), (1, 0)])
+    sample = Sample(Alphabet.default(1), (), negatives)
+    for dc_switch, method in [(70, "BSC"), (1, "BSC+DivConq")]:
+        config = LearnerConfig(
+            operators=OperatorSet.from_names(["!", "&"]), ltl2bs_switch=2, dc_switch=dc_switch)
+        result = learn(sample, config)
+        assert (result.status, result.method) == ("Solved", method)
+        assert separates(result.formula, sample)
 
 
 def test_timeout_returns_no_formula():
@@ -182,16 +198,6 @@ def test_a_cover_whose_rows_are_not_the_positives_is_caught_before_reconstruct(m
     with pytest.raises(VerificationError, match="rows"):
         learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5))
     assert built == []
-
-
-def biteval_imports(source: str) -> list[str]:
-    """The names that source imports from ltlflearn.biteval."""
-    return [
-        alias.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom) and node.module in ("biteval", "ltlflearn.biteval")
-        for alias in node.names
-    ]
 
 
 def test_learn_imports_nothing_from_the_bitwise_tree_evaluator():

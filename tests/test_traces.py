@@ -94,6 +94,39 @@ def test_bad_letter_after_many_good_copies_names_its_own_line():
     assert parse_task(good + "---\n0,0;1,0\n").sample.positives[39].letters == (1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A new text of the wrong width after known ones, in the negatives.
+        ("1,0;0,1\n0,0\n---\n0,1;1,1\n1,0;0,0;1\n",
+         "line 5: inconsistent letter width: expected 2 bits, got 1"),
+        # A new text first on its line, the rest known.
+        ("1,0;0,1\n---\n0,0,1;1,0\n", "line 3: inconsistent letter width: expected 2 bits, got 3"),
+        # Neither 0 nor 1, after known texts on the same line.
+        ("1,0;0,1\n0,0\n---\n0,1;1,0;0,x\n", "line 4: expected bit 0 or 1, got 'x'"),
+        ("1\n\n---\n0;1;-1\n", "line 4: expected bit 0 or 1, got '-1'"),
+    ],
+)
+def test_a_bad_letter_text_is_named_at_its_own_line(text, message):
+    with pytest.raises(TaskFormatError) as err:
+        parse_task(text)
+    assert str(err.value) == message
+
+
+def test_a_negative_letter_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        Trace((1, 0, -2, 3))
+
+
+def test_a_letter_beyond_the_alphabet_is_named_at_its_first_occurrence():
+    # The first offender in sample order, not the largest letter.
+    sample = (Trace((0, 1)),), (Trace((1, 0)), Trace((1, 2, 8, 4)), Trace((16,)))
+    with pytest.raises(ValueError, match=r"^letter 0x2 uses bits beyond the 1-proposition"):
+        Sample(Alphabet.default(1), *sample)
+    with pytest.raises(ValueError, match=r"^letter 0x8 uses bits beyond the 3-proposition"):
+        Sample(Alphabet.default(3), *sample)
+
+
 def test_width_must_match_names():
     with pytest.raises(TaskFormatError):
         parse_task("1,0\n---\n0,0\n---\nonly_one\n")
