@@ -11,10 +11,12 @@ random conjunctions and disjunctions. The hamming family has no
 formula: one random positive trace, negatives a few bit flips away.
 
 Traces for formula families come from rejection sampling: every
-proposition is an independent fair coin at each position, the draw is
-classified by the reference evaluator, and sampling stops once enough
-positives and negatives accumulated (or the try budget runs out, which
-is reported as an error rather than retried silently).
+proposition is an independent fair coin at each position, the draws
+are classified by the reference evaluator a batch at a time, and
+sampling stops once enough positives and negatives accumulated (or the
+try budget runs out, which is reported as an error rather than retried
+silently). The draws are used in the order drawn, so the output is
+byte-identical to classifying them one at a time.
 
 Two independent RNG streams per task seed, "<seed>:formula" and
 "<seed>:traces", keep the target formula stable when only trace counts
@@ -53,6 +55,8 @@ FAMILIES = (
 )
 
 DEFAULT_MAX_TRIES = 10**6
+# Draws classified by one run of the reference program.
+DRAW_BATCH = 128
 
 
 class SamplingBudgetError(RuntimeError):
@@ -212,9 +216,12 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
 
     Formula families use rejection sampling classified by the reference
     evaluator, compiled once per task, so label soundness holds by
-    construction. Raises SamplingBudgetError after max_tries draws; at
-    the default trace lengths that signals a formula too skewed for
-    this family, not bad luck.
+    construction. Draws are classified DRAW_BATCH per run of the program
+    and used in the order drawn; those past the last one used only
+    advance this task's "<seed>:traces" stream, so the sample is the
+    one a draw at a time gives. Raises SamplingBudgetError after
+    max_tries used draws; at the default trace lengths that signals a
+    formula too skewed for this family, not bad luck.
     """
     rng = random.Random(f"{spec.seed}:traces")
     if spec.family == "hamming":
@@ -230,13 +237,20 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
                 f"{spec.family}: {len(positives)}/{spec.n_pos} positives and "
                 f"{len(negatives)}/{spec.n_neg} negatives after {max_tries} draws"
             )
-        tries += 1
-        letters = _random_letters(rng, spec.trace_len, spec.n_props)
-        if values(letters)[0]:
-            if len(positives) < spec.n_pos:
-                positives.append(Trace(letters))
-        elif len(negatives) < spec.n_neg:
-            negatives.append(Trace(letters))
+        batch = [
+            _random_letters(rng, spec.trace_len, spec.n_props)
+            for _ in range(min(DRAW_BATCH, max_tries - tries))
+        ]
+        holds = values(batch)[0]  # bit d: the formula holds on draw d
+        for d, letters in enumerate(batch):
+            tries += 1
+            if holds >> d & 1:
+                if len(positives) < spec.n_pos:
+                    positives.append(Trace(letters))
+            elif len(negatives) < spec.n_neg:
+                negatives.append(Trace(letters))
+            if len(positives) == spec.n_pos and len(negatives) == spec.n_neg:
+                break
     return Sample(spec.alphabet, tuple(positives), tuple(negatives))
 
 

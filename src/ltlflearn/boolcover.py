@@ -595,8 +595,9 @@ def div_conq(
     the leaf of the lightest separating base set, or NoSolution with
     the witness pair; by induction this finds a solution whenever the
     existence check passes. The beam solves a view of one row at
-    seeding if any set gets the row right; if it stalls, a positive is
-    a witness alone and a negative raises ValueError.
+    seeding if any set gets the row right; if it stalls, the row is a
+    witness alone: `Witness(p, None)` for a positive, `Witness(None, n)`
+    for a negative.
     """
     rng = random.Random(seed)
     n_pos = inst.pos_mask.bit_length()  # the offset of the negatives' rows
@@ -620,10 +621,10 @@ def div_conq(
         found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
         if found is not None:
             return found
-        if n_p + n_n <= 1:  # no split is left
-            if not n_p:
-                raise ValueError("a witness needs a positive row, and the instance has none")
-            return NoSolution(Witness(view.pos_mask.bit_length() - 1, None))
+        if n_p + n_n <= 1:  # no split is left: the lone row is a witness
+            if n_p:
+                return NoSolution(Witness(view.pos_mask.bit_length() - 1, None))
+            return NoSolution(Witness(None, view.neg_mask.bit_length() - 1 - n_pos))
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 

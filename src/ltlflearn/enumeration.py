@@ -42,12 +42,13 @@ once; on wide samples hashing a value costs more than computing it.
 
 Identity rules skip more candidates, by the operators of their
 children alone (`skip_rules`, built at the start of each call). Each rule
-names a candidate whose value equals that of a formula built earlier,
-either strictly smaller or of the same size in an earlier unary loop
-of the level. Every formula of a smaller size has its value in `seen`:
+names a candidate whose value equals that of a formula built earlier:
+strictly smaller, of the same size in an earlier unary loop of the
+level, or of the same size over an earlier left entry of the same
+binary loop. Every formula of a smaller size has its value in `seen`:
 its children's values are retained by formulas no larger, and the
 candidate over those was enumerated. The same holds, level by level,
-for the same-size formulas of an earlier loop, so by induction the
+for the same-size formulas built before, so by induction the
 skipped candidate's value is in `seen` and it would be pruned anyway;
 it cannot be a solution either, since its value was tested when it was
 retained. x is the child's child; the unary loops run in the order
@@ -70,13 +71,21 @@ retained. x is the child's child; the unary loops run in the order
     Ya & Zb = X!(a & b), or X(a & b) when Y and Z are both X
     Ya | Zb = X(a | b), or X!(a | b) when Y and Z are both X!
                            (Y, Z in {X!, X})
-    X!a U X!b = Xa U X!b = X!(a U b)
+    X!a U X!b = X!(a U b)
     a U F b = F b
+    Xa U b = X!a U b       needs X!
+    Xa R b = X!a R b       needs X!
 
-Xa U Xb and X!a U Xb are left out: they equal no smaller formula, only
-a weak until. A loop evaluates the entries of a run that no rule skips
-and still counts, checks the deadline and places a solution by the
-whole run, so a skipped candidate is counted in `n_enumerated` as if it
+The last two rules hold because U and R read their left operand only
+before the last position, where X and X! agree. X!a comes before Xa in
+every level, so its value is retained by an entry before Xa, of no
+larger size, and the twin over that entry was enumerated earlier. They
+skip every right operand, Xb included. X!a U Xb is left out: it equals
+no smaller formula, only a weak until.
+
+A loop evaluates the entries of a run that no rule skips and still
+counts, checks the deadline and places a solution by the whole run, so
+a skipped candidate is counted in `n_enumerated` as if it
 were evaluated, not in `n_skipped`, and every count is that of the
 plain loop.
 """
@@ -96,6 +105,9 @@ from .traces import Sample
 _MIRRORED = ("&", "|")
 _NONE: frozenset = frozenset()
 _NEXT = frozenset(("X!", "X"))
+# The skip set of a rule that skips every right operand. `_keep` knows it
+# by identity; no operator is named "*", so it keys no other skip set.
+_EVERY = frozenset("*")
 
 
 def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
@@ -106,7 +118,7 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
     `tok(child)` is skipped. `binary[tok][op]` holds the operators of
     the right operands whose candidate `left tok right` is skipped when
     the left operand's operator is `op`; the key None stands for any
-    other left operand.
+    other left operand. `_EVERY` skips every right operand.
     """
     unary: dict = {}
     for tok, child, holds in (
@@ -132,7 +144,6 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
         ("|", "X", _NEXT, True),  # Xa | Yb = X(a | b)
         ("U", None, {"F"}, True),  # a U F b = F b
         ("U", "X!", {"X!"}, True),  # X!a U X!b = X!(a U b)
-        ("U", "X", {"X!"}, True),  # Xa U X!b = X!(a U b)
     ):
         if holds:
             by_left = binary.setdefault(tok, {})
@@ -140,6 +151,9 @@ def skip_rules(ops: OperatorSet) -> tuple[dict, dict]:
     for by_left in binary.values():  # a rule for any left holds for each
         for left in by_left:
             by_left[left] |= by_left.get(None, _NONE)
+    if "X!" in ops.unary:  # Xa U b = X!a U b, Xa R b = X!a R b
+        for tok in ("U", "R"):
+            binary.setdefault(tok, {})["X"] = _EVERY
     return unary, binary
 
 
@@ -148,6 +162,8 @@ def _keep(runs: list[tuple], skip: frozenset) -> list[tuple]:
     in `skip`, the ones a loop evaluates: `(run, k, kept)`."""
     if not skip:
         return [(run, k, run) for run, k in runs]
+    if skip is _EVERY:
+        return [(run, k, ()) for run, k in runs]
     return [(run, k, [e for e in run if e[1] not in skip]) for run, k in runs]
 
 

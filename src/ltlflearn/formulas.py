@@ -15,15 +15,19 @@ Each operator class carries its text token as the class attribute
 `token`, and every operator table is keyed by it.
 
 `eval_reference` is the correctness oracle for the bit-parallel engine
-and shares nothing with it. `compile_reference` turns a formula into a
-program once: its distinct subformulas in post-order, equal subtrees
-sharing one step. A run of the program gives each step a list of
-bools, one per position of the trace, through the per-token tables
-`UNARY_REFERENCE` and `BINARY_REFERENCE`: an atom reads its bit of
-every letter, !, & and | map over the lists, X! and X shift the list,
-F and G accumulate it backwards, and U and R are one backward scan
-each. Callers that test many traces against one formula compile it
-once and run it on each.
+and shares nothing with it: no packed layout, no carries between
+traces. `compile_reference` turns a formula into a program once: its
+distinct subformulas in post-order, equal subtrees sharing one step. A
+run of the program takes a batch of equal-length traces and gives each
+step a list of ints, one per position, with bit d for trace d of the
+batch, through the per-token tables `UNARY_REFERENCE` and
+`BINARY_REFERENCE`: an atom builds each position's int from its bit of
+the letters, a string of digits at a time; ! is xor with the batch's
+all-ones, & and | map over the lists, X! and X shift the list in
+with 0 or the all-ones, F and G accumulate it backwards, and U and R
+are one backward scan each. Callers that test many traces against one
+formula compile it once and run it on each batch of one length;
+`eval_reference` runs a batch of one.
 
 Text grammar: the prefix unary operators bind tightest, then the infix
 binary operators, and parentheses are always accepted. Each binary
@@ -37,9 +41,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
-from operator import and_, not_, or_
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from itertools import accumulate, chain
+from operator import and_, or_
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .traces import Alphabet, Trace
@@ -230,48 +234,63 @@ DEFAULT_OPERATORS = OperatorSet()
 # Reference evaluation
 # ---------------------------------------------------------------------------
 
-def _until_scan(left: list[bool], right: list[bool]) -> list[bool]:
+def _until_scan(left: list[int], right: list[int], ones: int) -> list[int]:
     # Backwards: U holds at p iff right does, or left does and U holds at p+1.
-    out, acc = [], False
+    out, acc = [], 0
     for a, b in zip(reversed(left), reversed(right)):
-        acc = b or (a and acc)
+        acc = b | a & acc
         out.append(acc)
     return out[::-1]
 
 
-def _release_scan(left: list[bool], right: list[bool]) -> list[bool]:
+def _release_scan(left: list[int], right: list[int], ones: int) -> list[int]:
     # Backwards: R holds at p iff right does, and left does or R holds at p+1.
-    out, acc = [], True
+    out, acc = [], ones
     for a, b in zip(reversed(left), reversed(right)):
-        acc = b and (a or acc)
+        acc = b & (a | acc)
         out.append(acc)
     return out[::-1]
 
 
-# Per operator token: the argument values at every position in, the
-# operator's values at every position out. Each is one pass at C level,
-# except the backward scans of U and R.
+# Per operator token: the argument values at every position and the
+# batch's all-ones in, the operator's values at every position out. A
+# value holds bit d for trace d of the batch. Each is one pass at C
+# level, except the backward scans of U and R.
 UNARY_REFERENCE = {
-    Not.token: lambda v: list(map(not_, v)),
-    StrongNext.token: lambda v: v[1:] + [False],
-    WeakNext.token: lambda v: v[1:] + [True],
-    Finally.token: lambda v: list(accumulate(reversed(v), or_))[::-1],
-    Globally.token: lambda v: list(accumulate(reversed(v), and_))[::-1],
+    Not.token: lambda v, ones: list(map(ones.__xor__, v)),
+    StrongNext.token: lambda v, ones: v[1:] + [0],
+    WeakNext.token: lambda v, ones: v[1:] + [ones],
+    Finally.token: lambda v, ones: list(accumulate(reversed(v), or_))[::-1],
+    Globally.token: lambda v, ones: list(accumulate(reversed(v), and_))[::-1],
 }
 BINARY_REFERENCE = {
-    And.token: lambda v1, v2: list(map(and_, v1, v2)),
-    Or.token: lambda v1, v2: list(map(or_, v1, v2)),
+    And.token: lambda v1, v2, ones: list(map(and_, v1, v2)),
+    Or.token: lambda v1, v2, ones: list(map(or_, v1, v2)),
     Until.token: _until_scan,
     Release.token: _release_scan,
 }
 
 
 def _atom_values(prop: int):
-    return lambda letters: [letter >> prop & 1 == 1 for letter in letters]
+    # Per byte value: the ASCII digit of its bit `prop`.
+    table = bytes(b"01"[c >> prop & 1] for c in range(256))
+
+    def values(rows, ones: int) -> list[int]:
+        letters, length = rows
+        if isinstance(letters, bytes):
+            digits = letters.translate(table)
+        else:  # a letter above 255: a digit per distinct letter
+            digit = {c: "01"[c >> prop & 1] for c in set(letters)}
+            digits = "".join(map(digit.__getitem__, letters))
+        # Row-major from the last trace up: position p's column is every
+        # length-th digit from p, and the first trace's digit comes last.
+        return [int(digits[p::length], 2) for p in range(length)]
+
+    return values
 
 
 def _constant_values(value: bool):
-    return lambda letters: [value] * len(letters)
+    return lambda rows, ones: [ones if value else 0] * rows[1]
 
 
 def _compile(phi: Formula, slots: dict, steps: list) -> int:
@@ -296,31 +315,41 @@ def _compile(phi: Formula, slots: dict, steps: list) -> int:
     return slot
 
 
-def compile_reference(phi: Formula) -> Callable[[tuple[int, ...]], list[bool]]:
-    """phi's values at every position of a trace, given its letters.
+def compile_reference(phi: Formula) -> Callable[[Sequence[tuple[int, ...]]], list[int]]:
+    """phi's values at every position of a batch of equal-length traces,
+    given their letters: one int per position, bit d for trace d.
 
     phi's distinct subformulas become a program of steps in post-order,
     once. A step is a function and the slots of its one or two
-    arguments; a run keeps the letters in slot 0 and each step's values
-    in the next slot.
+    arguments; a run keeps the batch's letters in slot 0 and each
+    step's values in the next slot.
     """
     steps: list = []
     _compile(phi, {}, steps)
 
-    def values(letters: tuple[int, ...]) -> list[bool]:
-        slots = [letters]
+    def values(batch: Sequence[tuple[int, ...]]) -> list[int]:
+        lengths = set(map(len, batch))
+        if len(lengths) != 1:
+            raise ValueError(f"a batch is one or more traces of one length, not {sorted(lengths)}")
+        ones = (1 << len(batch)) - 1
+        try:  # every letter below 256: one byte each
+            letters = b"".join(map(bytes, reversed(batch)))
+        except ValueError:
+            letters = tuple(chain.from_iterable(reversed(batch)))
+        slots: list = [(letters, lengths.pop())]
         for step, a, b in steps:
-            slots.append(step(slots[a]) if b is None else step(slots[a], slots[b]))
+            slots.append(step(slots[a], ones) if b is None else step(slots[a], slots[b], ones))
         return slots[-1]
 
     return values
 
 
 def eval_reference(phi: Formula, w: Trace, k: int) -> bool:
-    """Whether the suffix w[k..] satisfies phi, by `compile_reference`."""
+    """Whether the suffix w[k..] satisfies phi, by `compile_reference`
+    on a batch of one."""
     if not 1 <= k <= w.length:
         raise ValueError(f"position {k} out of range 1..{w.length}")
-    return compile_reference(phi)(w.letters)[k - 1]
+    return compile_reference(phi)((w.letters,))[k - 1] == 1
 
 
 # ---------------------------------------------------------------------------

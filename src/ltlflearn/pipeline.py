@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .boolcover import (
     NoSolution,
@@ -82,13 +82,22 @@ class VerificationError(AssertionError):
     a bug, never an input error."""
 
 
+def _by_length(traces) -> Iterable[list[tuple[int, ...]]]:
+    """The traces' letters, in batches of one length each."""
+    batches: dict = {}
+    for w in traces:
+        batches.setdefault(w.length, []).append(w.letters)
+    return batches.values()
+
+
 def separates(phi: Formula, sample: Sample) -> bool:
     """Whether phi holds on every positive trace and no negative one,
-    under the reference semantics, compiled once for the sample."""
+    under the reference semantics, compiled once for the sample and run
+    once per trace length in each class."""
     values = compile_reference(phi)
-    return all(values(w.letters)[0] for w in sample.positives) and not any(
-        values(w.letters)[0] for w in sample.negatives
-    )
+    return all(
+        values(batch)[0] == (1 << len(batch)) - 1 for batch in _by_length(sample.positives)
+    ) and not any(values(batch)[0] for batch in _by_length(sample.negatives))
 
 
 def _verify(phi: Formula, sample: Sample) -> None:

@@ -850,13 +850,12 @@ def test_div_conq_without_positives_solves_what_the_existence_check_passes(n_neg
         assert witness_is_correct(witness, inst)
 
 
-def test_div_conq_rejects_what_a_witness_cannot_name():
-    # Without positives, no set excludes negative row 0, and a witness
-    # needs a positive.
-    with pytest.raises(ValueError, match="positive"):
-        div_conq(instance(0, 2, [(mask(0), 1)]))
+def test_div_conq_names_a_lone_negative_no_set_excludes():
+    # Without positives, no set excludes negative 0: the split leaves a
+    # view of that negative alone, whose witness has no positive.
+    assert div_conq(instance(0, 2, [(mask(0), 1)])) == NoSolution(Witness(None, 0))
     # What the beam solves is still answered.
-    assert div_conq(instance(0, 2, [(mask(0), 1), (mask(1), 1)])) is not None
+    assert not isinstance(div_conq(instance(0, 2, [(mask(0), 1), (mask(1), 1)])), NoSolution)
 
 
 def test_div_conq_is_deterministic_per_seed():

@@ -161,7 +161,7 @@ def test_kernel_calls_between_deadline_checks_stay_within_the_stride(monkeypatch
     )
     assert max(gaps) <= DEADLINE_STRIDE
     assert stats["n_enumerated"] - stats["n_skipped"] - 2 == 247443
-    assert sum(gaps) == 205563 > 40 * DEADLINE_STRIDE
+    assert sum(gaps) == 192354 > 40 * DEADLINE_STRIDE
 
 
 @pytest.mark.parametrize("stride", [1, 7, 64])

@@ -341,11 +341,73 @@ SHARING_FORMULAS = st.recursive(
 )
 
 
-@given(SHARING_FORMULAS, st.lists(st.integers(0, 3), min_size=1, max_size=40))
+def batches(n_props: int, max_len: int, max_traces: int):
+    """Batches of 1 to max_traces letter tuples of one length, 1 to max_len."""
+    letters = st.integers(0, (1 << n_props) - 1)
+    return st.integers(1, max_len).flatmap(
+        lambda length: st.lists(
+            st.tuples(*[letters] * length), min_size=1, max_size=max_traces
+        )
+    )
+
+
+def assert_batch_matches_the_recursive_semantics(phi, batch, values=None):
+    # Bit d of each position's int is trace d's value there, and no bit
+    # beyond the batch is set. `values` is phi's compiled program.
+    got = (values or compile_reference(phi))(batch)
+    assert len(got) == len(batch[0])
+    assert all(v >> len(batch) == 0 for v in got)
+    for d, letters in enumerate(batch):
+        assert [v >> d & 1 == 1 for v in got] == eval_reference_all(phi, Trace(letters)), d
+
+
+@given(SHARING_FORMULAS, batches(2, 40, 4))
 @settings(max_examples=400)
-def test_compiled_program_matches_the_recursive_semantics(phi, letters):
-    w = Trace(tuple(letters))
-    assert compile_reference(phi)(w.letters) == eval_reference_all(phi, w)
+def test_compiled_program_matches_the_recursive_semantics(phi, batch):
+    assert_batch_matches_the_recursive_semantics(phi, batch)
+
+
+def formulas_over(n_props: int):
+    """Every operator, R, X, true and false included, over n_props atoms."""
+    return st.recursive(
+        st.sampled_from([*map(Atom, range(n_props)), Top(), Bottom()]),
+        lambda children: st.one_of(
+            st.builds(build_unary, UNARY_TOKENS, children),
+            st.builds(build_binary, BINARY_TOKENS, children, children),
+        ),
+        max_leaves=10,
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(formulas_over(n), batches(n, 12, 6))))
+@settings(max_examples=400)
+def test_batches_match_the_recursive_semantics(phi_batch):
+    assert_batch_matches_the_recursive_semantics(*phi_batch)
+
+
+def test_letters_above_255_are_read_per_proposition():
+    # Twelve propositions: the letters do not fit a byte, and the atoms
+    # of propositions 0, 8 and 11 read their own bits of them.
+    a, b, c = Atom(0), Atom(8), Atom(11)
+    phi = Or(Until(Not(b), And(a, c)), Release(b, WeakNext(Not(a))))
+    batch = [
+        (1 << 11 | 1, 1 << 8, 0xFFF, 1),
+        (1 << 8, 1 << 8 | 1, 1 << 11, 0),
+        (0xFFF, 0, 1 << 11 | 1 << 8, 1 << 11 | 1),
+    ]
+    assert_batch_matches_the_recursive_semantics(phi, batch)
+    assert compile_reference(b)(batch) == [0b110, 0b011, 0b101, 0]
+    # Letters below 256 take the byte path instead.
+    small = [tuple(x & 0xFF for x in letters) for letters in batch]
+    assert_batch_matches_the_recursive_semantics(Until(Not(Atom(7)), Atom(0)), small)
+
+
+def test_a_batch_is_one_length():
+    values = compile_reference(Finally(Atom(0)))
+    with pytest.raises(ValueError, match="one length"):
+        values([(0, 1), (1,)])
+    with pytest.raises(ValueError, match="one length"):
+        values([])
 
 
 def test_compiled_program_has_one_step_per_distinct_subformula():
@@ -360,9 +422,10 @@ def test_compiled_program_has_one_step_per_distinct_subformula():
     assert len(steps) == len(_subformulas(phi)) == 15
     assert {type(node) for node in _subformulas(phi)} == {
         Atom, Top, Bottom, *UNARY_CLASSES, *BINARY_CLASSES}
-    values = compile_reference(phi)
-    for letters in [(0,), (1, 2), (3, 0, 1, 2), (2, 2, 1, 0, 3, 1)]:
-        assert values(letters) == eval_reference_all(phi, Trace(letters))
+    values = compile_reference(phi)  # one program, run on every batch
+    for batch in [[(0,)], [(1, 2), (3, 3)], [(3, 0, 1, 2)],
+                  [(2, 2, 1, 0, 3, 1), (0, 1, 2, 3, 0, 1), (1, 3, 3, 2, 0, 0)]]:
+        assert_batch_matches_the_recursive_semantics(phi, batch, values)
 
 
 def test_the_reference_imports_nothing_from_the_bitwise_engine():

@@ -11,16 +11,23 @@ from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
+    And,
     Atom,
     Finally,
+    Globally,
     Not,
     OperatorSet,
+    Or,
+    Release,
+    StrongNext,
+    Until,
+    WeakNext,
     render_formula,
 )
 from ltlflearn.pipeline import LearnerConfig, LearnResult, VerificationError, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_task
 
-from conftest import biteval_imports, built_during, union_shaped_sample
+from conftest import biteval_imports, built_during, eval_reference_all, union_shaped_sample
 
 WORKED = parse_task("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n").sample
 
@@ -89,6 +96,31 @@ def test_separates_is_the_reference_check():
     s = Sample(Alphabet(("a",)), (Trace((0, 1)),), (Trace((0, 0)),))
     assert separates(phi, s)
     assert not separates(Atom(0), s)
+
+
+def test_separates_runs_mixed_lengths_as_the_recursive_semantics_does():
+    # Traces of lengths 1 to 6 in both classes, so each class makes a
+    # run per length; labelled by the formula itself, it separates, and
+    # any one trace moved to the other class breaks that.
+    rng = random.Random(7)
+    a, b = Atom(0), Atom(1)
+    formulas = [Until(a, b), Release(Not(a), WeakNext(b)), Globally(Or(a, StrongNext(b))),
+                Finally(And(a, Not(b)))]
+    for phi in formulas:
+        traces = {tuple(rng.getrandbits(2) for _ in range(rng.randint(1, 6)))
+                  for _ in range(40)}
+        holds = {w: eval_reference_all(phi, Trace(w))[0] for w in sorted(traces)}
+        pos = [Trace(w) for w, v in holds.items() if v]
+        neg = [Trace(w) for w, v in holds.items() if not v]
+        assert len({w.length for w in pos}) > 1 and len({w.length for w in neg}) > 1
+        alphabet = Alphabet.default(2)
+        assert separates(phi, Sample(alphabet, tuple(pos), tuple(neg)))
+        for i in range(len(pos)):
+            moved = Sample(alphabet, tuple(pos[:i] + pos[i + 1:]), tuple(neg + [pos[i]]))
+            assert not separates(phi, moved)
+        for i in range(len(neg)):
+            moved = Sample(alphabet, tuple(pos + [neg[i]]), tuple(neg[:i] + neg[i + 1:]))
+            assert not separates(phi, moved)
 
 
 def test_bsc_method_on_a_union_shaped_sample():
