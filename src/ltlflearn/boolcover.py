@@ -52,7 +52,10 @@ per weight the best few, sorted best first; a full list takes only a
 strictly higher score and drops its last entry. A queue holds
 (-score, -seq, comb) and so drops the oldest of its lowest score, a
 pool (-score, seq, sat) and the newest. Every add comes with the
-newest seq, and the queue's combinations come out in seq order.
+newest seq, and the queue's combinations come out in seq order. So a
+pool holds the k least of the entries added to it: reduction and the
+restrictions of `div_conq`, which add every set before they ask, fill
+each pool with one sort.
 
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
@@ -66,7 +69,9 @@ its weight's full queue and, unless it is a solution, one the lighter
 pools or pool W dominate. Each of these tests only drops, and none
 drops a solution, so their order moves no answer and no count.
 Candidates are counted once per run of rights (each right twice, | then
-&), as in enumeration.
+&), as in enumeration. A queue is read only once its weight is filled,
+and then never changes, so its lists of lefts and of runs of rights are
+built once per beam, at its first read.
 
 The last two weights only look for a solution. A combination of weight
 w is a child only at weight w + 2 or more, as the other child weighs at
@@ -86,6 +91,8 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .deadlines import DEADLINE_STRIDE, check_deadline, split_runs
@@ -245,6 +252,11 @@ class _DominationPools:
     `pool_dominates` reads pool W. Heavier pools are never read. A
     frontier is built on the first query at its weight and dropped when
     an add changes a lighter pool.
+
+    The beam adds and asks in turn. `_undominated` adds every set before
+    it asks: it fills each pool with one sort (`fill`), which keeps what
+    the adds one at a time would keep, and then asks a weight's sets
+    together (`undominated`), reading the frontier and the pool once.
     """
 
     __slots__ = ("k", "pools", "frontiers")
@@ -293,6 +305,17 @@ class _DominationPools:
         self.frontiers[weight] = cached = (limit, rep, guards, notkept)
         return cached
 
+    def fill(self, weight: int, entries: list[tuple[int, int, int]]) -> None:
+        """Fill the empty pool W, before any query, with the k least of
+        the (-score, seq, sat) entries.
+
+        `add` keeps the same when given them one at a time in seq order: a
+        full pool takes only a strictly higher score than its last entry's,
+        and an entry that ties it is newer, so the pool takes exactly the
+        entries less than its last.
+        """
+        self.pools[weight] = sorted(entries)[: self.k]
+
     def dominated(self, weight: int, sat: int, seq: int) -> bool:
         """Whether a pool entry weighs no more and its sat contains sat."""
         return self.lighter_dominates(weight, sat) or self.pool_dominates(weight, sat, seq)
@@ -319,6 +342,26 @@ class _DominationPools:
                 return True
         return False
 
+    def undominated(self, weight: int, entries: list[tuple[int, int, int]]) -> list[int]:
+        """The seqs of the (-score, seq, sat) entries of this weight that
+        `dominated` does not report, in their order. It reads the frontier
+        and pool W once for all of them."""
+        limit, rep, guards, notkept = self.frontiers.get(weight) or self._frontier(weight)
+        pool = self.pools.get(weight, ())
+        kept = []
+        for neg_score, seq, sat in entries:
+            if sat < limit and (guards - (sat * rep & notkept)) & guards:
+                continue
+            for pool_neg_score, pool_seq, pool_sat in pool:
+                if pool_neg_score > neg_score:
+                    kept.append(seq)
+                    break
+                if sat & ~pool_sat == 0 and (pool_sat != sat or pool_seq < seq):
+                    break
+            else:
+                kept.append(seq)
+        return kept
+
 
 def _undominated(
     sets: Sequence[tuple[int, int, tuple]],
@@ -332,22 +375,32 @@ def _undominated(
     Every triple enters the pools first, its position as its seq; a
     triple is dropped when a pool entry dominates it. Every dropped
     triple is dominated by a kept one (domination is transitive and the
-    tie rule acyclic), so no solution is lost. The deadline is checked
-    every DEADLINE_STRIDE triples of each pass.
+    tie rule acyclic), so no solution is lost. The pools are filled a
+    weight at a time (`_DominationPools.fill`) and asked a weight at a
+    time (`_DominationPools.undominated`). The deadline is checked every
+    DEADLINE_STRIDE triples of each pass.
     """
     pools = _DominationPools(k)
-    sats = [sat_bits(members, pos_mask, neg_mask) for members, _, _ in sets]
-    for seq, ((_, weight, _), sat) in enumerate(zip(sets, sats), 1):
+    by_weight: dict[int, list[tuple[int, int, int]]] = {}
+    for seq, (members, weight, _) in enumerate(sets, 1):
         if not seq % DEADLINE_STRIDE:
             check_deadline(deadline)
-        pools.add(weight, sat, seq)
-    kept = []
-    for seq, (triple, sat) in enumerate(zip(sets, sats), 1):
-        if not seq % DEADLINE_STRIDE:
-            check_deadline(deadline)
-        if not pools.dominated(triple[1], sat, seq):
-            kept.append(triple)
-    return tuple(kept)
+        sat = sat_bits(members, pos_mask, neg_mask)
+        by_weight.setdefault(weight, []).append((-sat.bit_count(), seq, sat))
+    for weight, entries in by_weight.items():
+        pools.fill(weight, entries)
+    kept = [False] * len(sets)
+    done = 0
+    for weight, entries in by_weight.items():
+        while entries:  # in runs that end where a check falls due
+            run = entries[: DEADLINE_STRIDE - done % DEADLINE_STRIDE]
+            entries = entries[len(run):]
+            for seq in pools.undominated(weight, run):
+                kept[seq - 1] = True
+            done += len(run)
+            if not done % DEADLINE_STRIDE:
+                check_deadline(deadline)
+    return tuple(compress(sets, kept))
 
 
 def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None) -> BscInstance:
@@ -381,7 +434,11 @@ def beam_search(
     solution found, or None once the next weight would exceed
     max_weight or nothing is left to combine: the beam has stalled.
     Weights max_weight - 1 and max_weight are never children, so there
-    the pair loop only looks for a solution and queues nothing.
+    the pair loop only looks for a solution and queues nothing. A queue
+    is read only after its weight is filled, so it is sorted into
+    admission order and masked once per beam, and its rights are split
+    into runs once for the weights before the last two and once for
+    those two.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -403,8 +460,38 @@ def beam_search(
         """The full queue's lowest score, or -1 while it has room."""
         return -queue[-1][0] if len(queue) >= beam_width else -1
 
-    def in_admission_order(queue: list) -> list:
-        return [comb for _, _, comb in sorted(queue, key=lambda entry: -entry[1])]
+    # Built on a queue's first read: only queue k + 1 changes while weight
+    # k + 1 is filled, and the pair loop reads only lighter queues.
+    @cache
+    def lefts(weight: int) -> list:
+        """The queue in admission order as lefts (comb, masked, side)."""
+        built = []
+        for _, _, comb in sorted(queues[weight], key=lambda entry: -entry[1]):
+            m = comb[0] & universe
+            # A left passes at most one test: a queued value is no solution.
+            built.append((comb, m, 0 if not m & negm else 1 if m & posm == posm else 2))
+        return built
+
+    @cache
+    def runs(weight: int, tail: bool) -> list:
+        """The queue's runs of rights (comb, masked, op), each comb twice, |
+        then &: one entry a candidate. At the last two weights a run holds
+        instead, per side of a left, the rights that can complete a
+        solution, with their places in the run: by | with a left free of
+        negatives (side 0), by & with a left holding every positive (side 1).
+        """
+        rights = [(comb, m, op) for comb, m, _ in lefts(weight) for op in "|&"]
+        built = split_runs(rights, DEADLINE_STRIDE)
+        if not tail:
+            return built
+        return [
+            ((
+                [(at, r) for at, r in enumerate(run) if r[2] == "|" and not r[1] & negm],
+                [(at, r) for at, r in enumerate(run) if r[2] == "&" and r[1] & posm == posm],
+                (),
+            ), count)
+            for run, count in built
+        ]
 
     def admit(comb: tuple, masked: int, sat: int, score: int, weight: int):
         """Queue a combination that its queue accepts and no pool entry
@@ -445,35 +532,12 @@ def beam_search(
             # Seeds of this weight may have filled its queue already.
             floor = floor_of(queues.setdefault(weight, []))
             for i in range(1, k // 2 + 1):
-                qi = queues.get(i)
-                qj = queues.get(k - i)
-                if not qi or not qj:
+                if not queues.get(i) or not queues.get(k - i):
                     continue
-                # Only queue k + 1 changes while weight k + 1 is filled.
-                # Each right comes twice, | then &: one entry a candidate.
-                rights = [
-                    (comb2, comb2[0] & universe, op)
-                    for comb2 in in_admission_order(qj) for op in "|&"
-                ]
-                runs = split_runs(rights, DEADLINE_STRIDE)
-                if tail:
-                    # Per run, with their places in it, the rights that can
-                    # complete a solution: by | with a left free of
-                    # negatives, by & with a left holding every positive.
-                    runs = [
-                        ((
-                            [(at, r) for at, r in enumerate(run) if r[2] == "|" and not r[1] & negm],
-                            [(at, r) for at, r in enumerate(run) if r[2] == "&" and r[1] & posm == posm],
-                            (),
-                        ), count)
-                        for run, count in runs
-                    ]
-                for comb1 in in_admission_order(qi):
+                right_runs = runs(k - i, tail)
+                for comb1, m1, side in lefts(i):
                     rows1 = comb1[0]
-                    m1 = rows1 & universe
-                    # A left passes at most one test: a queued value is no solution.
-                    side = 0 if not m1 & negm else 1 if m1 & posm == posm else 2
-                    for run, count in runs:
+                    for run, count in right_runs:
                         if n_candidates + count > limit:
                             check_deadline(deadline)
                             limit = n_candidates + DEADLINE_STRIDE

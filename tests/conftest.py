@@ -524,6 +524,21 @@ class HeapPools:
         return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
 
 
+def reference_undominated(sets, pos_mask: int, neg_mask: int, k: int) -> tuple:
+    """`boolcover._undominated` one set at a time, over the heap oracle's
+    pools: every (members, weight, leaf) triple is added with its position
+    as its seq, then each is asked in turn, and those no pool entry
+    dominates stay, in order."""
+    pools = HeapPools(k)
+    sats = [reference_sat(members, pos_mask, neg_mask) for members, _, _ in sets]
+    for seq, ((_, weight, _), sat) in enumerate(zip(sets, sats), 1):
+        pools.add(weight, sat, seq)
+    return tuple(
+        triple for seq, (triple, sat) in enumerate(zip(sets, sats), 1)
+        if not pools.dominated(triple[1], sat, seq)
+    )
+
+
 class HeapQueue:
     """The oracle's beam queue: the `capacity` best by score as a min-heap.
 

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from ltlflearn.boolcover import (
     reduce_instance,
     sat_bits,
 )
-from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached
+from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached, split_runs
 from ltlflearn.enumeration import enumerate_bounded, formula_of
 from ltlflearn.formulas import DEFAULT_OPERATORS, And, Atom, Finally, Or
 from ltlflearn.pipeline import separates
@@ -44,6 +45,7 @@ from conftest import (
     reference_beam,
     reference_collapse,
     reference_sat,
+    reference_undominated,
     rows_of,
     sat_and_weight,
     union,
@@ -293,6 +295,31 @@ def test_pool_reduction_equals_the_oracle_at_full_k(pool):
     assert [i for _, _, i in kept] == exact_undominated(items)
 
 
+# Families of up to 30 sets over at most 8 rows, drawn from a few member
+# sets: repeated sats and many tied scores.
+FAMILIES = st.lists(st.integers(0, 255), min_size=1, max_size=6).flatmap(
+    lambda members: st.lists(st.tuples(st.sampled_from(members), st.integers(1, 4)), max_size=30)
+)
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), FAMILIES)
+@settings(max_examples=300)
+@example(2, 3, 0, [(0b101, 1), (0b011, 1), (0b101, 2), (0b001, 1), (0b110, 1)])
+def test_undominated_keeps_what_the_one_set_at_a_time_reference_keeps(k, n_pos, n_neg, family):
+    # With a stride of 3 the second pass splits most weights' entries
+    # into several runs, and a run ends wherever a check falls due.
+    pos_mask = (1 << n_pos) - 1
+    neg_mask = ((1 << n_neg) - 1) << n_pos
+    sets = [(members, weight, i) for i, (members, weight) in enumerate(family)]
+    expected = reference_undominated(sets, pos_mask, neg_mask, k)
+    for stride in (DEADLINE_STRIDE, 3):
+        calls = []
+        with mock.patch("ltlflearn.boolcover.DEADLINE_STRIDE", stride), \
+                mock.patch("ltlflearn.boolcover.check_deadline", calls.append):
+            assert _undominated(sets, pos_mask, neg_mask, k, 1.0) == expected
+        assert len(calls) == 2 * (len(sets) // stride)
+
+
 def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
     """Every (weight, seq, sat) the pools hold, after checking their order:
     each pool best first and at most k long."""
@@ -355,14 +382,23 @@ def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
 
 def answer_like_the_oracle_after_all_adds(k, candidates):
     # As in _undominated: every entry goes in, then every entry is asked.
-    pools, oracle = _DominationPools(k), HeapPools(k)
+    # `fill` takes a weight's entries at once and keeps what the adds keep;
+    # `undominated` asks a weight's entries at once.
+    pools, filled, oracle = _DominationPools(k), _DominationPools(k), HeapPools(k)
+    by_weight = {}
     for seq, (weight, sat, _) in enumerate(candidates):
         pools.add(weight, sat, seq)
         oracle.add(weight, sat, seq)
-    assert pool_entries(pools) == oracle.entries()
+        by_weight.setdefault(weight, []).append((-sat.bit_count(), seq, sat))
+    for weight, entries in by_weight.items():
+        filled.fill(weight, entries)
+    assert pool_entries(pools) == pool_entries(filled) == oracle.entries()
     for seq, (weight, sat, _) in enumerate(candidates):
         assert pools.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
+    for weight, entries in by_weight.items():
+        assert pools.undominated(weight, entries) == [
+            seq for _, seq, sat in entries if not oracle.dominated(weight, sat, seq)]
     # Asking with a seq or weight outside the pools too.
     for weight, sat, _ in candidates:
         for w in (weight - 1, weight + 1):
@@ -578,6 +614,28 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     # 244 dominated values, each asked once; asked again at each weight and
     # after each admission, the lighter pools would answer True 347 times.
     assert sum(answer for _, answer in pairs) == 244
+
+
+def test_the_pair_loop_splits_each_queue_into_runs_at_most_twice(monkeypatch):
+    # A queue never changes once its weight is filled, so the pair loop
+    # splits its rights into runs at most twice in a beam: once for the
+    # weights before the last two, once for those two.
+    sample = union_shaped_sample()
+    _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
+    inst = reduce_instance(collapse(bank, sample)[0], 10)
+    split = []
+
+    def counted_split_runs(entries, stride, start=0):
+        split.append(weight_of(entries[0][0], inst))
+        return split_runs(entries, stride, start)
+
+    monkeypatch.setattr("ltlflearn.boolcover.split_runs", counted_split_runs)
+    stats = {}
+    assert beam_search(inst, max_weight=12, stats=stats) is None
+    assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
+    # Queues 1-8 are rights before weight 11, and queues 5-10 at 11 and 12;
+    # split at every (weight, left weight) pair, they would be split 30 times.
+    assert Counter(split) == {w: 1 + (5 <= w <= 8) for w in range(1, 11)}
 
 
 def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
