@@ -255,8 +255,7 @@ class _DominationPools:
 
     The beam adds and asks in turn. `_undominated` adds every set before
     it asks: it fills each pool with one sort (`fill`), which keeps what
-    the adds one at a time would keep, and then asks a weight's sets
-    together (`undominated`), reading the frontier and the pool once.
+    the adds one at a time would keep.
     """
 
     __slots__ = ("k", "pools", "frontiers")
@@ -342,26 +341,6 @@ class _DominationPools:
                 return True
         return False
 
-    def undominated(self, weight: int, entries: list[tuple[int, int, int]]) -> list[int]:
-        """The seqs of the (-score, seq, sat) entries of this weight that
-        `dominated` does not report, in their order. It reads the frontier
-        and pool W once for all of them."""
-        limit, rep, guards, notkept = self.frontiers.get(weight) or self._frontier(weight)
-        pool = self.pools.get(weight, ())
-        kept = []
-        for neg_score, seq, sat in entries:
-            if sat < limit and (guards - (sat * rep & notkept)) & guards:
-                continue
-            for pool_neg_score, pool_seq, pool_sat in pool:
-                if pool_neg_score > neg_score:
-                    kept.append(seq)
-                    break
-                if sat & ~pool_sat == 0 and (pool_sat != sat or pool_seq < seq):
-                    break
-            else:
-                kept.append(seq)
-        return kept
-
 
 def _undominated(
     sets: Sequence[tuple[int, int, tuple]],
@@ -376,9 +355,9 @@ def _undominated(
     triple is dropped when a pool entry dominates it. Every dropped
     triple is dominated by a kept one (domination is transitive and the
     tie rule acyclic), so no solution is lost. The pools are filled a
-    weight at a time (`_DominationPools.fill`) and asked a weight at a
-    time (`_DominationPools.undominated`). The deadline is checked every
-    DEADLINE_STRIDE triples of each pass.
+    weight at a time (`_DominationPools.fill`), and the triples are then
+    asked a weight at a time, so each frontier is built once. The
+    deadline is checked every DEADLINE_STRIDE triples of each pass.
     """
     pools = _DominationPools(k)
     by_weight: dict[int, list[tuple[int, int, int]]] = {}
@@ -390,16 +369,14 @@ def _undominated(
     for weight, entries in by_weight.items():
         pools.fill(weight, entries)
     kept = [False] * len(sets)
+    dominated = pools.dominated
     done = 0
     for weight, entries in by_weight.items():
-        while entries:  # in runs that end where a check falls due
-            run = entries[: DEADLINE_STRIDE - done % DEADLINE_STRIDE]
-            entries = entries[len(run):]
-            for seq in pools.undominated(weight, run):
-                kept[seq - 1] = True
-            done += len(run)
+        for _, seq, sat in entries:
+            done += 1
             if not done % DEADLINE_STRIDE:
                 check_deadline(deadline)
+            kept[seq - 1] = not dominated(weight, sat, seq)
     return tuple(compress(sets, kept))
 
 

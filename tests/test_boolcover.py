@@ -306,8 +306,8 @@ FAMILIES = st.lists(st.integers(0, 255), min_size=1, max_size=6).flatmap(
 @settings(max_examples=300)
 @example(2, 3, 0, [(0b101, 1), (0b011, 1), (0b101, 2), (0b001, 1), (0b110, 1)])
 def test_undominated_keeps_what_the_one_set_at_a_time_reference_keeps(k, n_pos, n_neg, family):
-    # With a stride of 3 the second pass splits most weights' entries
-    # into several runs, and a run ends wherever a check falls due.
+    # With a stride of 3 both passes check the deadline several times,
+    # most often inside one weight's entries.
     pos_mask = (1 << n_pos) - 1
     neg_mask = ((1 << n_neg) - 1) << n_pos
     sets = [(members, weight, i) for i, (members, weight) in enumerate(family)]
@@ -382,8 +382,7 @@ def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
 
 def answer_like_the_oracle_after_all_adds(k, candidates):
     # As in _undominated: every entry goes in, then every entry is asked.
-    # `fill` takes a weight's entries at once and keeps what the adds keep;
-    # `undominated` asks a weight's entries at once.
+    # `fill` takes a weight's entries at once and keeps what the adds keep.
     pools, filled, oracle = _DominationPools(k), _DominationPools(k), HeapPools(k)
     by_weight = {}
     for seq, (weight, sat, _) in enumerate(candidates):
@@ -397,8 +396,8 @@ def answer_like_the_oracle_after_all_adds(k, candidates):
         assert pools.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
     for weight, entries in by_weight.items():
-        assert pools.undominated(weight, entries) == [
-            seq for _, seq, sat in entries if not oracle.dominated(weight, sat, seq)]
+        for _, seq, sat in entries:
+            assert filled.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
     # Asking with a seq or weight outside the pools too.
     for weight, sat, _ in candidates:
         for w in (weight - 1, weight + 1):
