@@ -84,8 +84,10 @@ class TaskSpec:
             raise ValueError("trace_len must be >= 1")
         if self.n_pos < 1:
             raise ValueError("n_pos must be >= 1")
-        if self.n_neg < 0:
-            raise ValueError("n_neg must be >= 0")
+        if self.n_neg < 1:
+            raise ValueError("n_neg must be >= 1")
+        if self.family == "hamming" and self.n_pos != 1:
+            raise ValueError("the hamming family has exactly one positive trace (n_pos 1)")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -185,8 +187,6 @@ def _random_letters(rng: random.Random, trace_len: int, n_props: int) -> tuple[i
 
 
 def _hamming_task(spec: TaskSpec, rng: random.Random, max_tries: int) -> Sample:
-    if spec.n_pos != 1:
-        raise ValueError("the hamming family has exactly one positive trace")
     positive = Trace(_random_letters(rng, spec.trace_len, spec.n_props))
     total_bits = spec.trace_len * spec.n_props
     negatives: list[Trace] = []

@@ -107,11 +107,16 @@ from .traces import Sample
 
 @dataclass(frozen=True)
 class BscInstance:
-    """(members, weight, leaf) base sets over the rows pos_mask | neg_mask."""
+    """(members, weight, leaf) base sets over the rows pos_mask | neg_mask;
+    each class has a row (`learn` answers a one-class sample itself)."""
 
     pos_mask: int
     neg_mask: int
     base_sets: tuple[tuple[int, int, tuple], ...]
+
+    def __post_init__(self):
+        if not (self.pos_mask and self.neg_mask):
+            raise ValueError("an instance needs a positive and a negative row")
 
 
 # ---------------------------------------------------------------------------
@@ -172,48 +177,28 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
 
 @dataclass(frozen=True)
 class Witness:
-    """An unseparable pair: indices into positives / negatives.
+    """An unseparable pair: indices into positives / negatives."""
 
-    neg_index is None in the degenerate case of a positive no base set
-    covers while there are no negatives at all; pos_index is None in
-    that of a negative no base set excludes while there are no
-    positives at all.
-    """
-
-    pos_index: Optional[int]
-    neg_index: Optional[int]
+    pos_index: int
+    neg_index: int
 
 
 def existence_check(inst: BscInstance) -> Optional[Witness]:
     """None if a solution exists; otherwise a witness pair proving none does.
 
-    A solution exists iff every positive p is in some base set and for
-    every (p, n) some base set contains p and excludes n. The second
-    condition alone is the textbook criterion; the first closes its
-    N = ∅ edge case, where it is vacuous yet an uncovered positive can
-    never be reached by a positive combination. Without positives, the
-    answer must exclude every negative, and the intersection of all the
-    base sets is the least a combination can hold: a negative in it is
-    a witness alone.
+    A solution exists iff for every (p, n) some base set contains p and
+    excludes n: the negatives in every set containing p (all of them
+    when none does) are unseparable from p.
     """
     n_pos = inst.pos_mask.bit_length()  # the positives are the low rows
-    if not n_pos:
-        inter = inst.neg_mask
-        for members, _, _ in inst.base_sets:
-            inter &= members
-        return Witness(None, (inter & -inter).bit_length() - 1) if inter else None
     for p in range(n_pos):
         bit = 1 << p
-        inter: Optional[int] = None
+        bad = inst.neg_mask
         for members, _, _ in inst.base_sets:
             if members & bit:
-                inter = members if inter is None else inter & members
-        if inter is None:
-            return Witness(p, 0 if inst.neg_mask else None)
-        # Negatives inside every set containing p.
-        bad = (inter & inst.neg_mask) >> n_pos
+                bad &= members
         if bad:
-            return Witness(p, (bad & -bad).bit_length() - 1)
+            return Witness(p, (bad & -bad).bit_length() - 1 - n_pos)
     return None
 
 
@@ -592,8 +577,7 @@ def _restricted(
     """Mask the family to a restriction's rows, re-dedup, re-reduce.
 
     Keeps, per distinct masked vector, the minimal-weight (then first)
-    set, with its full members; drops empty vectors, unless there are
-    no positives and an empty vector is an answer; then applies the
+    set, with its full members; drops empty vectors; then applies the
     approximate domination reduction. Any set separating a surviving
     (p, n) pair keeps a separating representative: a dominating
     survivor classifies a superset of rows correctly, p and n included.
@@ -603,7 +587,7 @@ def _restricted(
     by_vec: dict[int, int] = {}
     for triple in sets:
         m = triple[0] & view_mask
-        if m == 0 and pos_mask:
+        if m == 0:
             continue
         at = by_vec.get(m)
         if at is None:
@@ -635,10 +619,9 @@ def div_conq(
     intersection (N split). The 1-positive/1-negative base case returns
     the leaf of the lightest separating base set, or NoSolution with
     the witness pair; by induction this finds a solution whenever the
-    existence check passes. The beam solves a view of one row at
-    seeding if any set gets the row right; if it stalls, the row is a
-    witness alone: `Witness(p, None)` for a positive, `Witness(None, n)`
-    for a negative.
+    existence check passes. Every view has a row of each class: a split
+    cuts the larger class, which then has two rows or more, and keeps
+    the other whole.
     """
     rng = random.Random(seed)
     n_pos = inst.pos_mask.bit_length()  # the offset of the negatives' rows
@@ -662,10 +645,6 @@ def div_conq(
         found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
         if found is not None:
             return found
-        if n_p + n_n <= 1:  # no split is left: the lone row is a witness
-            if n_p:
-                return NoSolution(Witness(view.pos_mask.bit_length() - 1, None))
-            return NoSolution(Witness(None, view.neg_mask.bit_length() - 1 - n_pos))
         if stats is not None:
             stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 

@@ -139,19 +139,11 @@ def _result_record(task_path: str, sample: Sample, result: LearnResult,
 
 def _no_solution_message(record: dict) -> str:
     witness = record["witness"]
-    ltl2bs = record["config"]["ltl2bs_switch"]
-    if witness["neg_index"] is None:
-        pair = f"positives[{witness['pos_index']}] is covered by no enumerated formula"
-    elif witness["pos_index"] is None:
-        pair = f"negatives[{witness['neg_index']}] is excluded by no enumerated formula"
-    else:
-        pair = (
-            f"positives[{witness['pos_index']}] and negatives[{witness['neg_index']}] "
-            f"are unseparable by the formulas enumerated up to size {ltl2bs}"
-        )
     return (
-        f"no solution: {pair}; deeper enumeration might still find a separator "
-        f"(raise --ltl2bs-switch)"
+        f"no solution: positives[{witness['pos_index']}] and "
+        f"negatives[{witness['neg_index']}] are unseparable by the formulas enumerated "
+        f"up to size {record['config']['ltl2bs_switch']}; deeper enumeration might "
+        f"still find a separator (raise --ltl2bs-switch)"
     )
 
 
@@ -218,8 +210,8 @@ def _generate_specs(args) -> list[TaskSpec]:
         n_props = args.props
     else:
         n_props = n if args.family in ("ordered-sequence", "subword", "subset") else 3
-    if args.family == "hamming" and args.pos != 1:
-        raise InputError("the hamming family has exactly one positive; use --pos 1")
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     specs = []
     for offset in range(args.count):
         try:

@@ -4,7 +4,9 @@ Formulas are generated bottom-up by size, up to a given bound: the
 size-1 seeds are the atoms, and size s+1 candidates are unary
 operators over retained size-s formulas and binary operators over
 retained pairs of sizes (i, j) with i + j = s. true and false are not
-seeded: with F and G primitive they never shrink a minimal separator.
+seeded: with F and G primitive they never shrink a minimal separator of
+a sample with both classes, and `learn` answers a one-class sample with
+one of them itself.
 Each candidate's packed value (see `biteval`) is one kernel call on its
 children's values; a candidate whose value equals an already-retained
 one is observationally equivalent on this sample and is discarded. The first candidate that

@@ -1,13 +1,15 @@
 """End-to-end learning: enumeration, set cover, reconstruction.
 
-`learn` first enumerates formulas in size order; if a single enumerated
-formula already separates the sample it is returned directly. Otherwise
-the retained formulas collapse into a set-cover instance, an existence
-check either produces an unseparable witness pair or guarantees a
-solution, and the cover solver (beam search wrapped in divide and
-conquer) assembles one from unions and intersections of enumerated
-formulas. An answer's value is tested for separation where it is
-built, and its formula re-verified against the reference semantics.
+`learn` answers a sample with one class only by `true` or `false`.
+Otherwise it first enumerates formulas in size order; if a single
+enumerated formula already separates the sample it is returned
+directly. Otherwise the retained formulas collapse into a set-cover
+instance, an existence check either produces an unseparable witness
+pair or guarantees a solution, and the cover solver (beam search
+wrapped in divide and conquer) assembles one from unions and
+intersections of enumerated formulas. An answer's value is tested for
+separation where it is built, and its formula re-verified against the
+reference semantics.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .boolcover import (
 )
 from .deadlines import DeadlineReached
 from .enumeration import enumerate_bounded
-from .formulas import DEFAULT_OPERATORS, Formula, OperatorSet, compile_reference
+from .formulas import DEFAULT_OPERATORS, Bottom, Formula, OperatorSet, Top, compile_reference
 from .traces import Sample
 
 
@@ -64,8 +66,8 @@ class LearnResult:
     status is "Solved", "NoSolution" or "Timeout". formula is set only
     when solved; witness only for NoSolution (an unseparable pair of
     trace indices). method records which phase produced the formula:
-    "EnumOnly" (a single enumerated formula), "BSC" (set cover without
-    splits) or "BSC+DivConq".
+    "EnumOnly" (a single enumerated formula, or a one-class sample's
+    literal), "BSC" (set cover without splits) or "BSC+DivConq".
     """
 
     status: str
@@ -118,6 +120,9 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
     unseparable instance the witness pair is reported; deeper
     enumeration (a larger ltl2bs_switch) can still turn such instances
     solvable, since the check only covers formulas up to the bound.
+    A sample without negatives is answered `true`, one without
+    positives (the empty sample too) `false`, by method EnumOnly with
+    only `elapsed_s` in its stats.
     """
     if config is None:
         config = LearnerConfig()
@@ -130,9 +135,12 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
         return result
 
     try:
-        found, bank = enumerate_bounded(
-            sample, config.operators, config.ltl2bs_switch, deadline=deadline, stats=stats
-        )
+        if sample.positives and sample.negatives:
+            found, bank = enumerate_bounded(
+                sample, config.operators, config.ltl2bs_switch, deadline=deadline, stats=stats
+            )
+        else:  # a size-1 separator, and enumeration seeds neither literal
+            found = Top() if sample.positives else Bottom()
         if found is not None:
             _verify(found, sample)
             return finish(LearnResult("Solved", found, None, "EnumOnly", stats))

@@ -86,8 +86,8 @@ def test_formula_parameter_validation():
         gen_formula(TaskSpec("subset", 2, params={"subset": [0, 0]}))
     with pytest.raises(ValueError):
         gen_formula(TaskSpec("random-conjuncts", 2, params={"m": 9}))
-    with pytest.raises(ValueError):
-        gen_formula(TaskSpec("hamming", 2))
+    with pytest.raises(ValueError, match="no target formula"):
+        gen_formula(TaskSpec("hamming", 2, n_pos=1))
 
 
 def test_spec_validation():
@@ -97,6 +97,9 @@ def test_spec_validation():
         TaskSpec("subset", 0)
     with pytest.raises(ValueError):
         TaskSpec("subset", 2, trace_len=0)
+    # The task format needs both classes.
+    with pytest.raises(ValueError, match="n_neg"):
+        TaskSpec("subset", 2, n_neg=0)
 
 
 # --- task generation -----------------------------------------------------------
@@ -137,8 +140,17 @@ def test_hamming_task_shape():
 
 
 def test_hamming_insists_on_one_positive():
-    with pytest.raises(ValueError):
-        gen_task(TaskSpec("hamming", 3, n_pos=5))
+    with pytest.raises(ValueError, match="exactly one positive"):
+        TaskSpec("hamming", 3, n_pos=5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_smallest_tasks_parse_back_to_their_sample(family):
+    # One trace of each class, the fewest TaskSpec accepts: what the
+    # generator writes, the parser reads.
+    sample = gen_task(TaskSpec(family, 2, trace_len=6, n_pos=1, n_neg=1, seed=3))
+    assert (sample.n_pos, sample.n_neg) == (1, 1)
+    assert parse_task(serialize_sample(sample)).sample == sample
 
 
 def test_budget_exhaustion_is_reported():

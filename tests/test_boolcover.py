@@ -104,7 +104,7 @@ def test_combination_carries_its_rows():
 
 
 def test_deep_combination_carries_its_rows():
-    inst = instance(1, 0, [(1, 1)])
+    inst = instance(1, 1, [(1, 1)])
     comb = leaf(inst, 0)
     for _ in range(5000):
         comb = union(comb, leaf(inst, 0))
@@ -183,16 +183,11 @@ def test_empty_family_gives_the_trivial_witness():
     assert existence_check(inst) == Witness(0, 0)
 
 
-def test_uncovered_positive_with_no_negatives():
-    inst = instance(2, 0, [(mask(0), 1)])
-    assert existence_check(inst) == Witness(1, None)
-
-
-def test_without_positives_every_negative_must_be_excluded():
-    # Rows 0..2 are all negatives; each is outside some set, or a witness.
-    assert existence_check(instance(0, 3, [(mask(0, 1), 1), (mask(2), 1)])) is None
-    assert existence_check(instance(0, 3, [(mask(0, 1), 1), (mask(1, 2), 1)])) == Witness(None, 1)
-    assert existence_check(instance(0, 2, [])) == Witness(None, 0)
+@pytest.mark.parametrize("n_pos,n_neg", [(0, 2), (2, 0), (0, 0)])
+def test_an_instance_needs_both_classes(n_pos, n_neg):
+    # learn answers a one-class sample with true or false itself.
+    with pytest.raises(ValueError, match="a positive and a negative row"):
+        instance(n_pos, n_neg, [(0b11, 1)])
 
 
 def test_inseparable_pair_is_reported():
@@ -676,7 +671,7 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
 
 
 @given(
-    st.integers(0, 4),
+    st.integers(1, 4),
     st.integers(1, 4),
     st.lists(st.tuples(st.integers(0, 255), st.integers(1, 6)), max_size=10),
     st.integers(1, 4),
@@ -692,9 +687,6 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
 # higher and evicts it from the one-entry pool, so 0b110000 asked again
 # at weight 3 is undominated.
 @example(4, 2, [(0b010010, 1), (0b100011, 1), (0b101001, 1)], 4, 8, 1)
-# No positive rows: the solution {n0} & {n1} excludes every negative,
-# and no seed does.
-@example(0, 2, [(0b01, 1), (0b10, 1)], 1, 3, 1)
 # The seed {p2} (weight 4) is dominated at seeding by the lighter seed
 # {p1, p2} (weight 3). At weight 3, {p0, p2, p3, n0} | {p1} scores higher
 # and evicts that seed from its one-entry pool, so {p2} comes back at
@@ -705,11 +697,9 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
 @example(3, 4, [(25, 4), (40, 1), (72, 2)], 1, 8, 1)
 # The last two weights only look for a solution. One at max_weight - 1 by & ...
 @example(1, 2, [(131, 1), (93, 3), (179, 1), (146, 5), (242, 3), (173, 6)], 1, 6, 1)
-# ... one at max_weight by |, in the second run of rights at stride 6 ...
+# ... and one at max_weight by |, in the second run of rights at stride 6.
 @example(4, 4, [(106, 2), (191, 4), (174, 4), (24, 4), (199, 2), (200, 3), (5, 1), (158, 1)],
          4, 6, 3)
-# ... and one with no positive rows, where every left holds every positive.
-@example(0, 3, [(137, 1), (93, 5), (154, 2), (44, 2), (15, 1), (53, 6), (235, 4), (9, 6)], 1, 5, 3)
 # The seeds a and b are complements, so a | b holds on every row and
 # a & b on none. Once those two are queued at weight 3, every pair gives
 # one of the four queued values: no queue of width 4 fills, the floor
@@ -833,12 +823,7 @@ def plant_witness(inst: BscInstance, rng: random.Random) -> BscInstance:
 
 
 def witness_is_correct(w: Witness, inst: BscInstance) -> bool:
-    if w.pos_index is None:
-        n_bit = 1 << w.neg_index
-        return not inst.pos_mask and all(members & n_bit for members, _, _ in inst.base_sets)
     p_bit = 1 << w.pos_index
-    if w.neg_index is None:
-        return not any(members & p_bit for members, _, _ in inst.base_sets)
     n_bit = 1 << (inst.pos_mask.bit_length() + w.neg_index)
     return not any(
         members & p_bit and not members & n_bit for members, _, _ in inst.base_sets
@@ -865,54 +850,6 @@ def test_div_conq_reports_correct_witnesses():
         out = div_conq(inst, seed=i)
         assert isinstance(out, NoSolution)
         assert witness_is_correct(out.witness, inst)
-
-
-def test_div_conq_reports_a_positive_no_set_holds():
-    # No negatives: the split leaves row 1 alone, and its beam stalls.
-    inst = BscInstance(0b11, 0, ((0b01, 1, (0b01, "a", None, None)),))
-    assert div_conq(inst) == NoSolution(Witness(1, None))
-
-
-@given(
-    st.integers(1, 6),
-    st.lists(st.tuples(st.integers(0, 63), st.integers(1, 4)), max_size=6),
-    st.integers(0, 3),
-)
-@settings(max_examples=200)
-def test_div_conq_without_negatives_agrees_with_the_existence_check(n_pos, sets, seed):
-    inst = instance(n_pos, 0, sets)
-    out = div_conq(inst, seed=seed, beam_width=3, max_weight=4)
-    if existence_check(inst) is None:
-        assert is_solution_combination(out, inst)
-    else:
-        assert isinstance(out, NoSolution)
-        assert witness_is_correct(out.witness, inst)
-
-
-@given(
-    st.integers(1, 6),
-    st.lists(st.tuples(st.integers(0, 63), st.integers(1, 4)), max_size=6),
-    st.integers(0, 3),
-)
-@settings(max_examples=200)
-def test_div_conq_without_positives_solves_what_the_existence_check_passes(n_neg, sets, seed):
-    # A split leaves each negative alone; the sets that exclude it are
-    # then empty on its rows, and such a set is the answer there.
-    inst = instance(0, n_neg, sets)
-    witness = existence_check(inst)
-    if witness is None:
-        out = div_conq(inst, seed=seed, beam_width=3, max_weight=2)
-        assert is_solution_combination(out, inst)
-    else:
-        assert witness_is_correct(witness, inst)
-
-
-def test_div_conq_names_a_lone_negative_no_set_excludes():
-    # Without positives, no set excludes negative 0: the split leaves a
-    # view of that negative alone, whose witness has no positive.
-    assert div_conq(instance(0, 2, [(mask(0), 1)])) == NoSolution(Witness(None, 0))
-    # What the beam solves is still answered.
-    assert not isinstance(div_conq(instance(0, 2, [(mask(0), 1), (mask(1), 1)])), NoSolution)
 
 
 def test_div_conq_is_deterministic_per_seed():

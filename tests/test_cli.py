@@ -86,19 +86,6 @@ def test_learn_no_solution_json(stuck_path, capsys):
     assert record["witness"] == {"pos_index": 0, "neg_index": 0}
 
 
-def test_learn_names_a_negative_no_formula_excludes(stuck_path, capsys, monkeypatch):
-    # A task file has positives; learn the stuck sample without them.
-    monkeypatch.setattr(
-        "ltlflearn.cli.learn",
-        lambda sample, config: learn(dataclasses.replace(sample, positives=()), config))
-    code, out, err = run(capsys, "learn", stuck_path)
-    assert code == 1
-    assert out.startswith("no solution: negatives[0] is excluded by no enumerated formula;")
-    code, out, err = run(capsys, "learn", stuck_path, "--format", "json")
-    assert code == 1
-    assert json.loads(out)["witness"] == {"pos_index": None, "neg_index": 0}
-
-
 def test_learn_operators_flag_beats_task_ops(stuck_path, capsys):
     code, out, err = run(capsys, "learn", stuck_path, "--operators", "!,F")
     assert code == 0
@@ -254,12 +241,33 @@ def test_generate_hamming_needs_single_positive(tmp_path, capsys):
         capsys, "generate", "--family", "hamming", "--out", str(tmp_path),
     )
     assert code == 3
-    assert "--pos 1" in err
+    assert "the hamming family has exactly one positive trace" in err
     code, *_ = run(
         capsys, "generate", "--family", "hamming", "--pos", "1",
         "--out", str(tmp_path),
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_rejects_count_below_one(tmp_path, capsys, count):
+    out_dir = tmp_path / "suite"
+    code, out, err = run(
+        capsys, "generate", "--family", "subset", "--count", count, "--out", str(out_dir),
+    )
+    assert (code, out) == (3, "")
+    assert "--count must be at least 1" in err
+    assert not out_dir.exists()  # nothing written, not even the directory
+
+
+def test_generate_rejects_a_task_without_negatives(tmp_path, capsys):
+    # The task format needs both classes, so the generator writes none without.
+    code, out, err = run(
+        capsys, "generate", "--family", "subset", "--neg", "0", "--out", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert "n_neg" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltlflearn import biteval, enumeration, pipeline
 from ltlflearn.boolcover import NoSolution, Witness
@@ -11,8 +13,10 @@ from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
     DEFAULT_OPERATORS,
+    OPERATOR_TOKENS,
     And,
     Atom,
+    Bottom,
     Finally,
     Globally,
     Not,
@@ -20,6 +24,7 @@ from ltlflearn.formulas import (
     Or,
     Release,
     StrongNext,
+    Top,
     Until,
     WeakNext,
     render_formula,
@@ -62,21 +67,35 @@ def test_no_solution_carries_a_witness_pair():
     assert result.witness.neg_index == 0
 
 
-def test_learn_without_positives_answers():
-    # F over one proposition: p0 and F(p0) both hold on the negative.
-    lone = Sample(Alphabet.default(1), (), (Trace((1,)),))
-    result = learn(lone, LearnerConfig(operators=OperatorSet.from_names(["F"])))
-    assert (result.status, result.witness) == ("NoSolution", Witness(None, 0))
-    # No formula up to size 2 excludes both letters, so the answer is an
-    # intersection; with dc_switch 1 it is built through splits.
-    negatives = tuple(Trace(letters) for letters in [(1,), (0,), (1, 1), (0, 1), (1, 0)])
-    sample = Sample(Alphabet.default(1), (), negatives)
-    for dc_switch, method in [(70, "BSC"), (1, "BSC+DivConq")]:
-        config = LearnerConfig(
-            operators=OperatorSet.from_names(["!", "&"]), ltl2bs_switch=2, dc_switch=dc_switch)
-        result = learn(sample, config)
-        assert (result.status, result.method) == ("Solved", method)
-        assert separates(result.formula, sample)
+@st.composite
+def one_class_samples(draw):
+    """A sample over 1-3 propositions with one class empty, or both."""
+    n_props = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(0, (1 << n_props) - 1), min_size=1, max_size=4)
+    traces = tuple(Trace(tuple(w)) for w in draw(st.lists(letters, max_size=4)))
+    if draw(st.booleans()):
+        return Sample(Alphabet.default(n_props), traces, ())
+    return Sample(Alphabet.default(n_props), (), traces)
+
+
+@given(one_class_samples(), st.sets(st.sampled_from(sorted(OPERATOR_TOKENS)), min_size=1))
+@settings(max_examples=200)
+# Atoms and F(p0) hold on the lone negative; false excludes it.
+@example(Sample(Alphabet.default(1), (), (Trace((1,)),)), {"F"})
+# F(p0) holds on both positives, and true is smaller ...
+@example(Sample(Alphabet.default(1), (Trace((0, 1, 0)), Trace((1, 0, 1))), ()),
+         set(DEFAULT_OPERATORS.names()))
+# ... and G(p0) on neither negative, and false is smaller.
+@example(Sample(Alphabet.default(1), (), (Trace((0, 1, 0)), Trace((1, 0, 1)))),
+         set(DEFAULT_OPERATORS.names()))
+def test_learn_answers_a_one_class_sample_with_a_literal(sample, names):
+    # true without negatives, false without positives (the empty sample
+    # too): size 1, so minimal, under any operator set.
+    result = learn(sample, LearnerConfig(operators=OperatorSet.from_names(names)))
+    assert (result.status, result.method) == ("Solved", "EnumOnly")
+    assert result.formula == (Top() if sample.positives else Bottom())
+    assert separates(result.formula, sample)
+    assert list(result.stats) == ["elapsed_s"]
 
 
 def test_timeout_returns_no_formula():

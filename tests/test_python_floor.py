@@ -1,16 +1,23 @@
-"""The sources compile under the oldest Python that pyproject.toml allows.
+"""The sources compile and learn under the oldest Python that
+pyproject.toml allows.
 
-This catches syntax newer than the floor, not APIs newer than it (such
-as `itertools.batched`, new in 3.11): those still need a run under the
-floor itself.
+Compiling catches syntax newer than the floor; APIs newer than it (such
+as `math.cbrt`, new in 3.11) show only in a run, so one
+set-cover task is also learned under the floor and compared with the
+run in this process.
 """
 
+import json
 import shutil
 import subprocess
 from pathlib import Path
 from typing import Optional
 
 import pytest
+
+from ltlflearn.benchgen import TaskSpec, gen_task
+from ltlflearn.formulas import render_formula
+from ltlflearn.pipeline import LearnerConfig, learn
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +26,24 @@ COMPILE_ALL = (
     "import sys\n"
     "for path in sys.argv[1:]:\n"
     "    compile(open(path, encoding='utf-8').read(), path, 'exec')\n"
+)
+
+# A task shaped like the cover-split workload's: set cover with splits.
+SPEC = dict(family="random-boolcomb", n_props=2, trace_len=16, n_pos=20, n_neg=20, seed=0,
+            params={"n_patterns": 2})
+CONFIG = dict(ltl2bs_switch=6, dc_switch=12)
+# Learns SPEC's task under CONFIG with the sources in sys.argv[1]; prints
+# the answer's status, method and formula text as JSON.
+LEARN = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from ltlflearn.benchgen import TaskSpec, gen_task\n"
+    "from ltlflearn.formulas import render_formula\n"
+    "from ltlflearn.pipeline import LearnerConfig, learn\n"
+    f"sample = gen_task(TaskSpec(**{SPEC!r}))\n"
+    f"result = learn(sample, LearnerConfig(**{CONFIG!r}))\n"
+    "print(json.dumps([result.status, result.method,\n"
+    "                  render_formula(result.formula, sample.alphabet)]))\n"
 )
 
 
@@ -46,11 +71,16 @@ def python_3_10() -> Optional[str]:
     return None
 
 
-def test_every_source_file_compiles_under_python_3_10():
+@pytest.fixture(scope="module")
+def python():
     assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
-    python = python_3_10()
-    if python is None:
+    found = python_3_10()
+    if found is None:
         pytest.skip("no Python 3.10 interpreter found")
+    return found
+
+
+def test_every_source_file_compiles_under_python_3_10(python):
     sources = sorted(str(path) for path in (ROOT / "src" / "ltlflearn").glob("*.py"))
     assert sources
     # -I ignores the PYTHON* variables and the user's site; -B writes no
@@ -60,3 +90,17 @@ def test_every_source_file_compiles_under_python_3_10():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_learn_answers_alike_under_python_3_10(python):
+    sample = gen_task(TaskSpec(**SPEC))
+    result = learn(sample, LearnerConfig(**CONFIG))
+    assert result.method == "BSC+DivConq"
+    here = [result.status, result.method, render_formula(result.formula, sample.alphabet)]
+    # -I leaves PYTHONPATH out, so the sources go on sys.path by hand.
+    done = subprocess.run(
+        [python, "-I", "-B", "-c", LEARN, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == here
