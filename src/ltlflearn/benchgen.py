@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -86,8 +87,15 @@ class TaskSpec:
             raise ValueError("n_pos must be >= 1")
         if self.n_neg < 1:
             raise ValueError("n_neg must be >= 1")
-        if self.family == "hamming" and self.n_pos != 1:
-            raise ValueError("the hamming family has exactly one positive trace (n_pos 1)")
+        if self.family == "hamming":
+            if self.n_pos != 1:
+                raise ValueError("the hamming family has exactly one positive trace (n_pos 1)")
+            # The generator flips 1 to 3 of the trace's bits, all of them if fewer.
+            bits = self.trace_len * self.n_props
+            reach = sum(math.comb(bits, d) for d in range(1, min(3, bits) + 1))
+            if self.n_neg > reach:
+                raise ValueError(f"the hamming family reaches {reach} distinct negatives "
+                                 f"at {bits} bits (trace_len x n_props), not n_neg {self.n_neg}")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -297,9 +305,12 @@ def read_manifest(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_task(spec: TaskSpec, path: str, max_tries: int = DEFAULT_MAX_TRIES) -> dict:
-    """Generate, serialize to path, and return the manifest row."""
-    sample = gen_task(spec, max_tries)
+def write_task(spec: TaskSpec, path: str, max_tries: int = DEFAULT_MAX_TRIES,
+               sample: Optional[Sample] = None) -> dict:
+    """Serialize the spec's sample to path, generated unless given, and
+    return the manifest row."""
+    if sample is None:
+        sample = gen_task(spec, max_tries)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_sample(sample))
     formula = None if spec.family == "hamming" else gen_formula(spec)

@@ -3,14 +3,14 @@
 Four subcommands: `learn` runs the pipeline on one task file, `verify`
 checks a given formula against a task, `generate` writes benchmark
 tasks plus a manifest, and `bench` runs every task of a manifest and
-emits one JSON record per line, with `target_size` where the manifest
-row has a target formula. Exit codes are a stable contract: 0 solved /
-verified, 1 no solution / not separating, 2 timeout, 3 input error,
-4 internal error. A bench task that fails gets an `Error` record and
-the other tasks still run; bench exits 4 if any task had an internal
-error, else 3 if any had an input error. In json mode stdout carries
-exactly one JSON object (or one per task for bench); diagnostics go to
-stderr.
+emits one JSON record per line, in task order as the tasks end, with
+`target_size` where the manifest row has a target formula. Exit codes
+are a stable contract: 0 solved / verified, 1 no solution / not
+separating, 2 timeout, 3 input error, 4 internal error. A bench task
+that fails gets an `Error` record and the other tasks still run; bench
+exits 4 if any task had an internal error, else 3 if any had an input
+error. In json mode stdout carries exactly one JSON object (or one per
+task for bench); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -22,15 +22,17 @@ import math
 import os
 import sys
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional
+from typing import Iterator, Optional
 
 from .benchgen import (
     DEFAULT_MAX_TRIES,
     FAMILIES,
     SamplingBudgetError,
     TaskSpec,
+    gen_task,
     read_manifest,
     write_manifest,
     write_task,
@@ -75,7 +77,7 @@ def _read_task(path: str) -> Task:
 def _operators_from(args, task: Optional[Task]) -> OperatorSet:
     """--operators wins over the task file's operator line."""
     names: Optional[list[str]] = None
-    if getattr(args, "operators", None):
+    if args.operators:
         names = [tok.strip() for tok in args.operators.split(",") if tok.strip()]
     elif task is not None and task.op_names:
         names = list(task.op_names)
@@ -88,18 +90,13 @@ def _operators_from(args, task: Optional[Task]) -> OperatorSet:
 
 
 def _config_from(args, task: Optional[Task]) -> LearnerConfig:
-    # NaN stays, for the config to reject.
-    timeout = None if args.timeout <= 0 or args.timeout == math.inf else args.timeout
+    """Each config field from its flag; operators from the flag or the task."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(LearnerConfig)}
+    values["operators"] = _operators_from(args, task)
+    if args.timeout <= 0 or args.timeout == math.inf:  # NaN stays, for the config to reject
+        values["timeout"] = None
     try:
-        return LearnerConfig(
-            operators=_operators_from(args, task),
-            ltl2bs_switch=args.ltl2bs_switch,
-            beam_width=args.beam_width,
-            dc_switch=args.dc_switch,
-            domination_k=args.domination_k,
-            timeout=timeout,
-            seed=args.seed,
-        )
+        return LearnerConfig(**values)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -115,26 +112,18 @@ def _result_record(task_path: str, sample: Sample, result: LearnResult,
                    config: LearnerConfig) -> dict:
     stats = dict(result.stats)
     elapsed_ms = stats.pop("elapsed_s", 0.0) * 1000.0
-    record = {
+    phi = result.formula
+    return {
         "task": task_path,
         "status": result.status,
-        "formula": None,
-        "size": None,
+        "formula": None if phi is None else render_formula(phi, sample.alphabet),
+        "size": None if phi is None else phi.size,
         "elapsed_ms": round(elapsed_ms, 3),
         "method": result.method,
-        "witness": None,
+        "witness": None if result.witness is None else dataclasses.asdict(result.witness),
         "stats": stats,
         "config": _config_echo(config),
     }
-    if result.formula is not None:
-        record["formula"] = render_formula(result.formula, sample.alphabet)
-        record["size"] = result.formula.size
-    if result.witness is not None:
-        record["witness"] = {
-            "pos_index": result.witness.pos_index,
-            "neg_index": result.witness.neg_index,
-        }
-    return record
 
 
 def _no_solution_message(record: dict) -> str:
@@ -231,15 +220,16 @@ def _generate_specs(args) -> list[TaskSpec]:
 
 def cmd_generate(args) -> int:
     specs = _generate_specs(args)
+    try:  # every sample is drawn before any file is written
+        samples = [gen_task(spec, args.max_tries) for spec in specs]
+    except (ValueError, SamplingBudgetError) as exc:
+        raise InputError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for spec in specs:
+    for spec, sample in zip(specs, samples):
         name = f"{spec.family}-n{spec.n_props}-len{spec.trace_len}-s{spec.seed}.trace"
         path = os.path.join(args.out, name)
-        try:
-            rows.append(write_task(spec, path, args.max_tries))
-        except (ValueError, SamplingBudgetError) as exc:
-            raise InputError(str(exc)) from exc
+        rows.append(write_task(spec, path, sample=sample))
         print(path)
     manifest = args.manifest or os.path.join(args.out, "manifest.csv")
     write_manifest(manifest, rows)
@@ -269,19 +259,23 @@ def _bench_worker(task_path: str, target: str, args) -> dict:
     return record
 
 
-def _bench_parallel(tasks: list[tuple[str, str]], args, workers: int) -> list[dict]:
-    """_bench_worker on every (path, target) in a pool of `workers`
-    processes, in task order. A dying worker breaks the pool: the
-    unfinished tasks get internal-error records."""
+def _bench_records(tasks: list[tuple[str, str]], args) -> Iterator[dict]:
+    """_bench_worker's record for each (path, target), in task order, as
+    each task ends: in this process with one worker, else in a pool of
+    `--jobs` processes, at most one per task. A dying worker breaks the
+    pool: the unfinished tasks get internal-error records."""
+    # The pool forks all its workers at the first submit: no more than tasks.
+    workers = min(args.jobs, len(tasks))
+    if workers == 1:
+        yield from (_bench_worker(path, target, args) for path, target in tasks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_bench_worker, path, target, args) for path, target in tasks]
-        records = []
         for (path, _), future in zip(tasks, futures):
             try:
-                records.append(future.result())
+                yield future.result()
             except BrokenProcessPool as exc:
-                records.append({"task": path, "status": "Error", "error": _internal_error(exc)})
-    return records
+                yield {"task": path, "status": "Error", "error": _internal_error(exc)}
 
 
 def cmd_bench(args) -> int:
@@ -299,29 +293,26 @@ def cmd_bench(args) -> int:
         if not path:
             raise InputError(f"{args.manifest}: row without a path column")
         if not os.path.isabs(path) and not os.path.exists(path):
-            # Paths are relative to the manifest's directory by default.
+            # A relative path missing from the working directory is tried
+            # against the manifest's directory.
             relative = os.path.join(os.path.dirname(args.manifest), path)
             path = relative if os.path.exists(relative) else path
         tasks.append((path, row.get("formula") or ""))
     _config_from(args, None)  # bad flags stop the run before any task
 
-    # The pool forks all its workers at the first submit: no more than tasks.
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        records = _bench_parallel(tasks, args, workers)
-    else:
-        records = [_bench_worker(path, target, args) for path, target in tasks]
+    counts: Counter = Counter()
+    solved = []
+    internal_error = False
+    for record in _bench_records(tasks, args):
+        print(json.dumps(record), flush=True)  # a run cut short keeps what it printed
+        counts[record["status"]] += 1
+        if record["status"] == "Solved":
+            solved.append(record)
+        internal_error = internal_error or record.get("error", "").startswith(INTERNAL_ERROR)
 
-    for record in records:
-        print(json.dumps(record))
-
-    solved = [r for r in records if r.get("status") == "Solved"]
-    timeouts = sum(1 for r in records if r.get("status") == "Timeout")
-    no_solution = sum(1 for r in records if r.get("status") == "NoSolution")
-    errors = sum(1 for r in records if r.get("status") == "Error")
     lines = [
-        f"solved {len(solved)}/{len(records)} "
-        f"(no-solution {no_solution}, timeout {timeouts}, error {errors})"
+        f"solved {len(solved)}/{counts.total()} (no-solution {counts['NoSolution']}, "
+        f"timeout {counts['Timeout']}, error {counts['Error']})"
     ]
     if solved:
         mean_ms = sum(r["elapsed_ms"] for r in solved) / len(solved)
@@ -339,28 +330,32 @@ def cmd_bench(args) -> int:
             lines.append(f"mean size / mean target size {size:.2f} / {target:.2f} "
                          f"= {size / target:.2f} over {len(targeted)} with a target")
     print("; ".join(lines), file=sys.stderr)
-    if any(r["error"].startswith(INTERNAL_ERROR) for r in records if r["status"] == "Error"):
+    if internal_error:
         return EXIT_INTERNAL_ERROR
-    return 0 if not errors else EXIT_INPUT_ERROR
+    return EXIT_INPUT_ERROR if counts["Error"] else 0
+
+
+# Metavar and help of each LearnerConfig field's flag, in help order.
+_LEARNER_FLAGS = {
+    "ltl2bs_switch": ("SIZE", "max formula size for direct enumeration (default %(default)s)"),
+    "beam_width": ("B", "combinations kept per weight (default %(default)s)"),
+    "dc_switch": ("W", "max combination weight before splitting (default %(default)s)"),
+    "domination_k": ("K", "pool size for approximate domination (default %(default)s)"),
+    "operators": ("TOKENS", "comma-separated operator tokens, e.g. 'X!,F,&,|'"),
+    "timeout": ("SECONDS", "per-task budget; <= 0 or inf disables (default %(default)s)"),
+    "seed": (None, "seed for the divide-and-conquer splits (default %(default)s)"),
+}
 
 
 def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = LearnerConfig()
-    parser.add_argument("--ltl2bs-switch", type=int, default=defaults.ltl2bs_switch,
-                        metavar="SIZE",
-                        help="max formula size for direct enumeration (default %(default)s)")
-    parser.add_argument("--beam-width", type=int, default=defaults.beam_width, metavar="B",
-                        help="combinations kept per weight (default %(default)s)")
-    parser.add_argument("--dc-switch", type=int, default=defaults.dc_switch, metavar="W",
-                        help="max combination weight before splitting (default %(default)s)")
-    parser.add_argument("--domination-k", type=int, default=defaults.domination_k, metavar="K",
-                        help="pool size for approximate domination (default %(default)s)")
-    parser.add_argument("--operators", default=None, metavar="TOKENS",
-                        help="comma-separated operator tokens, e.g. 'X!,F,&,|'")
-    parser.add_argument("--timeout", type=float, default=defaults.timeout, metavar="SECONDS",
-                        help="per-task budget; <= 0 or inf disables (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=defaults.seed,
-                        help="seed for the divide-and-conquer splits (default %(default)s)")
+    """One flag per LearnerConfig field, with the field's default and
+    type; --operators is the one string, unset unless given."""
+    defaults = {f.name: f.default for f in dataclasses.fields(LearnerConfig)}
+    for name, (metavar, help_text) in _LEARNER_FLAGS.items():
+        default = None if name == "operators" else defaults[name]
+        parser.add_argument("--" + name.replace("_", "-"), default=default,
+                            type=None if default is None else type(default),
+                            metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,14 +47,9 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ltl2bs_switch < 1:
-            raise ValueError("ltl2bs_switch must be >= 1")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.dc_switch < 1:
-            raise ValueError("dc_switch must be >= 1")
-        if self.domination_k < 1:
-            raise ValueError("domination_k must be >= 1")
+        for name in ("ltl2bs_switch", "beam_width", "dc_switch", "domination_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.timeout is not None and not 0 < self.timeout < math.inf:  # NaN too
             raise ValueError("timeout must be finite and > 0 seconds, or None for no timeout")
 

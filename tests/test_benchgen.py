@@ -144,6 +144,21 @@ def test_hamming_insists_on_one_positive():
         TaskSpec("hamming", 3, n_pos=5)
 
 
+@pytest.mark.parametrize("trace_len,n_props,reach", [
+    (1, 1, 1),  # one bit: one flip
+    (2, 1, 3),  # two bits: 2 single flips, 1 double
+    (1, 3, 7),  # three bits: 3 + 3 + 1
+    (5, 1, 25),  # five bits: 5 + 10 + 10, at most 3 flips
+])
+def test_hamming_rejects_more_negatives_than_it_can_reach(trace_len, n_props, reach):
+    # The generator flips 1 to 3 bits (all of them if fewer), so it
+    # reaches sum(C(bits, d) for d in 1..min(3, bits)) distinct negatives.
+    spec = TaskSpec("hamming", n_props, trace_len=trace_len, n_pos=1, n_neg=reach)
+    assert len({w.letters for w in gen_task(spec).negatives}) == reach
+    with pytest.raises(ValueError, match=f"reaches {reach} distinct negatives"):
+        TaskSpec("hamming", n_props, trace_len=trace_len, n_pos=1, n_neg=reach + 1)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_smallest_tasks_parse_back_to_their_sample(family):
     # One trace of each class, the fewest TaskSpec accepts: what the

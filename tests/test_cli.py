@@ -1,15 +1,18 @@
+import argparse
 import csv
 import dataclasses
 import json
 import multiprocessing
 import os
 import time
+import typing
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
 from ltlflearn.boolcover import NoSolution, Witness
-from ltlflearn.cli import _config_echo, build_parser, main
+from ltlflearn.cli import _LEARNER_FLAGS, _config_echo, build_parser, main
 from ltlflearn.formulas import parse_formula
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import parse_task, serialize_sample
@@ -270,6 +273,31 @@ def test_generate_rejects_a_task_without_negatives(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_generate_writes_nothing_unless_every_task_generates(tmp_path, capsys):
+    # Seed 0 generates, seed 1 runs out of draws: no file is left behind.
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "generate", "--family", "subset", "--n", "4", "--props", "4", "--len", "6",
+        "--count", "3", "--max-tries", "100", "--out", str(out_dir),
+    )
+    assert (code, out) == (3, "")
+    assert "subset: 5/5 positives and 4/5 negatives after 100 draws" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("length,neg,reach", [("1", "2", 1), ("2", "4", 3)])
+def test_generate_rejects_more_hamming_negatives_than_reachable(tmp_path, capsys,
+                                                               length, neg, reach):
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "generate", "--family", "hamming", "--pos", "1", "--len", length,
+        "--props", "1", "--neg", neg, "--out", str(out_dir),
+    )
+    assert (code, out) == (3, "")
+    assert f"reaches {reach} distinct negatives" in err
+    assert not out_dir.exists()
+
+
 @pytest.fixture
 def small_manifest(tmp_path, capsys):
     out_dir = tmp_path / "bench"
@@ -378,6 +406,56 @@ def test_bench_one_task_runs_without_a_pool(task_path, tmp_path, capsys, recordi
     assert code == 0
     assert recording_pool == []
     assert [json.loads(line)["status"] for line in out.splitlines()] == ["Solved"]
+
+
+class LazyPool:
+    """Stands in for `ProcessPoolExecutor`: runs each submitted call in
+    this process when its result is asked for."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return SimpleNamespace(result=lambda: fn(*args))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_prints_each_record_before_the_next_task_runs(small_manifest, capsys,
+                                                           monkeypatch, jobs):
+    printed = []  # stdout before each task, then after the run
+
+    def learn_after_reading_stdout(*args, **kwargs):
+        printed.append(capsys.readouterr().out)
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr("ltlflearn.cli.ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr("ltlflearn.cli.learn", learn_after_reading_stdout)
+    assert main(["bench", small_manifest, "--jobs", jobs]) == 0
+    printed.append(capsys.readouterr().out)
+    assert printed[0] == ""
+    assert [json.loads(out)["task"][-9:] for out in printed[1:]] == ["-s0.trace", "-s1.trace"]
+
+
+def test_bench_cut_short_keeps_the_records_it_finished(small_manifest, capsys, monkeypatch):
+    calls = []
+
+    def learn_interrupted_on_the_second_task(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr("ltlflearn.cli.learn", learn_interrupted_on_the_second_task)
+    with pytest.raises(KeyboardInterrupt):
+        main(["bench", small_manifest])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["task"][-9:], r["status"]) for r in records] == [("-s0.trace", "Solved")]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -555,6 +633,25 @@ def test_learner_flag_defaults_are_the_config_defaults():
         assert args.timeout == defaults.timeout
         assert args.seed == defaults.seed
         assert args.operators is None  # the task's operator line, else the default set
+
+
+def test_every_config_field_has_one_flag_with_its_default_and_type():
+    fields = dataclasses.fields(LearnerConfig)
+    hints = typing.get_type_hints(LearnerConfig)
+    assert set(_LEARNER_FLAGS) == {f.name for f in fields}
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    for command in ("learn", "bench"):
+        for f in fields:
+            flags = [a for a in commands[command]._actions if a.dest == f.name]
+            assert [a.option_strings for a in flags] == [["--" + f.name.replace("_", "-")]]
+            if f.name == "operators":  # comma-separated tokens; unset: the task's, else default
+                assert (flags[0].default, flags[0].type) == (None, None)
+            else:
+                assert flags[0].default == f.default
+                assert flags[0].type in (hints[f.name], *typing.get_args(hints[f.name]))
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

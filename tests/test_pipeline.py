@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import time
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltlflearn import biteval, enumeration, pipeline
-from ltlflearn.boolcover import NoSolution, Witness
+from ltlflearn.boolcover import NoSolution, Witness, beam_search, div_conq
 from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
 from ltlflearn.formulas import (
@@ -201,6 +202,24 @@ def test_config_validation():
     for timeout in (0, -1):  # None, not a non-positive number, disables the timeout
         with pytest.raises(ValueError):
             LearnerConfig(timeout=timeout)
+
+
+@pytest.mark.parametrize("name", ["ltl2bs_switch", "beam_width", "dc_switch", "domination_k"])
+def test_each_count_below_one_is_rejected_by_name(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        LearnerConfig(**{name: 0})
+
+
+def test_the_cover_solvers_default_to_the_config_defaults():
+    # beam_search and div_conq restate the settings as their own defaults,
+    # which the demos, the benchmark and the tests call them with.
+    config = LearnerConfig()
+    expected = {"beam_width": config.beam_width, "max_weight": config.dc_switch,
+                "domination_k": config.domination_k}
+    for solver in (beam_search, div_conq):
+        parameters = inspect.signature(solver).parameters
+        assert {name: parameters[name].default for name in expected} == expected
+    assert inspect.signature(div_conq).parameters["seed"].default == config.seed
 
 
 def test_a_nan_timeout_is_rejected():
