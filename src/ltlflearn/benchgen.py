@@ -29,9 +29,9 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .formulas import (
     And,
@@ -46,14 +46,27 @@ from .formulas import (
 )
 from .traces import Alphabet, Sample, Trace, serialize_sample
 
-FAMILIES = (
-    "ordered-sequence",
-    "subword",
-    "subset",
-    "hamming",
-    "random-conjuncts",
-    "random-boolcomb",
-)
+
+class Family(NamedTuple):
+    """A family's one size parameter, and what `generate --n` makes of it."""
+
+    param: Optional[str]  # the one params key gen_formula reads; hamming has none
+    as_props: bool = False  # --n sets param to the first n propositions, not to n
+    props_from_n: bool = False  # the alphabet defaults to n propositions, not 3
+
+
+# --n is the one size knob each family has: chain, word, or subset
+# length (these default the alphabet to n propositions), conjunct count
+# for random-conjuncts, pattern count for random-boolcomb.
+FAMILY_TABLE = {
+    "ordered-sequence": Family("n", props_from_n=True),
+    "subword": Family("word", as_props=True, props_from_n=True),
+    "subset": Family("subset", as_props=True, props_from_n=True),
+    "hamming": Family(None),
+    "random-conjuncts": Family("m"),
+    "random-boolcomb": Family("n_patterns"),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 DEFAULT_MAX_TRIES = 10**6
 # Draws classified by one run of the reference program.
@@ -79,14 +92,14 @@ class TaskSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.n_props < 1:
-            raise ValueError("n_props must be >= 1")
-        if self.trace_len < 1:
-            raise ValueError("trace_len must be >= 1")
-        if self.n_pos < 1:
-            raise ValueError("n_pos must be >= 1")
-        if self.n_neg < 1:
-            raise ValueError("n_neg must be >= 1")
+        for name in ("n_props", "trace_len", "n_pos", "n_neg"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        param = FAMILY_TABLE[self.family].param
+        for key in self.params:
+            if key != param:
+                takes = "no params" if param is None else f"only the params key {param!r}"
+                raise ValueError(f"the {self.family} family takes {takes}, not {key!r}")
         if self.family == "hamming":
             if self.n_pos != 1:
                 raise ValueError("the hamming family has exactly one positive trace (n_pos 1)")
@@ -169,7 +182,7 @@ def gen_formula(spec: TaskSpec) -> Formula:
         return _fold_right(And, [Finally(Atom(a)) for a in subset])
 
     if spec.family == "random-conjuncts":
-        basis = tuple(spec.params.get("basis", ())) or default_basis(n)
+        basis = default_basis(n)
         m = spec.params.get("m", min(2, len(basis)))
         if not 1 <= m <= len(basis):
             raise ValueError("random-conjuncts needs 1 <= m <= |basis|")
@@ -266,31 +279,15 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
 # Manifests
 # ---------------------------------------------------------------------------
 
-MANIFEST_FIELDS = (
-    "family",
-    "n_props",
-    "trace_len",
-    "n_pos",
-    "n_neg",
-    "seed",
-    "params",
-    "formula",
-    "path",
-)
+MANIFEST_FIELDS = (*(f.name for f in fields(TaskSpec)), "formula", "path")
 
 
 def manifest_row(spec: TaskSpec, formula: Optional[Formula], path: str) -> dict:
-    return {
-        "family": spec.family,
-        "n_props": spec.n_props,
-        "trace_len": spec.trace_len,
-        "n_pos": spec.n_pos,
-        "n_neg": spec.n_neg,
-        "seed": spec.seed,
-        "params": json.dumps(spec.params, sort_keys=True),
-        "formula": "" if formula is None else render_formula(formula, spec.alphabet),
-        "path": path,
-    }
+    """Each TaskSpec field by name, params as sorted JSON; then the
+    target formula's text ("" for none) and the task's path."""
+    return {**asdict(spec), "params": json.dumps(spec.params, sort_keys=True),
+            "formula": "" if formula is None else render_formula(formula, spec.alphabet),
+            "path": path}
 
 
 def write_manifest(path: str, rows: Sequence[dict]) -> None:
@@ -308,10 +305,11 @@ def read_manifest(path: str) -> list[dict]:
 def write_task(spec: TaskSpec, path: str, max_tries: int = DEFAULT_MAX_TRIES,
                sample: Optional[Sample] = None) -> dict:
     """Serialize the spec's sample to path, generated unless given, and
-    return the manifest row."""
+    return the manifest row, built first: a spec the manifest cannot
+    hold raises before the file is written."""
+    row = manifest_row(spec, None if spec.family == "hamming" else gen_formula(spec), path)
     if sample is None:
         sample = gen_task(spec, max_tries)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_sample(sample))
-    formula = None if spec.family == "hamming" else gen_formula(spec)
-    return manifest_row(spec, formula, path)
+    return row

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from .benchgen import (
     DEFAULT_MAX_TRIES,
-    FAMILIES,
+    FAMILY_TABLE,
     SamplingBudgetError,
     TaskSpec,
     gen_task,
@@ -177,45 +177,20 @@ def cmd_verify(args) -> int:
 
 
 def _generate_specs(args) -> list[TaskSpec]:
-    """Map the flat generate flags to per-family TaskSpec params.
-
-    --n is the one size knob each family has: chain, word, or subset
-    length (these default the alphabet to n propositions), conjunct
-    count for random-conjuncts, pattern count for random-boolcomb.
-    """
-    n = args.n
-    params: dict = {}
-    if args.family == "ordered-sequence":
-        params = {"n": n}
-    elif args.family == "subword":
-        params = {"word": list(range(n))}
-    elif args.family == "subset":
-        params = {"subset": list(range(n))}
-    elif args.family == "random-conjuncts":
-        params = {"m": n}
-    elif args.family == "random-boolcomb":
-        params = {"n_patterns": n}
-    if args.props is not None:  # 0 too, for TaskSpec to reject
-        n_props = args.props
-    else:
-        n_props = n if args.family in ("ordered-sequence", "subword", "subset") else 3
+    """One TaskSpec per seed from the generate flags: the family table
+    maps --n to the family's params and gives the --props default."""
     if args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
-    specs = []
-    for offset in range(args.count):
-        try:
-            specs.append(TaskSpec(
-                family=args.family,
-                n_props=n_props,
-                trace_len=args.len,
-                n_pos=args.pos,
-                n_neg=args.neg,
-                seed=args.seed + offset,
-                params=params,
-            ))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    return specs
+    family, n = FAMILY_TABLE[args.family], args.n
+    params = {} if family.param is None else {family.param: list(range(n)) if family.as_props else n}
+    # A --props of 0 stays, for TaskSpec to reject.
+    n_props = args.props if args.props is not None else (n if family.props_from_n else 3)
+    try:
+        spec = TaskSpec(args.family, n_props, params=params,
+                        **{name: getattr(args, name) for name in _SPEC_FLAGS})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return [dataclasses.replace(spec, seed=spec.seed + offset) for offset in range(args.count)]
 
 
 def cmd_generate(args) -> int:
@@ -358,6 +333,15 @@ def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
                             metavar=metavar, help=help_text)
 
 
+# Flag and help of each TaskSpec field that generate sets directly, in help order.
+_SPEC_FLAGS = {
+    "trace_len": ("--len", "trace length (default %(default)s)"),
+    "n_pos": ("--pos", "positive traces (default %(default)s)"),
+    "n_neg": ("--neg", "negative traces (default %(default)s)"),
+    "seed": ("--seed", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltlflearn",
@@ -378,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="generate benchmark tasks + manifest")
-    p_gen.add_argument("--family", required=True, choices=FAMILIES)
+    p_gen.add_argument("--family", required=True, choices=FAMILY_TABLE)
     p_gen.add_argument("--n", type=int, default=2,
                        help="family size parameter: chain/word/subset length, "
                             "conjunct or pattern count (default 2)")
     p_gen.add_argument("--props", type=int, default=None,
                        help="alphabet size (default: derived from --n)")
-    p_gen.add_argument("--len", type=int, default=16, help="trace length (default 16)")
-    p_gen.add_argument("--pos", type=int, default=5, help="positive traces (default 5)")
-    p_gen.add_argument("--neg", type=int, default=5, help="negative traces (default 5)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    spec_defaults = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+    for name, (flag, help_text) in _SPEC_FLAGS.items():
+        p_gen.add_argument(flag, dest=name, metavar=flag[2:].upper(), default=spec_defaults[name],
+                           type=type(spec_defaults[name]), help=help_text)
     p_gen.add_argument("--count", type=int, default=1,
                        help="tasks to generate, seeds seed..seed+count-1 (default 1)")
     p_gen.add_argument("--out", default=".", help="output directory (default .)")

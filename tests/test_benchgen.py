@@ -102,6 +102,19 @@ def test_spec_validation():
         TaskSpec("subset", 2, n_neg=0)
 
 
+@pytest.mark.parametrize("spec,takes", [
+    (dict(family="subset", n_props=3, params={"subsets": [0, 1, 2]}),
+     "only the params key 'subset'"),
+    (dict(family="random-conjuncts", n_props=3, params={"m": 2, "basis": []}),
+     "only the params key 'm'"),
+    (dict(family="hamming", n_props=3, n_pos=1, params={"n": 2}), "no params"),
+])
+def test_spec_rejects_a_params_key_its_family_does_not_read(spec, takes):
+    # Ignored, a misspelt key would quietly give the family's default target.
+    with pytest.raises(ValueError, match=f"family takes {takes}, not '"):
+        TaskSpec(**spec)
+
+
 # --- task generation -----------------------------------------------------------
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "hamming"])
@@ -203,6 +216,19 @@ def test_write_task_emits_a_parsable_file(tmp_path):
     before = path.read_text()
     write_task(spec, str(path))
     assert path.read_text() == before
+
+
+def test_write_task_writes_nothing_for_a_row_the_manifest_cannot_hold(tmp_path):
+    path = tmp_path / "t.trace"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_task(TaskSpec("subset", 3, params={"subset": {0, 1}}), str(path))
+    assert not path.exists()
+
+
+def test_manifest_header_is_the_documented_one(tmp_path):
+    path = tmp_path / "manifest.csv"
+    write_manifest(str(path), [])
+    assert path.read_text() == "family,n_props,trace_len,n_pos,n_neg,seed,params,formula,path\n"
 
 
 def test_default_max_tries_is_large():

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -11,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from ltlflearn.benchgen import FAMILIES, TaskSpec
 from ltlflearn.boolcover import NoSolution, Witness
-from ltlflearn.cli import _LEARNER_FLAGS, _config_echo, build_parser, main
+from ltlflearn.cli import _LEARNER_FLAGS, _config_echo, _generate_specs, build_parser, main
 from ltlflearn.formulas import parse_formula
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import parse_task, serialize_sample
@@ -296,6 +298,77 @@ def test_generate_rejects_more_hamming_negatives_than_reachable(tmp_path, capsys
     assert (code, out) == (3, "")
     assert f"reaches {reach} distinct negatives" in err
     assert not out_dir.exists()
+
+
+# `generate --n 2 --count 2 --seed 3` (hamming with --pos 1) per family:
+# each task file's sha256 and its manifest row without the path. This
+# pins what --n sets for each family and what --props defaults to.
+GENERATE_PINS = {
+    "ordered-sequence": [
+        ("e3be13f3f9be05cef85fb5a0b3237b5ac21090edbf2822c4d3562e90ade2f1b5",
+         ("ordered-sequence", "2", "16", "5", "5", "3", '{"n": 2}', "p0 U p1")),
+        ("7f9b888a0f1ae5e0428a56d46143d2426b289d0a3d2094116cd4d5d486707d26",
+         ("ordered-sequence", "2", "16", "5", "5", "4", '{"n": 2}', "p0 U p1")),
+    ],
+    "subword": [
+        ("ca52e71324c5b8507b829f7475c89ce8fb460234100d722b1022d6fb47128053",
+         ("subword", "2", "16", "5", "5", "3", '{"word": [0, 1]}', "F(p0 & X!(F(p1)))")),
+        ("fd4c241516c6dc4de27cd8a8526fabc53e7d644a58e17cf51e362a473b9a2e8b",
+         ("subword", "2", "16", "5", "5", "4", '{"word": [0, 1]}', "F(p0 & X!(F(p1)))")),
+    ],
+    "subset": [
+        ("69ee6a526d81133b405d2d2ccc62c4a88497c9824ea11ef3e44fdda8faa2b2a8",
+         ("subset", "2", "16", "5", "5", "3", '{"subset": [0, 1]}', "F(p0) & F(p1)")),
+        ("82f599fbe763383b0e04a6d6679f54427610b56f28a5f8f65dbcf1950a5e2bc1",
+         ("subset", "2", "16", "5", "5", "4", '{"subset": [0, 1]}', "F(p0) & F(p1)")),
+    ],
+    "hamming": [
+        ("ffe10f9be0a49325de2ecc231d8b9ad9017a0a9cd5f7e13ccbffd86f5960f589",
+         ("hamming", "3", "16", "1", "5", "3", "{}", "")),
+        ("67edeb7557d4f1f1dcffe1717df88d9c290f7a9034867e0433d7415574be2fb8",
+         ("hamming", "3", "16", "1", "5", "4", "{}", "")),
+    ],
+    "random-conjuncts": [
+        ("5a9155b3abc71248bd2952f1258ab79d6eaf77f67275e7a595c28eeb1f209710",
+         ("random-conjuncts", "3", "16", "5", "5", "3",
+          '{"m": 2}', "(p2 U p0 U p1) & (F(p1) & F(p2))")),
+        ("4098cbf2382d252fec155e1c1b8b4831e728e1b2ec2cd8a0b34e79c8c80a565a",
+         ("random-conjuncts", "3", "16", "5", "5", "4",
+          '{"m": 2}', "(p0 U p2 U p1) & F(p0 & X!(F(p2)))")),
+    ],
+    "random-boolcomb": [
+        ("049386c6ff02d8764d3ae3bfa2e38131e0306b5dd9601744d90b11b586d97669",
+         ("random-boolcomb", "3", "16", "5", "5", "3",
+          '{"n_patterns": 2}', "F(p0 & X!(p2 & X!(p0))) | F(p2 & X!(p2 & X!(p2)))")),
+        ("3f6b1c0d25c313243d12841b6144520f9d2a6f743b34f5d26568ced9a2bb94f9",
+         ("random-boolcomb", "3", "16", "5", "5", "4",
+          '{"n_patterns": 2}', "F(p0 & X!(p1 & X!(p0))) | F(p0 & X!(p0 & X!(p0)))")),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATE_PINS))
+def test_generate_output_is_pinned(tmp_path, capsys, family):
+    assert sorted(GENERATE_PINS) == sorted(FAMILIES)
+    extra = ["--pos", "1"] if family == "hamming" else []
+    code, out, _ = run(capsys, "generate", "--family", family, "--n", "2", "--count", "2",
+                       "--seed", "3", "--out", str(tmp_path), *extra)
+    assert code == 0
+    with open(tmp_path / "manifest.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[-1] for row in rows] == out.split()
+    written = [
+        (hashlib.sha256(open(row[-1], "rb").read()).hexdigest(), tuple(row[:-1])) for row in rows
+    ]
+    assert written == GENERATE_PINS[family]
+
+
+def test_generate_flag_defaults_are_the_spec_defaults():
+    args = build_parser().parse_args(["generate", "--family", "subset"])
+    spec = _generate_specs(args)[0]
+    defaults = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+    for name in ("trace_len", "n_pos", "n_neg", "seed"):
+        assert getattr(spec, name) == defaults[name]
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ pyproject.toml allows.
 Compiling catches syntax newer than the floor; APIs newer than it (such
 as `math.cbrt`, new in 3.11) show only in a run, so one
 set-cover task is also learned under the floor and compared with the
-run in this process.
+run in this process, and so is a `generate` then `bench --jobs 2` run
+of the command line.
 """
 
 import json
@@ -16,6 +17,7 @@ from typing import Optional
 import pytest
 
 from ltlflearn.benchgen import TaskSpec, gen_task
+from ltlflearn.cli import main
 from ltlflearn.formulas import render_formula
 from ltlflearn.pipeline import LearnerConfig, learn
 
@@ -44,6 +46,20 @@ LEARN = (
     f"result = learn(sample, LearnerConfig(**{CONFIG!r}))\n"
     "print(json.dumps([result.status, result.method,\n"
     "                  render_formula(result.formula, sample.alphabet)]))\n"
+)
+
+# The same kind of tasks, generated into suite/ and benched with two workers.
+GENERATE = ["generate", "--family", "random-boolcomb", "--n", "2", "--props", "2",
+            "--pos", "20", "--neg", "20", "--count", "2", "--out", "suite"]
+BENCH = ["bench", "suite/manifest.csv", "--jobs", "2", "--ltl2bs-switch", "6",
+         "--dc-switch", "12"]
+# Runs GENERATE, then BENCH, through cli.main with the sources in
+# sys.argv[1], in the working directory.
+CLI = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from ltlflearn.cli import main\n"
+    f"sys.exit(main({GENERATE!r}) or main({BENCH!r}))\n"
 )
 
 
@@ -104,3 +120,31 @@ def test_learn_answers_alike_under_python_3_10(python):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == here
+
+
+def generated_and_benched(directory: Path, stdout: str) -> tuple[dict, list[dict]]:
+    """The bytes of each file GENERATE wrote under directory, by name, and
+    the bench records in stdout without their elapsed_ms."""
+    files = {path.name: path.read_bytes() for path in (directory / "suite").iterdir()}
+    records = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+    for record in records:
+        del record["elapsed_ms"]
+    return files, records
+
+
+def test_generate_and_bench_alike_under_python_3_10(python, tmp_path, capsys, monkeypatch):
+    here, floor = tmp_path / "here", tmp_path / "floor"
+    here.mkdir()
+    floor.mkdir()
+    monkeypatch.chdir(here)
+    assert main(GENERATE) == 0 and main(BENCH) == 0
+    expected = generated_and_benched(here, capsys.readouterr().out)
+    assert sorted(expected[0]) == ["manifest.csv", "random-boolcomb-n2-len16-s0.trace",
+                                   "random-boolcomb-n2-len16-s1.trace"]
+    assert [record["status"] for record in expected[1]] == ["Solved", "Solved"]
+    done = subprocess.run(
+        [python, "-I", "-B", "-c", CLI, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, cwd=floor,
+    )
+    assert done.returncode == 0, done.stderr
+    assert generated_and_benched(floor, done.stdout) == expected
