@@ -41,21 +41,22 @@ combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
 in instance reduction, in the restrictions of `div_conq` and in the beam.
-A query at weight W makes one big-integer subset test against the
-maximal sats of all lighter pools (the frontier of W, packed into one
-int on demand and dropped when a lighter pool changes), then reads
-pool W best first, only down to its first entry scoring below the
-candidate's: a superset of sat scores (counts rows) at least as high.
+It packs what a query at weight W reads into one int, in slots as wide
+as the instance's rows plus a guard bit: pool W's sats, then the
+frontier of W, the lighter sats, each unless one packed before it
+contains it. A query is one big-integer subset test, whose guard bits
+tell which slots contain the candidate's sat. The frontier of W + 1 is
+that of W plus what pool W adds to it, built once pool W is final.
 
-The beam's queues and the pools are one kind of list, `_keep_best`'s:
-per weight the best few, sorted best first; a full list takes only a
-strictly higher score and drops its last entry. A queue holds
-(-score, -seq, comb) and so drops the oldest of its lowest score, a
-pool (-score, seq, sat) and the newest. Every add comes with the
-newest seq, and the queue's combinations come out in seq order. So a
-pool holds the k least of the entries added to it: reduction and the
-restrictions of `div_conq`, which add every set before they ask, fill
-each pool with one sort.
+The beam's queues and the pools are one kind of list: per weight the
+best few, sorted best first; a full list takes only a strictly higher
+score and drops its last entry. A queue holds (-score, -seq, comb) and
+so drops the oldest of its lowest score, a pool (-score, seq, sat,
+slot) and the newest, whose slot the new entry takes over. Every add
+comes with the newest seq, and the queue's combinations come out in
+seq order. So a pool holds the k least of the entries added to it:
+reduction and the restrictions of `div_conq`, which add every set
+before they ask, fill each pool with one sort.
 
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
@@ -65,9 +66,13 @@ the queued values and those the pools lighter than the weight being
 filled dominate: those pools never change again, so the values stay
 dominated for the rest of the beam. Each was tested for a solution
 before it went in. Then it drops a candidate at or under the floor of
-its weight's full queue and, unless it is a solution, one the lighter
-pools or pool W dominate. Each of these tests only drops, and none
-drops a solution, so their order moves no answer and no count.
+its weight's full queue and, unless it is a solution, one that a pool
+entry dominates: one inline subset test of its weight's packed int,
+whose guard bits also tell a lighter dominator, which puts the value in
+`seen`, from one in pool W. Each of these tests only drops, and none
+drops a solution, so their order moves no answer and no count. An
+admission updates the queue, its floor, `seen` and pool W's list and
+slot in place.
 Candidates are counted once per run of rights (each right twice, | then
 &), as in enumeration. A queue is read only once its weight is filled,
 and then never changes, so its lists of lefts and of runs of rights are
@@ -221,110 +226,144 @@ def _keep_best(best: list, entry: tuple, k: int) -> bool:
 class _DominationPools:
     """Per-weight top-k sat sets: the one domination test of the cover phase.
 
-    Each weight's pool is a `_keep_best` list of (-score, seq, sat): the
-    k highest-scoring entries added at that weight, the earliest among
+    Each weight's pool is a list of (-score, seq, sat, slot), best first:
+    the k highest-scoring entries added at that weight, the earliest among
     equal scores, as every add comes with the newest seq; a full pool
-    drops the lowest score, the newest among ties. The score of an
-    entry is the popcount of its sat. Only pool entries are consulted
-    as dominators: sound (never reports an undominated element) but
-    incomplete (may miss a dominator that was evicted); with k >= the
-    largest pool it is exact.
+    drops the lowest score, the newest among ties, and the new entry
+    takes over its slot. The score of an entry is the popcount of its
+    sat. Only pool entries are consulted as dominators: sound (never
+    reports an undominated element) but incomplete (may miss a dominator
+    that was evicted); with k >= the largest pool it is exact.
 
-    A query at weight W has two halves, which the beam asks apart:
-    `lighter_dominates` tests the frontier of W, the maximal sats of all
-    entries lighter than W packed into one int (they need no tie rule,
-    and a sat under a non-maximal one is under a maximal one too), and
-    `pool_dominates` reads pool W. Heavier pools are never read. A
-    frontier is built on the first query at its weight and dropped when
-    an add changes a lighter pool.
+    The sats are packed into one int per weight, in slots of
+    `rows.bit_length() + 1` bits: slot i holds ~sat_i over the data bits,
+    below `limit`, under a zero guard bit. With `rep` a 1 at the base of
+    each slot in use and `guards` = rep * limit, slot i of `sat * rep &
+    notkept` is zero exactly when sat_i contains sat, and only then keeps
+    its guard bit in `guards -` it: no borrow crosses a slot. So a query
+    at weight W is one subset test of that int (`packed`): pool W sits
+    in slots 0..k-1 and the frontier of W above them, so guard bits
+    below `top` are pool W's and those from `top` up the lighter
+    entries'. Heavier pools are never read.
+
+    The frontier of W holds the sats of the entries lighter than W, each
+    unless one packed before it contains it: the frontier of the next
+    lighter pool's weight, then that pool's entries, best first (a
+    strict superset scores higher and so comes first). Frontiers and
+    packed queries are built on the first query at their weight and
+    dropped when a pool they read changes (`changed`).
 
     The beam adds and asks in turn. `_undominated` adds every set before
     it asks: it fills each pool with one sort (`fill`), which keeps what
     the adds one at a time would keep.
     """
 
-    __slots__ = ("k", "pools", "frontiers")
+    __slots__ = ("k", "rows", "width", "limit", "top", "pools", "frontiers", "packs")
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, rows: int):
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
-        # weight -> pool of (-score, seq, sat) triples in ascending order, best first
-        self.pools: dict[int, list[tuple[int, int, int]]] = {}
-        # weight -> (limit, rep, guards, notkept) of its frontier
-        self.frontiers: dict[int, tuple[int, int, int, int]] = {}
+        self.k, self.rows = k, rows
+        self.width = rows.bit_length() + 1
+        self.limit = 1 << rows.bit_length()  # a slot's guard bit
+        self.top = 1 << k * self.width  # the base of the frontier's first slot
+        # weight -> pool of (-score, seq, sat, slot) in ascending order, best first
+        self.pools: dict[int, list[tuple[int, int, int, int]]] = {}
+        # weight -> (rep, notkept, base of the next free slot) of its frontier
+        self.frontiers: dict[int, tuple[int, int, int]] = {}
+        self.packs: dict[int, tuple[int, int, int]] = {}  # weight -> (rep, guards, notkept)
+
+    def _inside(self, sat: int) -> int:
+        """sat, if it is a set of the pools' rows."""
+        if sat & ~self.rows:
+            raise ValueError("a sat outside the rows of the pools")
+        return sat
 
     def add(self, weight: int, sat: int, seq: int) -> None:
         """Offer sat at this weight, with a seq newer than any before."""
-        if _keep_best(self.pools.setdefault(weight, []), (-sat.bit_count(), seq, sat), self.k):
-            frontiers = self.frontiers
-            for w in [w for w in frontiers if w > weight]:
-                del frontiers[w]
-
-    def _frontier(self, weight: int) -> tuple[int, int, int, int]:
-        """The packed frontier of this weight, kept in `frontiers`.
-
-        Slot i holds ~kept_i over the data bits, below `limit`, under a
-        zero guard bit; `rep` has a 1 at the base of each slot and
-        `guards` = rep * limit. For sat < limit, slot i of `sat * rep &
-        notkept` is zero exactly when kept_i contains sat, and only then
-        keeps its guard bit in `guards -` it: no borrow crosses a slot.
-        """
-        lighter = sorted(
-            (neg_score, sat)
-            for w, pool in self.pools.items() if w < weight
-            for neg_score, _, sat in pool
-        )
-        limit = 1 << max((sat for _, sat in lighter), default=0).bit_length()
-        width = limit.bit_length()
-        rep = guards = notkept = shift = 0
-        # A strict superset scores higher and so comes first; a twin
-        # comes right after its first copy.
-        for _, sat in lighter:
-            if not (guards - (sat * rep & notkept)) & guards:
-                rep |= 1 << shift
-                guards |= limit << shift
-                notkept |= (limit - 1 ^ sat) << shift
-                shift += width
-        self.frontiers[weight] = cached = (limit, rep, guards, notkept)
-        return cached
+        neg_score = -self._inside(sat).bit_count()
+        pool = self.pools.setdefault(weight, [])
+        if len(pool) < self.k:
+            slot = len(pool)
+        elif neg_score < pool[-1][0]:
+            slot = pool.pop()[3]
+        else:
+            return
+        insort(pool, (neg_score, seq, sat, slot))
+        self.changed(weight)
 
     def fill(self, weight: int, entries: list[tuple[int, int, int]]) -> None:
-        """Fill the empty pool W, before any query, with the k least of
-        the (-score, seq, sat) entries.
+        """Fill the empty pool W with the k least of the (-score, seq,
+        sat) entries.
 
         `add` keeps the same when given them one at a time in seq order: a
         full pool takes only a strictly higher score than its last entry's,
         and an entry that ties it is newer, so the pool takes exactly the
         entries less than its last.
         """
-        self.pools[weight] = sorted(entries)[: self.k]
+        best = sorted(entries)[: self.k]
+        self.pools[weight] = [(s, seq, self._inside(sat), i) for i, (s, seq, sat) in enumerate(best)]
+        self.changed(weight)
 
-    def dominated(self, weight: int, sat: int, seq: int) -> bool:
-        """Whether a pool entry weighs no more and its sat contains sat."""
-        return self.lighter_dominates(weight, sat) or self.pool_dominates(weight, sat, seq)
+    def changed(self, weight: int) -> None:
+        """Drop what a change to pool W outdates: the packed queries from
+        W up and the frontiers heavier than W."""
+        for w in [w for w in self.packs if w >= weight]:
+            del self.packs[w]
+        for w in [w for w in self.frontiers if w > weight]:
+            del self.frontiers[w]
 
-    def lighter_dominates(self, weight: int, sat: int) -> bool:
-        """Whether an entry lighter than weight contains sat: one packed
-        test of the frontier."""
-        limit, rep, guards, notkept = self.frontiers.get(weight) or self._frontier(weight)
-        return sat < limit and (guards - (sat * rep & notkept)) & guards != 0
+    def frontier(self, weight: int) -> tuple[int, int, int]:
+        """The frontier of weight as (rep, notkept, base of the next free
+        slot), its slots from slot k up."""
+        front = self.frontiers.get(weight)
+        if front is None:
+            lighter = max((w for w in self.pools if w < weight), default=None)
+            if lighter is None:
+                front = (0, 0, self.k * self.width)
+            else:
+                rep, notkept, shift = self.frontier(lighter)
+                guards = rep * self.limit
+                for _, _, sat, _ in self.pools[lighter]:
+                    if not (guards - (sat * rep & notkept)) & guards:
+                        rep |= 1 << shift
+                        guards |= self.limit << shift
+                        notkept |= (self.limit - 1 ^ sat) << shift
+                        shift += self.width
+                front = (rep, notkept, shift)
+            self.frontiers[weight] = front
+        return front
 
-    def pool_dominates(self, weight: int, sat: int, seq: int) -> bool:
-        """Whether an entry of pool W contains sat.
+    def packed(self, weight: int) -> tuple[int, int, int]:
+        """The (rep, guards, notkept) of a query at weight: pool W in
+        slots 0..k-1, the frontier of W above them."""
+        packed = self.packs.get(weight)
+        if packed is None:
+            rep, notkept, _ = self.frontier(weight)
+            for _, _, sat, slot in self.pools.get(weight, ()):
+                rep |= 1 << slot * self.width
+                notkept |= (self.limit - 1 ^ sat) << slot * self.width
+            self.packs[weight] = packed = (rep, rep * self.limit, notkept)
+        return packed
 
-        Mutually dominating twins (equal weight and sat) keep the one
-        with the smaller seq, so an entry never dominates itself. The
-        pool is read only down to its first entry that scores lower
-        than sat, as a superset scores at least as high.
+    def dominated(self, weight: int, sat: int, seq: int) -> int:
+        """The guard bits of the entries that weigh no more than weight
+        and contain sat: 0 when none does.
+
+        Mutually dominating twins (equal weight and sat) keep the one with
+        the smaller seq, so an entry never dominates itself: a slot of
+        pool W that equals sat with a seq not smaller than seq is no hit.
+        In `_undominated` that slot is the set asked about. The beam's
+        pair loop asks inline without this step: it asks with the newest
+        seq, and `seen` drops a twin of a pool entry before it asks.
         """
-        neg_score = -sat.bit_count()
-        for pool_neg_score, pool_seq, pool_sat in self.pools.get(weight, ()):
-            if pool_neg_score > neg_score:
-                break
-            if sat & ~pool_sat == 0 and (pool_sat != sat or pool_seq < seq):
-                return True
-        return False
+        rep, guards, notkept = self.packed(weight)
+        hits = (guards - (self._inside(sat) * rep & notkept)) & guards
+        if hits & self.top - 1:  # pool W answered: the tie rule applies
+            for _, pool_seq, pool_sat, slot in self.pools[weight]:
+                if pool_sat == sat and pool_seq >= seq:
+                    hits ^= self.limit << slot * self.width
+        return hits
 
 
 def _undominated(
@@ -341,10 +380,11 @@ def _undominated(
     triple is dominated by a kept one (domination is transitive and the
     tie rule acyclic), so no solution is lost. The pools are filled a
     weight at a time (`_DominationPools.fill`), and the triples are then
-    asked a weight at a time, so each frontier is built once. The
+    asked a weight at a time, so each weight's packed query is built
+    once. The
     deadline is checked every DEADLINE_STRIDE triples of each pass.
     """
-    pools = _DominationPools(k)
+    pools = _DominationPools(k, pos_mask | neg_mask)
     by_weight: dict[int, list[tuple[int, int, int]]] = {}
     for seq, (members, weight, _) in enumerate(sets, 1):
         if not seq % DEADLINE_STRIDE:
@@ -400,16 +440,20 @@ def beam_search(
     is read only after its weight is filled, so it is sorted into
     admission order and masked once per beam, and its rights are split
     into runs once for the weights before the last two and once for
-    those two.
+    those two. Below them, the pair loop asks `_DominationPools.packed`
+    once per weight and tests each candidate against it inline; an
+    admission updates the queue, the floor, `seen` and pool W's slot in
+    place, and `changed` then tells the pools that pool W is final.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
     posm, negm = inst.pos_mask, inst.neg_mask
     universe = posm | negm
-    # weight -> `_keep_best` list of (-score, -seq, comb): a full queue
+    # weight -> list of (-score, -seq, comb), best first: a full queue
     # drops the lowest score, the oldest among ties
     queues: dict[int, list[tuple[int, int, tuple]]] = {}
-    pools = _DominationPools(domination_k)
+    pools = _DominationPools(domination_k, universe)
+    width, guard, top = pools.width, pools.limit, pools.top
     # Values dropped for good: the queued ones, and those the pair loop
     # found dominated by the pools lighter than its weight, which never
     # change again. Not a seed's: its lighter dominator may be evicted.
@@ -455,17 +499,6 @@ def beam_search(
             for run, count in built
         ]
 
-    def admit(comb: tuple, masked: int, sat: int, score: int, weight: int):
-        """Queue a combination that its queue accepts and no pool entry
-        dominates, and record it; the floor of this weight follows."""
-        nonlocal seq, floor
-        queue = queues[weight]
-        _keep_best(queue, (-score, -seq, comb), beam_width)
-        seen.add(masked)
-        pools.add(weight, sat, seq)
-        seq += 1
-        floor = floor_of(queue)
-
     iterations = 0
     try:
         for members, weight, leaf in inst.base_sets:
@@ -477,10 +510,14 @@ def beam_search(
                 return leaf
             masked = members & universe
             score = sat.bit_count()
-            if masked in seen or score <= floor_of(queues.setdefault(weight, [])):
+            queue = queues.setdefault(weight, [])
+            if masked in seen or score <= floor_of(queue):
                 continue
             if not pools.dominated(weight, sat, seq):
-                admit(leaf, masked, sat, score, weight)
+                _keep_best(queue, (-score, -seq, leaf), beam_width)
+                seen.add(masked)
+                pools.add(weight, sat, seq)
+                seq += 1
 
         k = 2
         while k + 1 <= max_weight and any(queues.values()):
@@ -492,7 +529,11 @@ def beam_search(
             # more, so at the last two weights only a solution matters.
             tail = weight + 2 > max_weight
             # Seeds of this weight may have filled its queue already.
-            floor = floor_of(queues.setdefault(weight, []))
+            queue = queues.setdefault(weight, [])
+            floor = floor_of(queue)
+            if not tail:
+                pool = pools.pools.setdefault(weight, [])
+                rep, guards, notkept = pools.packed(weight)
             for i in range(1, k // 2 + 1):
                 if not queues.get(i) or not queues.get(k - i):
                     continue
@@ -517,7 +558,7 @@ def beam_search(
                             # then one at or under the floor, which the full
                             # queue turns away (a solution scores above any
                             # queued value). A solution returns next. Then
-                            # what the lighter pools, then pool W, dominate.
+                            # what a pool entry dominates, in one test.
                             comb2, m2, op = right
                             masked = m1 | m2 if op == "|" else m1 & m2
                             if masked in seen:
@@ -530,14 +571,38 @@ def beam_search(
                                 n_candidates += run.index(right) + 1
                                 rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
                                 return (rows, op, comb1, comb2)
-                            if pools.lighter_dominates(weight, sat):
-                                seen.add(masked)
+                            # Every pool W entry is older than seq, and none
+                            # is a twin of sat, which `seen` would have
+                            # dropped: `dominated`'s tie rule changes nothing.
+                            hits = (guards - (sat * rep & notkept)) & guards
+                            if hits:
+                                if hits >= top:  # a lighter entry: for good
+                                    seen.add(masked)
                                 continue
-                            if pools.pool_dominates(weight, sat, seq):
-                                continue
+                            # Admit: the queue, its floor, `seen`, then pool
+                            # W, in a free slot or in its evictee's.
                             rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                            admit((rows, op, comb1, comb2), masked, sat, score, weight)
+                            if len(queue) >= beam_width:
+                                queue.pop()
+                            insort(queue, (-score, -seq, (rows, op, comb1, comb2)))
+                            if len(queue) >= beam_width:
+                                floor = -queue[-1][0]
+                            seen.add(masked)
+                            slot = len(pool)
+                            if slot < domination_k:
+                                shift = slot * width
+                                rep |= 1 << shift
+                                guards |= guard << shift
+                                notkept |= (guard - 1 ^ sat) << shift
+                                insort(pool, (-score, seq, sat, slot))
+                            elif -score < pool[-1][0]:
+                                *_, evicted, slot = pool.pop()
+                                notkept ^= (evicted ^ sat) << slot * width
+                                insort(pool, (-score, seq, sat, slot))
+                            seq += 1
                         n_candidates += count
+            if not tail:  # pool W changed in place, past `add`
+                pools.changed(weight)
             k += 1
         return None
     finally:

@@ -6,11 +6,13 @@ tasks plus a manifest, and `bench` runs every task of a manifest and
 emits one JSON record per line, in task order as the tasks end, with
 `target_size` where the manifest row has a target formula. Exit codes
 are a stable contract: 0 solved / verified, 1 no solution / not
-separating, 2 timeout, 3 input error, 4 internal error. A bench task
-that fails gets an `Error` record and the other tasks still run; bench
-exits 4 if any task had an internal error, else 3 if any had an input
-error. In json mode stdout carries exactly one JSON object (or one per
-task for bench); diagnostics go to stderr.
+separating, 2 timeout, 3 input error, 4 internal error, 141 (128 +
+SIGPIPE) stdout closed by its reader, which ends a command quietly
+(bench starts no further task). A bench task that fails gets an
+`Error` record and the other tasks still run; bench exits 4 if any
+task had an internal error, else 3 if any had an input error. In json
+mode stdout carries exactly one JSON object (or one per task for
+bench); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import sys
 import traceback
 from collections import Counter
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterator, Optional
@@ -50,6 +53,7 @@ from .traces import Sample, Task, TaskFormatError, parse_task
 _STATUS_EXIT = {"Solved": 0, "NoSolution": 1, "Timeout": 2}
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports when a closed pipe ends a writer
 INTERNAL_ERROR = "internal error: "  # how an internal error's message starts
 
 
@@ -238,19 +242,23 @@ def _bench_records(tasks: list[tuple[str, str]], args) -> Iterator[dict]:
     """_bench_worker's record for each (path, target), in task order, as
     each task ends: in this process with one worker, else in a pool of
     `--jobs` processes, at most one per task. A dying worker breaks the
-    pool: the unfinished tasks get internal-error records."""
+    pool: the unfinished tasks get internal-error records. Closed early,
+    the pool starts no further task and waits for its workers to exit."""
     # The pool forks all its workers at the first submit: no more than tasks.
     workers = min(args.jobs, len(tasks))
     if workers == 1:
         yield from (_bench_worker(path, target, args) for path, target in tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         futures = [pool.submit(_bench_worker, path, target, args) for path, target in tasks]
         for (path, _), future in zip(tasks, futures):
             try:
                 yield future.result()
             except BrokenProcessPool as exc:
                 yield {"task": path, "status": "Error", "error": _internal_error(exc)}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_bench(args) -> int:
@@ -278,12 +286,13 @@ def cmd_bench(args) -> int:
     counts: Counter = Counter()
     solved = []
     internal_error = False
-    for record in _bench_records(tasks, args):
-        print(json.dumps(record), flush=True)  # a run cut short keeps what it printed
-        counts[record["status"]] += 1
-        if record["status"] == "Solved":
-            solved.append(record)
-        internal_error = internal_error or record.get("error", "").startswith(INTERNAL_ERROR)
+    with closing(_bench_records(tasks, args)) as records:  # also when stdout closes
+        for record in records:
+            print(json.dumps(record), flush=True)  # a run cut short keeps what it printed
+            counts[record["status"]] += 1
+            if record["status"] == "Solved":
+                solved.append(record)
+            internal_error = internal_error or record.get("error", "").startswith(INTERNAL_ERROR)
 
     lines = [
         f"solved {len(solved)}/{counts.total()} (no-solution {counts['NoSolution']}, "
@@ -394,7 +403,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone, which is no error of ours. Python flushes
+        # stdout again at exit: point it at devnull, so that the flush
+        # raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

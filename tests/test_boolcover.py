@@ -1,5 +1,6 @@
 import ast
 import random
+from bisect import insort
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -320,8 +321,23 @@ def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
     each pool best first and at most k long."""
     for pool in pools.pools.values():
         assert pool == sorted(pool) and len(pool) <= pools.k
-        assert all(-neg_score == sat.bit_count() for neg_score, _, sat in pool)
-    return {(w, seq, sat) for w, pool in pools.pools.items() for _, seq, sat in pool}
+        assert all(-neg_score == sat.bit_count() for neg_score, _, sat, _ in pool)
+    return {(w, seq, sat) for w, pool in pools.pools.items() for _, seq, sat, _ in pool}
+
+
+def beam_hits(pools: _DominationPools, weight: int, sat: int) -> int:
+    """The beam's inline test of sat at weight: `dominated` without its
+    tie rule."""
+    rep, guards, notkept = pools.packed(weight)
+    return (guards - (sat * rep & notkept)) & guards
+
+
+def rows_of_candidates(candidates) -> int:
+    """The union of the candidates' sats: rows wide enough for all of them."""
+    rows = 0
+    for _, sat, _ in candidates:
+        rows |= sat
+    return rows
 
 
 # (weight, sat, forced add) draws over a few sat sets of 6 rows: many
@@ -355,18 +371,23 @@ WIDE_CANDIDATES = st.integers(30, 100).flatmap(
 
 
 def answer_halves_like_the_oracle(pools, oracle, weight, sat, seq):
-    assert pools.lighter_dominates(weight, sat) == oracle.lighter_dominates(weight, sat)
-    assert pools.pool_dominates(weight, sat, seq) == oracle.pool_dominates(weight, sat, seq)
+    # Guard bits from `top` up are the lighter entries', those below pool W's.
+    hits = pools.dominated(weight, sat, seq)
+    assert (hits >= pools.top) == oracle.lighter_dominates(weight, sat)
+    assert (hits % pools.top != 0) == oracle.pool_dominates(weight, sat, seq)
 
 
 def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
     # The beam asks first and adds what is not dominated under the next
-    # seq; a forced add also puts dominated entries and twins in.
-    pools, oracle = _DominationPools(k), HeapPools(k)
+    # seq; a forced add also puts dominated entries and twins in. Asked
+    # with the newest seq, `dominated` answers like the beam's inline
+    # test, even for a twin, which `seen` keeps from that test.
+    pools, oracle = _DominationPools(k, rows_of_candidates(candidates)), HeapPools(k)
     seq = 0
     for weight, sat, forced in candidates:
         answer = pools.dominated(weight, sat, seq)
-        assert answer == oracle.dominated(weight, sat, seq)
+        assert bool(answer) == oracle.dominated(weight, sat, seq)
+        assert answer == beam_hits(pools, weight, sat)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
         if forced or not answer:
             pools.add(weight, sat, seq)
@@ -378,7 +399,8 @@ def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
 def answer_like_the_oracle_after_all_adds(k, candidates):
     # As in _undominated: every entry goes in, then every entry is asked.
     # `fill` takes a weight's entries at once and keeps what the adds keep.
-    pools, filled, oracle = _DominationPools(k), _DominationPools(k), HeapPools(k)
+    rows = rows_of_candidates(candidates)
+    pools, filled, oracle = _DominationPools(k, rows), _DominationPools(k, rows), HeapPools(k)
     by_weight = {}
     for seq, (weight, sat, _) in enumerate(candidates):
         pools.add(weight, sat, seq)
@@ -388,16 +410,17 @@ def answer_like_the_oracle_after_all_adds(k, candidates):
         filled.fill(weight, entries)
     assert pool_entries(pools) == pool_entries(filled) == oracle.entries()
     for seq, (weight, sat, _) in enumerate(candidates):
-        assert pools.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
+        assert bool(pools.dominated(weight, sat, seq)) == oracle.dominated(weight, sat, seq)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
     for weight, entries in by_weight.items():
         for _, seq, sat in entries:
-            assert filled.dominated(weight, sat, seq) == oracle.dominated(weight, sat, seq)
+            assert bool(filled.dominated(weight, sat, seq)) == oracle.dominated(weight, sat, seq)
+            answer_halves_like_the_oracle(filled, oracle, weight, sat, seq)
     # Asking with a seq or weight outside the pools too.
     for weight, sat, _ in candidates:
         for w in (weight - 1, weight + 1):
-            assert pools.dominated(w, sat, -1) == oracle.dominated(w, sat, -1)
-            assert pools.dominated(w, sat, len(candidates)) == oracle.dominated(
+            assert bool(pools.dominated(w, sat, -1)) == oracle.dominated(w, sat, -1)
+            assert bool(pools.dominated(w, sat, len(candidates))) == oracle.dominated(
                 w, sat, len(candidates))
 
 
@@ -421,40 +444,164 @@ def test_pools_answer_like_the_heap_oracle_on_wide_sats(k, candidates):
 
 
 def test_an_empty_frontier_dominates_nothing():
-    pools = _DominationPools(2)
+    pools = _DominationPools(2, (1 << 70) - 1)
     assert not pools.dominated(1, 0, 0)
     pools.add(3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
-    _, rep, guards, notkept = pools._frontier(2)
-    assert (rep, guards, notkept) == (0, 0, 0)
+    rep, notkept, shift = pools.frontier(2)
+    assert (rep, notkept, shift) == (0, 0, 2 * pools.width)  # its first slot free
     for sat in (0, 1, 1 << 69):
         assert not pools.dominated(2, sat, 1)
 
 
 def test_every_lighter_entry_dominates_the_empty_sat():
     for kept in (0, 1, 1 << 64 | 1 << 31):
-        pools = _DominationPools(1)
+        pools = _DominationPools(1, (1 << 65) - 1)
         pools.add(1, kept, 0)
         assert pools.dominated(2, 0, 1)  # by the packed frontier
         assert pools.dominated(1, 0, 1)  # by pool 1: a superset or the older twin
-    pools = _DominationPools(1)
+    pools = _DominationPools(1, 0)
     pools.add(1, 0, 0)
     assert not pools.dominated(1, 0, 0)  # an entry never dominates itself
 
 
 def test_a_row_above_every_lighter_entry_is_not_dominated():
-    # Without the limit guard the packed test would read sat = 0b10
-    # against kept = 0b01 (one data bit) as contained.
-    pools = _DominationPools(3)
+    # Every slot spans all the rows, not only those of its entries: with
+    # slots as wide as kept = 0b01 (one data bit) the packed test would
+    # read sat = 0b10 as contained.
+    pools = _DominationPools(3, (1 << 100) - 1)
     pools.add(1, 0b01, 0)
     assert not pools.dominated(2, 0b10, 1)
     wide = (1 << 40) - 1
     pools.add(1, wide, 1)
-    limit, *_ = pools._frontier(2)
-    assert limit == 1 << 40
+    assert (pools.width, pools.limit) == (101, 1 << 100)
     assert pools.dominated(2, wide, 2)
     assert not pools.dominated(2, 1 << 40, 2)
     assert not pools.dominated(2, 1 << 40 | 1, 2)
     assert not pools.dominated(2, 1 << 99, 2)
+
+
+def packed_afresh(pools: _DominationPools, weight: int) -> tuple[int, int]:
+    """The rep and notkept of pool W, packed afresh from its list."""
+    rep = notkept = 0
+    for _, _, sat, slot in pools.pools.get(weight, ()):
+        rep |= 1 << slot * pools.width
+        notkept |= (pools.limit - 1 ^ sat) << slot * pools.width
+    return rep, notkept
+
+
+def check_slots(pools: _DominationPools, probes) -> None:
+    """Each pool's packed part is its list packed afresh, one slot per
+    entry over slots 0..len-1, and the frontier of each weight answers
+    every probe like the lighter entries, all of them, do."""
+    for weight, pool in pools.pools.items():
+        assert sorted(slot for *_, slot in pool) == list(range(len(pool)))
+        rep, guards, notkept = pools.packed(weight)
+        assert guards == rep * pools.limit
+        assert (rep % pools.top, notkept % pools.top) == packed_afresh(pools, weight)
+    for weight in range(1, 6):
+        lighter = [kept for w, pool in pools.pools.items() if w < weight for _, _, kept, _ in pool]
+        for sat in probes:
+            assert (beam_hits(pools, weight, sat) >= pools.top) == any(
+                sat & ~kept == 0 for kept in lighter)
+
+
+def slot_steps(rows: int):
+    """(op, weight, sats) steps over a few sets of the rows, with their
+    pairwise unions and intersections: many twins, subsets and ties."""
+    return st.lists(st.integers(0, rows), min_size=1, max_size=4).map(
+        lambda sats: sorted({a & b for a in sats for b in sats} | {a | b for a in sats for b in sats})
+    ).flatmap(lambda sats: st.lists(
+        st.tuples(st.sampled_from(("add", "fill")), st.integers(1, 4),
+                  st.lists(st.sampled_from(sats), min_size=1, max_size=6)),
+        max_size=20,
+    ))
+
+
+# (rows, steps) over 6 rows, or over 30 to 100 rows, so that slots
+# straddle CPython's 30-bit int digits.
+SLOT_CASES = st.one_of(st.just(6), st.integers(30, 100)).flatmap(
+    lambda n: st.tuples(st.just((1 << n) - 1), slot_steps((1 << n) - 1)))
+
+
+@given(st.integers(1, 4), SLOT_CASES)
+@settings(max_examples=300)
+def test_packed_slots_follow_adds_evictions_and_fills(k, case):
+    # A fill takes a step's sats at once into an empty pool; otherwise
+    # they are added one at a time, evicting from a full pool. Every
+    # check asks each weight, so each later step must drop what it outdates.
+    rows, steps = case
+    pools, oracle = _DominationPools(k, rows), HeapPools(k)
+    probes, seq = {0, rows}, 0
+    for op, weight, sats in steps:
+        probes.update(sats)
+        if op == "fill" and weight not in pools.pools:
+            pools.fill(weight, [(-sat.bit_count(), seq + i, sat) for i, sat in enumerate(sats)])
+            for sat in sats:
+                oracle.add(weight, sat, seq)
+                seq += 1
+        else:
+            for sat in sats:
+                pools.add(weight, sat, seq)
+                oracle.add(weight, sat, seq)
+                seq += 1
+        assert pool_entries(pools) == oracle.entries()
+        check_slots(pools, probes)
+
+
+def test_pools_reject_a_sat_outside_their_rows():
+    pools = _DominationPools(2, 0b1011)
+    pools.add(1, 0b1011, 0)
+    for outside in (0b0100, 0b1111, 1 << 4):
+        with pytest.raises(ValueError):
+            pools.add(1, outside, 1)
+        with pytest.raises(ValueError):
+            pools.fill(2, [(-1, 1, 0b1), (-outside.bit_count(), 2, outside)])
+        with pytest.raises(ValueError):
+            pools.dominated(2, outside, 1)
+    assert pool_entries(pools) == {(1, 0, 0b1011)}
+
+
+def test_the_pair_loop_drops_the_frontiers_the_seeds_built(monkeypatch):
+    # Each seed is asked as it comes, so the seed pass builds the frontiers
+    # of weights 3 and 4 here; the pair loop then admits at weight 3 in
+    # place. The frontier it reads at weight 4 must hold that admission,
+    # not what the seeds left. (The instance of the reference example in
+    # which {p0, p2, p3, n0} | {p1} evicts a seed at weight 3.)
+    inst = instance(4, 1, [(0b11101, 1), (0b00010, 1), (0b00110, 3), (0b00100, 4)])
+    phase, built, read, seeded = ["seeds"], [], [], {}
+
+    class Pools(_DominationPools):
+        def __init__(self, k, rows):
+            super().__init__(k, rows)
+            built.append(self)
+
+        def packed(self, weight):
+            packed = super().packed(weight)
+            if phase[0] == "pairs":
+                lighter = [kept for w, pool in self.pools.items() if w < weight
+                           for _, _, kept, _ in pool]
+                read.append((weight, self.frontiers[weight], lighter))
+            return packed
+
+    def check(deadline):
+        if phase[0] == "seeds":
+            seeded.update(built[0].frontiers)
+            phase[0] = "pairs"
+
+    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", check)
+    expected = reference_beam(inst, 2, 7, 1)[0]
+    assert beam_search(inst, 2, 7, 1) == expected
+    assert [weight for weight, _, _ in read] == [3, 4, 5]
+    assert {3, 4} <= set(seeded)
+    assert read[1][1] != seeded[4]
+    probes = {kept for pool in built[0].pools.values() for _, _, kept, _ in pool} | {
+        sat_bits(members, inst.pos_mask, inst.neg_mask) for members, _, _ in inst.base_sets}
+    for weight, (rep, notkept, _), lighter in read:
+        guards = rep * built[0].limit
+        for sat in probes:
+            assert ((guards - (sat * rep & notkept)) & guards != 0) == any(
+                sat & ~kept == 0 for kept in lighter)
 
 
 def test_undominated_checks_the_deadline_every_4096_sets(monkeypatch):
@@ -577,6 +724,39 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     assert len(calls) == 10 + 17
 
 
+class AskedRep(int):
+    """The `rep` of a packed query at one weight, which logs each sat
+    that `sat * rep` tests against it; or-ing a slot in keeps the log."""
+
+    def __new__(cls, value: int, weight: int, log):
+        rep = super().__new__(cls, value)
+        rep.weight, rep.log = weight, log
+        return rep
+
+    def __rmul__(self, sat: int) -> int:
+        self.log(self.weight, sat)
+        return int(self) * sat
+
+    def __or__(self, other: int) -> "AskedRep":
+        return AskedRep(int(self) | other, self.weight, self.log)
+
+
+def logging_pools(log, built: list):
+    """A `_DominationPools` whose packed queries log what they are asked;
+    each one made is appended to `built`."""
+
+    class Pools(_DominationPools):
+        def __init__(self, k, rows):
+            super().__init__(k, rows)
+            built.append(self)
+
+        def packed(self, weight):
+            rep, guards, notkept = super().packed(weight)
+            return AskedRep(rep, weight, log), guards, notkept
+
+    return Pools
+
+
 def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     # Once the pair loop fills weight W, no lighter pool changes again
     # and every later frontier holds them, so a value they dominate is
@@ -584,15 +764,10 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     sample = union_shaped_sample()
     _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
     inst = reduce_instance(collapse(bank, sample)[0], 10)
-    phase, asked = ["seeds"], []
-
-    class Pools(_DominationPools):
-        def lighter_dominates(self, weight, sat):
-            answer = super().lighter_dominates(weight, sat)
-            asked.append((phase[0], weight, sat, answer))
-            return answer
-
-    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
+    phase, asked, built = ["seeds"], [], []
+    monkeypatch.setattr(
+        "ltlflearn.boolcover._DominationPools",
+        logging_pools(lambda weight, sat: asked.append((phase[0], weight, sat)), built))
     # The pair loop checks the deadline as each weight starts; the 170
     # seeds are fewer than 4096, so they get no check.
     monkeypatch.setattr(
@@ -600,11 +775,20 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
     stats = {}
     beam_search(inst, max_weight=12, stats=stats)
     assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
-    pairs = [(sat, answer) for when, _, sat, answer in asked if when == "pairs"]
+    # The pools lighter than the weight a pair is asked at were final when
+    # it was asked, so the pools as the beam left them give its answer.
+    (pools,) = built
+
+    def lighter_dominates(weight, sat):
+        return any(sat & ~kept == 0
+                   for w, pool in pools.pools.items() if w < weight for _, _, kept, _ in pool)
+
+    pairs = [(sat, lighter_dominates(weight, sat))
+             for when, weight, sat in asked if when == "pairs"]
     last = {sat: i for i, (sat, _) in enumerate(pairs)}
     assert all(last[sat] == i for i, (sat, answer) in enumerate(pairs) if answer)
     # The last two weights, 11 and 12, only look for a solution.
-    assert max(weight for when, weight, _, _ in asked if when == "pairs") == 10
+    assert max(weight for when, weight, _ in asked if when == "pairs") == 10
     # 244 dominated values, each asked once; asked again at each weight and
     # after each admission, the lighter pools would answer True 347 times.
     assert sum(answer for _, answer in pairs) == 244
@@ -638,24 +822,22 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
     sample = union_shaped_sample()
     _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
     inst = reduce_instance(collapse(bank, sample)[0], 10)
-    phase, calls = ["seeds"], []
+    phase, calls, built = ["seeds"], [], []
 
-    def keep_best(best, entry, k):
+    def counted_insort(best, entry):
+        # Queues and pools, seeded through `_keep_best` and `add` or
+        # admitted in place, all take their entries by insort.
         if isinstance(entry[2], tuple):  # a queue's combination, not a pool's sat
             calls.append((phase[0], "queue", weight_of(entry[2], inst)))
-        return _keep_best(best, entry, k)
+        else:
+            (pools,) = built
+            calls.append((phase[0], "pool", next(w for w, p in pools.pools.items() if p is best)))
+        insort(best, entry)
 
-    class Pools(_DominationPools):
-        def add(self, weight, sat, seq):
-            calls.append((phase[0], "pool", weight))
-            super().add(weight, sat, seq)
-
-        def pool_dominates(self, weight, sat, seq):
-            calls.append((phase[0], "pool W", weight))
-            return super().pool_dominates(weight, sat, seq)
-
-    monkeypatch.setattr("ltlflearn.boolcover._keep_best", keep_best)
-    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
+    monkeypatch.setattr("ltlflearn.boolcover.insort", counted_insort)
+    monkeypatch.setattr(
+        "ltlflearn.boolcover._DominationPools",
+        logging_pools(lambda weight, sat: calls.append((phase[0], "pool W", weight)), built))
     # The 170 seeds get no deadline check; the pair loop checks as each
     # weight starts.
     monkeypatch.setattr(

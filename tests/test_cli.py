@@ -5,6 +5,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import typing
 from concurrent.futures import Future
@@ -446,11 +448,8 @@ def recording_pool(monkeypatch):
         def __init__(self, max_workers):
             made.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
         def submit(self, fn, *args):
             future = Future()
@@ -483,16 +482,16 @@ def test_bench_one_task_runs_without_a_pool(task_path, tmp_path, capsys, recordi
 
 class LazyPool:
     """Stands in for `ProcessPoolExecutor`: runs each submitted call in
-    this process when its result is asked for."""
+    this process when its result is asked for. Records each shutdown's
+    `cancel_futures` in `shutdowns`."""
+
+    shutdowns: list = []
 
     def __init__(self, max_workers):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
 
     def submit(self, fn, *args):
         return SimpleNamespace(result=lambda: fn(*args))
@@ -529,6 +528,69 @@ def test_bench_cut_short_keeps_the_records_it_finished(small_manifest, capsys, m
         main(["bench", small_manifest])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["task"][-9:], r["status"]) for r in records] == [("-s0.trace", "Solved")]
+
+
+def run_with_stdout_closed(*argv) -> tuple[int, str, int]:
+    """`python -m ltlflearn argv` in a process group of its own, with a
+    stdout that nobody reads (the pipe's read end is closed before it
+    starts): its exit code, its stderr and its process group."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "ltlflearn", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err, proc.pid
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_ends_quietly_when_stdout_closes(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "bench"
+    main(["generate", "--family", "ordered-sequence", "--n", "2",
+          "--count", "6", "--out", str(out_dir)])
+    capsys.readouterr()
+    code, err, group = run_with_stdout_closed(
+        "bench", str(out_dir / "manifest.csv"), "--jobs", jobs)
+    assert code == 141  # 128 + SIGPIPE, not 4: the reader has gone
+    assert err == ""  # no traceback, no "Exception ignored" at exit
+    with pytest.raises(ProcessLookupError):  # no pool worker outlives it
+        os.killpg(group, 0)
+
+
+def test_learn_ends_quietly_when_stdout_closes(task_path):
+    for fmt in ("text", "json"):
+        code, err, _ = run_with_stdout_closed("learn", task_path, "--format", fmt)
+        assert code == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_bench_starts_no_task_after_stdout_closes(small_manifest, monkeypatch):
+    started = []
+
+    def learn_counted(*args, **kwargs):
+        started.append(args)
+        return learn(*args, **kwargs)
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    LazyPool.shutdowns = []
+    monkeypatch.setattr("ltlflearn.cli.ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr("ltlflearn.cli.learn", learn_counted)
+    monkeypatch.setattr("sys.stdout", stdout)
+    try:
+        assert main(["bench", small_manifest, "--jobs", "2"]) == 141
+    finally:
+        # Flushes what the failed print left in the buffer, as the
+        # interpreter does at exit: it must now go to devnull, unraised.
+        stdout.close()
+    assert len(started) == 1  # the first record's print failed
+    assert LazyPool.shutdowns == [True]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
