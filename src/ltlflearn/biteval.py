@@ -13,11 +13,12 @@ Bits beyond the last trace are always zero, so equal ints are equal
 valuations: the packed value is itself the observational-equivalence
 key.
 
-A `Layout` holds where the traces sit, as three masks:
+A `Layout` holds where the traces sit, as four masks:
 
     full     every position of every trace
     first    the first position of each trace (the top bit of its slice)
-    notlast  every position except the last of each trace (the bottom bit)
+    last     the last position of each trace (the bottom bit)
+    notlast  every position except the last of each trace: full ^ last
 
 With them every operator is a fixed handful of big-int operations over
 the whole sample, whatever the trace lengths, and no bit moves from one
@@ -25,7 +26,7 @@ trace into the next:
 
     !s       = s ^ full
     X! s     = (s << 1) & notlast          (the last position becomes 0)
-    X s      = !(X!(!s))                    (the last position becomes 1)
+    X s      = (X! s) | last                (the last position becomes 1)
     s1 U s2  = until(s1 & notlast, s2)
     F s      = until(notlast, s)
     G s      = !(F(!s))
@@ -74,11 +75,12 @@ class Layout:
     Trace i occupies bits [offsets[i], offsets[i] + lengths[i]), position
     p at bit offsets[i] + lengths[i] - p: position 1 at the top of the
     slice, the last position at its bottom. `first` and `pos_first` hold
-    the top bit of every trace's slice and of every positive trace's;
-    `notlast` is `full` minus the bottom bit of every slice.
+    the top bit of every trace's slice and of every positive trace's,
+    `last` the bottom bit of every slice, and `notlast` the rest of `full`.
     """
 
-    __slots__ = ("lengths", "offsets", "full", "first", "notlast", "pos_first", "_spec", "_pick")
+    __slots__ = ("lengths", "offsets", "full", "first", "last", "notlast", "pos_first",
+                 "_spec", "_pick")
 
     def __init__(self, lengths: Sequence[int], n_pos: int):
         offsets = list(accumulate(lengths, initial=0))
@@ -88,7 +90,8 @@ class Layout:
         self.offsets = tuple(offsets)
         self.full = (1 << total) - 1
         self.first = sum(tops)
-        self.notlast = self.full ^ sum(1 << o for o in offsets)
+        self.last = sum(1 << o for o in offsets)
+        self.notlast = self.full ^ self.last
         self.pos_first = sum(tops[:n_pos])
         # `vector` spells a value as total + 1 digits, bit b at digit
         # total - b, and picks digit 0 (always 0, so there is an index even
@@ -138,7 +141,7 @@ def k_strong_next(s: int, lay: Layout) -> int:
 
 
 def k_weak_next(s: int, lay: Layout) -> int:
-    return (((s ^ lay.full) << 1) & lay.notlast) ^ lay.full
+    return ((s << 1) & lay.notlast) | lay.last
 
 
 def k_finally(s: int, lay: Layout) -> int:

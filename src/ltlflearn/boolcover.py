@@ -73,10 +73,12 @@ whose guard bits also tell a lighter dominator, which puts the value in
 drops a solution, so their order moves no answer and no count. An
 admission updates the queue, its floor, `seen` and pool W's list and
 slot in place.
-Candidates are counted once per run of rights (each right twice, | then
-&), as in enumeration. A queue is read only once its weight is filled,
-and then never changes, so its lists of lefts and of runs of rights are
-built once per beam, at its first read.
+The loop takes each right once for both of its candidates, | then &:
+each value goes through the tests above on its own, so a right whose
+two values are in `seen` costs two set lookups. Candidates are counted
+once per run of rights, two a right, as in enumeration. A queue is read
+only once its weight is filled, and then never changes, so its lefts
+and its runs of rights are built once per beam, at its first read.
 
 The last two weights only look for a solution. A combination of weight
 w is a child only at weight w + 2 or more, as the other child weighs at
@@ -438,12 +440,13 @@ def beam_search(
     Weights max_weight - 1 and max_weight are never children, so there
     the pair loop only looks for a solution and queues nothing. A queue
     is read only after its weight is filled, so it is sorted into
-    admission order and masked once per beam, and its rights are split
-    into runs once for the weights before the last two and once for
-    those two. Below them, the pair loop asks `_DominationPools.packed`
-    once per weight and tests each candidate against it inline; an
-    admission updates the queue, the floor, `seen` and pool W's slot in
-    place, and `changed` then tells the pools that pool W is final.
+    admission order, masked and split into runs of rights once per
+    beam; the last two weights take their per-side lists from those
+    runs. Below them, the pair loop asks `_DominationPools.packed` once
+    per weight and takes each right once, testing its | value and then
+    its & value against it inline; an admission updates the queue, the
+    floor, `seen` and pool W's slot in place, and `changed` then tells
+    the pools that pool W is final.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -479,24 +482,22 @@ def beam_search(
         return built
 
     @cache
-    def runs(weight: int, tail: bool) -> list:
-        """The queue's runs of rights (comb, masked, op), each comb twice, |
-        then &: one entry a candidate. At the last two weights a run holds
-        instead, per side of a left, the rights that can complete a
-        solution, with their places in the run: by | with a left free of
-        negatives (side 0), by & with a left holding every positive (side 1).
-        """
-        rights = [(comb, m, op) for comb, m, _ in lefts(weight) for op in "|&"]
-        built = split_runs(rights, DEADLINE_STRIDE)
-        if not tail:
-            return built
+    def runs(weight: int) -> list:
+        """The queue's lefts as runs of rights, each with its count of
+        candidates: two a right, | then &."""
+        return [(run, 2 * n) for run, n in split_runs(lefts(weight), DEADLINE_STRIDE // 2)]
+
+    @cache
+    def tail_runs(weight: int) -> list:
+        """The runs at the last two weights: per side of a left, the
+        rights that can complete a solution, each with its candidate's
+        place in the run: by | with a left free of negatives (side 0), by &
+        with a left holding every positive (side 1). A right's own side
+        says which, as a queued value is no solution."""
         return [
-            ((
-                [(at, r) for at, r in enumerate(run) if r[2] == "|" and not r[1] & negm],
-                [(at, r) for at, r in enumerate(run) if r[2] == "&" and r[1] & posm == posm],
-                (),
-            ), count)
-            for run, count in built
+            ([[(2 * at + side, right) for at, right in enumerate(run) if right[2] == side]
+              for side in (0, 1)] + [()], count)
+            for run, count in runs(weight)
         ]
 
     iterations = 0
@@ -537,7 +538,7 @@ def beam_search(
             for i in range(1, k // 2 + 1):
                 if not queues.get(i) or not queues.get(k - i):
                     continue
-                right_runs = runs(k - i, tail)
+                right_runs = tail_runs(k - i) if tail else runs(k - i)
                 for comb1, m1, side in lefts(i):
                     rows1 = comb1[0]
                     for run, count in right_runs:
@@ -545,61 +546,90 @@ def beam_search(
                             check_deadline(deadline)
                             limit = n_candidates + DEADLINE_STRIDE
                         if tail:
-                            for at, (comb2, m2, op) in run[side]:
-                                if (m1 | m2 if op == "|" else m1 & m2) == posm:
+                            for at, (comb2, m2, _) in run[side]:
+                                if (m1 & m2 if side else m1 | m2) == posm:
                                     n_candidates += at + 1
-                                    rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                                    return (rows, op, comb1, comb2)
+                                    if side:
+                                        return (rows1 & comb2[0], "&", comb1, comb2)
+                                    return (rows1 | comb2[0], "|", comb1, comb2)
                             n_candidates += count
                             continue
-                        for right in run:
-                            # Drop what changes nothing: a value in `seen`,
+                        for comb2, m2, side2 in run:
+                            # Each value, | then &: drop one in `seen`,
                             # which holds no solution, before it is scored;
                             # then one at or under the floor, which the full
                             # queue turns away (a solution scores above any
                             # queued value). A solution returns next. Then
                             # what a pool entry dominates, in one test.
-                            comb2, m2, op = right
-                            masked = m1 | m2 if op == "|" else m1 & m2
-                            if masked in seen:
-                                continue
-                            sat = masked ^ negm
-                            score = sat.bit_count()
-                            if score <= floor:
-                                continue
-                            if sat == universe:
-                                n_candidates += run.index(right) + 1
-                                rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                                return (rows, op, comb1, comb2)
                             # Every pool W entry is older than seq, and none
                             # is a twin of sat, which `seen` would have
                             # dropped: `dominated`'s tie rule changes nothing.
-                            hits = (guards - (sat * rep & notkept)) & guards
-                            if hits:
-                                if hits >= top:  # a lighter entry: for good
-                                    seen.add(masked)
-                                continue
-                            # Admit: the queue, its floor, `seen`, then pool
-                            # W, in a free slot or in its evictee's.
-                            rows = rows1 | comb2[0] if op == "|" else rows1 & comb2[0]
-                            if len(queue) >= beam_width:
-                                queue.pop()
-                            insort(queue, (-score, -seq, (rows, op, comb1, comb2)))
-                            if len(queue) >= beam_width:
-                                floor = -queue[-1][0]
-                            seen.add(masked)
-                            slot = len(pool)
-                            if slot < domination_k:
-                                shift = slot * width
-                                rep |= 1 << shift
-                                guards |= guard << shift
-                                notkept |= (guard - 1 ^ sat) << shift
-                                insort(pool, (-score, seq, sat, slot))
-                            elif -score < pool[-1][0]:
-                                *_, evicted, slot = pool.pop()
-                                notkept ^= (evicted ^ sat) << slot * width
-                                insort(pool, (-score, seq, sat, slot))
-                            seq += 1
+                            masked = m1 | m2
+                            if masked not in seen:
+                                sat = masked ^ negm
+                                score = sat.bit_count()
+                                if score > floor:
+                                    if sat == universe:
+                                        n_candidates += 2 * run.index((comb2, m2, side2)) + 1
+                                        return (rows1 | comb2[0], "|", comb1, comb2)
+                                    hits = (guards - (sat * rep & notkept)) & guards
+                                    if hits >= top:  # a lighter entry: for good
+                                        seen.add(masked)
+                                    elif not hits:
+                                        # Admit: the queue (past its last entry when
+                                        # full, as it sorts before it) and floor,
+                                        # `seen`, then pool W, in a free slot or in
+                                        # its evictee's.
+                                        comb = (rows1 | comb2[0], "|", comb1, comb2)
+                                        insort(queue, (-score, -seq, comb))
+                                        if len(queue) >= beam_width:
+                                            del queue[beam_width:]
+                                            floor = -queue[-1][0]
+                                        seen.add(masked)
+                                        slot = len(pool)
+                                        if slot < domination_k:
+                                            shift = slot * width
+                                            rep |= 1 << shift
+                                            guards |= guard << shift
+                                            notkept |= (guard - 1 ^ sat) << shift
+                                            insort(pool, (-score, seq, sat, slot))
+                                        elif -score < pool[-1][0]:
+                                            *_, evicted, slot = pool.pop()
+                                            notkept ^= (evicted ^ sat) << slot * width
+                                            insort(pool, (-score, seq, sat, slot))
+                                        seq += 1
+                            # The & value: the same tests, written out, as a
+                            # loop or a call per value costs more than it saves.
+                            masked = m1 & m2
+                            if masked not in seen:
+                                sat = masked ^ negm
+                                score = sat.bit_count()
+                                if score > floor:
+                                    if sat == universe:
+                                        n_candidates += 2 * run.index((comb2, m2, side2)) + 2
+                                        return (rows1 & comb2[0], "&", comb1, comb2)
+                                    hits = (guards - (sat * rep & notkept)) & guards
+                                    if hits >= top:
+                                        seen.add(masked)
+                                    elif not hits:
+                                        comb = (rows1 & comb2[0], "&", comb1, comb2)
+                                        insort(queue, (-score, -seq, comb))
+                                        if len(queue) >= beam_width:
+                                            del queue[beam_width:]
+                                            floor = -queue[-1][0]
+                                        seen.add(masked)
+                                        slot = len(pool)
+                                        if slot < domination_k:
+                                            shift = slot * width
+                                            rep |= 1 << shift
+                                            guards |= guard << shift
+                                            notkept |= (guard - 1 ^ sat) << shift
+                                            insort(pool, (-score, seq, sat, slot))
+                                        elif -score < pool[-1][0]:
+                                            *_, evicted, slot = pool.pop()
+                                            notkept ^= (evicted ^ sat) << slot * width
+                                            insort(pool, (-score, seq, sat, slot))
+                                        seq += 1
                         n_candidates += count
             if not tail:  # pool W changed in place, past `add`
                 pools.changed(weight)
@@ -688,54 +718,59 @@ def div_conq(
     cuts the larger class, which then has two rows or more, and keeps
     the other whole.
     """
-    rng = random.Random(seed)
-    n_pos = inst.pos_mask.bit_length()  # the offset of the negatives' rows
+    search = (beam_width, max_weight, domination_k, deadline, stats)
+    return _div_conq(inst, 1, inst.pos_mask.bit_length(), random.Random(seed), search)
 
-    def recurse(view: BscInstance, depth: int) -> Union[tuple, NoSolution]:
-        check_deadline(deadline)
-        if stats is not None:
-            stats["dc_depth"] = max(stats.get("dc_depth", 0), depth)
-        n_p = view.pos_mask.bit_count()
-        n_n = view.neg_mask.bit_count()
-        if n_p == 1 and n_n == 1:
-            fitting = [
-                t for t in view.base_sets if t[0] & view.pos_mask and not t[0] & view.neg_mask
-            ]
-            if not fitting:
-                p_row = view.pos_mask.bit_length() - 1
-                n_row = view.neg_mask.bit_length() - 1
-                return NoSolution(Witness(p_row, n_row - n_pos))
-            return min(fitting, key=lambda t: t[1])[2]  # the first of the lightest
 
-        found = beam_search(view, beam_width, max_weight, domination_k, deadline, stats)
-        if found is not None:
-            return found
-        if stats is not None:
-            stats["dc_splits"] = stats.get("dc_splits", 0) + 1
+def _div_conq(
+    view: BscInstance, depth: int, n_pos: int, rng: random.Random, search: tuple
+) -> Union[tuple, NoSolution]:
+    """`div_conq` on a view at a depth of the recursion. n_pos is the
+    offset of the negatives' rows, and search the (beam_width,
+    max_weight, domination_k, deadline, stats) of every beam. A
+    function of the module, not a closure that calls itself: that would
+    leave a reference cycle behind each call."""
+    _, _, domination_k, deadline, stats = search
+    check_deadline(deadline)
+    if stats is not None:
+        stats["dc_depth"] = max(stats.get("dc_depth", 0), depth)
+    n_p = view.pos_mask.bit_count()
+    n_n = view.neg_mask.bit_count()
+    if n_p == 1 and n_n == 1:
+        fitting = [t for t in view.base_sets if t[0] & view.pos_mask and not t[0] & view.neg_mask]
+        if not fitting:
+            p_row = view.pos_mask.bit_length() - 1
+            n_row = view.neg_mask.bit_length() - 1
+            return NoSolution(Witness(p_row, n_row - n_pos))
+        return min(fitting, key=lambda t: t[1])[2]  # the first of the lightest
 
-        split_pos = n_p >= n_n
-        half1, half2 = _split_mask(view.pos_mask if split_pos else view.neg_mask, rng)
+    found = beam_search(view, *search)
+    if found is not None:
+        return found
+    if stats is not None:
+        stats["dc_splits"] = stats.get("dc_splits", 0) + 1
 
-        def solve(half: int) -> Union[tuple, NoSolution]:
-            pos_mask, neg_mask = (half, view.neg_mask) if split_pos else (view.pos_mask, half)
-            sets = _restricted(view.base_sets, pos_mask, neg_mask, domination_k, deadline)
-            return recurse(BscInstance(pos_mask, neg_mask, sets), depth + 1)
+    split_pos = n_p >= n_n
+    half1, half2 = _split_mask(view.pos_mask if split_pos else view.neg_mask, rng)
 
-        first = solve(half1)
-        if isinstance(first, NoSolution):
-            return first
-        # Keep the second half's rows that the first solution gets wrong.
-        remaining = half2 & (~first[0] if split_pos else first[0])
-        if remaining == 0:
-            return first
-        second = solve(remaining)
-        if isinstance(second, NoSolution):
-            return second
-        if split_pos:
-            return (first[0] | second[0], "|", first, second)
-        return (first[0] & second[0], "&", first, second)
+    def solve(half: int) -> Union[tuple, NoSolution]:
+        pos_mask, neg_mask = (half, view.neg_mask) if split_pos else (view.pos_mask, half)
+        sets = _restricted(view.base_sets, pos_mask, neg_mask, domination_k, deadline)
+        return _div_conq(BscInstance(pos_mask, neg_mask, sets), depth + 1, n_pos, rng, search)
 
-    return recurse(inst, 1)
+    first = solve(half1)
+    if isinstance(first, NoSolution):
+        return first
+    # Keep the second half's rows that the first solution gets wrong.
+    remaining = half2 & (~first[0] if split_pos else first[0])
+    if remaining == 0:
+        return first
+    second = solve(remaining)
+    if isinstance(second, NoSolution):
+        return second
+    if split_pos:
+        return (first[0] | second[0], "|", first, second)
+    return (first[0] & second[0], "&", first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ reference semantics.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -118,6 +119,13 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
     A sample without negatives is answered `true`, one without
     positives (the empty sample too) `false`, by method EnumOnly with
     only `elapsed_s` in its stats.
+
+    The cyclic garbage collector is off while `learn` runs, and the
+    caller's setting is restored on every exit, an exception included.
+    The formula bank and the combinations are acyclic tuple graphs, so a
+    collection would find nothing and still walk every one of them. The
+    setting belongs to the interpreter: a host program's other threads
+    run without the collector meanwhile.
     """
     if config is None:
         config = LearnerConfig()
@@ -129,6 +137,8 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
         result.stats["elapsed_s"] = time.monotonic() - t0
         return result
 
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if sample.positives and sample.negatives:
             found, bank = enumerate_bounded(
@@ -173,3 +183,6 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
         return finish(LearnResult("Solved", phi, None, method, stats))
     except DeadlineReached:
         return finish(LearnResult("Timeout", None, None, None, stats))
+    finally:
+        if collecting:
+            gc.enable()

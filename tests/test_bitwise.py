@@ -122,6 +122,25 @@ def test_weak_next_holds_at_last_position():
     assert unary("X", "00000") == "00001"
 
 
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=130), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_weak_next_matches_the_reference_on_random_layouts(rows):
+    # Up to six traces of 1-130 letters: slices of one position, and
+    # slices that straddle CPython's 30-bit int digits. X sets each
+    # trace's last position with `last` and takes the rest from X!.
+    traces = [Trace(tuple(letters)) for letters in rows]
+    sample = Sample(Alphabet.default(2), tuple(traces), ())
+    lay = Layout.of(sample)
+    assert lay.last == lay.full ^ lay.notlast
+    for phi in (Atom(0), Not(Atom(1)), And(Atom(0), Atom(1)), Finally(Atom(1))):
+        table = table_of(WeakNext(phi), sample)
+        s = table_of(phi, sample).bits
+        assert table.bits == (((s ^ lay.full) << 1) & lay.notlast) ^ lay.full  # X as !X!!
+        for i, w in enumerate(traces):
+            got = [bool(value_at(table.bits, lay, i, p)) for p in range(1, w.length + 1)]
+            assert got == eval_reference_all(WeakNext(phi), w), (phi, i)
+
+
 def test_finally_spreads_backwards():
     assert unary("F", "00100") == "11100"
     assert unary("F", "00000") == "00000"

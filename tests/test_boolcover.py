@@ -647,32 +647,48 @@ def test_reduce_instance_drops_dominated_sets():
 
 # --- best-first lists --------------------------------------------------------
 
-def queue_key(score: int, seq: int) -> tuple[int, int]:
-    return -score, -seq
-
-
-def pool_key(score: int, seq: int) -> tuple[int, int]:
-    return -score, seq
-
-
 TIES = [(5, "a"), (3, "b"), (3, "c"), (4, "d")]
 LOWEST = [(1, "old"), (1, "new"), (2, "best")]
 
 
-@pytest.mark.parametrize("key,adds,admitted,kept", [
-    # Ties lose against a full list; a strictly higher score evicts the
-    # last entry, the lowest score. The list stays best first.
-    pytest.param(queue_key, TIES, [True, True, False, True], ["a", "d"], id="queue-ties-lose"),
-    pytest.param(pool_key, TIES, [True, True, False, True], ["a", "d"], id="pool-ties-lose"),
-    # Among the lowest, a queue evicts the oldest, a pool the newest.
-    pytest.param(queue_key, LOWEST, [True] * 3, ["best", "new"], id="queue-evicts-oldest"),
-    pytest.param(pool_key, LOWEST, [True] * 3, ["best", "old"], id="pool-evicts-newest"),
-])
-def test_keep_best_admits_and_evicts_under_both_keys(key, adds, admitted, kept):
+def queue_adds(adds) -> tuple[list[bool], list]:
+    """(score, name) entries given one by one to `_keep_best` on a
+    two-entry queue: whether each was kept, and the names kept, best
+    first."""
     best = []
-    got = [_keep_best(best, (*key(score, seq), name), 2) for seq, (score, name) in enumerate(adds)]
-    assert got == admitted
-    assert [name for _, _, name in best] == kept
+    kept = [_keep_best(best, (-score, -seq, name), 2) for seq, (score, name) in enumerate(adds)]
+    return kept, [name for _, _, name in best]
+
+
+def pool_adds(adds) -> tuple[list[bool], list]:
+    """The same entries given to `_DominationPools.add` at one weight of
+    two-entry pools, each name's sat `score` rows of its own: whether
+    each was kept, and the names kept, best first, with their slots."""
+    sats = {name: ((1 << score) - 1) << 8 * i for i, (score, name) in enumerate(adds)}
+    names = {sat: name for name, sat in sats.items()}
+    pools = _DominationPools(2, sum(sats.values()))
+    kept = []
+    for seq, (_, name) in enumerate(adds):
+        pools.add(1, sats[name], seq)
+        kept.append(any(sat == sats[name] for _, _, sat, _ in pools.pools[1]))
+    return kept, [(names[sat], slot) for _, _, sat, slot in pools.pools[1]]
+
+
+@pytest.mark.parametrize("adds_to,adds,admitted,kept", [
+    # Ties lose against a full list; a strictly higher score evicts the
+    # last entry, the lowest score. The list stays best first. A queue
+    # keeps its rule in `_keep_best`, the pools theirs in `add`, where
+    # the new entry takes over its evictee's slot.
+    pytest.param(queue_adds, TIES, [True, True, False, True], ["a", "d"], id="queue-ties-lose"),
+    pytest.param(pool_adds, TIES, [True, True, False, True], [("a", 0), ("d", 1)],
+                 id="pool-ties-lose"),
+    # Among the lowest, a queue evicts the oldest, a pool the newest.
+    pytest.param(queue_adds, LOWEST, [True] * 3, ["best", "new"], id="queue-evicts-oldest"),
+    pytest.param(pool_adds, LOWEST, [True] * 3, [("best", 1), ("old", 0)],
+                 id="pool-evicts-newest"),
+])
+def test_keep_best_admits_and_evicts_under_both_keys(adds_to, adds, admitted, kept):
+    assert adds_to(adds) == (admitted, kept)
 
 
 # --- beam search ------------------------------------------------------------
@@ -717,10 +733,10 @@ def test_beam_checks_the_deadline_every_4096_candidates(monkeypatch):
     assert (len(inst.base_sets), stats["beam_candidates"], stats["beam_iterations"]) == (
         170, 79442, 10)
     # One check per weight level, plus one before each run of pair
-    # candidates (a slice of at most 4096 rights, each right once with |
-    # and once with &) that would take the count since the last check
-    # past 4096: 17 such checks among the 79,272 pair candidates. The
-    # 170 seeds are fewer than 4096, so they get no check.
+    # candidates (a slice of at most 2048 rights, each taken once for |
+    # and & together: 4096 candidates) that would take the count since
+    # the last check past 4096: 17 such checks among the 79,272 pair
+    # candidates. The 170 seeds are fewer than 4096, so they get no check.
     assert len(calls) == 10 + 17
 
 
@@ -796,8 +812,8 @@ def test_the_pair_loop_asks_the_lighter_pools_once_per_value(monkeypatch):
 
 def test_the_pair_loop_splits_each_queue_into_runs_at_most_twice(monkeypatch):
     # A queue never changes once its weight is filled, so the pair loop
-    # splits its rights into runs at most twice in a beam: once for the
-    # weights before the last two, once for those two.
+    # splits its rights into runs once in a beam: the last two weights
+    # take their per-side lists from the same runs.
     sample = union_shaped_sample()
     _, bank = enumerate_bounded(sample, DEFAULT_OPERATORS, 5)
     inst = reduce_instance(collapse(bank, sample)[0], 10)
@@ -813,7 +829,7 @@ def test_the_pair_loop_splits_each_queue_into_runs_at_most_twice(monkeypatch):
     assert (stats["beam_candidates"], stats["beam_iterations"]) == (79442, 10)
     # Queues 1-8 are rights before weight 11, and queues 5-10 at 11 and 12;
     # split at every (weight, left weight) pair, they would be split 30 times.
-    assert Counter(split) == {w: 1 + (5 <= w <= 8) for w in range(1, 11)}
+    assert Counter(split) == {w: 1 for w in range(1, 11)}
 
 
 def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
@@ -895,10 +911,12 @@ def test_beam_answers_and_counts_like_the_reference_beam(
 ):
     # Small queues fill and evict, heavy seeds fill queues that the pair
     # loop reaches later, and low max_weight ends most beams unsolved. A
-    # stride of 6 puts the rights of most weights in several runs.
+    # stride of 6 puts the rights of most weights in several runs; one of
+    # 7 does too, in runs of 3 rights, 6 candidates, as a run holds whole
+    # rights.
     inst = instance(n_pos, n_neg, sets)
     expected, iterations, n_candidates = reference_beam(inst, beam_width, max_weight, domination_k)
-    for stride in (DEADLINE_STRIDE, 6):
+    for stride in (DEADLINE_STRIDE, 6, 7):
         stats = {}
         with mock.patch("ltlflearn.boolcover.DEADLINE_STRIDE", stride):
             got = beam_search(inst, beam_width, max_weight, domination_k, None, stats)

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltlflearn import biteval, enumeration, pipeline
+from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.boolcover import NoSolution, Witness, beam_search, div_conq
 from ltlflearn.deadlines import DeadlineReached
 from ltlflearn.enumeration import enumerate_bounded
@@ -380,6 +382,63 @@ def test_timeout_in_enumeration_keeps_its_counts(monkeypatch):
     stats = result.stats
     assert (stats["n_enumerated"], stats["n_retained"], stats["enum_size"]) == (6814, 2876, 6)
     assert stats["n_skipped"] == 1412
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("exit", ["Solved", "NoSolution", "Timeout", "error"])
+def test_learn_runs_without_the_collector_and_restores_the_callers_setting(
+    monkeypatch, exit, enabled
+):
+    during = []
+    real = pipeline.enumerate_bounded
+
+    def enumerate_bounded(*args, **kwargs):
+        during.append(gc.isenabled())
+        if exit == "error":
+            raise RuntimeError("a bug in enumeration")
+        return real(*args, **kwargs)
+
+    def deadline_passed(deadline):
+        raise DeadlineReached()
+
+    monkeypatch.setattr(pipeline, "enumerate_bounded", enumerate_bounded)
+    if exit == "Timeout":  # at enumeration's first check, the start of size 2
+        monkeypatch.setattr(enumeration, "check_deadline", deadline_passed)
+    sample, config = WORKED, LearnerConfig()
+    if exit == "NoSolution":
+        sample = parse_task("1;0\n---\n1;1\n").sample
+        config = LearnerConfig(operators=OperatorSet.from_names(["F"]))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if exit == "error":
+            with pytest.raises(RuntimeError):
+                learn(sample, config)
+        else:
+            assert learn(sample, config).status == exit
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+    assert after == enabled
+
+
+def test_learn_leaves_no_cyclic_garbage():
+    # A task shaped like the cover-split workload's, solved by splits:
+    # nothing `learn` leaves behind needs the cyclic collector to go.
+    sample = gen_task(TaskSpec(family="random-boolcomb", n_props=2, trace_len=16, n_pos=20,
+                               n_neg=20, seed=0, params={"n_patterns": 2}))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = learn(sample, LearnerConfig(ltl2bs_switch=6, dc_switch=12))
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert (result.status, result.method) == ("Solved", "BSC+DivConq")
+    assert found == 0
 
 
 def test_timeout_is_honoured_within_a_quarter_second():
