@@ -46,17 +46,27 @@ as the instance's rows plus a guard bit: pool W's sats, then the
 frontier of W, the lighter sats, each unless one packed before it
 contains it. A query is one big-integer subset test, whose guard bits
 tell which slots contain the candidate's sat. The frontier of W + 1 is
-that of W plus what pool W adds to it, built once pool W is final.
+that of W plus what pool W adds to it, built once pool W is final. The
+pools build and cache the packed ints; the test is written out where a
+set is asked, as a call per set costs more than the test: in
+`_undominated`, and in the beam's seed pass and pair loop, which also
+admit to pool W in place.
 
 The beam's queues and the pools are one kind of list: per weight the
 best few, sorted best first; a full list takes only a strictly higher
 score and drops its last entry. A queue holds (-score, -seq, comb) and
 so drops the oldest of its lowest score, a pool (-score, seq, sat,
-slot) and the newest, whose slot the new entry takes over. Every add
-comes with the newest seq, and the queue's combinations come out in
-seq order. So a pool holds the k least of the entries added to it:
-reduction and the restrictions of `div_conq`, which add every set
-before they ask, fill each pool with one sort.
+slot) and the newest, whose slot the new entry takes over. Every
+admission comes with the newest seq, and the queue's combinations come
+out in seq order. So a pool holds the k least of the entries admitted
+to it: reduction and the restrictions of `div_conq`, which admit every
+set before they ask, fill each pool with one sort.
+
+The seed pass asks about each base set as it comes and admits the ones
+no pool entry dominates, with the pair loop's test and admission. It
+holds one weight's packed query, updated in place, while its seeds keep
+that weight; a seed of another weight first tells the pools that the
+held one changed (`changed`), so seeds may come in any weight order.
 
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
@@ -213,18 +223,6 @@ def existence_check(inst: BscInstance) -> Optional[Witness]:
 # Domination
 # ---------------------------------------------------------------------------
 
-def _keep_best(best: list, entry: tuple, k: int) -> bool:
-    """Add entry to `best`, a list sorted best (least) first and at most
-    k long; whether it was kept. A full list takes only an entry with a
-    strictly better first key, and drops its last entry for it."""
-    if len(best) >= k:
-        if entry[0] >= best[-1][0]:
-            return False
-        best.pop()
-    insort(best, entry)
-    return True
-
-
 class _DominationPools:
     """Per-weight top-k sat sets: the one domination test of the cover phase.
 
@@ -255,9 +253,13 @@ class _DominationPools:
     packed queries are built on the first query at their weight and
     dropped when a pool they read changes (`changed`).
 
-    The beam adds and asks in turn. `_undominated` adds every set before
-    it asks: it fills each pool with one sort (`fill`), which keeps what
-    the adds one at a time would keep.
+    The pools answer no question themselves: `_undominated` and the seed
+    pass and pair loop of `beam_search` read a weight's packed query once
+    (`packed`) and write the subset test out, as a call per set costs
+    more than the test. `_undominated` fills each pool with one sort
+    (`fill`) before it asks. The beam asks and admits in turn: it updates
+    pool W's list and its packed query in place, keeping the pool's rule
+    above itself, and calls `changed` once it is done with W.
     """
 
     __slots__ = ("k", "rows", "width", "limit", "top", "pools", "frontiers", "packs")
@@ -275,36 +277,19 @@ class _DominationPools:
         self.frontiers: dict[int, tuple[int, int, int]] = {}
         self.packs: dict[int, tuple[int, int, int]] = {}  # weight -> (rep, guards, notkept)
 
-    def _inside(self, sat: int) -> int:
-        """sat, if it is a set of the pools' rows."""
-        if sat & ~self.rows:
-            raise ValueError("a sat outside the rows of the pools")
-        return sat
-
-    def add(self, weight: int, sat: int, seq: int) -> None:
-        """Offer sat at this weight, with a seq newer than any before."""
-        neg_score = -self._inside(sat).bit_count()
-        pool = self.pools.setdefault(weight, [])
-        if len(pool) < self.k:
-            slot = len(pool)
-        elif neg_score < pool[-1][0]:
-            slot = pool.pop()[3]
-        else:
-            return
-        insort(pool, (neg_score, seq, sat, slot))
-        self.changed(weight)
-
     def fill(self, weight: int, entries: list[tuple[int, int, int]]) -> None:
         """Fill the empty pool W with the k least of the (-score, seq,
         sat) entries.
 
-        `add` keeps the same when given them one at a time in seq order: a
-        full pool takes only a strictly higher score than its last entry's,
-        and an entry that ties it is newer, so the pool takes exactly the
+        Admitting them one at a time in seq order keeps the same: a full
+        pool takes only a strictly higher score than its last entry's, and
+        an entry that ties it is newer, so the pool takes exactly the
         entries less than its last.
         """
         best = sorted(entries)[: self.k]
-        self.pools[weight] = [(s, seq, self._inside(sat), i) for i, (s, seq, sat) in enumerate(best)]
+        if any(sat & ~self.rows for _, _, sat in best):
+            raise ValueError("a sat outside the rows of the pools")
+        self.pools[weight] = [(s, seq, sat, i) for i, (s, seq, sat) in enumerate(best)]
         self.changed(weight)
 
     def changed(self, weight: int) -> None:
@@ -348,25 +333,6 @@ class _DominationPools:
             self.packs[weight] = packed = (rep, rep * self.limit, notkept)
         return packed
 
-    def dominated(self, weight: int, sat: int, seq: int) -> int:
-        """The guard bits of the entries that weigh no more than weight
-        and contain sat: 0 when none does.
-
-        Mutually dominating twins (equal weight and sat) keep the one with
-        the smaller seq, so an entry never dominates itself: a slot of
-        pool W that equals sat with a seq not smaller than seq is no hit.
-        In `_undominated` that slot is the set asked about. The beam's
-        pair loop asks inline without this step: it asks with the newest
-        seq, and `seen` drops a twin of a pool entry before it asks.
-        """
-        rep, guards, notkept = self.packed(weight)
-        hits = (guards - (self._inside(sat) * rep & notkept)) & guards
-        if hits & self.top - 1:  # pool W answered: the tie rule applies
-            for _, pool_seq, pool_sat, slot in self.pools[weight]:
-                if pool_sat == sat and pool_seq >= seq:
-                    hits ^= self.limit << slot * self.width
-        return hits
-
 
 def _undominated(
     sets: Sequence[tuple[int, int, tuple]],
@@ -378,32 +344,49 @@ def _undominated(
     """The (members, weight, leaf) triples the top-k pools leave standing.
 
     Every triple enters the pools first, its position as its seq; a
-    triple is dropped when a pool entry dominates it. Every dropped
-    triple is dominated by a kept one (domination is transitive and the
-    tie rule acyclic), so no solution is lost. The pools are filled a
-    weight at a time (`_DominationPools.fill`), and the triples are then
-    asked a weight at a time, so each weight's packed query is built
-    once. The
+    triple is dropped when a pool entry dominates it. Mutually dominating
+    twins (equal weight and sat) keep the one with the smaller seq, so a
+    triple never dominates itself. Every dropped triple is dominated by a
+    kept one (domination is transitive and the tie rule acyclic), so no
+    solution is lost.
+
+    The pools are filled a weight at a time (`_DominationPools.fill`),
+    and the triples are then asked a weight at a time: each weight's
+    packed query is built once, and the subset test is written out here.
+    Its guard bits from `top` up are a lighter dominator's. Only when
+    pool W alone answers does the tie rule apply, through a map from
+    pool W's sats to their entries' least seq and guard bits. The
     deadline is checked every DEADLINE_STRIDE triples of each pass.
     """
-    pools = _DominationPools(k, pos_mask | neg_mask)
+    universe = pos_mask | neg_mask
+    pools = _DominationPools(k, universe)
     by_weight: dict[int, list[tuple[int, int, int]]] = {}
     for seq, (members, weight, _) in enumerate(sets, 1):
         if not seq % DEADLINE_STRIDE:
             check_deadline(deadline)
-        sat = sat_bits(members, pos_mask, neg_mask)
+        sat = members & universe ^ neg_mask
         by_weight.setdefault(weight, []).append((-sat.bit_count(), seq, sat))
     for weight, entries in by_weight.items():
         pools.fill(weight, entries)
     kept = [False] * len(sets)
-    dominated = pools.dominated
+    width, guard, top = pools.width, pools.limit, pools.top
     done = 0
     for weight, entries in by_weight.items():
+        rep, guards, notkept = pools.packed(weight)
+        twins: dict[int, tuple[int, int]] = {}  # sat -> (least seq, guard bits)
+        for _, pool_seq, pool_sat, slot in pools.pools[weight]:  # in seq order per sat
+            least, bits = twins.get(pool_sat, (pool_seq, 0))
+            twins[pool_sat] = (least, bits | guard << slot * width)
         for _, seq, sat in entries:
             done += 1
             if not done % DEADLINE_STRIDE:
                 check_deadline(deadline)
-            kept[seq - 1] = not dominated(weight, sat, seq)
+            hits = (guards - (sat * rep & notkept)) & guards
+            if 0 < hits < top:  # pool W alone answered: the tie rule applies
+                least, bits = twins.get(sat, (seq, 0))
+                if least >= seq:  # no older twin: the twins' slots are no hit
+                    hits ^= bits
+            kept[seq - 1] = not hits
     return tuple(compress(sets, kept))
 
 
@@ -442,11 +425,14 @@ def beam_search(
     is read only after its weight is filled, so it is sorted into
     admission order, masked and split into runs of rights once per
     beam; the last two weights take their per-side lists from those
-    runs. Below them, the pair loop asks `_DominationPools.packed` once
-    per weight and takes each right once, testing its | value and then
-    its & value against it inline; an admission updates the queue, the
-    floor, `seen` and pool W's slot in place, and `changed` then tells
-    the pools that pool W is final.
+    runs. The packed domination test is written out in two places here.
+    The seed pass asks `_DominationPools.packed` once for each run of
+    seeds of one weight, once per weight when the seeds come sorted, and
+    tests each seed against it inline. Below the last two weights, the
+    pair loop asks it once per weight and takes each right once, testing
+    its | value and then its & value against it inline. In both, an
+    admission updates the queue, `seen` and pool W's list and packed
+    slot in place, and `changed` then tells the pools that pool W moved.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -463,11 +449,9 @@ def beam_search(
     seen: set[int] = set()
     seq = 0
     n_candidates = 0
-    floor = -1  # the score to beat at the weight being filled
-
-    def floor_of(queue: list) -> int:
-        """The full queue's lowest score, or -1 while it has room."""
-        return -queue[-1][0] if len(queue) >= beam_width else -1
+    # The score to beat at the weight being filled: its full queue's lowest
+    # score, or -1 while the queue has room.
+    floor = -1
 
     # Built on a queue's first read: only queue k + 1 changes while weight
     # k + 1 is filled, and the pair loop reads only lighter queues.
@@ -502,23 +486,47 @@ def beam_search(
 
     iterations = 0
     try:
+        held = None  # the weight whose packed query the seed pass holds
         for members, weight, leaf in inst.base_sets:
             n_candidates += 1
             if not n_candidates % DEADLINE_STRIDE:
                 check_deadline(deadline)
-            sat = sat_bits(members, posm, negm)
+            masked = members & universe
+            sat = masked ^ negm
             if sat == universe:
                 return leaf
-            masked = members & universe
             score = sat.bit_count()
             queue = queues.setdefault(weight, [])
-            if masked in seen or score <= floor_of(queue):
-                continue
-            if not pools.dominated(weight, sat, seq):
-                _keep_best(queue, (-score, -seq, leaf), beam_width)
+            if masked in seen or len(queue) >= beam_width and score <= -queue[-1][0]:
+                continue  # in `seen`, or at or under the full queue's floor
+            if weight != held:
+                # Pool `held` may have changed in place: drop what that
+                # outdates before the query at this weight is read.
+                if held is not None:
+                    pools.changed(held)
+                held = weight
+                pool = pools.pools.setdefault(weight, [])
+                rep, guards, notkept = pools.packed(weight)
+            # As in the pair loop: every pool W entry is older than seq,
+            # and `seen` has dropped a twin of one, so no tie rule applies.
+            if not (guards - (sat * rep & notkept)) & guards:
+                insort(queue, (-score, -seq, leaf))  # past the floor: before the last
+                del queue[beam_width:]
                 seen.add(masked)
-                pools.add(weight, sat, seq)
+                slot = len(pool)
+                if slot < domination_k:
+                    shift = slot * width
+                    rep |= 1 << shift
+                    guards |= guard << shift
+                    notkept |= (guard - 1 ^ sat) << shift
+                    insort(pool, (-score, seq, sat, slot))
+                elif -score < pool[-1][0]:
+                    *_, evicted, slot = pool.pop()
+                    notkept ^= (evicted ^ sat) << slot * width
+                    insort(pool, (-score, seq, sat, slot))
                 seq += 1
+        if held is not None:
+            pools.changed(held)
 
         k = 2
         while k + 1 <= max_weight and any(queues.values()):
@@ -531,7 +539,7 @@ def beam_search(
             tail = weight + 2 > max_weight
             # Seeds of this weight may have filled its queue already.
             queue = queues.setdefault(weight, [])
-            floor = floor_of(queue)
+            floor = -queue[-1][0] if len(queue) >= beam_width else -1
             if not tail:
                 pool = pools.pools.setdefault(weight, [])
                 rep, guards, notkept = pools.packed(weight)
@@ -563,7 +571,8 @@ def beam_search(
                             # what a pool entry dominates, in one test.
                             # Every pool W entry is older than seq, and none
                             # is a twin of sat, which `seen` would have
-                            # dropped: `dominated`'s tie rule changes nothing.
+                            # dropped: `_undominated`'s tie rule would change
+                            # nothing.
                             masked = m1 | m2
                             if masked not in seen:
                                 sat = masked ^ negm
@@ -631,7 +640,7 @@ def beam_search(
                                             insort(pool, (-score, seq, sat, slot))
                                         seq += 1
                         n_candidates += count
-            if not tail:  # pool W changed in place, past `add`
+            if not tail:  # pool W changed in place
                 pools.changed(weight)
             k += 1
         return None

@@ -120,6 +120,12 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
     positives (the empty sample too) `false`, by method EnumOnly with
     only `elapsed_s` in its stats.
 
+    `elapsed_s` is stamped once the formula bank and the cover instances
+    are released, on every verdict, a Timeout too: the frames that hold
+    them (`_solve`'s, and on a Timeout those in the traceback) are gone
+    by then, so the stamp includes their teardown, which the caller
+    waits for as well.
+
     The cyclic garbage collector is off while `learn` runs, and the
     caller's setting is restored on every exit, an exception included.
     The formula bank and the combinations are acyclic tuple graphs, so a
@@ -132,57 +138,61 @@ def learn(sample: Sample, config: Optional[LearnerConfig] = None) -> LearnResult
     t0 = time.monotonic()
     deadline = t0 + config.timeout if config.timeout is not None else None
     stats: dict = {}
-
-    def finish(result: LearnResult) -> LearnResult:
-        result.stats["elapsed_s"] = time.monotonic() - t0
-        return result
-
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if sample.positives and sample.negatives:
-            found, bank = enumerate_bounded(
-                sample, config.operators, config.ltl2bs_switch, deadline=deadline, stats=stats
-            )
-        else:  # a size-1 separator, and enumeration seeds neither literal
-            found = Top() if sample.positives else Bottom()
-        if found is not None:
-            _verify(found, sample)
-            return finish(LearnResult("Solved", found, None, "EnumOnly", stats))
-
-        inst, collapse_stats = collapse(bank, sample, deadline)
-        stats.update(collapse_stats)
-
-        witness = existence_check(inst)
-        if witness is not None:
-            return finish(LearnResult("NoSolution", None, witness, None, stats))
-
-        reduced = reduce_instance(inst, config.domination_k, deadline)
-        stats["n_after_domination"] = len(reduced.base_sets)
-
-        outcome = div_conq(
-            reduced,
-            seed=config.seed,
-            beam_width=config.beam_width,
-            max_weight=config.dc_switch,
-            domination_k=config.domination_k,
-            deadline=deadline,
-            stats=stats,
-        )
-        if isinstance(outcome, NoSolution):  # a solver bug, never a verdict
-            raise VerificationError(
-                f"no cover found after a passing existence check: {outcome.witness}"
-            )
-        if outcome[0] != reduced.pos_mask:  # the root's rows are the whole sample
-            raise VerificationError(f"the cover's rows are not the positives: {outcome[0]:b}")
-
-        phi = reconstruct(outcome, reduced)
-        _verify(phi, sample)
-        stats["solution_size"] = phi.size
-        method = "BSC+DivConq" if stats.get("dc_splits", 0) else "BSC"
-        return finish(LearnResult("Solved", phi, None, method, stats))
+        result = _solve(sample, config, deadline, stats)
     except DeadlineReached:
-        return finish(LearnResult("Timeout", None, None, None, stats))
+        result = LearnResult("Timeout", None, None, None, stats)
     finally:
         if collecting:
             gc.enable()
+    result.stats["elapsed_s"] = time.monotonic() - t0
+    return result
+
+
+def _solve(
+    sample: Sample, config: LearnerConfig, deadline: Optional[float], stats: dict
+) -> LearnResult:
+    """`learn`'s verdict, without `elapsed_s`; the counts go into stats."""
+    if sample.positives and sample.negatives:
+        found, bank = enumerate_bounded(
+            sample, config.operators, config.ltl2bs_switch, deadline=deadline, stats=stats
+        )
+    else:  # a size-1 separator, and enumeration seeds neither literal
+        found = Top() if sample.positives else Bottom()
+    if found is not None:
+        _verify(found, sample)
+        return LearnResult("Solved", found, None, "EnumOnly", stats)
+
+    inst, collapse_stats = collapse(bank, sample, deadline)
+    stats.update(collapse_stats)
+
+    witness = existence_check(inst)
+    if witness is not None:
+        return LearnResult("NoSolution", None, witness, None, stats)
+
+    reduced = reduce_instance(inst, config.domination_k, deadline)
+    stats["n_after_domination"] = len(reduced.base_sets)
+
+    outcome = div_conq(
+        reduced,
+        seed=config.seed,
+        beam_width=config.beam_width,
+        max_weight=config.dc_switch,
+        domination_k=config.domination_k,
+        deadline=deadline,
+        stats=stats,
+    )
+    if isinstance(outcome, NoSolution):  # a solver bug, never a verdict
+        raise VerificationError(
+            f"no cover found after a passing existence check: {outcome.witness}"
+        )
+    if outcome[0] != reduced.pos_mask:  # the root's rows are the whole sample
+        raise VerificationError(f"the cover's rows are not the positives: {outcome[0]:b}")
+
+    phi = reconstruct(outcome, reduced)
+    _verify(phi, sample)
+    stats["solution_size"] = phi.size
+    method = "BSC+DivConq" if stats.get("dc_splits", 0) else "BSC"
+    return LearnResult("Solved", phi, None, method, stats)

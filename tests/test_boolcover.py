@@ -15,7 +15,6 @@ from ltlflearn.boolcover import (
     NoSolution,
     Witness,
     _DominationPools,
-    _keep_best,
     _undominated,
     beam_search,
     collapse,
@@ -43,6 +42,8 @@ from conftest import (
     is_solution_combination,
     leaf,
     nodes_of,
+    pool_add,
+    pool_dominated,
     reference_beam,
     reference_collapse,
     reference_sat,
@@ -301,6 +302,12 @@ FAMILIES = st.lists(st.integers(0, 255), min_size=1, max_size=6).flatmap(
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), FAMILIES)
 @settings(max_examples=300)
 @example(2, 3, 0, [(0b101, 1), (0b011, 1), (0b101, 2), (0b001, 1), (0b110, 1)])
+# Twins at one weight: pool 1 answers alone, and the tie rule keeps the first.
+@example(2, 1, 1, [(0b01, 1), (0b01, 1)])
+# A twin across two weights: {p0, p1} at weight 1 loses its one-entry
+# pool to {p1, p2, p3}, so only pool 2, which holds the first of the
+# twins at weight 2, answers for the second.
+@example(1, 4, 0, [(0b0011, 2), (0b1110, 1), (0b0011, 1), (0b0011, 2)])
 def test_undominated_keeps_what_the_one_set_at_a_time_reference_keeps(k, n_pos, n_neg, family):
     # With a stride of 3 both passes check the deadline several times,
     # most often inside one weight's entries.
@@ -326,8 +333,8 @@ def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
 
 
 def beam_hits(pools: _DominationPools, weight: int, sat: int) -> int:
-    """The beam's inline test of sat at weight: `dominated` without its
-    tie rule."""
+    """The beam's inline test of sat at weight: `pool_dominated` without
+    its tie rule."""
     rep, guards, notkept = pools.packed(weight)
     return (guards - (sat * rep & notkept)) & guards
 
@@ -372,7 +379,7 @@ WIDE_CANDIDATES = st.integers(30, 100).flatmap(
 
 def answer_halves_like_the_oracle(pools, oracle, weight, sat, seq):
     # Guard bits from `top` up are the lighter entries', those below pool W's.
-    hits = pools.dominated(weight, sat, seq)
+    hits = pool_dominated(pools, weight, sat, seq)
     assert (hits >= pools.top) == oracle.lighter_dominates(weight, sat)
     assert (hits % pools.top != 0) == oracle.pool_dominates(weight, sat, seq)
 
@@ -380,17 +387,17 @@ def answer_halves_like_the_oracle(pools, oracle, weight, sat, seq):
 def answer_like_the_oracle_as_the_beam_uses_them(k, candidates):
     # The beam asks first and adds what is not dominated under the next
     # seq; a forced add also puts dominated entries and twins in. Asked
-    # with the newest seq, `dominated` answers like the beam's inline
+    # with the newest seq, `pool_dominated` answers like the beam's inline
     # test, even for a twin, which `seen` keeps from that test.
     pools, oracle = _DominationPools(k, rows_of_candidates(candidates)), HeapPools(k)
     seq = 0
     for weight, sat, forced in candidates:
-        answer = pools.dominated(weight, sat, seq)
+        answer = pool_dominated(pools, weight, sat, seq)
         assert bool(answer) == oracle.dominated(weight, sat, seq)
         assert answer == beam_hits(pools, weight, sat)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
         if forced or not answer:
-            pools.add(weight, sat, seq)
+            pool_add(pools, weight, sat, seq)
             oracle.add(weight, sat, seq)
             seq += 1
         assert pool_entries(pools) == oracle.entries()
@@ -403,24 +410,24 @@ def answer_like_the_oracle_after_all_adds(k, candidates):
     pools, filled, oracle = _DominationPools(k, rows), _DominationPools(k, rows), HeapPools(k)
     by_weight = {}
     for seq, (weight, sat, _) in enumerate(candidates):
-        pools.add(weight, sat, seq)
+        pool_add(pools, weight, sat, seq)
         oracle.add(weight, sat, seq)
         by_weight.setdefault(weight, []).append((-sat.bit_count(), seq, sat))
     for weight, entries in by_weight.items():
         filled.fill(weight, entries)
     assert pool_entries(pools) == pool_entries(filled) == oracle.entries()
     for seq, (weight, sat, _) in enumerate(candidates):
-        assert bool(pools.dominated(weight, sat, seq)) == oracle.dominated(weight, sat, seq)
+        assert bool(pool_dominated(pools, weight, sat, seq)) == oracle.dominated(weight, sat, seq)
         answer_halves_like_the_oracle(pools, oracle, weight, sat, seq)
     for weight, entries in by_weight.items():
         for _, seq, sat in entries:
-            assert bool(filled.dominated(weight, sat, seq)) == oracle.dominated(weight, sat, seq)
+            assert bool(pool_dominated(filled, weight, sat, seq)) == oracle.dominated(weight, sat, seq)
             answer_halves_like_the_oracle(filled, oracle, weight, sat, seq)
     # Asking with a seq or weight outside the pools too.
     for weight, sat, _ in candidates:
         for w in (weight - 1, weight + 1):
-            assert bool(pools.dominated(w, sat, -1)) == oracle.dominated(w, sat, -1)
-            assert bool(pools.dominated(w, sat, len(candidates))) == oracle.dominated(
+            assert bool(pool_dominated(pools, w, sat, -1)) == oracle.dominated(w, sat, -1)
+            assert bool(pool_dominated(pools, w, sat, len(candidates))) == oracle.dominated(
                 w, sat, len(candidates))
 
 
@@ -445,23 +452,23 @@ def test_pools_answer_like_the_heap_oracle_on_wide_sats(k, candidates):
 
 def test_an_empty_frontier_dominates_nothing():
     pools = _DominationPools(2, (1 << 70) - 1)
-    assert not pools.dominated(1, 0, 0)
-    pools.add(3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
+    assert not pool_dominated(pools, 1, 0, 0)
+    pool_add(pools, 3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
     rep, notkept, shift = pools.frontier(2)
     assert (rep, notkept, shift) == (0, 0, 2 * pools.width)  # its first slot free
     for sat in (0, 1, 1 << 69):
-        assert not pools.dominated(2, sat, 1)
+        assert not pool_dominated(pools, 2, sat, 1)
 
 
 def test_every_lighter_entry_dominates_the_empty_sat():
     for kept in (0, 1, 1 << 64 | 1 << 31):
         pools = _DominationPools(1, (1 << 65) - 1)
-        pools.add(1, kept, 0)
-        assert pools.dominated(2, 0, 1)  # by the packed frontier
-        assert pools.dominated(1, 0, 1)  # by pool 1: a superset or the older twin
+        pool_add(pools, 1, kept, 0)
+        assert pool_dominated(pools, 2, 0, 1)  # by the packed frontier
+        assert pool_dominated(pools, 1, 0, 1)  # by pool 1: a superset or the older twin
     pools = _DominationPools(1, 0)
-    pools.add(1, 0, 0)
-    assert not pools.dominated(1, 0, 0)  # an entry never dominates itself
+    pool_add(pools, 1, 0, 0)
+    assert not pool_dominated(pools, 1, 0, 0)  # an entry never dominates itself
 
 
 def test_a_row_above_every_lighter_entry_is_not_dominated():
@@ -469,15 +476,15 @@ def test_a_row_above_every_lighter_entry_is_not_dominated():
     # slots as wide as kept = 0b01 (one data bit) the packed test would
     # read sat = 0b10 as contained.
     pools = _DominationPools(3, (1 << 100) - 1)
-    pools.add(1, 0b01, 0)
-    assert not pools.dominated(2, 0b10, 1)
+    pool_add(pools, 1, 0b01, 0)
+    assert not pool_dominated(pools, 2, 0b10, 1)
     wide = (1 << 40) - 1
-    pools.add(1, wide, 1)
+    pool_add(pools, 1, wide, 1)
     assert (pools.width, pools.limit) == (101, 1 << 100)
-    assert pools.dominated(2, wide, 2)
-    assert not pools.dominated(2, 1 << 40, 2)
-    assert not pools.dominated(2, 1 << 40 | 1, 2)
-    assert not pools.dominated(2, 1 << 99, 2)
+    assert pool_dominated(pools, 2, wide, 2)
+    assert not pool_dominated(pools, 2, 1 << 40, 2)
+    assert not pool_dominated(pools, 2, 1 << 40 | 1, 2)
+    assert not pool_dominated(pools, 2, 1 << 99, 2)
 
 
 def packed_afresh(pools: _DominationPools, weight: int) -> tuple[int, int]:
@@ -541,7 +548,7 @@ def test_packed_slots_follow_adds_evictions_and_fills(k, case):
                 seq += 1
         else:
             for sat in sats:
-                pools.add(weight, sat, seq)
+                pool_add(pools, weight, sat, seq)
                 oracle.add(weight, sat, seq)
                 seq += 1
         assert pool_entries(pools) == oracle.entries()
@@ -549,15 +556,13 @@ def test_packed_slots_follow_adds_evictions_and_fills(k, case):
 
 
 def test_pools_reject_a_sat_outside_their_rows():
+    # Only `fill` takes sats from outside the pools; the beam admits sats
+    # it masked to the instance's rows itself.
     pools = _DominationPools(2, 0b1011)
-    pools.add(1, 0b1011, 0)
+    pool_add(pools, 1, 0b1011, 0)
     for outside in (0b0100, 0b1111, 1 << 4):
         with pytest.raises(ValueError):
-            pools.add(1, outside, 1)
-        with pytest.raises(ValueError):
             pools.fill(2, [(-1, 1, 0b1), (-outside.bit_count(), 2, outside)])
-        with pytest.raises(ValueError):
-            pools.dominated(2, outside, 1)
     assert pool_entries(pools) == {(1, 0, 0b1011)}
 
 
@@ -602,6 +607,65 @@ def test_the_pair_loop_drops_the_frontiers_the_seeds_built(monkeypatch):
         for sat in probes:
             assert ((guards - (sat * rep & notkept)) & guards != 0) == any(
                 sat & ~kept == 0 for kept in lighter)
+
+
+def counting_pools(calls: Counter, built: list):
+    """A `_DominationPools` that counts each call of any of its methods
+    by (name, weight), with "packed" split into "packed built" and
+    "packed cached"; each one made is appended to `built`."""
+
+    class Pools(_DominationPools):
+        def __init__(self, k, rows):
+            super().__init__(k, rows)
+            built.append(self)
+
+        def __getattribute__(self, name):
+            attr = super().__getattribute__(name)
+            if name.startswith("__") or not callable(attr):
+                return attr
+
+            def counted(weight, *args):
+                if name == "packed":
+                    calls["packed cached" if weight in self.packs else "packed built", weight] += 1
+                else:
+                    calls[name, weight] += 1
+                return attr(weight, *args)
+
+            return counted
+
+    return Pools
+
+
+def test_each_weight_s_query_is_built_once_per_seed_pass_and_reduction(monkeypatch):
+    # 60 distinct sets over 10 rows at weights 1-4, none a solution: the
+    # seed pass asks about every one, and `_undominated` too. Each reads a
+    # weight's packed query once and tests every set at that weight
+    # itself; no pool method is called per set.
+    rng = random.Random(5)
+    family = {}
+    while len(family) < 60:
+        members = rng.getrandbits(10)
+        if members != 0b11111:  # not exactly the positives
+            family.setdefault(members, rng.randint(1, 4))
+    sets = sorted(family.items(), key=lambda pair: pair[1])
+    inst = instance(5, 5, sets)
+    weights = {1, 2, 3, 4}
+    seed_calls, reduce_calls, built = Counter(), Counter(), []
+    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", counting_pools(seed_calls, built))
+    stats = {}
+    assert beam_search(inst, max_weight=2, domination_k=3, stats=stats) is None
+    assert stats["beam_candidates"] == 60 and len(built[0].pools) == 4
+    assert {name for name, _ in seed_calls} == {"packed built", "changed", "frontier"}
+    assert all(seed_calls["packed built", w] == seed_calls["changed", w] == 1 for w in weights)
+    assert max(seed_calls.values()) <= 2  # a frontier: read by its packed query, extended above
+    # `_undominated` asks the weights in the order the sets first reach them.
+    monkeypatch.setattr("ltlflearn.boolcover._DominationPools", counting_pools(reduce_calls, built))
+    rng.shuffle(sets)
+    _undominated(instance(5, 5, sets).base_sets, 0b11111, 0b11111 << 5, 3)
+    assert {name for name, _ in reduce_calls} == {"fill", "changed", "packed built", "frontier"}
+    assert all(reduce_calls[name, w] == 1
+               for w in weights for name in ("fill", "changed", "packed built"))
+    assert max(reduce_calls.values()) <= 2
 
 
 def test_undominated_checks_the_deadline_every_4096_sets(monkeypatch):
@@ -651,34 +715,51 @@ TIES = [(5, "a"), (3, "b"), (3, "c"), (4, "d")]
 LOWEST = [(1, "old"), (1, "new"), (2, "best")]
 
 
+def seed_pass_lists(adds, beam_width: int, domination_k: int) -> tuple:
+    """The (score, name) entries as weight-1 seeds of beams that stop
+    after their seed pass, each name's members `score` positives of its
+    own; the one negative is in no seed, so no sat contains another. Each
+    prefix of the seeds gets a pass of its own. Whether each seed was in
+    queue 1 and in pool 1 after its prefix, then the last pass's queue 1
+    as names and pool 1 as (name, slot), best first."""
+    members = [((1 << score) - 1) << 8 * i for i, (score, _) in enumerate(adds)]
+    inst = instance(8 * len(adds), 1, [(m, 1) for m in members])
+    names = {m | inst.neg_mask: name for m, (_, name) in zip(members, adds)}
+    in_queue, in_pool = [], []
+    for end, (_, name) in enumerate(adds, 1):
+        lists = {}
+
+        def logged_insort(best, entry):
+            lists["queue" if isinstance(entry[2], tuple) else "pool"] = best
+            insort(best, entry)
+
+        prefix = BscInstance(inst.pos_mask, inst.neg_mask, inst.base_sets[:end])
+        with mock.patch("ltlflearn.boolcover.insort", logged_insort):
+            assert beam_search(prefix, beam_width, 2, domination_k) is None
+        queue = [adds[leaf[1]][1] for _, _, leaf in lists["queue"]]
+        pool = [(names[sat], slot) for _, _, sat, slot in lists["pool"]]
+        in_queue.append(name in queue)
+        in_pool.append(name in [n for n, _ in pool])
+    return in_queue, in_pool, queue, pool
+
+
 def queue_adds(adds) -> tuple[list[bool], list]:
-    """(score, name) entries given one by one to `_keep_best` on a
-    two-entry queue: whether each was kept, and the names kept, best
-    first."""
-    best = []
-    kept = [_keep_best(best, (-score, -seq, name), 2) for seq, (score, name) in enumerate(adds)]
-    return kept, [name for _, _, name in best]
+    """The seed pass's two-entry queue 1, with pools that keep every seed."""
+    in_queue, _, queue, _ = seed_pass_lists(adds, 2, len(adds))
+    return in_queue, queue
 
 
 def pool_adds(adds) -> tuple[list[bool], list]:
-    """The same entries given to `_DominationPools.add` at one weight of
-    two-entry pools, each name's sat `score` rows of its own: whether
-    each was kept, and the names kept, best first, with their slots."""
-    sats = {name: ((1 << score) - 1) << 8 * i for i, (score, name) in enumerate(adds)}
-    names = {sat: name for name, sat in sats.items()}
-    pools = _DominationPools(2, sum(sats.values()))
-    kept = []
-    for seq, (_, name) in enumerate(adds):
-        pools.add(1, sats[name], seq)
-        kept.append(any(sat == sats[name] for _, _, sat, _ in pools.pools[1]))
-    return kept, [(names[sat], slot) for _, _, sat, slot in pools.pools[1]]
+    """The seed pass's two-entry pool 1, with a queue that keeps every seed."""
+    _, in_pool, _, pool = seed_pass_lists(adds, len(adds), 2)
+    return in_pool, pool
 
 
 @pytest.mark.parametrize("adds_to,adds,admitted,kept", [
     # Ties lose against a full list; a strictly higher score evicts the
-    # last entry, the lowest score. The list stays best first. A queue
-    # keeps its rule in `_keep_best`, the pools theirs in `add`, where
-    # the new entry takes over its evictee's slot.
+    # last entry, the lowest score. The list stays best first. The beam
+    # admits to both in place: a full queue turns away what scores at or
+    # under its floor, and a pool's new entry takes over its evictee's slot.
     pytest.param(queue_adds, TIES, [True, True, False, True], ["a", "d"], id="queue-ties-lose"),
     pytest.param(pool_adds, TIES, [True, True, False, True], [("a", 0), ("d", 1)],
                  id="pool-ties-lose"),
@@ -841,8 +922,8 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
     phase, calls, built = ["seeds"], [], []
 
     def counted_insort(best, entry):
-        # Queues and pools, seeded through `_keep_best` and `add` or
-        # admitted in place, all take their entries by insort.
+        # Queues and pools, seeded or admitted in the pair loop, all take
+        # their entries by insort.
         if isinstance(entry[2], tuple):  # a queue's combination, not a pool's sat
             calls.append((phase[0], "queue", weight_of(entry[2], inst)))
         else:
@@ -906,6 +987,10 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
 # At width 2, a | b and a & b fill queue 3, and then b | a, in `seen` as
 # a | b, scores at the floor of the full queue.
 @example(4, 3, [(0b0011010, 1), (0b0101101, 1)], 2, 6, 2)
+# Seeds out of weight order: {p0, p2, n0, n1} (weight 1) comes after the
+# weight-2 seed and evicts {p2, n1} from the full pool 1. It dominates the
+# last seed, {p2, n0} at weight 4, in a frontier built after that change.
+@example(3, 2, [(210, 2), (76, 1), (133, 1), (52, 4)], 3, 9, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
 ):

@@ -3,7 +3,9 @@ import inspect
 import math
 import random
 import time
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -452,3 +454,39 @@ def test_timeout_is_honoured_within_a_quarter_second():
         elapsed = time.monotonic() - start
         assert result.status in ("Solved", "Timeout")
         assert elapsed <= timeout + 0.25, (timeout, result.status, elapsed)
+
+
+@pytest.mark.parametrize("stop_in", [None, "enumeration", "boolcover"])
+def test_elapsed_is_stamped_after_the_bank_is_freed(monkeypatch, stop_in):
+    # On the union task the cover phase answers. A Timeout forced at the
+    # third deadline check of enumeration or of the cover phase leaves a
+    # traceback that holds enumeration's frame, or `learn`'s frame holds
+    # the bank; either way the bank must be gone before the stamp, as
+    # the caller waits for its teardown too.
+    events = []
+
+    class Bank(enumeration.FormulaBank):
+        def __init__(self, layout):
+            super().__init__(layout)
+            weakref.finalize(self, events.append, "bank freed")
+
+    calls = []
+
+    def check(deadline):
+        calls.append(deadline)
+        if len(calls) == 3:
+            raise DeadlineReached()
+
+    def clock():
+        events.append("clock")
+        return time.monotonic()
+
+    monkeypatch.setattr("ltlflearn.enumeration.FormulaBank", Bank)
+    if stop_in is not None:
+        monkeypatch.setattr(f"ltlflearn.{stop_in}.check_deadline", check)
+    monkeypatch.setattr("ltlflearn.pipeline.time", SimpleNamespace(monotonic=clock))
+    result = learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5, dc_switch=12))
+    assert (result.status, result.method) == (
+        ("Solved", "BSC+DivConq") if stop_in is None else ("Timeout", None))
+    # t0, the bank's teardown, then the stamp.
+    assert events == ["clock", "bank freed", "clock"]

@@ -15,10 +15,12 @@ digests on two commits mean the same answers and counts on every task.
     python tools/answer_digest.py --write             # re-commit that file
 
 tools/answer_digests.json holds each workload's digest and the sha256
-of each task's line. `--check` exits 1 at the first task whose line
-differs, naming its workload and task seed. The sources are those of
-the checkout the script sits in; only perfbench/workloads.json is read
-from perfbench/.
+of each task's line. `--check` learns every task of each workload it
+checks; after a workload whose lines differ from the file's, it prints
+how many do and their task seeds. It exits 1 once every workload is
+checked, if any line differed. The sources are those of the checkout
+the script sits in; only perfbench/workloads.json is read from
+perfbench/.
 """
 
 import argparse
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tools" / "answer_digests.json"
+WORKLOADS = ROOT / "perfbench" / "workloads.json"
 sys.path.insert(0, str(ROOT / "src"))
 
 from ltlflearn import (  # noqa: E402
@@ -63,18 +66,21 @@ def line_of(rec: dict) -> bytes:
     return json.dumps(rec, sort_keys=True).encode() + b"\n"
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    """Run the command line in argv (default: sys.argv[1:]); the exit code."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("workloads", nargs="*", help="workload names (default: all)")
     ap.add_argument("--tasks", action="store_true",
                     help="also print each task's record, to locate a difference")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
-                      help=f"exit 1 at the first task whose line differs from {DIGESTS.name}")
+                      help=f"name every task whose line differs from {DIGESTS.name}; "
+                      "then exit 1 if any did")
     mode.add_argument("--write", action="store_true", help=f"write the digests to {DIGESTS.name}")
-    args = ap.parse_args()
-    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    args = ap.parse_args(argv)
+    workloads = json.loads(WORKLOADS.read_text())["workloads"]
     committed = json.loads(DIGESTS.read_text()) if args.check or DIGESTS.exists() else {}
+    differed = False
     for name in args.workloads or workloads:
         workload = workloads[name]
         digest = hashlib.sha256()
@@ -85,14 +91,18 @@ def main() -> None:
             tasks.append(hashlib.sha256(line).hexdigest())
             if args.tasks:
                 print(f"{name} {seed} {line.decode()}", end="", flush=True)
-            if args.check and tasks[-1] != committed[name]["tasks"][seed]:
-                print(f"{name} task seed {seed} differs from {DIGESTS.name}", flush=True)
-                sys.exit(1)
-        committed[name] = {"sha256": digest.hexdigest(), "tasks": tasks}
         print(f"{name} {workload['universe']} tasks sha256 {digest.hexdigest()}", flush=True)
+        if args.check:
+            seeds = [seed for seed, task in enumerate(tasks) if task != committed[name]["tasks"][seed]]
+            if seeds:
+                differed = True
+                print(f"{name}: {len(seeds)} of {len(tasks)} tasks differ from {DIGESTS.name},"
+                      f" task seeds {' '.join(map(str, seeds))}", flush=True)
+        committed[name] = {"sha256": digest.hexdigest(), "tasks": tasks}
     if args.write:
         DIGESTS.write_text(json.dumps(committed, indent=1) + "\n")
+    return 1 if differed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
