@@ -6,15 +6,8 @@ Run with: python3 demos/demo_benchmarks.py
 import statistics
 import tempfile
 
-from ltlflearn import (
-    LearnerConfig,
-    TaskSpec,
-    gen_formula,
-    gen_task,
-    learn,
-    render_formula,
-)
-from ltlflearn.benchgen import read_manifest, write_manifest, write_task
+from ltlflearn import LearnerConfig, TaskSpec, gen_task, learn, render_formula
+from ltlflearn.benchgen import gen_formula, read_manifest, write_manifest, write_task
 
 
 def main() -> None:

@@ -3,18 +3,10 @@
 Run with: python3 demos/demo_learning.py
 """
 
-from ltlflearn import (
-    DEFAULT_OPERATORS,
-    Atom,
-    LearnerConfig,
-    StrongNext,
-    enumerate_bounded,
-    first_bits,
-    learn,
-    parse_task,
-    render_formula,
-    table_of,
-)
+from ltlflearn import LearnerConfig, learn, parse_task, render_formula
+from ltlflearn.biteval import first_bits, table_of
+from ltlflearn.enumeration import enumerate_bounded
+from ltlflearn.formulas import DEFAULT_OPERATORS, Atom, StrongNext
 
 SAMPLE = """\
 1;1;0;1;1

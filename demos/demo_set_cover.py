@@ -8,8 +8,14 @@ Run with: python3 demos/demo_set_cover.py
 
 import random
 
-from ltlflearn import BscInstance, NoSolution, beam_search, div_conq, existence_check
-from ltlflearn.boolcover import reduce_instance, sat_bits
+from ltlflearn.boolcover import (
+    BscInstance,
+    NoSolution,
+    beam_search,
+    div_conq,
+    existence_check,
+    reduce_instance,
+)
 
 
 def bits(*rows: int) -> int:
@@ -63,8 +69,9 @@ def main() -> None:
     # sat is the set of correctly classified examples: covered positives
     # plus excluded negatives. Its size, the score, orders the beam; a set
     # whose sat another set of no more weight contains is dominated.
+    universe = inst.pos_mask | inst.neg_mask
     for members, _, leaf in inst.base_sets:
-        sat = sat_bits(members, inst.pos_mask, inst.neg_mask)
+        sat = members & universe ^ inst.neg_mask
         print(f"sat({leaf[1]}) = {show(sat, 6)}, score {sat.bit_count()}")
     assert reduce_instance(inst, 10).base_sets == inst.base_sets
     print("domination keeps all three: no sat contains another's")

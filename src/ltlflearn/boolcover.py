@@ -137,15 +137,6 @@ class BscInstance:
 
 
 # ---------------------------------------------------------------------------
-# Combinations
-# ---------------------------------------------------------------------------
-
-def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
-    """Rows classified correctly: covered positives + excluded negatives."""
-    return (eval_bits ^ neg_mask) & (pos_mask | neg_mask)
-
-
-# ---------------------------------------------------------------------------
 # Collapse
 # ---------------------------------------------------------------------------
 

@@ -451,6 +451,15 @@ def reference_sat(rows: int, pos_mask: int, neg_mask: int) -> int:
     return (rows & pos_mask) | (neg_mask & ~rows)
 
 
+def sat_bits(eval_bits: int, pos_mask: int, neg_mask: int) -> int:
+    """Rows classified correctly: covered positives + excluded negatives.
+
+    The cover phase computes the same rows inline, as
+    `members & universe ^ neg_mask` with `universe = pos_mask | neg_mask`.
+    """
+    return (eval_bits ^ neg_mask) & (pos_mask | neg_mask)
+
+
 def sat_and_weight(comb: Optional[tuple], inst: BscInstance) -> tuple[int, int]:
     """The rows a combination classifies correctly, and its weight."""
     return reference_sat(rows_of(comb, inst), inst.pos_mask, inst.neg_mask), weight_of(comb, inst)

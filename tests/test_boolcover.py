@@ -22,7 +22,6 @@ from ltlflearn.boolcover import (
     existence_check,
     reconstruct,
     reduce_instance,
-    sat_bits,
 )
 from ltlflearn.deadlines import DEADLINE_STRIDE, DeadlineReached, split_runs
 from ltlflearn.enumeration import enumerate_bounded, formula_of
@@ -50,6 +49,7 @@ from conftest import (
     reference_undominated,
     rows_of,
     sat_and_weight,
+    sat_bits,
     union,
     union_shaped_sample,
     weight_of,
