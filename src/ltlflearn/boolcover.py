@@ -49,8 +49,10 @@ tell which slots contain the candidate's sat. The frontier of W + 1 is
 that of W plus what pool W adds to it, built once pool W is final. The
 pools build and cache the packed ints; the test is written out where a
 set is asked, as a call per set costs more than the test: in
-`_undominated`, and in the beam's seed pass and pair loop, which also
-admit to pool W in place.
+`_undominated`, and in the beam's seed pass and pair loop. Those admit
+through one function, `_admit`, called only on an admission: it puts
+the combination in its queue and its sat in pool W, updating W's
+packed int in place.
 
 The beam's queues and the pools are one kind of list: per weight the
 best few, sorted best first; a full list takes only a strictly higher
@@ -63,7 +65,7 @@ to it: reduction and the restrictions of `div_conq`, which admit every
 set before they ask, fill each pool with one sort.
 
 The seed pass asks about each base set as it comes and admits the ones
-no pool entry dominates, with the pair loop's test and admission. It
+no pool entry dominates, with the pair loop's test and `_admit`. It
 holds one weight's packed query, updated in place, while its seeds keep
 that weight; a seed of another weight first tells the pools that the
 held one changed (`changed`), so seeds may come in any weight order.
@@ -80,9 +82,9 @@ its weight's full queue and, unless it is a solution, one that a pool
 entry dominates: one inline subset test of its weight's packed int,
 whose guard bits also tell a lighter dominator, which puts the value in
 `seen`, from one in pool W. Each of these tests only drops, and none
-drops a solution, so their order moves no answer and no count. An
-admission updates the queue, its floor, `seen` and pool W's list and
-slot in place.
+drops a solution, so their order moves no answer and no count. What
+passes them all is admitted: `_admit` updates the queue, its floor and
+pool W's list and slot, and the loop adds the value to `seen`.
 The loop takes each right once for both of its candidates, | then &:
 each value goes through the tests above on its own, so a right whose
 two values are in `seen` costs two set lookups. Candidates are counted
@@ -191,15 +193,17 @@ class Witness:
     neg_index: int
 
 
-def existence_check(inst: BscInstance) -> Optional[Witness]:
+def existence_check(inst: BscInstance, deadline: Optional[float] = None) -> Optional[Witness]:
     """None if a solution exists; otherwise a witness pair proving none does.
 
     A solution exists iff for every (p, n) some base set contains p and
     excludes n: the negatives in every set containing p (all of them
-    when none does) are unseparable from p.
+    when none does) are unseparable from p. The deadline is checked once
+    per positive row, each a pass over every base set.
     """
     n_pos = inst.pos_mask.bit_length()  # the positives are the low rows
     for p in range(n_pos):
+        check_deadline(deadline)
         bit = 1 << p
         bad = inst.neg_mask
         for members, _, _ in inst.base_sets:
@@ -248,9 +252,10 @@ class _DominationPools:
     pass and pair loop of `beam_search` read a weight's packed query once
     (`packed`) and write the subset test out, as a call per set costs
     more than the test. `_undominated` fills each pool with one sort
-    (`fill`) before it asks. The beam asks and admits in turn: it updates
-    pool W's list and its packed query in place, keeping the pool's rule
-    above itself, and calls `changed` once it is done with W.
+    (`fill`) before it asks. The beam asks and admits in turn: its
+    `_admit` updates pool W's list and its packed query in place, keeping
+    the pool's rule above, and the beam calls `changed` once it is done
+    with W.
     """
 
     __slots__ = ("k", "rows", "width", "limit", "top", "pools", "frontiers", "packs")
@@ -396,6 +401,41 @@ def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None)
 # Beam search
 # ---------------------------------------------------------------------------
 
+def _admit(
+    pools: _DominationPools, pool: list, queue: list, beam_width: int, score: int, seq: int,
+    sat: int, comb: tuple, rep: int, guards: int, notkept: int,
+) -> tuple[int, int, int, int]:
+    """Admit an undominated combination at the weight the beam fills.
+
+    Inserts (-score, -seq, comb) into the queue and trims it to
+    beam_width: the caller has tested the floor, so a full queue sorts
+    it before its last entry. Admits (-score, seq, sat, slot) to pool
+    W, the list `pool`: in the next free slot, or, in a full pool, in
+    the slot of its last entry if sat scores strictly higher. The
+    packed query (rep, guards, notkept) of W is updated in that slot.
+    Returns the queue's floor, or -1 while it has room, and the query.
+
+    A function of the module, not a closure of `beam_search`: it runs
+    only on an admission, while a closure would turn the names it
+    rebinds into cells that the pair loop reads on every candidate.
+    """
+    insort(queue, (-score, -seq, comb))
+    del queue[beam_width:]
+    slot = len(pool)
+    if slot < pools.k:
+        shift = slot * pools.width
+        rep |= 1 << shift
+        guards |= pools.limit << shift
+        notkept |= (pools.limit - 1 ^ sat) << shift
+        insort(pool, (-score, seq, sat, slot))
+    elif -score < pool[-1][0]:
+        *_, evicted, slot = pool.pop()
+        notkept ^= (evicted ^ sat) << slot * pools.width
+        insort(pool, (-score, seq, sat, slot))
+    floor = -queue[-1][0] if len(queue) >= beam_width else -1
+    return floor, rep, guards, notkept
+
+
 def beam_search(
     inst: BscInstance,
     beam_width: int = 100,
@@ -422,8 +462,9 @@ def beam_search(
     tests each seed against it inline. Below the last two weights, the
     pair loop asks it once per weight and takes each right once, testing
     its | value and then its & value against it inline. In both, an
-    admission updates the queue, `seen` and pool W's list and packed
-    slot in place, and `changed` then tells the pools that pool W moved.
+    admission adds the value to `seen` and calls `_admit`, which updates
+    the queue and pool W's list and packed slot in place; `changed` then
+    tells the pools that pool W moved.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -433,7 +474,7 @@ def beam_search(
     # drops the lowest score, the oldest among ties
     queues: dict[int, list[tuple[int, int, tuple]]] = {}
     pools = _DominationPools(domination_k, universe)
-    width, guard, top = pools.width, pools.limit, pools.top
+    top = pools.top
     # Values dropped for good: the queued ones, and those the pair loop
     # found dominated by the pools lighter than its weight, which never
     # change again. Not a seed's: its lighter dominator may be evicted.
@@ -501,20 +542,10 @@ def beam_search(
             # As in the pair loop: every pool W entry is older than seq,
             # and `seen` has dropped a twin of one, so no tie rule applies.
             if not (guards - (sat * rep & notkept)) & guards:
-                insort(queue, (-score, -seq, leaf))  # past the floor: before the last
-                del queue[beam_width:]
+                _, rep, guards, notkept = _admit(
+                    pools, pool, queue, beam_width, score, seq, sat, leaf, rep, guards, notkept
+                )
                 seen.add(masked)
-                slot = len(pool)
-                if slot < domination_k:
-                    shift = slot * width
-                    rep |= 1 << shift
-                    guards |= guard << shift
-                    notkept |= (guard - 1 ^ sat) << shift
-                    insort(pool, (-score, seq, sat, slot))
-                elif -score < pool[-1][0]:
-                    *_, evicted, slot = pool.pop()
-                    notkept ^= (evicted ^ sat) << slot * width
-                    insort(pool, (-score, seq, sat, slot))
                 seq += 1
         if held is not None:
             pools.changed(held)
@@ -576,27 +607,12 @@ def beam_search(
                                     if hits >= top:  # a lighter entry: for good
                                         seen.add(masked)
                                     elif not hits:
-                                        # Admit: the queue (past its last entry when
-                                        # full, as it sorts before it) and floor,
-                                        # `seen`, then pool W, in a free slot or in
-                                        # its evictee's.
                                         comb = (rows1 | comb2[0], "|", comb1, comb2)
-                                        insort(queue, (-score, -seq, comb))
-                                        if len(queue) >= beam_width:
-                                            del queue[beam_width:]
-                                            floor = -queue[-1][0]
+                                        floor, rep, guards, notkept = _admit(
+                                            pools, pool, queue, beam_width, score, seq,
+                                            sat, comb, rep, guards, notkept,
+                                        )
                                         seen.add(masked)
-                                        slot = len(pool)
-                                        if slot < domination_k:
-                                            shift = slot * width
-                                            rep |= 1 << shift
-                                            guards |= guard << shift
-                                            notkept |= (guard - 1 ^ sat) << shift
-                                            insort(pool, (-score, seq, sat, slot))
-                                        elif -score < pool[-1][0]:
-                                            *_, evicted, slot = pool.pop()
-                                            notkept ^= (evicted ^ sat) << slot * width
-                                            insort(pool, (-score, seq, sat, slot))
                                         seq += 1
                             # The & value: the same tests, written out, as a
                             # loop or a call per value costs more than it saves.
@@ -613,22 +629,11 @@ def beam_search(
                                         seen.add(masked)
                                     elif not hits:
                                         comb = (rows1 & comb2[0], "&", comb1, comb2)
-                                        insort(queue, (-score, -seq, comb))
-                                        if len(queue) >= beam_width:
-                                            del queue[beam_width:]
-                                            floor = -queue[-1][0]
+                                        floor, rep, guards, notkept = _admit(
+                                            pools, pool, queue, beam_width, score, seq,
+                                            sat, comb, rep, guards, notkept,
+                                        )
                                         seen.add(masked)
-                                        slot = len(pool)
-                                        if slot < domination_k:
-                                            shift = slot * width
-                                            rep |= 1 << shift
-                                            guards |= guard << shift
-                                            notkept |= (guard - 1 ^ sat) << shift
-                                            insort(pool, (-score, seq, sat, slot))
-                                        elif -score < pool[-1][0]:
-                                            *_, evicted, slot = pool.pop()
-                                            notkept ^= (evicted ^ sat) << slot * width
-                                            insort(pool, (-score, seq, sat, slot))
                                         seq += 1
                         n_candidates += count
             if not tail:  # pool W changed in place

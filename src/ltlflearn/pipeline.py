@@ -168,7 +168,7 @@ def _solve(
     inst, collapse_stats = collapse(bank, sample, deadline)
     stats.update(collapse_stats)
 
-    witness = existence_check(inst)
+    witness = existence_check(inst, deadline)
     if witness is not None:
         return LearnResult("NoSolution", None, witness, None, stats)
 

@@ -1,7 +1,6 @@
 """Shared sample, bank, evaluation and set-cover helpers used across the test modules."""
 
 import ast
-import bisect
 import heapq
 import json
 import random
@@ -532,24 +531,6 @@ class HeapPools:
     def entries(self) -> set[tuple[int, int, int]]:
         """Every (weight, seq, sat) the pools hold."""
         return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
-
-
-def pool_add(pools, weight: int, sat: int, seq: int) -> None:
-    """Admit sat at weight into `boolcover._DominationPools`, with a seq
-    newer than any before, as the beam admits in place: a pool with room
-    takes it in its next slot; a full one only a strictly higher score
-    than its last entry's, which it drops, and the new entry takes over
-    that slot. Then `changed` drops what the admission outdates."""
-    neg_score = -sat.bit_count()
-    pool = pools.pools.setdefault(weight, [])
-    if len(pool) < pools.k:
-        slot = len(pool)
-    elif neg_score < pool[-1][0]:
-        slot = pool.pop()[3]
-    else:
-        return
-    bisect.insort(pool, (neg_score, seq, sat, slot))
-    pools.changed(weight)
 
 
 def pool_dominated(pools, weight: int, sat: int, seq: int) -> int:

@@ -14,6 +14,7 @@ from ltlflearn.boolcover import (
     BscInstance,
     NoSolution,
     Witness,
+    _admit,
     _DominationPools,
     _undominated,
     beam_search,
@@ -41,7 +42,6 @@ from conftest import (
     is_solution_combination,
     leaf,
     nodes_of,
-    pool_add,
     pool_dominated,
     reference_beam,
     reference_collapse,
@@ -202,6 +202,13 @@ def test_separable_instance_passes():
     assert existence_check(worked_instance()) is None
 
 
+def test_existence_check_checks_the_deadline_once_per_positive_row(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", calls.append)
+    assert existence_check(worked_instance(), deadline=123.0) is None
+    assert calls == [123.0] * 3
+
+
 def test_witness_solution_is_valid_but_heavy():
     inst = worked_instance()
     theta = witness_solution(inst)
@@ -330,6 +337,18 @@ def pool_entries(pools: _DominationPools) -> set[tuple[int, int, int]]:
         assert pool == sorted(pool) and len(pool) <= pools.k
         assert all(-neg_score == sat.bit_count() for neg_score, _, sat, _ in pool)
     return {(w, seq, sat) for w, pool in pools.pools.items() for _, seq, sat, _ in pool}
+
+
+def pool_add(pools: _DominationPools, weight: int, sat: int, seq: int) -> None:
+    """Admit sat at weight, with a seq newer than any before, through the
+    beam's own `_admit` and a scratch queue: a pool with room takes it in
+    its next slot; a full one only a strictly higher score than its last
+    entry's, which it drops, and the new entry takes over that slot. Then
+    `changed` drops what the admission outdates."""
+    rep, guards, notkept = pools.packed(weight)
+    pool = pools.pools.setdefault(weight, [])
+    _admit(pools, pool, [], 1, sat.bit_count(), seq, sat, (), rep, guards, notkept)
+    pools.changed(weight)
 
 
 def beam_hits(pools: _DominationPools, weight: int, sat: int) -> int:
@@ -553,6 +572,42 @@ def test_packed_slots_follow_adds_evictions_and_fills(k, case):
                 seq += 1
         assert pool_entries(pools) == oracle.entries()
         check_slots(pools, probes)
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.one_of(st.just(6), st.integers(30, 100)),
+       st.data())
+@settings(max_examples=300)
+def test_admit_updates_the_packed_query_and_the_floor_in_place(k, beam_width, n_rows, data):
+    # Admissions at weight 2, evictions included, over a pool 1 filled
+    # first, so the query has a frontier above pool 2's slots. Each is
+    # admitted as the beam admits: only over the floor, with the newest
+    # seq, the query carried from one admission to the next.
+    rows = (1 << n_rows) - 1
+    sats = st.integers(0, rows)
+    pools, oracle = _DominationPools(k, rows), HeapPools(k)
+    lighter = data.draw(st.lists(sats, max_size=4))
+    if lighter:
+        pools.fill(1, [(-sat.bit_count(), seq, sat) for seq, sat in enumerate(lighter)])
+    for seq, sat in enumerate(lighter):
+        oracle.add(1, sat, seq)
+    seq, floor, admitted = len(lighter), -1, []
+    rep, guards, notkept = pools.packed(2)
+    pool, queue = pools.pools.setdefault(2, []), []
+    for sat in data.draw(st.lists(sats, min_size=1, max_size=12)):
+        score = sat.bit_count()
+        if score <= floor:
+            continue
+        floor, rep, guards, notkept = _admit(
+            pools, pool, queue, beam_width, score, seq, sat, (seq,), rep, guards, notkept
+        )
+        oracle.add(2, sat, seq)
+        admitted.append((-score, -seq, (seq,)))
+        seq += 1
+        assert queue == sorted(admitted)[:beam_width]
+        assert floor == (-queue[-1][0] if len(queue) == beam_width else -1)
+        assert pool_entries(pools) == oracle.entries()
+        pools.changed(2)
+        assert (rep, guards, notkept) == pools.packed(2)
 
 
 def test_pools_reject_a_sat_outside_their_rows():

@@ -347,22 +347,40 @@ def test_union_sample_divconq_answer_and_counts_are_pinned():
 
 
 def test_timeout_in_the_beam_keeps_its_counts(monkeypatch):
-    # The set-cover phase's first deadline check is div_conq's, the
-    # later ones are the beam's: time runs out inside the first beam,
-    # after its seeds and weight 3.
+    # The set-cover phase's first deadline checks are the existence
+    # check's, one per positive row, the next div_conq's, the later ones
+    # the beam's: time runs out inside the first beam, after its seeds
+    # and weight 3.
+    sample = union_shaped_sample()
     calls = []
 
     def check(deadline):
         calls.append(deadline)
-        if len(calls) == 3:
+        if len(calls) == len(sample.positives) + 3:
             raise DeadlineReached()
 
     monkeypatch.setattr("ltlflearn.boolcover.check_deadline", check)
-    result = learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5, dc_switch=9))
+    result = learn(sample, LearnerConfig(ltl2bs_switch=5, dc_switch=9))
     assert result.status == "Timeout"
     stats = result.stats
     assert stats["beam_iterations"] == 1
     assert stats["beam_candidates"] > stats["n_after_domination"]  # the seeds and more
+
+
+def test_a_deadline_that_passes_in_the_existence_check_is_a_timeout(monkeypatch):
+    # The existence check gets learn's deadline: one that has passed at
+    # its first positive row ends the run there, before reduction.
+    calls = []
+
+    def check(deadline):
+        calls.append(deadline)
+        raise DeadlineReached()
+
+    monkeypatch.setattr("ltlflearn.boolcover.check_deadline", check)
+    result = learn(union_shaped_sample(), LearnerConfig(ltl2bs_switch=5, timeout=60))
+    assert result.status == "Timeout"
+    assert len(calls) == 1 and calls[0] is not None
+    assert "n_base_sets" in result.stats and "n_after_domination" not in result.stats
 
 
 def test_timeout_in_enumeration_keeps_its_counts(monkeypatch):
