@@ -60,12 +60,11 @@ is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .formulas import Atom, Bottom, Formula, Top
+from .formulas import Atom, Bottom, Formula, Top, Value
 from .traces import Sample, Trace
 
 
@@ -187,24 +186,25 @@ BINARY_KERNELS = {
 # Tables and vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     """A formula's packed value on a sample, with the layout to read it."""
 
     layout: Layout
     bits: int
 
 
-@dataclass(frozen=True)
-class CharVector:
+class CharVector(Value):
     """First bit of each table row, packed; bit i = row i."""
 
+    __slots__ = _fields = ("n", "bits")
     n: int
     bits: int
 
-    def __post_init__(self):
-        if self.bits >> self.n:
+    def __init__(self, n: int, bits: int):
+        if bits >> n:
             raise ValueError("non-canonical vector: padding bits set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
 
 def table_of(

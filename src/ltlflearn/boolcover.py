@@ -109,14 +109,13 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .deadlines import DEADLINE_STRIDE, check_deadline, split_runs
 from .enumeration import formula_of
-from .formulas import Formula
+from .formulas import Formula, Value
 from .traces import Sample
 
 
@@ -124,18 +123,22 @@ from .traces import Sample
 # Instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BscInstance:
+class BscInstance(Value):
     """(members, weight, leaf) base sets over the rows pos_mask | neg_mask;
     each class has a row (`learn` answers a one-class sample itself)."""
 
+    __slots__ = _fields = ("pos_mask", "neg_mask", "base_sets")
     pos_mask: int
     neg_mask: int
     base_sets: tuple[tuple[int, int, tuple], ...]
 
-    def __post_init__(self):
-        if not (self.pos_mask and self.neg_mask):
+    def __init__(self, pos_mask: int, neg_mask: int,
+                 base_sets: tuple[tuple[int, int, tuple], ...]):
+        if not (pos_mask and neg_mask):
             raise ValueError("an instance needs a positive and a negative row")
+        object.__setattr__(self, "pos_mask", pos_mask)
+        object.__setattr__(self, "neg_mask", neg_mask)
+        object.__setattr__(self, "base_sets", base_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +188,7 @@ def collapse(bank, sample: Sample, deadline: Optional[float] = None) -> tuple[Bs
 # Existence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An unseparable pair: indices into positives / negatives."""
 
     pos_index: int
@@ -651,8 +653,7 @@ def beam_search(
 # Divide and conquer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     witness: Witness
 
 

@@ -124,7 +124,7 @@ def _result_record(task_path: str, sample: Sample, result: LearnResult,
         "size": None if phi is None else phi.size,
         "elapsed_ms": round(elapsed_ms, 3),
         "method": result.method,
-        "witness": None if result.witness is None else dataclasses.asdict(result.witness),
+        "witness": None if result.witness is None else result.witness._asdict(),
         "stats": stats,
         "config": _config_echo(config),
     }

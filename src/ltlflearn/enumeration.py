@@ -94,8 +94,7 @@ plain loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .biteval import BINARY_KERNELS, UNARY_KERNELS, Layout, pack_atom
 from .deadlines import DEADLINE_STRIDE, DeadlineReached, check_deadline, split_runs
@@ -169,8 +168,7 @@ def _keep(runs: list[tuple], skip: frozenset) -> list[tuple]:
     return [(run, k, [e for e in run if e[1] not in skip]) for run, k in runs]
 
 
-@dataclass(frozen=True, slots=True)
-class BankEntry:
+class BankEntry(NamedTuple):
     """A retained candidate as `FormulaBank.entries` yields it: its
     formula, built, and its packed value on the sample."""
 
@@ -197,7 +195,6 @@ def formula_of(entry: tuple, memo: dict) -> Formula:
     return phi
 
 
-@dataclass
 class FormulaBank:
     """Retained candidates grouped by size, as back-pointers.
 
@@ -206,10 +203,13 @@ class FormulaBank:
     is the sample layout the packed values use.
     """
 
-    layout: Layout
-    by_size: dict[int, list[tuple]] = field(default_factory=dict)
-    n_generated: int = 0
-    n_pruned: int = 0
+    __slots__ = ("layout", "by_size", "n_generated", "n_pruned")
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.by_size: dict[int, list[tuple]] = {}
+        self.n_generated = 0
+        self.n_pruned = 0
 
     def entries(self):
         """All retained entries in enumeration order, each with its

@@ -40,7 +40,6 @@ proposition names (`is_valid_prop_name`) all read these declarations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
 from operator import and_, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -49,53 +48,96 @@ if TYPE_CHECKING:
     from .traces import Alphabet, Trace
 
 
-class Formula:
-    """Base class for formula nodes; all subclasses are frozen dataclasses.
+class Value:
+    """Base of the package's validated immutable value types.
+
+    A subclass names its fields in `_fields`, keeps them in slots and
+    fills them in its `__init__` through `object.__setattr__`, after
+    validating them. Two values are equal when they are of one class
+    and their fields are equal; the hash and the repr read the fields
+    too, and a value pickles and copies as its class called on them.
+    Assigning an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(Value):
+    """Base class for formula nodes, immutable values compared by class
+    and operands; `size` is not an operand.
 
     A node's hash combines a fixed tag for its class with the hashes of
-    its fields, so F(x), G(x) and !x hash apart, and so do the binary
+    its operands, so F(x), G(x) and !x hash apart, and so do the binary
     nodes over the same operands. It is computed on first use and cached
     on the node, and it does not depend on PYTHONHASHSEED.
     """
 
+    __slots__ = ("size", "_hash")
     size: int
-    _hash = None  # set by the first __hash__ call
+
+    def __init__(self):  # a leaf
+        object.__setattr__(self, "size", 1)
+        object.__setattr__(self, "_hash", None)  # set by the first __hash__ call
 
 
 def _set_size(node: Formula, size: int) -> None:
     object.__setattr__(node, "size", size)
+    object.__setattr__(node, "_hash", None)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    prop: int
-    size: int = field(default=1, init=False, repr=False, compare=False)
+    __slots__ = _fields = ("prop",)
+
+    def __init__(self, prop: int):
+        object.__setattr__(self, "prop", prop)
+        super().__init__()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    size: int = field(default=1, init=False, repr=False, compare=False)
+    __slots__ = ()
     token = "true"
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    size: int = field(default=1, init=False, repr=False, compare=False)
+    __slots__ = ()
     token = "false"
 
 
-@dataclass(frozen=True)
 class _Unary(Formula):
     """An operator node with one argument; size 1 + the argument's."""
 
-    arg: Formula
-    size: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("arg",)
 
-    def __post_init__(self):
-        _set_size(self, 1 + self.arg.size)
+    def __init__(self, arg: Formula):
+        object.__setattr__(self, "arg", arg)
+        _set_size(self, 1 + arg.size)
 
 
-@dataclass(frozen=True)
 class _Binary(Formula):
     """An operator node with two arguments; size 1 + both sizes.
 
@@ -103,56 +145,65 @@ class _Binary(Formula):
     tighter) and whether it is right-associative.
     """
 
-    left: Formula
-    right: Formula
-    size: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        _set_size(self, 1 + self.left.size + self.right.size)
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        _set_size(self, 1 + left.size + right.size)
 
 
 class Not(_Unary):
     """!phi."""
+    __slots__ = ()
     token = "!"
 
 
 class StrongNext(_Unary):
     """X! phi: there is a next position and phi holds there."""
+    __slots__ = ()
     token = "X!"
 
 
 class WeakNext(_Unary):
     """X phi: phi holds at the next position if there is one."""
+    __slots__ = ()
     token = "X"
 
 
 class Finally(_Unary):
     """F phi: phi holds at some position from here on."""
+    __slots__ = ()
     token = "F"
 
 
 class Globally(_Unary):
     """G phi: phi holds at every position from here on."""
+    __slots__ = ()
     token = "G"
 
 
 class And(_Binary):
     """phi & psi."""
+    __slots__ = ()
     token, prec, right_assoc = "&", 3, False
 
 
 class Or(_Binary):
     """phi | psi."""
+    __slots__ = ()
     token, prec, right_assoc = "|", 2, False
 
 
 class Until(_Binary):
     """phi U psi: psi holds at some position, and phi at every one before."""
+    __slots__ = ()
     token, prec, right_assoc = "U", 1, True
 
 
 class Release(_Binary):
     """phi R psi, the standard dual of Until: !((!phi) U (!psi))."""
+    __slots__ = ()
     token, prec, right_assoc = "R", 1, True
 
 
@@ -169,11 +220,11 @@ def _node_hash(node: Formula) -> int:
 _UNARY_CLASSES: dict[str, type] = {cls.token: cls for cls in _Unary.__subclasses__()}
 _BINARY_CLASSES: dict[str, type] = {cls.token: cls for cls in _Binary.__subclasses__()}
 
-# Per node class: its tag and the fields its hash reads (those == compares).
+# Per node class: its tag and the operand slots its hash reads (those == compares).
 _HASH_KEYS: dict[type, tuple[int, tuple[str, ...]]] = {}
 for _tag, _cls in enumerate((Atom, Top, Bottom, *_UNARY_CLASSES.values(),
                              *_BINARY_CLASSES.values())):
-    _HASH_KEYS[_cls] = (_tag, tuple(f.name for f in fields(_cls) if f.compare))
+    _HASH_KEYS[_cls] = (_tag, _cls._fields)
     _cls.__hash__ = _node_hash
 
 
@@ -185,8 +236,7 @@ def build_binary(token: str, left: Formula, right: Formula) -> Formula:
     return _BINARY_CLASSES[token](left, right)
 
 
-@dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(Value):
     """The operators the enumerator may use, in declaration order
     whatever the order given, so reorderings enumerate identically.
 
@@ -194,24 +244,24 @@ class OperatorSet:
     ops_line and everywhere else in the library.
     """
 
-    unary: tuple[str, ...] = tuple(_UNARY_CLASSES)
-    binary: tuple[str, ...] = (And.token, Or.token, Until.token)
+    __slots__ = _fields = ("unary", "binary")
+    unary: tuple[str, ...]
+    binary: tuple[str, ...]
 
-    def __post_init__(self):
-        for tok in self.unary:
+    def __init__(self, unary: tuple[str, ...] = tuple(_UNARY_CLASSES),
+                 binary: tuple[str, ...] = (And.token, Or.token, Until.token)):
+        for tok in unary:
             if tok not in _UNARY_CLASSES:
                 raise ValueError(f"unknown unary operator {tok!r}")
-        for tok in self.binary:
+        for tok in binary:
             if tok not in _BINARY_CLASSES:
                 raise ValueError(f"unknown binary operator {tok!r}")
-        if len(set(self.unary)) != len(self.unary) or len(set(self.binary)) != len(
-            self.binary
-        ):
+        if len(set(unary)) != len(unary) or len(set(binary)) != len(binary):
             raise ValueError("duplicate operator")
-        if not self.unary and not self.binary:
+        if not unary and not binary:
             raise ValueError("operator set must be non-empty")
-        object.__setattr__(self, "unary", tuple(t for t in _UNARY_CLASSES if t in self.unary))
-        object.__setattr__(self, "binary", tuple(t for t in _BINARY_CLASSES if t in self.binary))
+        object.__setattr__(self, "unary", tuple(t for t in _UNARY_CLASSES if t in unary))
+        object.__setattr__(self, "binary", tuple(t for t in _BINARY_CLASSES if t in binary))
 
     @staticmethod
     def from_names(names: Iterable[str]) -> "OperatorSet":

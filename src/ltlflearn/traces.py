@@ -24,10 +24,9 @@ keeps the rule unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .formulas import OPERATOR_TOKENS, is_valid_prop_name
+from .formulas import OPERATOR_TOKENS, Value, is_valid_prop_name
 
 
 class TaskFormatError(ValueError):
@@ -40,21 +39,22 @@ class TaskFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Ordered atomic propositions; a proposition's index is its position."""
 
+    __slots__ = _fields = ("props",)
     props: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.props:
+    def __init__(self, props: tuple[str, ...]):
+        if not props:
             raise ValueError("alphabet must be non-empty")
-        if len(set(self.props)) != len(self.props):
+        if len(set(props)) != len(props):
             raise ValueError("proposition names must be unique")
-        for name in self.props:
+        for name in props:
             if not is_valid_prop_name(name):
                 raise ValueError(f"invalid proposition name {name!r} "
                                  "(names are identifiers and may not be operator tokens)")
+        object.__setattr__(self, "props", props)
 
     @staticmethod
     def default(n: int) -> "Alphabet":
@@ -67,48 +67,51 @@ class Alphabet:
         return self.props.index(name)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Value):
     """A finite non-empty word; letters[i] is the bitmask at position i+1."""
 
+    __slots__ = _fields = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: tuple[int, ...]):
+        if not letters:
             raise ValueError("traces must be non-empty")
-        if min(self.letters) < 0:
+        if min(letters) < 0:
             raise ValueError("letter bitmasks must be non-negative")
+        object.__setattr__(self, "letters", letters)
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Value):
     """Positive and negative traces over a shared alphabet.
 
     Duplicates within one class are kept; a trace occurring in both
     classes is rejected, since no formula could separate it from itself.
     """
 
+    __slots__ = _fields = ("alphabet", "positives", "negatives")
     alphabet: Alphabet
     positives: tuple[Trace, ...]
     negatives: tuple[Trace, ...]
 
-    def __post_init__(self):
-        width = len(self.alphabet)
-        for trace in self.positives + self.negatives:
+    def __init__(self, alphabet: Alphabet, positives: tuple[Trace, ...],
+                 negatives: tuple[Trace, ...]):
+        width = len(alphabet)
+        for trace in positives + negatives:
             if max(trace.letters) >> width:
                 letter = next(letter for letter in trace.letters if letter >> width)
                 raise ValueError(
                     f"letter {letter:#x} uses bits beyond the {width}-proposition alphabet"
                 )
-        overlap = set(t.letters for t in self.positives) & set(
-            t.letters for t in self.negatives
-        )
+        overlap = set(t.letters for t in positives) & set(t.letters for t in negatives)
         if overlap:
             raise ValueError("a trace occurs in both the positive and negative set")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "negatives", negatives)
 
     @property
     def traces(self) -> tuple[Trace, ...]:
@@ -124,8 +127,7 @@ class Sample:
         return len(self.negatives)
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """A parsed task file: the sample plus its optional operator restriction."""
 
     sample: Sample

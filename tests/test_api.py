@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ltlflearn
@@ -85,3 +88,15 @@ def test_every_name_the_scripts_import_from_ltlflearn_resolves():
     assert {path.split("/")[0] for path, found in imports.items() if found} == {
         "perfbench", "tools", "demos"}
     assert {path: unresolved(found) for path, found in imports.items() if unresolved(found)} == {}
+
+
+def test_importing_the_package_leaves_the_command_line_unloaded():
+    # A fresh interpreter: the library's start-up pays for neither
+    # argparse nor the command line's process pool.
+    code = "import sys, ltlflearn; print(sorted(m for m in sys.modules if 'ltlflearn' in m))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    loaded = ast.literal_eval(run.stdout)
+    assert "ltlflearn.pipeline" in loaded and "ltlflearn.cli" not in loaded

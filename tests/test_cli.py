@@ -93,6 +93,25 @@ def test_learn_no_solution_json(stuck_path, capsys):
     assert record["witness"] == {"pos_index": 0, "neg_index": 0}
 
 
+def test_learn_no_solution_json_is_pinned(tmp_path, capsys):
+    # a separates the first negative from the positive; nothing over a
+    # and F separates the second.
+    path = tmp_path / "stuck.trace"
+    path.write_text("1;0\n---\n0;1\n1;1\n---\nF\n")
+    code, out, err = run(capsys, "learn", str(path), "--format", "json")
+    assert code == 1
+    record = json.loads(out)
+    assert record.pop("elapsed_ms") >= 0
+    assert json.dumps(record) == (
+        f'{{"task": {json.dumps(str(path))}, "status": "NoSolution", "formula": null, '
+        '"size": null, "method": null, "witness": {"pos_index": 0, "neg_index": 1}, '
+        '"stats": {"n_enumerated": 3, "n_retained": 2, "n_skipped": 0, "n_formulas": 2, '
+        '"n_base_sets": 2, "collapse_ratio": 1.0}, "config": {"operators": ["F"], '
+        '"ltl2bs_switch": 8, "beam_width": 100, "dc_switch": 70, "domination_k": 10, '
+        '"timeout": 60.0, "seed": 0}}'
+    )
+
+
 def test_learn_operators_flag_beats_task_ops(stuck_path, capsys):
     code, out, err = run(capsys, "learn", stuck_path, "--operators", "!,F")
     assert code == 0
