@@ -19,9 +19,11 @@ when beam search stalls, combining the halves' solutions with a union
 builds the answer's formula.
 
 An instance holds its rows as two masks over the sample and its base
-sets as `(members, weight, leaf)` triples. A restriction to fewer rows,
-by reduction or by a split, is an instance too, with some of the same
-triples: members keep their rows over the whole sample, and every read
+sets as `(members, weight, leaf)` triples, lightest first: `BscInstance`
+sorts them by weight, stably, and every reader of the cover phase
+relies on that order. A restriction to fewer rows, by reduction or by a
+split, is an instance too, with some of the same triples in the same
+order: members keep their rows over the whole sample, and every read
 masks them with the instance's rows.
 
 A combination is a back-pointer, like an enumerated formula: the tuple
@@ -41,14 +43,15 @@ combination never shrinks its sat set and never raises its weight.
 One mechanism, `_DominationPools`, decides domination everywhere: the
 per-weight top-k sat sets it holds are the only dominators consulted,
 in instance reduction, in the restrictions of `div_conq` and in the beam.
-It packs what a query at weight W reads into one int, in slots as wide
-as the instance's rows plus a guard bit: pool W's sats, then the
+A query at weight W reads one int, packed in slots as wide as the
+instance's rows plus a guard bit: pool W's sats, then the
 frontier of W, the lighter sats, each unless one packed before it
 contains it. A query is one big-integer subset test, whose guard bits
 tell which slots contain the candidate's sat. The frontier of W + 1 is
-that of W plus what pool W adds to it, built once pool W is final. The
-pools build and cache the packed ints; the test is written out where a
-set is asked, as a call per set costs more than the test: in
+that of W plus what pool W adds to it once final. Each reader goes
+through the weights lightest first, so it carries one running frontier
+and extends it after each weight. The test is written out where a set
+is asked, as a call per set costs more than the test: in
 `_undominated`, and in the beam's seed pass and pair loop. Those admit
 through one function, `_admit`, called only on an admission: it puts
 the combination in its queue and its sat in pool W, updating W's
@@ -67,8 +70,9 @@ set before they ask, fill each pool with one sort.
 The seed pass asks about each base set as it comes and admits the ones
 no pool entry dominates, with the pair loop's test and `_admit`. It
 holds one weight's packed query, updated in place, while its seeds keep
-that weight; a seed of another weight first tells the pools that the
-held one changed (`changed`), so seeds may come in any weight order.
+that weight, and extends its frontier by that pool when the next weight
+comes. The pair loop, which adds to the seed pools from weight 3 up,
+starts from the frontier of the seed pools lighter than 3.
 
 The beam spends most of its time on candidates it then drops, so its
 pair loop drops them itself, on their rows masked to the instance, and
@@ -124,8 +128,9 @@ from .traces import Sample
 # ---------------------------------------------------------------------------
 
 class BscInstance(Value):
-    """(members, weight, leaf) base sets over the rows pos_mask | neg_mask;
-    each class has a row (`learn` answers a one-class sample itself)."""
+    """(members, weight, leaf) base sets over the rows pos_mask | neg_mask,
+    sorted lightest first, stably; each class has a row (`learn` answers
+    a one-class sample itself)."""
 
     __slots__ = _fields = ("pos_mask", "neg_mask", "base_sets")
     pos_mask: int
@@ -138,7 +143,7 @@ class BscInstance(Value):
             raise ValueError("an instance needs a positive and a negative row")
         object.__setattr__(self, "pos_mask", pos_mask)
         object.__setattr__(self, "neg_mask", neg_mask)
-        object.__setattr__(self, "base_sets", base_sets)
+        object.__setattr__(self, "base_sets", tuple(sorted(base_sets, key=lambda t: t[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +237,33 @@ class _DominationPools:
     reports an undominated element) but incomplete (may miss a dominator
     that was evicted); with k >= the largest pool it is exact.
 
-    The sats are packed into one int per weight, in slots of
+    The sats are packed into one int per query, in slots of
     `rows.bit_length() + 1` bits: slot i holds ~sat_i over the data bits,
     below `limit`, under a zero guard bit. With `rep` a 1 at the base of
     each slot in use and `guards` = rep * limit, slot i of `sat * rep &
     notkept` is zero exactly when sat_i contains sat, and only then keeps
     its guard bit in `guards -` it: no borrow crosses a slot. So a query
-    at weight W is one subset test of that int (`packed`): pool W sits
-    in slots 0..k-1 and the frontier of W above them, so guard bits
-    below `top` are pool W's and those from `top` up the lighter
-    entries'. Heavier pools are never read.
+    at weight W is one subset test of that int (`query`): pool W sits in
+    slots 0..k-1 and the frontier of W above them, so guard bits below
+    `top` are pool W's and those from `top` up the lighter entries'.
+    Heavier pools are never read.
 
     The frontier of W holds the sats of the entries lighter than W, each
-    unless one packed before it contains it: the frontier of the next
-    lighter pool's weight, then that pool's entries, best first (a
-    strict superset scores higher and so comes first). Frontiers and
-    packed queries are built on the first query at their weight and
-    dropped when a pool they read changes (`changed`).
+    unless one packed before it contains it, as (rep, notkept, base of
+    the next free slot). Its reader carries it, from `empty`, and
+    `extend`s it by each pool, lightest first, once the pool is final:
+    the pool's entries go in best first (a strict superset scores higher
+    and so comes first).
 
     The pools answer no question themselves: `_undominated` and the seed
     pass and pair loop of `beam_search` read a weight's packed query once
-    (`packed`) and write the subset test out, as a call per set costs
-    more than the test. `_undominated` fills each pool with one sort
-    (`fill`) before it asks. The beam asks and admits in turn: its
-    `_admit` updates pool W's list and its packed query in place, keeping
-    the pool's rule above, and the beam calls `changed` once it is done
-    with W.
+    and write the subset test out, as a call per set costs more than the
+    test. `_undominated` fills each pool with one sort (`fill`) before it
+    asks. The beam asks and admits in turn: its `_admit` updates pool W's
+    list and its packed query in place, keeping the pool's rule above.
     """
 
-    __slots__ = ("k", "rows", "width", "limit", "top", "pools", "frontiers", "packs")
+    __slots__ = ("k", "rows", "width", "limit", "top", "empty", "pools")
 
     def __init__(self, k: int, rows: int):
         if k < 1:
@@ -269,11 +272,9 @@ class _DominationPools:
         self.width = rows.bit_length() + 1
         self.limit = 1 << rows.bit_length()  # a slot's guard bit
         self.top = 1 << k * self.width  # the base of the frontier's first slot
+        self.empty = (0, 0, k * self.width)  # the frontier of the lightest weight
         # weight -> pool of (-score, seq, sat, slot) in ascending order, best first
         self.pools: dict[int, list[tuple[int, int, int, int]]] = {}
-        # weight -> (rep, notkept, base of the next free slot) of its frontier
-        self.frontiers: dict[int, tuple[int, int, int]] = {}
-        self.packs: dict[int, tuple[int, int, int]] = {}  # weight -> (rep, guards, notkept)
 
     def fill(self, weight: int, entries: list[tuple[int, int, int]]) -> None:
         """Fill the empty pool W with the k least of the (-score, seq,
@@ -288,48 +289,28 @@ class _DominationPools:
         if any(sat & ~self.rows for _, _, sat in best):
             raise ValueError("a sat outside the rows of the pools")
         self.pools[weight] = [(s, seq, sat, i) for i, (s, seq, sat) in enumerate(best)]
-        self.changed(weight)
 
-    def changed(self, weight: int) -> None:
-        """Drop what a change to pool W outdates: the packed queries from
-        W up and the frontiers heavier than W."""
-        for w in [w for w in self.packs if w >= weight]:
-            del self.packs[w]
-        for w in [w for w in self.frontiers if w > weight]:
-            del self.frontiers[w]
+    def extend(self, front: tuple[int, int, int], weight: int) -> tuple[int, int, int]:
+        """The frontier `front` with the sats of the final pool W that no
+        entry packed before them contains."""
+        rep, notkept, shift = front
+        guards = rep * self.limit
+        for _, _, sat, _ in self.pools.get(weight, ()):
+            if not (guards - (sat * rep & notkept)) & guards:
+                rep |= 1 << shift
+                guards |= self.limit << shift
+                notkept |= (self.limit - 1 ^ sat) << shift
+                shift += self.width
+        return rep, notkept, shift
 
-    def frontier(self, weight: int) -> tuple[int, int, int]:
-        """The frontier of weight as (rep, notkept, base of the next free
-        slot), its slots from slot k up."""
-        front = self.frontiers.get(weight)
-        if front is None:
-            lighter = max((w for w in self.pools if w < weight), default=None)
-            if lighter is None:
-                front = (0, 0, self.k * self.width)
-            else:
-                rep, notkept, shift = self.frontier(lighter)
-                guards = rep * self.limit
-                for _, _, sat, _ in self.pools[lighter]:
-                    if not (guards - (sat * rep & notkept)) & guards:
-                        rep |= 1 << shift
-                        guards |= self.limit << shift
-                        notkept |= (self.limit - 1 ^ sat) << shift
-                        shift += self.width
-                front = (rep, notkept, shift)
-            self.frontiers[weight] = front
-        return front
-
-    def packed(self, weight: int) -> tuple[int, int, int]:
+    def query(self, front: tuple[int, int, int], weight: int) -> tuple[int, int, int]:
         """The (rep, guards, notkept) of a query at weight: pool W in
-        slots 0..k-1, the frontier of W above them."""
-        packed = self.packs.get(weight)
-        if packed is None:
-            rep, notkept, _ = self.frontier(weight)
-            for _, _, sat, slot in self.pools.get(weight, ()):
-                rep |= 1 << slot * self.width
-                notkept |= (self.limit - 1 ^ sat) << slot * self.width
-            self.packs[weight] = packed = (rep, rep * self.limit, notkept)
-        return packed
+        slots 0..k-1, over the frontier of W, `front`."""
+        rep, notkept, _ = front
+        for _, _, sat, slot in self.pools.get(weight, ()):
+            rep |= 1 << slot * self.width
+            notkept |= (self.limit - 1 ^ sat) << slot * self.width
+        return rep, rep * self.limit, notkept
 
 
 def _undominated(
@@ -348,12 +329,13 @@ def _undominated(
     kept one (domination is transitive and the tie rule acyclic), so no
     solution is lost.
 
-    The pools are filled a weight at a time (`_DominationPools.fill`),
-    and the triples are then asked a weight at a time: each weight's
-    packed query is built once, and the subset test is written out here.
-    Its guard bits from `top` up are a lighter dominator's. Only when
-    pool W alone answers does the tie rule apply, through a map from
-    pool W's sats to their entries' least seq and guard bits. The
+    The triples are grouped by weight, and then each weight in turn,
+    lightest first, fills its pool (`_DominationPools.fill`), builds its
+    packed query once over the running frontier, asks its triples, and
+    extends the frontier by its pool. The subset test is written out
+    here. Its guard bits from `top` up are a lighter dominator's. Only
+    when pool W alone answers does the tie rule apply, through a map
+    from pool W's sats to their entries' least seq and guard bits. The
     deadline is checked every DEADLINE_STRIDE triples of each pass.
     """
     universe = pos_mask | neg_mask
@@ -364,13 +346,14 @@ def _undominated(
             check_deadline(deadline)
         sat = members & universe ^ neg_mask
         by_weight.setdefault(weight, []).append((-sat.bit_count(), seq, sat))
-    for weight, entries in by_weight.items():
-        pools.fill(weight, entries)
     kept = [False] * len(sets)
     width, guard, top = pools.width, pools.limit, pools.top
+    front = pools.empty
     done = 0
-    for weight, entries in by_weight.items():
-        rep, guards, notkept = pools.packed(weight)
+    for weight in sorted(by_weight):
+        entries = by_weight[weight]
+        pools.fill(weight, entries)
+        rep, guards, notkept = pools.query(front, weight)
         twins: dict[int, tuple[int, int]] = {}  # sat -> (least seq, guard bits)
         for _, pool_seq, pool_sat, slot in pools.pools[weight]:  # in seq order per sat
             least, bits = twins.get(pool_sat, (pool_seq, 0))
@@ -385,14 +368,16 @@ def _undominated(
                 if least >= seq:  # no older twin: the twins' slots are no hit
                     hits ^= bits
             kept[seq - 1] = not hits
+        front = pools.extend(front, weight)
     return tuple(compress(sets, kept))
 
 
 def reduce_instance(inst: BscInstance, k: int, deadline: Optional[float] = None) -> BscInstance:
     """Instance with the base sets its top-k pools dominate dropped.
 
-    Order is kept. k at least the largest number of base sets of one
-    weight makes the reduction exact: the result is an antichain.
+    Order is kept, lightest first. k at least the largest number of base
+    sets of one weight makes the reduction exact: the result is an
+    antichain.
     """
     pos_mask, neg_mask = inst.pos_mask, inst.neg_mask
     kept = _undominated(inst.base_sets, pos_mask, neg_mask, k, deadline)
@@ -459,14 +444,15 @@ def beam_search(
     admission order, masked and split into runs of rights once per
     beam; the last two weights take their per-side lists from those
     runs. The packed domination test is written out in two places here.
-    The seed pass asks `_DominationPools.packed` once for each run of
-    seeds of one weight, once per weight when the seeds come sorted, and
-    tests each seed against it inline. Below the last two weights, the
-    pair loop asks it once per weight and takes each right once, testing
+    The seed pass reads the base sets lightest first: it asks
+    `_DominationPools.query` once per weight, tests each seed against
+    it inline, and extends its frontier by the pool when the weight
+    changes. Below the last two weights, the pair loop asks it once per
+    weight, over a frontier it starts from the seed pools lighter than
+    3 and extends after each weight, and takes each right once, testing
     its | value and then its & value against it inline. In both, an
     admission adds the value to `seen` and calls `_admit`, which updates
-    the queue and pool W's list and packed slot in place; `changed` then
-    tells the pools that pool W moved.
+    the queue and pool W's list and packed slot in place.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -520,6 +506,7 @@ def beam_search(
 
     iterations = 0
     try:
+        front = pools.empty  # the frontier of the seed pools lighter than `held`
         held = None  # the weight whose packed query the seed pass holds
         for members, weight, leaf in inst.base_sets:
             n_candidates += 1
@@ -533,14 +520,12 @@ def beam_search(
             queue = queues.setdefault(weight, [])
             if masked in seen or len(queue) >= beam_width and score <= -queue[-1][0]:
                 continue  # in `seen`, or at or under the full queue's floor
-            if weight != held:
-                # Pool `held` may have changed in place: drop what that
-                # outdates before the query at this weight is read.
+            if weight != held:  # a heavier weight: no seed joins pool `held` again
                 if held is not None:
-                    pools.changed(held)
+                    front = pools.extend(front, held)
                 held = weight
                 pool = pools.pools.setdefault(weight, [])
-                rep, guards, notkept = pools.packed(weight)
+                rep, guards, notkept = pools.query(front, weight)
             # As in the pair loop: every pool W entry is older than seq,
             # and `seen` has dropped a twin of one, so no tie rule applies.
             if not (guards - (sat * rep & notkept)) & guards:
@@ -549,9 +534,12 @@ def beam_search(
                 )
                 seen.add(masked)
                 seq += 1
-        if held is not None:
-            pools.changed(held)
 
+        # The pair loop adds to the seed pools from weight 3 up, so its
+        # frontier starts from the lighter ones.
+        front = pools.empty
+        for weight in sorted(w for w in pools.pools if w < 3):
+            front = pools.extend(front, weight)
         k = 2
         while k + 1 <= max_weight and any(queues.values()):
             check_deadline(deadline)
@@ -566,7 +554,7 @@ def beam_search(
             floor = -queue[-1][0] if len(queue) >= beam_width else -1
             if not tail:
                 pool = pools.pools.setdefault(weight, [])
-                rep, guards, notkept = pools.packed(weight)
+                rep, guards, notkept = pools.query(front, weight)
             for i in range(1, k // 2 + 1):
                 if not queues.get(i) or not queues.get(k - i):
                     continue
@@ -638,8 +626,8 @@ def beam_search(
                                         seen.add(masked)
                                         seq += 1
                         n_candidates += count
-            if not tail:  # pool W changed in place
-                pools.changed(weight)
+            if not tail:  # pool W is final
+                front = pools.extend(front, weight)
             k += 1
         return None
     finally:
@@ -675,28 +663,22 @@ def _restricted(
     k: int,
     deadline: Optional[float] = None,
 ) -> tuple[tuple[int, int, tuple], ...]:
-    """Mask the family to a restriction's rows, re-dedup, re-reduce.
+    """Mask the lightest-first family to a restriction's rows, re-dedup,
+    re-reduce.
 
-    Keeps, per distinct masked vector, the minimal-weight (then first)
-    set, with its full members; drops empty vectors; then applies the
-    approximate domination reduction. Any set separating a surviving
-    (p, n) pair keeps a separating representative: a dominating
-    survivor classifies a superset of rows correctly, p and n included.
+    Keeps the first set of each distinct masked vector, a lightest one,
+    with its full members; drops the sets whose masked vector is empty;
+    then applies the approximate domination reduction. The order is
+    kept. Any set separating a surviving (p, n) pair keeps a separating
+    representative: a dominating survivor classifies a superset of rows
+    correctly, p and n included.
     """
     view_mask = pos_mask | neg_mask
-    out: list[tuple[int, int, tuple]] = []
-    by_vec: dict[int, int] = {}
+    first: dict[int, tuple[int, int, tuple]] = {}  # masked vector -> its first set
     for triple in sets:
-        m = triple[0] & view_mask
-        if m == 0:
-            continue
-        at = by_vec.get(m)
-        if at is None:
-            by_vec[m] = len(out)
-            out.append(triple)
-        elif triple[1] < out[at][1]:
-            out[at] = triple
-    return _undominated(out, pos_mask, neg_mask, k, deadline)
+        first.setdefault(triple[0] & view_mask, triple)
+    first.pop(0, None)
+    return _undominated(list(first.values()), pos_mask, neg_mask, k, deadline)
 
 
 def div_conq(
@@ -718,9 +700,9 @@ def div_conq(
     dropped, and if none remain the first solution is returned alone),
     and the two solutions combine with a union (P split) or an
     intersection (N split). The 1-positive/1-negative base case returns
-    the leaf of the lightest separating base set, or NoSolution with
-    the witness pair; by induction this finds a solution whenever the
-    existence check passes. Every view has a row of each class: a split
+    the leaf of the first separating base set, a lightest one, or
+    NoSolution with the witness pair; by induction this finds a solution
+    whenever the existence check passes. Every view has a row of each class: a split
     cuts the larger class, which then has two rows or more, and keeps
     the other whole.
     """
@@ -743,12 +725,12 @@ def _div_conq(
     n_p = view.pos_mask.bit_count()
     n_n = view.neg_mask.bit_count()
     if n_p == 1 and n_n == 1:
-        fitting = [t for t in view.base_sets if t[0] & view.pos_mask and not t[0] & view.neg_mask]
-        if not fitting:
-            p_row = view.pos_mask.bit_length() - 1
-            n_row = view.neg_mask.bit_length() - 1
-            return NoSolution(Witness(p_row, n_row - n_pos))
-        return min(fitting, key=lambda t: t[1])[2]  # the first of the lightest
+        for members, _, leaf in view.base_sets:  # lightest first
+            if members & view.pos_mask and not members & view.neg_mask:
+                return leaf
+        p_row = view.pos_mask.bit_length() - 1
+        n_row = view.neg_mask.bit_length() - 1
+        return NoSolution(Witness(p_row, n_row - n_pos))
 
     found = beam_search(view, *search)
     if found is not None:

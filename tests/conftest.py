@@ -343,9 +343,10 @@ def union_shaped_sample(seed: int = 0, trace_len: int = 12) -> Sample:
 
 def instance(n_pos: int, n_neg: int, pairs, labels=None) -> BscInstance:
     """The instance over n_pos positives, then n_neg negatives, of the
-    (members, weight) pairs, in order; members are masked to the rows.
-    Set i's leaf is `(members, label, None, None)`, its label `labels[i]`
-    (a formula, which `reconstruct` returns for the leaf) or i."""
+    (members, weight) pairs, which it sorts lightest first, stably;
+    members are masked to the rows. Pair i's leaf is `(members, label,
+    None, None)`, its label `labels[i]` (a formula, which `reconstruct`
+    returns for the leaf) or i."""
     pos_mask = (1 << n_pos) - 1
     neg_mask = ((1 << n_neg) - 1) << n_pos
     rows = pos_mask | neg_mask
@@ -357,7 +358,14 @@ def instance(n_pos: int, n_neg: int, pairs, labels=None) -> BscInstance:
 
 
 def leaf(inst: BscInstance, index: int) -> tuple:
+    """The leaf of the base set at `index`, lightest first."""
     return inst.base_sets[index][2]
+
+
+def labelled(inst: BscInstance, label) -> tuple:
+    """The leaf labelled `label`: pair `label` of `instance` unless it
+    was given labels."""
+    return next(node for _, _, node in inst.base_sets if node[1] == label)
 
 
 def base_sets_by_leaf(inst: BscInstance) -> dict[int, tuple[int, int, tuple]]:
@@ -533,13 +541,23 @@ class HeapPools:
         return {(w, -neg_seq, sat) for w, pool in self.pools.items() for _, neg_seq, sat in pool}
 
 
+def frontier_of(pools, weight: int) -> tuple[int, int, int]:
+    """The frontier of weight over the pools as they stand: `empty`
+    extended by each lighter pool, lightest first, as a reader that has
+    filled them carries it."""
+    front = pools.empty
+    for w in sorted(w for w in pools.pools if w < weight):
+        front = pools.extend(front, w)
+    return front
+
+
 def pool_dominated(pools, weight: int, sat: int, seq: int) -> int:
     """The guard bits of the pool entries that weigh no more than weight
     and contain sat, 0 when none does: the packed query's subset test,
     then `_undominated`'s tie rule, written as a scan of pool W. A slot
     of pool W that equals sat with a seq not smaller than seq is no hit,
     so an entry never dominates itself."""
-    rep, guards, notkept = pools.packed(weight)
+    rep, guards, notkept = pools.query(frontier_of(pools, weight), weight)
     hits = (guards - (sat * rep & notkept)) & guards
     if hits & pools.top - 1:  # pool W answered
         for _, pool_seq, pool_sat, slot in pools.pools[weight]:

@@ -369,8 +369,12 @@ def test_a08_domination_reductions_are_sound():
         inst = random_instance(rng)
         items = base_set_scores(inst)
 
-        def kept(k):  # the leaves' labels, the indices, keep twins apart
-            return [leaf[1] for _, _, leaf in reduce_instance(inst, k).base_sets]
+        # The kept sets' positions in inst, found by their leaves'
+        # labels, which keep twins apart.
+        at = {leaf[1]: i for i, (_, _, leaf) in enumerate(inst.base_sets)}
+
+        def kept(k):
+            return [at[leaf[1]] for _, _, leaf in reduce_instance(inst, k).base_sets]
 
         exact = kept(len(items))
         for i in exact:

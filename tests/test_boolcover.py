@@ -16,6 +16,7 @@ from ltlflearn.boolcover import (
     Witness,
     _admit,
     _DominationPools,
+    _restricted,
     _undominated,
     beam_search,
     collapse,
@@ -37,9 +38,11 @@ from conftest import (
     built_during,
     dominates,
     exact_undominated,
+    frontier_of,
     instance,
     inter,
     is_solution_combination,
+    labelled,
     leaf,
     nodes_of,
     pool_dominated,
@@ -86,7 +89,7 @@ def test_combination_weights():
     # The weight is the size of the reconstructed formula.
     # Each leaf is labelled with a formula of its weight.
     inst = instance(1, 1, [(0b01, 3), (0b11, 1)], [Finally(Finally(Atom(0))), Atom(1)])
-    a, b = leaf(inst, 0), leaf(inst, 1)
+    a, b = labelled(inst, Finally(Finally(Atom(0)))), labelled(inst, Atom(1))
     assert weight_of(None, inst) == 0
     assert weight_of(a, inst) == 3
     assert weight_of(union(a, b), inst) == 5
@@ -178,6 +181,61 @@ def test_collapse_rejects_empty_bank():
         collapse(bank_from_formulas(s, []), s)
 
 
+# --- lightest first ------------------------------------------------------------
+
+def lightest_first(sets) -> bool:
+    weights = [weight for _, weight, _ in sets]
+    return weights == sorted(weights)
+
+
+def half_of(mask: int, rng: random.Random) -> int:
+    """A random half of the mask's rows, one row at least."""
+    rows = [r for r in range(mask.bit_length()) if mask >> r & 1]
+    return sum(1 << r for r in rng.sample(rows, max(1, len(rows) // 2)))
+
+
+# (members, weight) pairs over at most 8 rows, with many equal weights.
+WEIGHTED_PAIRS = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 4)), max_size=14)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), WEIGHTED_PAIRS, st.integers(1, 3),
+       st.integers(2, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+# Every weight twice, heaviest first: the sort moves every set.
+@example(2, 2, [(0b0101, 3), (0b0110, 3), (0b1001, 2), (0b1010, 2), (0b0011, 1), (0b1100, 1)],
+         1, 6, 0)
+def test_instances_keep_their_base_sets_lightest_first(n_pos, n_neg, pairs, k, max_weight, seed):
+    rng = random.Random(seed)
+    inst = instance(n_pos, n_neg, pairs)
+    # Sorted stably: the sets of one weight keep the order of their pairs.
+    assert [leaf[1] for _, _, leaf in inst.base_sets] == sorted(
+        range(len(pairs)), key=lambda i: pairs[i][1])
+    assert lightest_first(reduce_instance(inst, k).base_sets)
+    # Restrictions to ever fewer rows, as the splits of `div_conq` chain them.
+    pos_mask, neg_mask, sets = inst.pos_mask, inst.neg_mask, inst.base_sets
+    while pos_mask.bit_count() + neg_mask.bit_count() > 2:
+        if pos_mask.bit_count() >= neg_mask.bit_count():
+            pos_mask = half_of(pos_mask, rng)
+        else:
+            neg_mask = half_of(neg_mask, rng)
+        sets = _restricted(sets, pos_mask, neg_mask, k)
+        assert lightest_first(sets)
+    # An instance of the sets in any order is its sorted twin, so the
+    # cover phase answers and counts alike on both.
+    triples = list(inst.base_sets)
+    rng.shuffle(triples)
+    shuffled = BscInstance(inst.pos_mask, inst.neg_mask, tuple(triples))
+    twin = BscInstance(inst.pos_mask, inst.neg_mask, tuple(sorted(triples, key=lambda t: t[1])))
+    runs = []
+    for view in (shuffled, twin):
+        stats = {}
+        found = beam_search(view, 3, max_weight, k, None, stats)
+        split = div_conq(view, seed=seed, beam_width=3, max_weight=max_weight,
+                         domination_k=k, stats=stats)
+        runs.append((found, split, stats))
+    assert runs[0] == runs[1]
+
+
 # --- existence ------------------------------------------------------------------
 
 def test_empty_family_gives_the_trivial_witness():
@@ -225,7 +283,10 @@ def tagged_instance(pool) -> BscInstance:
 
 
 def kept_indices(inst: BscInstance, k: int) -> list[int]:
-    return [leaf[1] for _, _, leaf in reduce_instance(inst, k).base_sets]
+    """The positions in inst of the base sets the reduction keeps, found
+    by their leaves' labels."""
+    at = {leaf[1]: i for i, (_, _, leaf) in enumerate(inst.base_sets)}
+    return [at[leaf[1]] for _, _, leaf in reduce_instance(inst, k).base_sets]
 
 
 def test_dominates_needs_weight_and_sat():
@@ -343,18 +404,17 @@ def pool_add(pools: _DominationPools, weight: int, sat: int, seq: int) -> None:
     """Admit sat at weight, with a seq newer than any before, through the
     beam's own `_admit` and a scratch queue: a pool with room takes it in
     its next slot; a full one only a strictly higher score than its last
-    entry's, which it drops, and the new entry takes over that slot. Then
-    `changed` drops what the admission outdates."""
-    rep, guards, notkept = pools.packed(weight)
+    entry's, which it drops, and the new entry takes over that slot. The
+    pools keep no query to outdate: each is built afresh from the lists."""
+    rep, guards, notkept = pools.query(frontier_of(pools, weight), weight)
     pool = pools.pools.setdefault(weight, [])
     _admit(pools, pool, [], 1, sat.bit_count(), seq, sat, (), rep, guards, notkept)
-    pools.changed(weight)
 
 
 def beam_hits(pools: _DominationPools, weight: int, sat: int) -> int:
     """The beam's inline test of sat at weight: `pool_dominated` without
     its tie rule."""
-    rep, guards, notkept = pools.packed(weight)
+    rep, guards, notkept = pools.query(frontier_of(pools, weight), weight)
     return (guards - (sat * rep & notkept)) & guards
 
 
@@ -473,7 +533,7 @@ def test_an_empty_frontier_dominates_nothing():
     pools = _DominationPools(2, (1 << 70) - 1)
     assert not pool_dominated(pools, 1, 0, 0)
     pool_add(pools, 3, (1 << 70) - 1, 0)  # heavier than the queries: not in their frontier
-    rep, notkept, shift = pools.frontier(2)
+    rep, notkept, shift = pools.extend(pools.empty, 1)  # no pool 1: nothing to add
     assert (rep, notkept, shift) == (0, 0, 2 * pools.width)  # its first slot free
     for sat in (0, 1, 1 << 69):
         assert not pool_dominated(pools, 2, sat, 1)
@@ -521,7 +581,7 @@ def check_slots(pools: _DominationPools, probes) -> None:
     every probe like the lighter entries, all of them, do."""
     for weight, pool in pools.pools.items():
         assert sorted(slot for *_, slot in pool) == list(range(len(pool)))
-        rep, guards, notkept = pools.packed(weight)
+        rep, guards, notkept = pools.query(frontier_of(pools, weight), weight)
         assert guards == rep * pools.limit
         assert (rep % pools.top, notkept % pools.top) == packed_afresh(pools, weight)
     for weight in range(1, 6):
@@ -554,7 +614,7 @@ SLOT_CASES = st.one_of(st.just(6), st.integers(30, 100)).flatmap(
 def test_packed_slots_follow_adds_evictions_and_fills(k, case):
     # A fill takes a step's sats at once into an empty pool; otherwise
     # they are added one at a time, evicting from a full pool. Every
-    # check asks each weight, so each later step must drop what it outdates.
+    # check asks each weight over a frontier extended from the lists.
     rows, steps = case
     pools, oracle = _DominationPools(k, rows), HeapPools(k)
     probes, seq = {0, rows}, 0
@@ -591,7 +651,8 @@ def test_admit_updates_the_packed_query_and_the_floor_in_place(k, beam_width, n_
     for seq, sat in enumerate(lighter):
         oracle.add(1, sat, seq)
     seq, floor, admitted = len(lighter), -1, []
-    rep, guards, notkept = pools.packed(2)
+    front = pools.extend(pools.empty, 1)
+    rep, guards, notkept = pools.query(front, 2)
     pool, queue = pools.pools.setdefault(2, []), []
     for sat in data.draw(st.lists(sats, min_size=1, max_size=12)):
         score = sat.bit_count()
@@ -606,8 +667,7 @@ def test_admit_updates_the_packed_query_and_the_floor_in_place(k, beam_width, n_
         assert queue == sorted(admitted)[:beam_width]
         assert floor == (-queue[-1][0] if len(queue) == beam_width else -1)
         assert pool_entries(pools) == oracle.entries()
-        pools.changed(2)
-        assert (rep, guards, notkept) == pools.packed(2)
+        assert (rep, guards, notkept) == pools.query(front, 2)
 
 
 def test_pools_reject_a_sat_outside_their_rows():
@@ -622,11 +682,11 @@ def test_pools_reject_a_sat_outside_their_rows():
 
 
 def test_the_pair_loop_drops_the_frontiers_the_seeds_built(monkeypatch):
-    # Each seed is asked as it comes, so the seed pass builds the frontiers
-    # of weights 3 and 4 here; the pair loop then admits at weight 3 in
-    # place. The frontier it reads at weight 4 must hold that admission,
-    # not what the seeds left. (The instance of the reference example in
-    # which {p0, p2, p3, n0} | {p1} evicts a seed at weight 3.)
+    # Each seed is asked as it comes, so the seed pass extends a frontier
+    # up to weights 3 and 4 here; the pair loop then admits at weight 3
+    # in place. The frontier it reads at weight 4 must hold that
+    # admission, not what the seeds left. (The instance of the reference
+    # example in which {p0, p2, p3, n0} | {p1} evicts a seed at weight 3.)
     inst = instance(4, 1, [(0b11101, 1), (0b00010, 1), (0b00110, 3), (0b00100, 4)])
     phase, built, read, seeded = ["seeds"], [], [], {}
 
@@ -635,18 +695,17 @@ def test_the_pair_loop_drops_the_frontiers_the_seeds_built(monkeypatch):
             super().__init__(k, rows)
             built.append(self)
 
-        def packed(self, weight):
-            packed = super().packed(weight)
+        def query(self, front, weight):
             if phase[0] == "pairs":
                 lighter = [kept for w, pool in self.pools.items() if w < weight
                            for _, _, kept, _ in pool]
-                read.append((weight, self.frontiers[weight], lighter))
-            return packed
+                read.append((weight, front, lighter))
+            else:
+                seeded[weight] = front
+            return super().query(front, weight)
 
     def check(deadline):
-        if phase[0] == "seeds":
-            seeded.update(built[0].frontiers)
-            phase[0] = "pairs"
+        phase[0] = "pairs"
 
     monkeypatch.setattr("ltlflearn.boolcover._DominationPools", Pools)
     monkeypatch.setattr("ltlflearn.boolcover.check_deadline", check)
@@ -666,8 +725,8 @@ def test_the_pair_loop_drops_the_frontiers_the_seeds_built(monkeypatch):
 
 def counting_pools(calls: Counter, built: list):
     """A `_DominationPools` that counts each call of any of its methods
-    by (name, weight), with "packed" split into "packed built" and
-    "packed cached"; each one made is appended to `built`."""
+    by (name, weight), the one int it is passed, in the order of first
+    calls; each one made is appended to `built`."""
 
     class Pools(_DominationPools):
         def __init__(self, k, rows):
@@ -679,12 +738,9 @@ def counting_pools(calls: Counter, built: list):
             if name.startswith("__") or not callable(attr):
                 return attr
 
-            def counted(weight, *args):
-                if name == "packed":
-                    calls["packed cached" if weight in self.packs else "packed built", weight] += 1
-                else:
-                    calls[name, weight] += 1
-                return attr(weight, *args)
+            def counted(*args):
+                calls[name, next(arg for arg in args if isinstance(arg, int))] += 1
+                return attr(*args)
 
             return counted
 
@@ -694,8 +750,9 @@ def counting_pools(calls: Counter, built: list):
 def test_each_weight_s_query_is_built_once_per_seed_pass_and_reduction(monkeypatch):
     # 60 distinct sets over 10 rows at weights 1-4, none a solution: the
     # seed pass asks about every one, and `_undominated` too. Each reads a
-    # weight's packed query once and tests every set at that weight
-    # itself; no pool method is called per set.
+    # weight's packed query once, tests every set at that weight itself
+    # and extends its frontier by the pool; no pool method is called per
+    # set.
     rng = random.Random(5)
     family = {}
     while len(family) < 60:
@@ -710,17 +767,19 @@ def test_each_weight_s_query_is_built_once_per_seed_pass_and_reduction(monkeypat
     stats = {}
     assert beam_search(inst, max_weight=2, domination_k=3, stats=stats) is None
     assert stats["beam_candidates"] == 60 and len(built[0].pools) == 4
-    assert {name for name, _ in seed_calls} == {"packed built", "changed", "frontier"}
-    assert all(seed_calls["packed built", w] == seed_calls["changed", w] == 1 for w in weights)
-    assert max(seed_calls.values()) <= 2  # a frontier: read by its packed query, extended above
-    # `_undominated` asks the weights in the order the sets first reach them.
+    assert {name for name, _ in seed_calls} == {"query", "extend"}
+    assert all(seed_calls["query", w] == 1 for w in weights)
+    # A seed pool extends the seed pass's frontier as the next weight
+    # comes, and the pair loop's start if it is lighter than 3.
+    assert {w: seed_calls["extend", w] for w in weights} == {1: 2, 2: 2, 3: 1, 4: 0}
+    # `_undominated` asks the weights lightest first, whatever the order
+    # of the sets.
     monkeypatch.setattr("ltlflearn.boolcover._DominationPools", counting_pools(reduce_calls, built))
     rng.shuffle(sets)
-    _undominated(instance(5, 5, sets).base_sets, 0b11111, 0b11111 << 5, 3)
-    assert {name for name, _ in reduce_calls} == {"fill", "changed", "packed built", "frontier"}
-    assert all(reduce_calls[name, w] == 1
-               for w in weights for name in ("fill", "changed", "packed built"))
-    assert max(reduce_calls.values()) <= 2
+    _undominated([(m, w, i) for i, (m, w) in enumerate(sets)], 0b11111, 0b11111 << 5, 3)
+    assert list(reduce_calls) == [(name, w) for w in sorted(weights)
+                                  for name in ("fill", "query", "extend")]
+    assert set(reduce_calls.values()) == {1}
 
 
 def test_undominated_checks_the_deadline_every_4096_sets(monkeypatch):
@@ -902,8 +961,8 @@ def logging_pools(log, built: list):
             super().__init__(k, rows)
             built.append(self)
 
-        def packed(self, weight):
-            rep, guards, notkept = super().packed(weight)
+        def query(self, front, weight):
+            rep, guards, notkept = super().query(front, weight)
             return AskedRep(rep, weight, log), guards, notkept
 
     return Pools
@@ -1042,9 +1101,10 @@ def test_the_last_two_weights_only_look_for_a_solution(monkeypatch):
 # At width 2, a | b and a & b fill queue 3, and then b | a, in `seen` as
 # a | b, scores at the floor of the full queue.
 @example(4, 3, [(0b0011010, 1), (0b0101101, 1)], 2, 6, 2)
-# Seeds out of weight order: {p0, p2, n0, n1} (weight 1) comes after the
-# weight-2 seed and evicts {p2, n1} from the full pool 1. It dominates the
-# last seed, {p2, n0} at weight 4, in a frontier built after that change.
+# Seeds out of weight order, which the instance sorts: {p0, p2, n0, n1}
+# (weight 1) evicts {p2, n1} from the full pool 1 before the weight-2 seed
+# is asked, and dominates the last seed, {p2, n0} at weight 4, through the
+# seed pass's frontier.
 @example(3, 2, [(210, 2), (76, 1), (133, 1), (52, 4)], 3, 9, 1)
 def test_beam_answers_and_counts_like_the_reference_beam(
     n_pos, n_neg, sets, beam_width, max_weight, domination_k
@@ -1170,6 +1230,31 @@ def witness_is_correct(w: Witness, inst: BscInstance) -> bool:
     )
 
 
+@given(st.integers(1, 4), st.integers(1, 4), WEIGHTED_PAIRS, st.integers(1, 3),
+       st.integers(0, 255), st.integers(0, 255))
+@settings(max_examples=200)
+# Restricted to p0 and n0, sets 0 and 1 mask to one vector, set 2 to
+# none, and set 3 to a vector that set 0 dominates.
+@example(2, 1, [(0b001, 1), (0b011, 2), (0b010, 2), (0b101, 3)], 1, 0b01, 0b1)
+def test_restricted_keeps_the_first_set_of_each_masked_vector(
+    n_pos, n_neg, pairs, k, pos_rows, neg_rows
+):
+    # A restriction to some rows of each class, as a split of `div_conq`.
+    inst = instance(n_pos, n_neg, pairs)
+    pos_mask = inst.pos_mask & pos_rows or inst.pos_mask
+    neg_mask = inst.neg_mask & neg_rows << n_pos or inst.neg_mask
+    rows = pos_mask | neg_mask
+    firsts, vectors = [], set()
+    for triple in inst.base_sets:
+        vector = triple[0] & rows
+        if vector and vector not in vectors:  # a lightest set of its vector
+            vectors.add(vector)
+            firsts.append(triple)
+    got = _restricted(inst.base_sets, pos_mask, neg_mask, k)
+    assert got == _undominated(firsts, pos_mask, neg_mask, k)
+    assert all(members & rows for members, _, _ in got)
+
+
 def test_div_conq_solves_every_separable_instance():
     rng = random.Random(11)
     done = 0
@@ -1207,10 +1292,10 @@ def test_div_conq_base_case_picks_lightest_separating_set():
         (mask(0), 2),
     ])
     out = div_conq(inst, seed=0)
-    assert out == leaf(inst, 2)
+    assert out == labelled(inst, 2)
     # Of equally light sets, the first.
     twins = instance(1, 1, [(mask(0), 2), (mask(0), 1), (mask(0), 1)])
-    assert div_conq(twins, seed=0) is leaf(twins, 1)
+    assert div_conq(twins, seed=0) is labelled(twins, 1)
 
 
 def test_div_conq_splits_when_the_solver_stalls(monkeypatch):
