@@ -15,8 +15,12 @@ proposition is an independent fair coin at each position, the draws
 are classified by the reference evaluator a batch at a time, and
 sampling stops once enough positives and negatives accumulated (or the
 try budget runs out, which is reported as an error rather than retried
-silently). The draws are used in the order drawn, so the output is
-byte-identical to classifying them one at a time.
+silently). Up to 8 propositions, a batch's letters come from one
+getrandbits call, a byte each, and are the letters a call per letter
+gives; wider letters take a call each. The first positives and
+negatives still needed are found in the batch's labels, read as a
+string. The draws are used in the order drawn, so the output is
+byte-identical to drawing and classifying them one at a time.
 
 Two independent RNG streams per task seed, "<seed>:formula" and
 "<seed>:traces", keep the target formula stable when only trace counts
@@ -29,7 +33,6 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,6 +44,7 @@ from .formulas import (
     Or,
     StrongNext,
     Until,
+    Value,
     compile_reference,
     render_formula,
 )
@@ -77,19 +81,23 @@ class SamplingBudgetError(RuntimeError):
     """The rejection sampler ran out of tries (formula too skewed)."""
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Value):
     """Everything a task generation needs; the seed pins the output."""
 
+    __slots__ = _fields = ("family", "n_props", "trace_len", "n_pos", "n_neg", "seed", "params")
     family: str
     n_props: int
-    trace_len: int = 16
-    n_pos: int = 5
-    n_neg: int = 5
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+    trace_len: int
+    n_pos: int
+    n_neg: int
+    seed: int
+    params: dict
 
-    def __post_init__(self):
+    def __init__(self, family: str, n_props: int, trace_len: int = 16, n_pos: int = 5,
+                 n_neg: int = 5, seed: int = 0, params: Optional[dict] = None):
+        values = (family, n_props, trace_len, n_pos, n_neg, seed, {} if params is None else params)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         for name in ("n_props", "trace_len", "n_pos", "n_neg"):
@@ -203,12 +211,29 @@ def gen_formula(spec: TaskSpec) -> Formula:
     return out
 
 
-def _random_letters(rng: random.Random, trace_len: int, n_props: int) -> tuple[int, ...]:
-    return tuple(map(rng.getrandbits, repeat(n_props, trace_len)))
+# _TOP_BITS[n] maps each byte to its top n bits, for bytes.translate.
+_TOP_BITS = [bytes([b >> (8 - n) for b in range(256)]) for n in range(9)]
+
+
+def _draw(rng: random.Random, trace_len: int, n_props: int, count: int) -> Sequence[int]:
+    """The letters of count draws of trace_len letters, draw d's at
+    [d * trace_len, (d + 1) * trace_len): each letter n_props fair coins,
+    the one getrandbits(n_props) call a letter would give.
+
+    Such a call returns the top n_props bits of one 32-bit word of the
+    generator. Up to 8 propositions, one call takes all the words of the
+    batch, lowest first, and a letter is the top byte of its word shifted
+    down: the same words in the same order, and the generator ends in the
+    same state. Wider letters take a call each.
+    """
+    n = trace_len * count
+    if n_props > 8:
+        return tuple(map(rng.getrandbits, repeat(n_props, n)))
+    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(_TOP_BITS[n_props])
 
 
 def _hamming_task(spec: TaskSpec, rng: random.Random, max_tries: int) -> Sample:
-    positive = Trace(_random_letters(rng, spec.trace_len, spec.n_props))
+    positive = Trace(tuple(_draw(rng, spec.trace_len, spec.n_props, 1)))
     total_bits = spec.trace_len * spec.n_props
     negatives: list[Trace] = []
     seen = {positive.letters}
@@ -232,23 +257,36 @@ def _hamming_task(spec: TaskSpec, rng: random.Random, max_tries: int) -> Sample:
     return Sample(spec.alphabet, (positive,), tuple(negatives))
 
 
+def _take(batch: list, labels: str, label: str, k: int) -> list[Trace]:
+    """The first k draws of the batch labelled label, fewer if it has fewer."""
+    taken: list[Trace] = []
+    d = -1
+    while len(taken) < k and (d := labels.find(label, d + 1)) >= 0:
+        taken.append(Trace(tuple(batch[d])))
+    return taken
+
+
 def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
     """Generate the sample for a spec; deterministic given the spec.
 
     Formula families use rejection sampling classified by the reference
     evaluator, compiled once per task, so label soundness holds by
-    construction. Draws are classified DRAW_BATCH per run of the program
-    and used in the order drawn; those past the last one used only
-    advance this task's "<seed>:traces" stream, so the sample is the
-    one a draw at a time gives. Raises SamplingBudgetError after
-    max_tries used draws; at the default trace lengths that signals a
-    formula too skewed for this family, not bad luck.
+    construction. Draws come DRAW_BATCH at a time from one `_draw` and
+    are classified by one run of the program. The batch's labels, read
+    as a string, give the first positives and negatives still needed,
+    in the order drawn, and only those become traces. Draws past the
+    last one used only advance this task's "<seed>:traces" stream, so
+    the sample is the one a draw at a time gives. Raises
+    SamplingBudgetError after max_tries draws; at the default trace
+    lengths that signals a formula too skewed for this family, not bad
+    luck.
     """
     rng = random.Random(f"{spec.seed}:traces")
     if spec.family == "hamming":
         return _hamming_task(spec, rng, max_tries)
 
     values = compile_reference(gen_formula(spec))
+    length = spec.trace_len
     positives: list[Trace] = []
     negatives: list[Trace] = []
     tries = 0
@@ -258,20 +296,14 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
                 f"{spec.family}: {len(positives)}/{spec.n_pos} positives and "
                 f"{len(negatives)}/{spec.n_neg} negatives after {max_tries} draws"
             )
-        batch = [
-            _random_letters(rng, spec.trace_len, spec.n_props)
-            for _ in range(min(DRAW_BATCH, max_tries - tries))
-        ]
-        holds = values(batch)[0]  # bit d: the formula holds on draw d
-        for d, letters in enumerate(batch):
-            tries += 1
-            if holds >> d & 1:
-                if len(positives) < spec.n_pos:
-                    positives.append(Trace(letters))
-            elif len(negatives) < spec.n_neg:
-                negatives.append(Trace(letters))
-            if len(positives) == spec.n_pos and len(negatives) == spec.n_neg:
-                break
+        count = min(DRAW_BATCH, max_tries - tries)
+        letters = _draw(rng, length, spec.n_props, count)
+        batch = [letters[i:i + length] for i in range(0, count * length, length)]
+        # labels[d] is "1" when the formula holds on draw d, else "0".
+        labels = format(values(batch)[0], f"0{count}b")[::-1]
+        positives += _take(batch, labels, "1", spec.n_pos - len(positives))
+        negatives += _take(batch, labels, "0", spec.n_neg - len(negatives))
+        tries += count  # read only after a batch that left a count unfilled, so used it all
     return Sample(spec.alphabet, tuple(positives), tuple(negatives))
 
 
@@ -279,13 +311,14 @@ def gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
 # Manifests
 # ---------------------------------------------------------------------------
 
-MANIFEST_FIELDS = (*(f.name for f in fields(TaskSpec)), "formula", "path")
+MANIFEST_FIELDS = (*TaskSpec._fields, "formula", "path")
 
 
 def manifest_row(spec: TaskSpec, formula: Optional[Formula], path: str) -> dict:
     """Each TaskSpec field by name, params as sorted JSON; then the
     target formula's text ("" for none) and the task's path."""
-    return {**asdict(spec), "params": json.dumps(spec.params, sort_keys=True),
+    return {**dict(zip(spec._fields, spec._values())),
+            "params": json.dumps(spec.params, sort_keys=True),
             "formula": "" if formula is None else render_formula(formula, spec.alphabet),
             "path": path}
 

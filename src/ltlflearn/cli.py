@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -189,12 +190,12 @@ def _generate_specs(args) -> list[TaskSpec]:
     params = {} if family.param is None else {family.param: list(range(n)) if family.as_props else n}
     # A --props of 0 stays, for TaskSpec to reject.
     n_props = args.props if args.props is not None else (n if family.props_from_n else 3)
+    flags = {name: getattr(args, name) for name in _SPEC_FLAGS if name != "seed"}
     try:
-        spec = TaskSpec(args.family, n_props, params=params,
-                        **{name: getattr(args, name) for name in _SPEC_FLAGS})
+        return [TaskSpec(args.family, n_props, params=params, seed=args.seed + offset, **flags)
+                for offset in range(args.count)]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return [dataclasses.replace(spec, seed=spec.seed + offset) for offset in range(args.count)]
 
 
 def cmd_generate(args) -> int:
@@ -377,10 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "conjunct or pattern count (default 2)")
     p_gen.add_argument("--props", type=int, default=None,
                        help="alphabet size (default: derived from --n)")
-    spec_defaults = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+    spec_params = inspect.signature(TaskSpec).parameters
     for name, (flag, help_text) in _SPEC_FLAGS.items():
-        p_gen.add_argument(flag, dest=name, metavar=flag[2:].upper(), default=spec_defaults[name],
-                           type=type(spec_defaults[name]), help=help_text)
+        default = spec_params[name].default
+        p_gen.add_argument(flag, dest=name, metavar=flag[2:].upper(), default=default,
+                           type=type(default), help=help_text)
     p_gen.add_argument("--count", type=int, default=1,
                        help="tasks to generate, seeds seed..seed+count-1 (default 1)")
     p_gen.add_argument("--out", default=".", help="output directory (default .)")

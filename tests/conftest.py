@@ -4,9 +4,16 @@ import ast
 import heapq
 import json
 import random
+from itertools import repeat
 from typing import Optional
 
-from ltlflearn.benchgen import TaskSpec
+from ltlflearn.benchgen import (
+    DEFAULT_MAX_TRIES,
+    DRAW_BATCH,
+    SamplingBudgetError,
+    TaskSpec,
+    gen_formula,
+)
 from ltlflearn.biteval import BINARY_KERNELS, UNARY_KERNELS, CharTable, Layout, table_of
 from ltlflearn.boolcover import BscInstance
 from ltlflearn.enumeration import FormulaBank, formula_of
@@ -25,6 +32,7 @@ from ltlflearn.formulas import (
     Until,
     WeakNext,
     _set_size,
+    compile_reference,
     eval_reference,
 )
 from ltlflearn.traces import Alphabet, Sample, Trace
@@ -678,3 +686,41 @@ def spec_from_manifest_row(row: dict) -> TaskSpec:
         seed=int(row["seed"]),
         params=json.loads(row["params"]) if row.get("params") else {},
     )
+
+
+# --- the generator's oracle: one getrandbits call per letter, one label per draw ---
+
+def _random_letters(rng: random.Random, trace_len: int, n_props: int) -> tuple[int, ...]:
+    return tuple(map(rng.getrandbits, repeat(n_props, trace_len)))
+
+
+def reference_gen_task(spec: TaskSpec, max_tries: int = DEFAULT_MAX_TRIES) -> Sample:
+    """benchgen.gen_task for the formula families, drawn a getrandbits
+    call per letter and classified by a Python loop over every draw of a
+    batch: what the batch drawing and the label search must match."""
+    rng = random.Random(f"{spec.seed}:traces")
+    values = compile_reference(gen_formula(spec))
+    positives: list[Trace] = []
+    negatives: list[Trace] = []
+    tries = 0
+    while len(positives) < spec.n_pos or len(negatives) < spec.n_neg:
+        if tries >= max_tries:
+            raise SamplingBudgetError(
+                f"{spec.family}: {len(positives)}/{spec.n_pos} positives and "
+                f"{len(negatives)}/{spec.n_neg} negatives after {max_tries} draws"
+            )
+        batch = [
+            _random_letters(rng, spec.trace_len, spec.n_props)
+            for _ in range(min(DRAW_BATCH, max_tries - tries))
+        ]
+        holds = values(batch)[0]  # bit d: the formula holds on draw d
+        for d, letters in enumerate(batch):
+            tries += 1
+            if holds >> d & 1:
+                if len(positives) < spec.n_pos:
+                    positives.append(Trace(letters))
+            elif len(negatives) < spec.n_neg:
+                negatives.append(Trace(letters))
+            if len(positives) == spec.n_pos and len(negatives) == spec.n_neg:
+                break
+    return Sample(spec.alphabet, tuple(positives), tuple(negatives))

@@ -1,12 +1,17 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltlflearn.benchgen import (
     DEFAULT_MAX_TRIES,
     FAMILIES,
+    FAMILY_TABLE,
     SamplingBudgetError,
     TaskSpec,
+    _draw,
     default_basis,
     gen_formula,
     gen_task,
@@ -26,7 +31,7 @@ from ltlflearn.formulas import (
 )
 from ltlflearn.traces import parse_task, serialize_sample
 
-from conftest import spec_from_manifest_row
+from conftest import reference_gen_task, spec_from_manifest_row
 
 
 # --- formula shapes -----------------------------------------------------------
@@ -262,3 +267,68 @@ def test_golden_tasks_cover_every_family():
 def test_generated_task_text_is_pinned(spec, digest):
     text = serialize_sample(gen_task(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Digests taken with a getrandbits call per letter, on the shapes whose
+# letters take the two ways of drawing a batch: enum-wide's one
+# proposition at length 32 a byte each, nine propositions a call each.
+GOLDEN_DRAW_TASKS = [
+    (TaskSpec("random-boolcomb", 1, trace_len=32, n_pos=50, n_neg=50, seed=3,
+              params={"n_patterns": 1}),
+     "79313be85587aba214f1bb1cc522e1f40090fbfb6c5396aeded7a598aeac902f"),
+    (TaskSpec("subset", 9, trace_len=8, n_pos=4, n_neg=4, seed=7, params={"subset": [0, 4, 8]}),
+     "ed3d8fdc84c627adc4f90c884f604a8996f64da68326c6e2f30421c9dcc34e21"),
+    (TaskSpec("hamming", 9, trace_len=6, n_pos=1, n_neg=4, seed=7),
+     "6d63126e568a81053d8774fd0480f3421323a416176b8a2112c2504957af387b"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_DRAW_TASKS,
+                         ids=[f"{s.family}-{s.n_props}" for s, _ in GOLDEN_DRAW_TASKS])
+def test_task_text_is_pinned_on_both_ways_of_drawing(spec, digest):
+    text = serialize_sample(gen_task(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@given(n_props=st.integers(1, 10), trace_len=st.integers(1, 40), count=st.integers(1, 130),
+       seed=st.integers(0, 2**32))
+def test_a_batch_draws_what_a_call_per_letter_draws(n_props, trace_len, count, seed):
+    rng, one_by_one = random.Random(seed), random.Random(seed)
+    letters = _draw(rng, trace_len, n_props, count)
+    assert list(letters) == [one_by_one.getrandbits(n_props) for _ in range(trace_len * count)]
+    assert rng.getstate() == one_by_one.getstate()
+
+
+def family_params(family: str, n_props: int):
+    """A strategy for the params of a formula family, within its bounds."""
+    props = st.integers(0, n_props - 1)
+    return {
+        "ordered-sequence": st.integers(1, n_props),
+        "subword": st.lists(props, min_size=1, max_size=3),
+        "subset": st.lists(props, min_size=1, max_size=3, unique=True),
+        "random-conjuncts": st.integers(1, 3),
+        "random-boolcomb": st.integers(1, 3),
+    }[family].map(lambda value: {FAMILY_TABLE[family].param: value})
+
+
+@st.composite
+def formula_specs(draw):
+    family = draw(st.sampled_from([f for f in FAMILIES if f != "hamming"]))
+    n_props = draw(st.integers(1, 10))
+    return TaskSpec(family, n_props, trace_len=draw(st.integers(1, 40)),
+                    n_pos=draw(st.integers(1, 12)), n_neg=draw(st.integers(1, 12)),
+                    seed=draw(st.integers(0, 999)), params=draw(family_params(family, n_props)))
+
+
+def outcome(generate, spec, max_tries):
+    """The task text, or the budget error's message."""
+    try:
+        return serialize_sample(generate(spec, max_tries))
+    except SamplingBudgetError as exc:
+        return f"SamplingBudgetError: {exc}"
+
+
+@given(formula_specs(), st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_tasks_and_budget_errors_match_a_draw_at_a_time(spec, max_tries):
+    assert outcome(gen_task, spec, max_tries) == outcome(reference_gen_task, spec, max_tries)

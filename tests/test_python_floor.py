@@ -3,11 +3,12 @@ pyproject.toml allows.
 
 Compiling catches syntax newer than the floor; APIs newer than it (such
 as `math.cbrt`, new in 3.11) show only in a run, so one
-set-cover task is also learned under the floor and compared with the
-run in this process, and so is a `generate` then `bench --jobs 2` run
-of the command line.
+set-cover task is also generated and learned under the floor and
+compared with the run in this process, its task text by sha256, and so
+is a `generate` then `bench --jobs 2` run of the command line.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from ltlflearn.benchgen import TaskSpec, gen_task
 from ltlflearn.cli import main
 from ltlflearn.formulas import render_formula
 from ltlflearn.pipeline import LearnerConfig, learn
+from ltlflearn.traces import serialize_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,16 +37,19 @@ SPEC = dict(family="random-boolcomb", n_props=2, trace_len=16, n_pos=20, n_neg=2
             params={"n_patterns": 2})
 CONFIG = dict(ltl2bs_switch=6, dc_switch=12)
 # Learns SPEC's task under CONFIG with the sources in sys.argv[1]; prints
-# the answer's status, method and formula text as JSON.
+# the sha256 of the task's text, then the answer's status, method and
+# formula text, as JSON.
 LEARN = (
-    "import json, sys\n"
+    "import hashlib, json, sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "from ltlflearn.benchgen import TaskSpec, gen_task\n"
     "from ltlflearn.formulas import render_formula\n"
     "from ltlflearn.pipeline import LearnerConfig, learn\n"
+    "from ltlflearn.traces import serialize_sample\n"
     f"sample = gen_task(TaskSpec(**{SPEC!r}))\n"
     f"result = learn(sample, LearnerConfig(**{CONFIG!r}))\n"
-    "print(json.dumps([result.status, result.method,\n"
+    "print(json.dumps([hashlib.sha256(serialize_sample(sample).encode()).hexdigest(),\n"
+    "                  result.status, result.method,\n"
     "                  render_formula(result.formula, sample.alphabet)]))\n"
 )
 
@@ -112,7 +117,8 @@ def test_learn_answers_alike_under_python_3_10(python):
     sample = gen_task(TaskSpec(**SPEC))
     result = learn(sample, LearnerConfig(**CONFIG))
     assert result.method == "BSC+DivConq"
-    here = [result.status, result.method, render_formula(result.formula, sample.alphabet)]
+    here = [hashlib.sha256(serialize_sample(sample).encode()).hexdigest(),
+            result.status, result.method, render_formula(result.formula, sample.alphabet)]
     # -I leaves PYTHONPATH out, so the sources go on sys.path by hand.
     done = subprocess.run(
         [python, "-I", "-B", "-c", LEARN, str(ROOT / "src")],

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from ltlflearn.benchgen import TaskSpec
 from ltlflearn.biteval import CharTable, CharVector, Layout
 from ltlflearn.boolcover import BscInstance, NoSolution, Witness
 from ltlflearn.enumeration import BankEntry
@@ -123,6 +124,24 @@ def test_pickle_and_deepcopy_give_an_equal_value(name):
         assert hash(comparable(restored)) == hash(comparable(value))
 
 
+def test_a_task_spec_is_a_value_that_holds_a_dict():
+    def make():
+        return TaskSpec("subset", 3, seed=2, params={"subset": [0, 1]})
+
+    spec = make()
+    assert spec == make() and spec != TaskSpec("subset", 3, seed=3, params={"subset": [0, 1]})
+    assert repr(spec) == ("TaskSpec(family='subset', n_props=3, trace_len=16, n_pos=5, "
+                          "n_neg=5, seed=2, params={'subset': [0, 1]})")
+    default, other = TaskSpec("subset", 3), TaskSpec("subset", 3)
+    assert default.params == {} and default.params is not other.params
+    with pytest.raises(TypeError, match="unhashable"):  # its params are a dict
+        hash(spec)
+    with pytest.raises(AttributeError):
+        spec.seed = 3
+    for restored in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert type(restored) is TaskSpec and restored == spec
+
+
 def test_the_package_generates_dataclasses_only_for_the_config_and_result_types():
     # A fresh interpreter, so the import builds every class.
     code = (
@@ -136,7 +155,6 @@ def test_the_package_generates_dataclasses_only_for_the_config_and_result_types(
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert run.stdout.strip() == str([
-        "ltlflearn.benchgen.TaskSpec",
         "ltlflearn.pipeline.LearnResult",
         "ltlflearn.pipeline.LearnerConfig",
     ])
