@@ -335,14 +335,13 @@ def read_manifest(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_task(spec: TaskSpec, path: str, max_tries: int = DEFAULT_MAX_TRIES,
-               sample: Optional[Sample] = None) -> dict:
-    """Serialize the spec's sample to path, generated unless given, and
-    return the manifest row, built first: a spec the manifest cannot
-    hold raises before the file is written."""
+def write_task(spec: TaskSpec, path: str, sample: Optional[Sample] = None) -> dict:
+    """Serialize the spec's sample to path, generated with the default
+    budget unless given, and return the manifest row, built first: a
+    spec the manifest cannot hold raises before the file is written."""
     row = manifest_row(spec, None if spec.family == "hamming" else gen_formula(spec), path)
     if sample is None:
-        sample = gen_task(spec, max_tries)
+        sample = gen_task(spec)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_sample(sample))
     return row

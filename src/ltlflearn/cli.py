@@ -4,12 +4,16 @@ Four subcommands: `learn` runs the pipeline on one task file, `verify`
 checks a given formula against a task, `generate` writes benchmark
 tasks plus a manifest, and `bench` runs every task of a manifest and
 emits one JSON record per line, in task order as the tasks end, with
-`target_size` where the manifest row has a target formula. Exit codes
-are a stable contract: 0 solved / verified, 1 no solution / not
-separating, 2 timeout, 3 input error, 4 internal error, 141 (128 +
-SIGPIPE) stdout closed by its reader, which ends a command quietly
-(bench starts no further task). A bench task that fails gets an
-`Error` record and the other tasks still run; bench exits 4 if any
+`target_size` where the manifest row has a target formula. `learn` and
+each bench task run one path, `_task_record`, from the task file to its
+record. Exit codes are a stable contract: 0 solved / verified, 1 no
+solution / not separating, 2 timeout, 3 input error, 4 internal error,
+141 (128 + SIGPIPE) stdout closed by its reader, which ends a command
+quietly (bench starts no further task). Input errors include a file
+that is missing, unreadable, not UTF-8, not a task or not CSV, and a
+formula nested too deeply to parse or check. A bench task that fails
+at any step, from reading its file to building its record, gets its
+own `Error` record and the other tasks still run; bench exits 4 if any
 task had an internal error, else 3 if any had an input error. In json
 mode stdout carries exactly one JSON object (or one per task for
 bench); diagnostics go to stderr.
@@ -18,7 +22,7 @@ bench); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import inspect
 import json
 import math
@@ -26,7 +30,7 @@ import os
 import sys
 import traceback
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterator, Optional
@@ -48,9 +52,11 @@ from .formulas import (
     parse_formula,
     render_formula,
 )
-from .pipeline import LearnerConfig, LearnResult, learn, separates
-from .traces import Sample, Task, TaskFormatError, parse_task
+from .pipeline import LearnerConfig, learn, separates
+from .traces import Task, TaskFormatError, parse_task
 
+# LearnerConfig's fields, in order, with their defaults.
+_CONFIG_FIELDS = inspect.signature(LearnerConfig).parameters
 _STATUS_EXIT = {"Solved": 0, "NoSolution": 1, "Timeout": 2}
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
@@ -67,16 +73,31 @@ def _internal_error(exc: Exception) -> str:
     return f"{INTERNAL_ERROR}{type(exc).__name__}: {exc}"
 
 
-def _read_task(path: str) -> Task:
+def _task_file(path: str) -> Task:
+    with open(path, encoding="utf-8") as fh:
+        return parse_task(fh.read())
+
+
+def _read_input(path: str, read):
+    """read(path), with every way an input file can be bad as an
+    InputError naming it: missing, unreadable, not UTF-8, not a task or
+    not CSV."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        return read(path)
+    except (OSError, UnicodeDecodeError, TaskFormatError, csv.Error) as exc:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+@contextmanager
+def _formula_input(what: str):
+    """Parsing or checking a formula given as input: a syntax error, or
+    nesting too deep for the interpreter's stack, is an InputError."""
     try:
-        return parse_task(text)
-    except TaskFormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        yield
+    except FormulaSyntaxError as exc:
+        raise InputError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what}: nested too deeply") from exc
 
 
 def _operators_from(args, task: Optional[Task]) -> OperatorSet:
@@ -96,7 +117,7 @@ def _operators_from(args, task: Optional[Task]) -> OperatorSet:
 
 def _config_from(args, task: Optional[Task]) -> LearnerConfig:
     """Each config field from its flag; operators from the flag or the task."""
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(LearnerConfig)}
+    values = {name: getattr(args, name) for name in _CONFIG_FIELDS}
     values["operators"] = _operators_from(args, task)
     if args.timeout <= 0 or args.timeout == math.inf:  # NaN stays, for the config to reject
         values["timeout"] = None
@@ -108,20 +129,29 @@ def _config_from(args, task: Optional[Task]) -> LearnerConfig:
 
 def _config_echo(config: LearnerConfig) -> dict:
     """Every config field by name; operators as their list of names."""
-    record = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    record = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     record["operators"] = list(config.operators.names())
     return record
 
 
-def _result_record(task_path: str, sample: Sample, result: LearnResult,
-                   config: LearnerConfig) -> dict:
+def _task_record(path: str, args, target: str = "") -> dict:
+    """The record of learning the task file at path under the learner
+    flags; with a manifest's target formula text, its size (parsed over
+    the task's alphabet) as `target_size`. Bad input raises InputError."""
+    task = _read_input(path, _task_file)
+    config = _config_from(args, task)
+    alphabet = task.sample.alphabet
+    if target:
+        with _formula_input("manifest formula"):
+            target_size = parse_formula(target, alphabet).size
+    result = learn(task.sample, config)
     stats = dict(result.stats)
     elapsed_ms = stats.pop("elapsed_s", 0.0) * 1000.0
     phi = result.formula
-    return {
-        "task": task_path,
+    record = {
+        "task": path,
         "status": result.status,
-        "formula": None if phi is None else render_formula(phi, sample.alphabet),
+        "formula": None if phi is None else render_formula(phi, alphabet),
         "size": None if phi is None else phi.size,
         "elapsed_ms": round(elapsed_ms, 3),
         "method": result.method,
@@ -129,6 +159,9 @@ def _result_record(task_path: str, sample: Sample, result: LearnResult,
         "stats": stats,
         "config": _config_echo(config),
     }
+    if target:
+        record["target_size"] = target_size
+    return record
 
 
 def _no_solution_message(record: dict) -> str:
@@ -142,40 +175,32 @@ def _no_solution_message(record: dict) -> str:
 
 
 def cmd_learn(args) -> int:
-    task = _read_task(args.task)
-    config = _config_from(args, task)
-    result = learn(task.sample, config)
-    record = _result_record(args.task, task.sample, result, config)
-
+    record = _task_record(args.task, args)
+    status = record["status"]
     if args.format == "json":
         print(json.dumps(record))
-    elif result.status == "Solved":
+    elif status == "Solved":
         print(record["formula"])
         print(
             f"solved in {record['elapsed_ms'] / 1000.0:.3f} s; "
             f"method {record['method']}; size {record['size']}",
             file=sys.stderr,
         )
-    elif result.status == "NoSolution":
+    elif status == "NoSolution":
         print(_no_solution_message(record))
     else:
         print(f"timeout after {args.timeout:g} s")
-    return _STATUS_EXIT[result.status]
+    return _STATUS_EXIT[status]
 
 
 def cmd_verify(args) -> int:
-    task = _read_task(args.task)
-    try:
+    task = _read_input(args.task, _task_file)
+    with _formula_input("formula"):
         phi = parse_formula(args.formula, task.sample.alphabet)
-    except FormulaSyntaxError as exc:
-        raise InputError(f"formula: {exc}") from exc
-    ok = separates(phi, task.sample)
+        ok = separates(phi, task.sample)
+        text = render_formula(phi, task.sample.alphabet)
     if args.format == "json":
-        print(json.dumps({
-            "task": args.task,
-            "formula": render_formula(phi, task.sample.alphabet),
-            "separates": ok,
-        }))
+        print(json.dumps({"task": args.task, "formula": text, "separates": ok}))
     else:
         print("separates" if ok else "does not separate")
     return 0 if ok else 1
@@ -218,25 +243,15 @@ def cmd_generate(args) -> int:
 
 
 def _bench_worker(task_path: str, target: str, args) -> dict:
-    """One task's record; with the manifest's target formula text, its
-    size (parsed over the task's alphabet) as `target_size`."""
+    """_task_record's record, or the task's Error record when any step
+    of it fails: a bad input or a bug in one task must not end the run."""
     try:
-        task = _read_task(task_path)
-        config = _config_from(args, task)
-        target_size = parse_formula(target, task.sample.alphabet).size if target else None
-    except FormulaSyntaxError as exc:
-        return {"task": task_path, "status": "Error", "error": f"manifest formula: {exc}"}
+        return _task_record(task_path, args, target)
     except InputError as exc:
         return {"task": task_path, "status": "Error", "error": str(exc)}
-    try:
-        result = learn(task.sample, config)
-    except Exception as exc:  # a bug in one task must not end the run
+    except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         return {"task": task_path, "status": "Error", "error": _internal_error(exc)}
-    record = _result_record(task_path, task.sample, result, config)
-    if target_size is not None:
-        record["target_size"] = target_size
-    return record
 
 
 def _bench_records(tasks: list[tuple[str, str]], args) -> Iterator[dict]:
@@ -265,10 +280,7 @@ def _bench_records(tasks: list[tuple[str, str]], args) -> Iterator[dict]:
 def cmd_bench(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        rows = read_manifest(args.manifest)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{args.manifest}: {getattr(exc, 'strerror', None) or exc}") from exc
+    rows = _read_input(args.manifest, read_manifest)
     if not rows:
         raise InputError(f"{args.manifest}: empty manifest")
     tasks = []
@@ -335,9 +347,8 @@ _LEARNER_FLAGS = {
 def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per LearnerConfig field, with the field's default and
     type; --operators is the one string, unset unless given."""
-    defaults = {f.name: f.default for f in dataclasses.fields(LearnerConfig)}
     for name, (metavar, help_text) in _LEARNER_FLAGS.items():
-        default = None if name == "operators" else defaults[name]
+        default = None if name == "operators" else _CONFIG_FIELDS[name].default
         parser.add_argument("--" + name.replace("_", "-"), default=default,
                             type=None if default is None else type(default),
                             metavar=metavar, help=help_text)

@@ -15,10 +15,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from ltlflearn.benchgen import FAMILIES, TaskSpec
+from ltlflearn.benchgen import FAMILIES, TaskSpec, write_manifest
 from ltlflearn.boolcover import NoSolution, Witness
 from ltlflearn.cli import _LEARNER_FLAGS, _config_echo, _generate_specs, build_parser, main
-from ltlflearn.formulas import parse_formula
+from ltlflearn.formulas import parse_formula, render_formula
 from ltlflearn.pipeline import LearnerConfig, learn, separates
 from ltlflearn.traces import parse_task, serialize_sample
 
@@ -227,6 +227,22 @@ def test_verify_syntax_error(task_path, capsys):
     code, out, err = run(capsys, "verify", task_path, "F(")
     assert code == 3
     assert err.startswith("error: formula:")
+
+
+# Formulas over the worked task's proposition, nested deeper than the
+# interpreter's stack allows to parse or to check.
+DEEP_FORMULAS = {
+    "parentheses": "(" * 2000 + "a" + ")" * 2000,  # overflows the parser
+    "negations": "!" * 500 + "a",  # parses, overflows the formula hash
+    "conjunctions": " & ".join(["a"] * 600),  # built in a loop, overflows the hash
+}
+
+
+@pytest.mark.parametrize("formula", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+def test_verify_formula_nested_too_deeply_is_an_input_error(task_path, capsys, formula):
+    code, out, err = run(capsys, "verify", task_path, formula)
+    assert (code, out) == (3, "")
+    assert err == "error: formula: nested too deeply\n"
 
 
 def test_generate_writes_tasks_and_manifest(tmp_path, capsys):
@@ -696,26 +712,50 @@ def test_internal_error_has_its_own_exit_code(task_path, capsys, monkeypatch):
     assert "internal error: RecursionError: maximum recursion depth exceeded" in err
 
 
-def test_bench_survives_a_task_whose_learn_raises(tmp_path, capsys, monkeypatch):
+def failing_on_the_second_call(real):
+    """real, but raising RuntimeError("boom") on its second call."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("step, jobs", [
+    ("learn", "1"),
+    ("render_formula", "1"),
+    ("deep-target", "1"),
+    ("deep-target", "2"),  # data only, no patch: runs under any start method
+], ids=["learn", "render", "deep-target", "deep-target-jobs2"])
+def test_bench_survives_a_task_whose_learn_raises(tmp_path, capsys, monkeypatch, step, jobs):
     out_dir = tmp_path / "bench"
     main(["generate", "--family", "ordered-sequence", "--n", "2",
           "--count", "3", "--out", str(out_dir)])
     capsys.readouterr()
-    calls = []
-
-    def learn_failing_on_the_second_task(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise RuntimeError("boom")
-        return learn(*args, **kwargs)
-
-    monkeypatch.setattr("ltlflearn.cli.learn", learn_failing_on_the_second_task)
-    code, out, err = run(capsys, "bench", str(out_dir / "manifest.csv"))
-    assert code == 4
+    manifest = str(out_dir / "manifest.csv")
+    if step == "deep-target":
+        # The second target formula, in more parentheses than the parser's stack holds.
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1]["formula"] = "(" * 2000 + rows[1]["formula"] + ")" * 2000
+        write_manifest(manifest, rows)
+    else:
+        real = {"learn": learn, "render_formula": render_formula}[step]
+        monkeypatch.setattr(f"ltlflearn.cli.{step}", failing_on_the_second_call(real))
+    code, out, err = run(capsys, "bench", manifest, "--jobs", jobs)
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["status"] for r in records] == ["Solved", "Error", "Solved"]
-    assert records[1]["error"] == "internal error: RuntimeError: boom"
     assert records[1]["task"].endswith("-s1.trace")
+    if step == "deep-target":
+        assert code == 3
+        assert records[1]["error"].startswith("manifest formula: ")
+    else:
+        assert code == 4
+        assert records[1]["error"] == "internal error: RuntimeError: boom"
     assert "solved 2/3" in err and "error 1" in err
 
 
@@ -775,6 +815,15 @@ def test_bench_manifest_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "bench", str(manifest))
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "manifest.csv" in err
+
+
+def test_bench_manifest_csv_error_is_an_input_error(task_path, tmp_path, capsys):
+    limit = csv.field_size_limit()
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"formula,path\n{'x' * (limit + 1)},{task_path}\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert (code, out) == (3, "")
+    assert err == f"error: {manifest}: field larger than field limit ({limit})\n"
 
 
 def test_learner_flag_defaults_are_the_config_defaults():

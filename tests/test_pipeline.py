@@ -37,7 +37,13 @@ from ltlflearn.formulas import (
 from ltlflearn.pipeline import LearnerConfig, LearnResult, VerificationError, learn, separates
 from ltlflearn.traces import Alphabet, Sample, Trace, parse_task
 
-from conftest import biteval_imports, built_during, eval_reference_all, union_shaped_sample
+from conftest import (
+    biteval_imports,
+    built_during,
+    eval_reference_all,
+    reference_enumerate,
+    union_shaped_sample,
+)
 
 WORKED = parse_task("1;1;0;1;1\n0;1;1;1\n---\n1;0;1;0\n1;1;0\n").sample
 
@@ -101,6 +107,58 @@ def test_learn_answers_a_one_class_sample_with_a_literal(sample, names):
     assert result.formula == (Top() if sample.positives else Bottom())
     assert separates(result.formula, sample)
     assert list(result.stats) == ["elapsed_s"]
+
+
+@st.composite
+def small_samples(draw):
+    """1-4 distinct traces per class, of length 1-5, over 1-2 propositions."""
+    n_props = draw(st.integers(1, 2))
+    word = st.lists(st.integers(0, (1 << n_props) - 1), min_size=1, max_size=5).map(tuple)
+    traces = [Trace(w) for w in draw(st.lists(word, min_size=2, max_size=8, unique=True))]
+    n_pos = draw(st.integers(max(1, len(traces) - 4), min(4, len(traces) - 1)))
+    return Sample(Alphabet.default(n_props), tuple(traces[:n_pos]), tuple(traces[n_pos:]))
+
+
+def reference_separates(phi, sample: Sample) -> bool:
+    """By the recursive semantics: phi holds at the first position of
+    every positive trace and of no negative one."""
+    return (all(eval_reference_all(phi, w)[0] for w in sample.positives)
+            and not any(eval_reference_all(phi, w)[0] for w in sample.negatives))
+
+
+# Half of the operator sets hold both connectives, which the cover
+# answers with, so that its size bound is checked often.
+operator_names = st.builds(
+    lambda names, both: names | {"&", "|"} if both else names,
+    st.sets(st.sampled_from(sorted(OPERATOR_TOKENS)), min_size=1), st.booleans())
+
+
+@given(small_samples(), operator_names, st.integers(1, 5), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+# Answered by set cover with a split: !(X(p0)) & !(p0), size 6.
+@example(Sample(Alphabet.default(1), (Trace((0, 0)),), (Trace((0,)), Trace((1, 0)))),
+         {"!", "X", "&", "|"}, 3, 1)
+def test_learn_keeps_the_promise_of_each_verdict(sample, names, switch, dc_switch):
+    ops = OperatorSet.from_names(names)
+    result = learn(sample, LearnerConfig(operators=ops, ltl2bs_switch=switch,
+                                         dc_switch=dc_switch, timeout=None))
+    if result.status == "NoSolution":
+        # Nothing up to the bound separates the witness's two traces.
+        w = result.witness
+        pair = Sample(sample.alphabet, (sample.positives[w.pos_index],),
+                      (sample.negatives[w.neg_index],))
+        assert reference_enumerate(pair, ops, switch)[0] is None
+        return
+    assert result.status == "Solved"
+    phi = result.formula
+    assert reference_separates(phi, sample)
+    if result.method == "EnumOnly":
+        # Size-minimal: no literal separates two classes, no atom is smaller.
+        assert phi.size == 1 or reference_enumerate(sample, ops, phi.size - 1)[0] is None
+    elif {"&", "|"} <= names:
+        # Enumeration found nothing up to the bound, and with both
+        # connectives the cover's answer is a formula it would have built.
+        assert phi.size > switch
 
 
 def test_timeout_returns_no_formula():
